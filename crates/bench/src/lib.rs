@@ -18,8 +18,6 @@ use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{Corpus, Domain, Task, TaskDataset};
 use webqa_metrics::{Counts, Score};
 
-pub mod trajectory;
-
 /// Experiment-wide setup shared by all benches.
 pub struct Setup {
     /// The generated corpus.

@@ -99,14 +99,6 @@ COMMANDS:
                   run_batch request; --http routes the op onto the
                   HTTP/1.1 facade (same envelope back); stats replies
                   get a per-shard breakdown rendered after the raw JSON
-    bench-fleet  Measure fleet throughput at each shard count of a sweep
-                  [--daemons K] [--shards 1,2,...] [--clients N]
-                  [--repeats N] [--pages N] [--train N] [--seed S]
-                  [--record]
-                  spawns K in-process daemons per sweep point, drives
-                  them with round-robin clients replaying a duplicated
-                  task stream, prints a shards-vs-req/s table; --record
-                  appends a \"serve_fleet\" record to BENCH_serve.json
     help      Show this message
 "
     .to_string()
@@ -1002,230 +994,6 @@ fn render_shard_stats(response: &str) -> String {
     out
 }
 
-/// `bench-fleet`: spawn an in-process fleet of daemons and measure
-/// requests/sec at each shard count of a sweep — the scale-out
-/// trajectory (`"bench":"serve_fleet"` records in `BENCH_serve.json`).
-pub(crate) fn bench_fleet(a: &ParsedArgs) -> Result<String, CliError> {
-    a.expect_only(&[
-        "daemons", "clients", "repeats", "shards", "pages", "train", "seed", "record",
-    ])?;
-    let daemons: usize = a.get_parsed("daemons", 2, "a positive integer")?;
-    let clients: usize = a.get_parsed("clients", 4, "a positive integer")?;
-    let repeats: usize = a.get_parsed("repeats", 2, "a positive integer")?;
-    let pages: usize = a.get_parsed("pages", 4, "a positive integer")?;
-    let train: usize = a.get_parsed("train", 2, "a positive integer")?;
-    let seed: u64 = a.get_parsed("seed", 42, "a non-negative integer")?;
-    if daemons == 0 || clients == 0 || repeats == 0 || pages < 2 || train >= pages {
-        return Err(CliError::Command(
-            "bench-fleet needs daemons/clients/repeats >= 1 and train < pages (pages >= 2)"
-                .to_string(),
-        ));
-    }
-    let shard_counts: Vec<usize> = a
-        .get("shards")
-        .unwrap_or("1,2")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| {
-                    CliError::Command(format!(
-                        "bad --shards {s:?}: expected a comma-separated list of positive integers"
-                    ))
-                })
-        })
-        .collect::<Result<_, _>>()?;
-
-    // One task per domain: enough digest spread to occupy several
-    // shards without re-running the whole catalogue per repeat.
-    let task_ids = ["fac_t1", "conf_t1", "class_t1", "clinic_t1"];
-    let corpus = Corpus::generate(pages, seed);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# fleet: {daemons} daemons, {clients} round-robin clients x {repeats} repeats, \
-         {} tasks ({pages} pages/domain, {train} labeled, seed {seed})",
-        task_ids.len()
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>10} {:>10} {:>12}",
-        "shards", "requests", "wall_s", "req/s"
-    );
-
-    let mut entries = Vec::new();
-    for &shards in &shard_counts {
-        // A fresh fleet per sweep point: every daemon cold, every cache
-        // empty, so the points differ only in the shard count.
-        let fleet: Vec<webqa_server::Listening> = (0..daemons)
-            .map(|_| {
-                webqa_server::Server::new(webqa_server::ServeOptions {
-                    engine: Config {
-                        synth: SynthConfig::fast(),
-                        ..Config::default()
-                    },
-                    shards,
-                    ..webqa_server::ServeOptions::default()
-                })
-                .listen(Some("127.0.0.1:0"), None)
-                .map_err(|e| CliError::Command(format!("cannot bind fleet daemon: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        let addrs: Vec<std::net::SocketAddr> = fleet
-            .iter()
-            .map(|l| l.tcp_addr().expect("tcp endpoint"))
-            .collect();
-
-        // Intern every page into every daemon up-front (out of the
-        // timed window) and build each daemon's request lines from the
-        // handles it issued.
-        let mut request_lines: Vec<Vec<String>> = Vec::with_capacity(daemons);
-        for &addr in &addrs {
-            let mut setup = webqa_server::Client::connect_tcp(addr)
-                .map_err(|e| CliError::Command(format!("cannot connect to fleet: {e}")))?;
-            let mut lines = Vec::new();
-            for id in task_ids {
-                let task = task_by_id(id).expect("catalogue task");
-                let domain_pages = corpus.pages(task.domain);
-                let handles: Vec<u64> = domain_pages
-                    .iter()
-                    .map(|p| {
-                        let mut m = serde_json::Map::new();
-                        m.insert("op".to_string(), serde_json::json!("intern"));
-                        m.insert("html".to_string(), serde_json::json!(p.html.clone()));
-                        let resp = setup
-                            .request(&serde_json::Value::Object(m))
-                            .map_err(|e| CliError::Command(format!("intern failed: {e}")))?;
-                        resp["ok"]["page"]
-                            .as_u64()
-                            .ok_or_else(|| CliError::Command(format!("intern refused: {resp}")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let labeled: Vec<serde_json::Value> = handles[..train]
-                    .iter()
-                    .zip(domain_pages)
-                    .map(|(&h, p)| {
-                        let mut m = serde_json::Map::new();
-                        m.insert("page".to_string(), serde_json::json!(h));
-                        m.insert(
-                            "gold".to_string(),
-                            serde_json::json!(p.gold(task.id).to_vec()),
-                        );
-                        serde_json::Value::Object(m)
-                    })
-                    .collect();
-                let mut m = serde_json::Map::new();
-                m.insert("op".to_string(), serde_json::json!("run"));
-                m.insert("question".to_string(), serde_json::json!(task.question));
-                m.insert(
-                    "keywords".to_string(),
-                    serde_json::json!(task
-                        .keywords
-                        .iter()
-                        .map(|k| k.to_string())
-                        .collect::<Vec<_>>()),
-                );
-                m.insert("labeled".to_string(), serde_json::Value::Array(labeled));
-                m.insert(
-                    "targets".to_string(),
-                    serde_json::json!(handles[train..].to_vec()),
-                );
-                lines.push(
-                    serde_json::to_string(&serde_json::Value::Object(m))
-                        .expect("request values always serialize"),
-                );
-            }
-            request_lines.push(lines);
-        }
-
-        // The timed window: client c drives daemon c % daemons,
-        // replaying the stream `repeats` times from its own offset.
-        let start = std::time::Instant::now();
-        let failures: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let addr = addrs[c % daemons];
-                    let lines = &request_lines[c % daemons];
-                    scope.spawn(move || {
-                        let mut client = match webqa_server::Client::connect_tcp(addr) {
-                            Ok(cl) => cl,
-                            Err(_) => return repeats * lines.len(),
-                        };
-                        let mut failed = 0;
-                        for r in 0..repeats {
-                            for i in 0..lines.len() {
-                                let line = &lines[(i + c + r) % lines.len()];
-                                match client.request_line(line) {
-                                    Ok(resp) if resp.contains("\"ok\"") => {}
-                                    _ => failed += 1,
-                                }
-                            }
-                        }
-                        failed
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .sum()
-        });
-        let wall_s = start.elapsed().as_secs_f64();
-        for daemon in fleet {
-            daemon.shutdown();
-        }
-        if failures > 0 {
-            return Err(CliError::Command(format!(
-                "fleet run at {shards} shards had {failures} failed requests"
-            )));
-        }
-
-        let requests = clients * repeats * task_ids.len();
-        let rps = requests as f64 / wall_s.max(1e-9);
-        let _ = writeln!(
-            out,
-            "{:<8} {:>10} {:>10.3} {:>12.1}",
-            shards, requests, wall_s, rps
-        );
-        entries.push(webqa_bench::trajectory::FleetEntry {
-            shards,
-            requests,
-            wall_s,
-            requests_per_sec: rps,
-        });
-    }
-
-    if a.switch("record") {
-        let record = webqa_bench::trajectory::FleetRecord {
-            bench: "serve_fleet".to_string(),
-            timestamp_unix: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-            daemons,
-            clients,
-            repeats,
-            pages,
-            train,
-            seed,
-            entries,
-        };
-        let path = webqa_bench::trajectory::serve_path();
-        match webqa_bench::trajectory::append(&path, &record) {
-            Ok(()) => {
-                let _ = writeln!(out, "# recorded to {}", path.display());
-            }
-            Err(e) => {
-                let _ = writeln!(out, "# trajectory not recorded ({e})");
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// `check`: lint + abstract-interpretation verdicts (and optional
 /// normalization) of a program. Returns [`CliError::CheckFailed`] —
 /// carrying the full report, which the binary prints to stdout with a
@@ -1294,43 +1062,6 @@ pub(crate) fn check(a: &ParsedArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use crate::{dispatch, CliError};
-
-    #[test]
-    fn bench_fleet_sweeps_shard_counts() {
-        let out = dispatch(&[
-            "bench-fleet",
-            "--daemons",
-            "2",
-            "--clients",
-            "2",
-            "--repeats",
-            "1",
-            "--pages",
-            "2",
-            "--train",
-            "1",
-            "--shards",
-            "1,2",
-        ])
-        .unwrap();
-        assert!(out.contains("2 daemons"), "{out}");
-        // One table row per swept shard count, and no record line
-        // without --record.
-        let rows: Vec<&str> = out
-            .lines()
-            .filter(|l| l.starts_with("1 ") || l.starts_with("2 "))
-            .collect();
-        assert_eq!(rows.len(), 2, "{out}");
-        assert!(!out.contains("# recorded"), "{out}");
-    }
-
-    #[test]
-    fn bench_fleet_rejects_bad_knobs() {
-        let err = dispatch(&["bench-fleet", "--shards", "1,zero"]).unwrap_err();
-        assert!(err.to_string().contains("--shards"), "{err}");
-        let err = dispatch(&["bench-fleet", "--pages", "2", "--train", "2"]).unwrap_err();
-        assert!(err.to_string().contains("train < pages"), "{err}");
-    }
 
     #[test]
     fn tasks_lists_all_25() {

@@ -19,7 +19,6 @@
 //!                 [--max-requests N]
 //! webqa-cli client (--tcp HOST:PORT | --unix PATH | --http HOST:PORT)
 //!                  (--request REQ | --op ping|stats)
-//! webqa-cli bench-fleet [--daemons K] [--shards 1,2,4] [--clients N] [--repeats N] [--record]
 //! webqa-cli help
 //! ```
 //!
@@ -76,15 +75,7 @@ impl From<ArgError> for CliError {
 }
 
 /// Switch-style options across all commands (take no value).
-const SWITCHES: &[&str] = &[
-    "paper",
-    "raw",
-    "baselines",
-    "normalize",
-    "json",
-    "lenient",
-    "record",
-];
+const SWITCHES: &[&str] = &["paper", "raw", "baselines", "normalize", "json", "lenient"];
 
 /// Parses and runs one command line, returning the text to print.
 ///
@@ -110,7 +101,6 @@ pub fn dispatch<S: AsRef<str>>(raw: &[S]) -> Result<String, CliError> {
         "export" => commands::export(&parsed),
         "serve" => commands::serve(&parsed),
         "client" => commands::client(&parsed),
-        "bench-fleet" => commands::bench_fleet(&parsed),
         other => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -130,18 +120,8 @@ mod tests {
     fn help_lists_all_commands() {
         let out = dispatch(&["help"]).unwrap();
         for c in [
-            "tasks",
-            "corpus",
-            "synth",
-            "eval",
-            "run",
-            "import",
-            "check",
-            "stats",
-            "export",
-            "serve",
-            "client",
-            "bench-fleet",
+            "tasks", "corpus", "synth", "eval", "run", "import", "check", "stats", "export",
+            "serve", "client",
         ] {
             assert!(out.contains(c), "help is missing {c}");
         }

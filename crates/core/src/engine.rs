@@ -1,12 +1,11 @@
 //! The session-oriented engine: shared page storage plus the staged
 //! pipeline.
 //!
-//! [`WebQa::run`](crate::WebQa::run) is one-shot: it re-parses and clones
-//! every page per call and exposes nothing between "question in" and
-//! "answers out". The paper's workflow is not one-shot — Figure 1 runs
-//! synthesis over a few labeled pages and selection over many unlabeled
-//! ones, and the Section 7 interactive-labeling loop re-runs synthesis
-//! after each new label. The [`Engine`] serves that workflow:
+//! A one-shot "question in, answers out" call would re-parse and clone
+//! every page per call and expose nothing in between. The paper's
+//! workflow is not one-shot — Figure 1 runs synthesis over a few labeled
+//! pages and selection over many unlabeled ones, and the Section 7
+//! interactive-labeling loop re-runs synthesis after each new label. The [`Engine`] serves that workflow:
 //!
 //! * pages are interned once in a [`PageStore`] and referenced by
 //!   [`PageId`] — no `PageTree` is deep-cloned on the run path;
@@ -375,22 +374,6 @@ impl Engine {
             .results
             .insert(self.config_digest, task, result.clone());
         Ok(result)
-    }
-
-    /// [`Engine::run`] with a wall-clock latency budget measured from
-    /// now: sugar for [`Engine::run_with_cancel`] over
-    /// [`CancelToken::after`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Cancelled`] when the budget is exhausted mid-run;
-    /// [`Error::UnknownPage`] as for [`Engine::run`].
-    pub fn run_with_deadline(
-        &self,
-        task: &Task,
-        budget: std::time::Duration,
-    ) -> Result<RunResult, Error> {
-        self.run_with_cancel(task, &CancelToken::after(budget))
     }
 
     /// A clone of this engine sharing the page store (cheap: `Arc`
@@ -899,7 +882,10 @@ mod tests {
 
         // A generous deadline never trips: identical to the plain run.
         let relaxed = engine
-            .run_with_deadline(&t, std::time::Duration::from_secs(3600))
+            .run_with_cancel(
+                &t,
+                &CancelToken::after(std::time::Duration::from_secs(3600)),
+            )
             .unwrap();
         assert_eq!(relaxed.program, full.program);
         assert_eq!(relaxed.answers, full.answers);

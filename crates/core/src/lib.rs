@@ -39,9 +39,7 @@
 //!
 //! Independent tasks batch through [`Engine::run_batch`], which fans them
 //! out over a scoped threadpool with deterministic, input-ordered
-//! results. The pre-engine one-shot facade survives as [`WebQa::run`], a
-//! thin compatibility wrapper that interns the caller's pages into a
-//! throwaway engine.
+//! results.
 //!
 //! The crate also provides the paper's *interactive labeling* helper
 //! ([`suggest_labels`], Section 7), which clusters the target pages and
@@ -64,7 +62,7 @@ pub use engine::{Engine, Prepared, Selected, Synthesized, Task};
 pub use error::Error;
 pub use labeling::{suggest_labels, MAX_LABEL_REQUESTS};
 pub use persist::{PersistSink, PersistStats};
-pub use pipeline::{score_answers, Config, Modality, RunResult, Selection, WebQa};
+pub use pipeline::{score_answers, Config, Modality, RunResult, Selection};
 pub use store::{content_digest, PageId, PageStore};
 
 // Re-export the workspace vocabulary that appears in this crate's API.

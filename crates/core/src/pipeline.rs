@@ -1,16 +1,10 @@
-//! The one-shot WebQA pipeline facade (Figure 1 of the paper):
-//! query + labeled pages → optimal programs → transductive selection →
-//! answers for every unlabeled page.
-//!
-//! [`WebQa`] is a thin compatibility wrapper over the staged
-//! [`Engine`](crate::Engine): it builds a throwaway engine, interns the
-//! caller's pages, and runs the stages back to back. Callers that run
-//! more than one query over the same pages, need intermediate stages, or
-//! want typed errors should use the engine directly.
+//! Pipeline vocabulary shared by the staged [`Engine`](crate::Engine)
+//! (Figure 1 of the paper: query + labeled pages → optimal programs →
+//! transductive selection → answers for every unlabeled page): its
+//! configuration, the result of one run, and answer scoring.
 
-use crate::engine::{Engine, Task};
 use crate::error::Error;
-use webqa_dsl::{PageTree, Program, QueryContext};
+use webqa_dsl::{Program, QueryContext};
 use webqa_metrics::{Counts, Score};
 use webqa_select::SelectionConfig;
 use webqa_synth::{SynthConfig, SynthesisOutcome};
@@ -57,12 +51,6 @@ pub struct Config {
     pub cache: crate::CacheConfig,
 }
 
-/// The WebQA system.
-#[derive(Debug, Clone, Default)]
-pub struct WebQa {
-    config: Config,
-}
-
 /// Everything a pipeline run produces.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -72,52 +60,6 @@ pub struct RunResult {
     pub synthesis: SynthesisOutcome,
     /// Answers per unlabeled page, aligned with the input order.
     pub answers: Vec<Vec<String>>,
-}
-
-impl WebQa {
-    /// Creates the system with the given configuration.
-    pub fn new(config: Config) -> Self {
-        WebQa { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Builds the query context for the configured modality.
-    pub fn context<S: AsRef<str>>(&self, question: &str, keywords: &[S]) -> QueryContext {
-        context_for(self.config.modality, question, keywords)
-    }
-
-    /// Runs the full pipeline: synthesize all optimal programs from the
-    /// labeled pages, select one (transductively, against the unlabeled
-    /// pages), and extract answers from every unlabeled page.
-    ///
-    /// Compatibility shim: interns the given pages into a throwaway
-    /// [`Engine`] (this is where the one deep copy per page happens) and
-    /// runs the staged pipeline. Engine callers skip that copy entirely.
-    pub fn run<S: AsRef<str>>(
-        &self,
-        question: &str,
-        keywords: &[S],
-        labeled: &[(PageTree, Vec<String>)],
-        unlabeled: &[PageTree],
-    ) -> RunResult {
-        let mut engine = Engine::new(self.config.clone());
-        let mut task = Task::new(question, keywords.iter().map(|k| k.as_ref().to_string()));
-        for (page, gold) in labeled {
-            let id = engine.store_mut().insert_tree(page.clone());
-            task.labeled.push((id, gold.clone()));
-        }
-        for page in unlabeled {
-            let id = engine.store_mut().insert_tree(page.clone());
-            task.unlabeled.push(id);
-        }
-        engine
-            .run(&task)
-            .expect("ids interned in this engine always resolve")
-    }
 }
 
 /// Builds a [`QueryContext`] for a modality (the WebQA-NL / WebQA-KW
@@ -160,6 +102,25 @@ pub fn score_answers(answers: &[Vec<String>], gold: &[Vec<String>]) -> Result<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Task};
+    use webqa_dsl::PageTree;
+
+    /// Runs one task through a fresh engine over the given pages.
+    fn run(
+        config: Config,
+        labeled: Vec<(PageTree, Vec<String>)>,
+        unlabeled: Vec<PageTree>,
+    ) -> RunResult {
+        let mut engine = Engine::new(config);
+        let task = Task::from_split(
+            "Who are the current PhD students?",
+            ["Students", "PhD"],
+            engine.store_mut(),
+            labeled,
+            unlabeled,
+        );
+        engine.run(&task).unwrap()
+    }
 
     fn labeled() -> Vec<(PageTree, Vec<String>)> {
         vec![
@@ -188,13 +149,7 @@ mod tests {
 
     #[test]
     fn end_to_end_extracts_from_unseen_page() {
-        let system = WebQa::new(Config::default());
-        let result = system.run(
-            "Who are the current PhD students?",
-            &["Students", "PhD"],
-            &labeled(),
-            &unlabeled(),
-        );
+        let result = run(Config::default(), labeled(), unlabeled());
         assert!(result.program.is_some());
         assert!(result.synthesis.f1 > 0.99);
         let answers = &result.answers[0];
@@ -228,28 +183,18 @@ mod tests {
 
     #[test]
     fn modality_contexts() {
-        let cfg = Config {
-            modality: Modality::QuestionOnly,
-            ..Config::default()
-        };
-        let system = WebQa::new(cfg);
-        let ctx = system.context("Who?", &["K"]);
+        let ctx = context_for(Modality::QuestionOnly, "Who?", &["K"]);
         assert!(ctx.keywords().is_empty());
         assert_eq!(ctx.question(), "Who?");
 
-        let cfg = Config {
-            modality: Modality::KeywordsOnly,
-            ..Config::default()
-        };
-        let ctx = WebQa::new(cfg).context("Who?", &["K"]);
+        let ctx = context_for(Modality::KeywordsOnly, "Who?", &["K"]);
         assert!(ctx.question().is_empty());
         assert_eq!(ctx.keywords(), ["K".to_string()]);
     }
 
     #[test]
     fn no_labels_no_program() {
-        let system = WebQa::new(Config::default());
-        let result = system.run("Who?", &["K"], &[], &unlabeled());
+        let result = run(Config::default(), Vec::new(), unlabeled());
         assert!(result.program.is_none());
         assert_eq!(result.answers, vec![Vec::<String>::new()]);
     }
@@ -265,13 +210,7 @@ mod tests {
                 strategy,
                 ..Config::default()
             };
-            let system = WebQa::new(cfg);
-            let result = system.run(
-                "Who are the current PhD students?",
-                &["Students", "PhD"],
-                &labeled(),
-                &unlabeled(),
-            );
+            let result = run(cfg, labeled(), unlabeled());
             assert!(result.program.is_some(), "strategy {strategy:?}");
         }
     }

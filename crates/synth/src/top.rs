@@ -10,6 +10,7 @@
 //! first-encounter key order, so programs, counts, and F₁ are
 //! byte-identical to the sequential run regardless of worker count.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -282,12 +283,22 @@ fn partition_best(blocks: &[Arc<BranchSynthesis>]) -> (f64, Counts) {
         }
         sums = next;
     }
+    best_sum(sums)
+}
+
+/// The F₁-best of `sums`, or `(-1.0, 0)` when there are none. Sums often
+/// tie on F₁ ({2,2,4} and {4,8,4} both score 2/3); pick among them by a
+/// fixed total order — fewest predicted, then most matched — so the
+/// reported counts never depend on the set's per-instance iteration order.
+fn best_sum(sums: impl IntoIterator<Item = Counts>) -> (f64, Counts) {
+    let tie_key = |c: &Counts| (Reverse(c.predicted), c.matched, Reverse(c.gold));
     sums.into_iter()
         .map(|c| (c.f1(), c))
-        .fold(
-            (-1.0, Counts::default()),
-            |acc, x| if x.0 > acc.0 { x } else { acc },
-        )
+        .max_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then_with(|| tie_key(&a.1).cmp(&tie_key(&b.1)))
+        })
+        .unwrap_or((-1.0, Counts::default()))
 }
 
 fn mask_of(block: &[usize]) -> u32 {
@@ -680,5 +691,38 @@ mod tests {
                 "jobs={jobs}"
             );
         }
+    }
+
+    fn counts(matched: usize, predicted: usize, gold: usize) -> Counts {
+        Counts {
+            matched,
+            predicted,
+            gold,
+        }
+    }
+
+    #[test]
+    fn best_sum_breaks_f1_ties_by_fewest_predicted_in_any_order() {
+        let tied = [counts(2, 2, 4), counts(4, 8, 4)];
+        assert_eq!(tied[0].f1(), tied[1].f1());
+        for order in [[0, 1], [1, 0]] {
+            let (f1, best) = best_sum(order.map(|i| tied[i]));
+            assert_eq!(best, counts(2, 2, 4), "order {order:?}");
+            assert_eq!(f1, tied[0].f1());
+        }
+    }
+
+    #[test]
+    fn best_sum_prefers_higher_f1_over_the_tie_order() {
+        // {3,6,3} has F₁ 2/3; {3,4,3} has 6/7 despite predicting more
+        // than {1,1,3} (F₁ 1/2).
+        let (f1, best) = best_sum([counts(1, 1, 3), counts(3, 6, 3), counts(3, 4, 3)]);
+        assert_eq!(best, counts(3, 4, 3));
+        assert!((f1 - 6.0 / 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn best_sum_of_nothing_is_below_every_f1() {
+        assert_eq!(best_sum([]), (-1.0, Counts::default()));
     }
 }

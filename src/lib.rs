@@ -19,14 +19,13 @@
 //! binary on top. Arrows point from dependent to dependency:
 //!
 //! ```text
-//!        webqa_cli (bin)   webqa_bench (10 bench targets)
-//!              │  │                │  │
-//!              │  └────────┬───────┘  │
-//!              │           ▼          │
-//!              │    webqa_server      │
-//!              │   (resident daemon)  │
-//!              │           │          │
-//!              └───────┬───┴──────────┘
+//!        webqa_cli (bin)      webqa_bench (9 bench targets)
+//!              │  │                │
+//!              │  ▼                │
+//!              │ webqa_server      │
+//!              │ (resident daemon) │
+//!              │       │           │
+//!              └───────┼───────────┘
 //!                      ▼
 //!                   webqa  ──────────────┐
 //!                   │  │                 │
@@ -86,9 +85,7 @@
 //!   (`Engine::spill_snapshot` / `load_snapshot`), checksummed and
 //!   digest-verified on load so corruption degrades to a counted cold
 //!   miss — `crates/core/tests/cache_semantics.rs` pins persist →
-//!   reload → re-run equal to the never-cached reference. The
-//!   pre-engine one-shot facade survives as the thin `WebQa::run`
-//!   compatibility wrapper.
+//!   reload → re-run equal to the never-cached reference.
 //!   **Workloads** (`webqa_corpus`, `webqa_baselines`) provide the 25
 //!   evaluation tasks, the seeded page generators, and the three
 //!   baseline systems.
@@ -120,7 +117,8 @@
 //!   spills its page store and base-feature tier to the on-disk
 //!   snapshot at shutdown and reloads it (per shard, owned digests
 //!   only) at startup, so restarts are warm; load/spill/corruption
-//!   counters surface through `stats` on both wire surfaces. `tests/serve_api.rs` proves serving
+//!   counters surface through `stats` on both wire surfaces.
+//!   `tests/serve_api.rs` proves serving
 //!   observationally invisible (concurrent duplicated request streams
 //!   answer byte-identically to a cold, never-cached engine — at 1
 //!   shard, at 4 shards, and over HTTP — shard routing ignores intern
@@ -133,8 +131,9 @@
 //! * **Apps** (`webqa_cli`, `webqa_bench`) stay thin: argument parsing and
 //!   report formatting only, every decision delegated to the libraries
 //!   (`webqa-cli serve` / `client` front the daemon over either
-//!   protocol; `webqa-cli bench-fleet` spawns an in-process fleet of
-//!   daemons and records the shards-vs-throughput trajectory).
+//!   protocol). Performance is measured by one harness, `perfbench/`
+//!   (its own Cargo workspace, see `BENCHMARK.json`); the
+//!   `webqa_bench` targets regenerate the paper's tables and figures.
 //!
 //! This umbrella crate (`webqa-repro`) re-exports everything so the
 //! integration tests and examples can `use` one coherent surface.

@@ -3,7 +3,7 @@
 //! program, and generalization to the structurally different page of
 //! Figure 3.
 
-use webqa::{Config, WebQa};
+use webqa::{Config, Engine, Task};
 use webqa_dsl::PageTree;
 
 /// Figure 2, top page (Jane Doe).
@@ -89,14 +89,18 @@ fn john_gold() -> Vec<String> {
 
 #[test]
 fn motivating_example_end_to_end() {
-    let labeled = vec![
-        (PageTree::parse(PAGE_JANE), jane_gold()),
-        (PageTree::parse(PAGE_JOHN), john_gold()),
-    ];
-    let unlabeled = vec![PageTree::parse(PAGE_ROBERT)];
-
-    let system = WebQa::new(Config::default());
-    let result = system.run(QUESTION, &KEYWORDS, &labeled, &unlabeled);
+    let mut engine = Engine::new(Config::default());
+    let task = Task::from_split(
+        QUESTION,
+        KEYWORDS,
+        engine.store_mut(),
+        [
+            (PageTree::parse(PAGE_JANE), jane_gold()),
+            (PageTree::parse(PAGE_JOHN), john_gold()),
+        ],
+        [PageTree::parse(PAGE_ROBERT)],
+    );
+    let result = engine.run(&task).expect("ids from this store");
 
     // Key Idea #2: there may be no perfect program (the simulated NER
     // does not tag conference names as ORG), but the optimal F1 must be

@@ -170,3 +170,36 @@ fn incremental_label_via_stages_does_not_regress_train_f1() {
     );
     assert!(!second.outcome().programs.is_empty());
 }
+
+/// Regression: when several count vectors tie on the optimal F₁, the
+/// reported `synthesis.counts` (and with them the whole result) must not
+/// depend on per-instance hash seeds. On `class_t1` two sums tie at
+/// F₁ 2/3 ({2,2,4} and {4,8,4}); without a fixed tie order, fresh
+/// engines split between them.
+#[test]
+fn f1_tied_counts_are_identical_across_fresh_engines() {
+    let corpus = Corpus::generate(8, 42);
+    let task = task_by_id("class_t1").expect("catalogue task");
+    let pages = corpus.pages(task.domain);
+    let runs: Vec<_> = (0..16)
+        .map(|_| {
+            let mut engine = Engine::new(Config::default());
+            let spec = webqa::Task::from_split(
+                task.question,
+                task.keywords.iter().copied(),
+                engine.store_mut(),
+                pages[..2]
+                    .iter()
+                    .map(|p| (p.tree(), p.gold(task.id).to_vec())),
+                pages[2..4].iter().map(|p| p.tree()),
+            );
+            let r = engine.run(&spec).expect("ids from this store");
+            (r.synthesis.counts, r.program, r.answers)
+        })
+        .collect();
+    assert!(
+        runs.iter().all(|r| *r == runs[0]),
+        "results differ across engines: {:?}",
+        runs.iter().map(|r| r.0).collect::<Vec<_>>()
+    );
+}
