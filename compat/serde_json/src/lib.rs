@@ -1,8 +1,8 @@
 //! Offline stand-in for the subset of the
 //! [`serde_json`](https://crates.io/crates/serde_json) crate this workspace
 //! uses: [`Value`] / [`Map`], [`to_string`] / [`to_string_pretty`],
-//! [`from_str`], [`to_value`], and a `json!` macro limited to serializable
-//! expressions (the only form this repo uses).
+//! [`from_str`], [`to_value`] / [`from_value`], and a `json!` macro
+//! limited to serializable expressions (the only form this repo uses).
 //!
 //! Built on the `compat/serde` shim: serialization drives the shim's
 //! `Serializer` trait into a [`Value`]; deserialization parses JSON text
@@ -326,6 +326,12 @@ impl serde::Serialize for Value {
             }
         }
     }
+}
+
+/// Deserializes any `Deserialize` type from a [`Value`] tree, through
+/// its JSON text: [`from_str`] is the shim's one deserialization path.
+pub fn from_value<T: for<'de> serde::Deserialize<'de>>(value: Value) -> Result<T, Error> {
+    from_str(&value.to_string())
 }
 
 impl<'de> serde::Deserialize<'de> for Value {

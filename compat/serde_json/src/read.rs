@@ -8,6 +8,7 @@ pub fn from_str<'de, T: serde::Deserialize<'de>>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 1,
     };
     p.skip_ws();
     let content = p.parse_value()?;
@@ -18,9 +19,17 @@ pub fn from_str<'de, T: serde::Deserialize<'de>>(s: &str) -> Result<T, Error> {
     T::deserialize(ContentDeserializer::<Error>::new(content))
 }
 
+/// Deepest value nesting accepted (the top-level value is level 1), as
+/// upstream serde_json's default recursion limit: parsing recurses once
+/// per level, so an unbounded depth lets one small hostile frame
+/// overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Nesting level of the value being parsed.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -76,7 +85,7 @@ impl Parser<'_> {
                     return Ok(Content::Seq(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_nested()?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -106,7 +115,7 @@ impl Parser<'_> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let value = self.parse_value()?;
+                    let value = self.parse_nested()?;
                     entries.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -130,6 +139,21 @@ impl Parser<'_> {
                 b as char, self.pos
             ))),
         }
+    }
+
+    /// Parses an array element or object member: one level deeper,
+    /// within [`MAX_DEPTH`].
+    fn parse_nested(&mut self) -> Result<Content, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = self.parse_value();
+        self.depth -= 1;
+        value
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
@@ -249,5 +273,23 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Content::F64)
             .map_err(|_| Error(format!("invalid number {text:?}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{from_str, Value};
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(128)).is_ok());
+        let err = from_str::<Value>(&nested(129)).expect_err("too deep");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Far past the limit is an error too, not a stack overflow.
+        assert!(from_str::<Value>(&nested(50_000)).is_err());
+        let object = |depth: usize| r#"{"a":"#.repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(from_str::<Value>(&object(127)).is_ok());
+        assert!(from_str::<Value>(&object(128)).is_err());
     }
 }

@@ -13,10 +13,10 @@
 //! * `WEBQA_TRAIN` — labeled pages per task (default 5);
 //! * `WEBQA_SEED` — corpus seed (default 42).
 
-use webqa::{score_answers, Config, Engine, PageId, PageStore, Selection};
+use webqa::{score_answers, Config, Engine, PageId, PageStore};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{Corpus, Domain, Task, TaskDataset};
-use webqa_metrics::{Counts, Score};
+use webqa_metrics::Score;
 
 /// Experiment-wide setup shared by all benches.
 pub struct Setup {
@@ -314,12 +314,6 @@ pub fn mean_scores<'a, I: IntoIterator<Item = &'a Score>>(scores: I) -> Score {
     Score::mean(scores)
 }
 
-/// Micro-average counts helper re-exported for benches that accumulate
-/// their own counts.
-pub fn counts_to_score(c: Counts) -> Score {
-    Score::from_counts(c)
-}
-
 /// Default pipeline config used by the accuracy benches: the standard
 /// pipeline with a trimmed program cap and ensemble size (the selection
 /// outcome is grouped by program *behaviour*, so shrinking the syntactic
@@ -329,14 +323,6 @@ pub fn default_config() -> Config {
     c.synth.max_programs = 600;
     c.selection.ensemble_size = 300;
     c
-}
-
-/// Pipeline config with a fixed selection strategy.
-pub fn config_with_strategy(strategy: Selection) -> Config {
-    Config {
-        strategy,
-        ..Config::default()
-    }
 }
 
 /// Formats one score triple as the paper prints them (two decimals).

@@ -2,12 +2,13 @@
 
 use std::fmt::Write as _;
 
-use webqa::{score_answers, Config, Engine, Modality, Selection, Task as EngineTask};
+use webqa::{score_answers, CancelToken, Config, Engine, Modality, Selection, Task as EngineTask};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{
     domain_stats, generate_pages, task_by_id, Corpus, Domain, Task, TaskDataset, TASKS,
 };
 use webqa_dsl::{lint, normalize, PageTree, Program, QueryContext};
+use webqa_server::StatsSnapshot;
 use webqa_synth::SynthConfig;
 
 use crate::args::ParsedArgs;
@@ -454,7 +455,7 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
         })
         .collect();
 
-    let results = engine.run_batch(&etasks, jobs)?;
+    let results = engine.run_batch(&etasks, jobs, &CancelToken::never())?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -902,94 +903,74 @@ pub(crate) fn client(a: &ParsedArgs) -> Result<String, CliError> {
             ))
         }
     };
-    // For `stats`, follow the raw envelope with a human-readable
-    // per-shard breakdown (the envelope stays line one, scripts keep
-    // parsing it as before).
-    let is_stats = serde_json::from_str::<serde_json::Value>(&line)
-        .map(|v| v["op"].as_str() == Some("stats"))
-        .unwrap_or(false);
-    let mut out = response.clone() + "\n";
-    if is_stats {
-        out.push_str(&render_shard_stats(&response));
-    }
-    Ok(out)
-}
-
-/// Renders one cache tier as `3h/2m (60%)`, `0h/0m` (no traffic yet —
-/// a rate would be 0/0), or `off` (tier disabled; rendering a hit rate
-/// for a cache that is off was the misleading "0% hit rate" this
-/// replaces).
-fn render_tier(cache: &serde_json::Value, enabled_field: &str, prefix: &str) -> String {
-    // Absent flag (older server) defaults to enabled — counters then
-    // render as before.
-    if !cache[enabled_field].as_bool().unwrap_or(true) {
-        return "off".to_string();
-    }
-    let hits = cache[format!("{prefix}_hits").as_str()]
-        .as_u64()
-        .unwrap_or(0);
-    let misses = cache[format!("{prefix}_misses").as_str()]
-        .as_u64()
-        .unwrap_or(0);
-    match hits + misses {
-        0 => format!("{hits}h/{misses}m"),
-        total => format!(
-            "{hits}h/{misses}m ({:.0}%)",
-            hits as f64 / total as f64 * 100.0
-        ),
-    }
+    // A stats reply is followed by a human-readable per-shard breakdown
+    // (the envelope stays line one, scripts keep parsing it as before);
+    // any other reply renders no breakdown.
+    let breakdown = render_shard_stats(&response);
+    Ok(response + "\n" + &breakdown)
 }
 
 /// Renders the `stats` response's per-shard breakdown as one line per
-/// shard (empty when the response has none), plus a `persist:` line
-/// when the daemon has a snapshot directory with traffic.
+/// shard (empty when the response is not a stats body), plus a
+/// `persist:` line when the daemon has a snapshot directory with
+/// traffic.
 fn render_shard_stats(response: &str) -> String {
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(response) else {
-        return String::new();
-    };
-    let Some(shards) = v["ok"]["shards"].as_array() else {
+    let Some(stats) = serde_json::from_str::<serde_json::Value>(response)
+        .ok()
+        .and_then(|v| serde_json::from_value::<StatsSnapshot>(v.get("ok")?.clone()).ok())
+    else {
         return String::new();
     };
     let mut out = String::new();
-    for s in shards {
-        let n = |field: &str| s[field].as_u64().unwrap_or(0);
+    for s in &stats.shards {
+        let c = &s.cache;
+        // A tier renders as `3h/2m (60%)`, `0h/0m` (no traffic yet: a
+        // rate would be 0/0), or `off` (a disabled tier has no rate).
+        let [feature, base, result] = [
+            (
+                c.features_enabled,
+                c.feature_hits,
+                c.feature_misses,
+                c.feature_hit_rate(),
+            ),
+            (
+                c.features_enabled,
+                c.base_hits,
+                c.base_misses,
+                c.base_hit_rate(),
+            ),
+            (
+                c.results_enabled,
+                c.result_hits,
+                c.result_misses,
+                c.result_hit_rate(),
+            ),
+        ]
+        .map(|(enabled, hits, misses, rate)| match (enabled, rate) {
+            (false, _) => "off".to_string(),
+            (true, None) => format!("{hits}h/{misses}m"),
+            (true, Some(rate)) => format!("{hits}h/{misses}m ({:.0}%)", rate * 100.0),
+        });
         let _ = writeln!(
             out,
             "shard {}: workers {}, backlog {}, queue {}, inflight {}, pages {}, \
-             feature {}, base {}, result {}",
-            n("shard"),
-            n("workers"),
-            n("backlog"),
-            n("queue_depth"),
-            n("inflight"),
-            n("pages"),
-            render_tier(&s["cache"], "features_enabled", "feature"),
-            render_tier(&s["cache"], "features_enabled", "base"),
-            render_tier(&s["cache"], "results_enabled", "result"),
+             feature {feature}, base {base}, result {result}",
+            s.shard, s.workers, s.backlog, s.queue_depth, s.inflight, s.pages,
         );
     }
-    let persist = &v["ok"]["persist"];
-    if persist.as_object().is_some() {
-        let p = |field: &str| persist[field].as_u64().unwrap_or(0);
-        if p("pages_loaded")
-            + p("base_loaded")
-            + p("pages_spilled")
-            + p("base_spilled")
-            + p("corrupt_skipped")
-            > 0
-        {
-            let _ = writeln!(
-                out,
-                "persist: loaded {} pages + {} base tables in {} ms, \
-                 spilled {} pages + {} base tables, {} corrupt entries skipped",
-                p("pages_loaded"),
-                p("base_loaded"),
-                p("load_ms"),
-                p("pages_spilled"),
-                p("base_spilled"),
-                p("corrupt_skipped"),
-            );
-        }
+    let p = &stats.persist;
+    if p.pages_loaded + p.base_loaded + p.pages_spilled + p.base_spilled + p.corrupt_skipped > 0 {
+        let _ = writeln!(
+            out,
+            "persist: loaded {} pages + {} base tables in {} ms, \
+             spilled {} pages + {} base tables, {} corrupt entries skipped",
+            p.pages_loaded,
+            p.base_loaded,
+            p.load_ms,
+            p.pages_spilled,
+            p.base_spilled,
+            p.corrupt_skipped,
+        );
     }
     out
 }
@@ -1061,6 +1042,7 @@ pub(crate) fn check(a: &ParsedArgs) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
+    use super::render_shard_stats;
     use crate::{dispatch, CliError};
 
     #[test]
@@ -1422,9 +1404,29 @@ mod tests {
         let stats = dispatch(&["client", "--unix", &path_str, "--op", "stats"]).unwrap();
         assert!(stats.contains("\"cache\""), "{stats}");
         assert!(stats.contains("\"pages\":1"), "{stats}");
+        assert!(stats.contains("\nshard 0: workers "), "{stats}");
         let out = server.join().expect("server thread").unwrap();
         assert!(out.contains("served 3 requests"), "{out}");
         assert!(!path.exists(), "socket file is removed on shutdown");
+    }
+
+    #[test]
+    fn stats_rendering_is_pinned() {
+        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"workers":2,"backlog":4,"queue_depth":1,"inflight":2,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"workers":1,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
+        assert_eq!(
+            render_shard_stats(response),
+            "shard 0: workers 2, backlog 4, queue 1, inflight 2, pages 3, \
+             feature 3h/1m (75%), base 0h/4m (0%), result off\n\
+             shard 1: workers 1, backlog 4, queue 0, inflight 0, pages 2, \
+             feature 0h/0m, base 0h/0m, result off\n\
+             persist: loaded 5 pages + 4 base tables in 7 ms, \
+             spilled 0 pages + 0 base tables, 1 corrupt entries skipped\n"
+        );
+        // An error envelope renders nothing after the raw line.
+        assert_eq!(
+            render_shard_stats(r#"{"id":null,"err":{"kind":"internal","message":"x"}}"#),
+            ""
+        );
     }
 
     #[test]

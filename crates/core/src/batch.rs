@@ -39,15 +39,26 @@ impl Engine {
     /// F₁, and answers are identical for every worker-count combination
     /// (`tests/staged_api.rs` pins batch × branch determinism).
     ///
+    /// The whole batch runs under one cooperative [`CancelToken`] (pass
+    /// [`CancelToken::never`] for none) — the serving layer's
+    /// `run_batch` wire op runs the whole batch under one deadline. A
+    /// trip aborts the in-flight tasks within one guard step each, skips
+    /// the unstarted ones, and the batch returns [`Error::Cancelled`];
+    /// completed per-task results are discarded, but anything already
+    /// inserted into the shared result cache stays (it is complete and
+    /// byte-identical to an uncancelled run).
+    ///
     /// # Errors
     ///
     /// The first failing task's error, by input order (tasks after a
-    /// failure may or may not have been executed).
+    /// failure may or may not have been executed), or
+    /// [`Error::Cancelled`] when the token trips before every task
+    /// finished.
     ///
     /// # Examples
     ///
     /// ```
-    /// use webqa::{Config, Engine, Task};
+    /// use webqa::{CancelToken, Config, Engine, Task};
     ///
     /// let mut engine = Engine::new(Config::default());
     /// let a = engine.store_mut().insert_html("<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>")?;
@@ -57,29 +68,12 @@ impl Engine {
     ///         .with_label(a, vec!["Jane Doe".into()])
     ///         .with_target(target)
     /// };
-    /// let results = engine.run_batch(&[task(b), task(a)], 2)?;
+    /// let results = engine.run_batch(&[task(b), task(a)], 2, &CancelToken::never())?;
     /// assert_eq!(results.len(), 2);
     /// assert_eq!(results[0].answers[0], vec!["Wei Chen".to_string()]);
     /// # Ok::<(), webqa::Error>(())
     /// ```
-    pub fn run_batch(&self, tasks: &[Task], jobs: usize) -> Result<Vec<RunResult>, Error> {
-        self.run_batch_with_cancel(tasks, jobs, &CancelToken::never())
-    }
-
-    /// [`Engine::run_batch`] under a cooperative
-    /// [`CancelToken`] shared by every task in the batch — the serving
-    /// layer's `run_batch` wire op runs the whole batch under one
-    /// deadline. A trip aborts the in-flight tasks within one guard step
-    /// each, skips the unstarted ones, and the batch returns
-    /// [`Error::Cancelled`]; completed per-task results are discarded,
-    /// but anything already inserted into the shared result cache stays
-    /// (it is complete and byte-identical to an uncancelled run).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_batch`], plus [`Error::Cancelled`] when the
-    /// token trips before every task finished.
-    pub fn run_batch_with_cancel(
+    pub fn run_batch(
         &self,
         tasks: &[Task],
         jobs: usize,
@@ -185,9 +179,10 @@ mod tests {
     #[test]
     fn batch_equals_sequential_for_any_job_count() {
         let (engine, tasks) = engine_and_tasks();
-        let sequential = engine.run_batch(&tasks, 1).unwrap();
+        let never = CancelToken::never();
+        let sequential = engine.run_batch(&tasks, 1, &never).unwrap();
         for jobs in [2, 4, 16] {
-            let batched = engine.run_batch(&tasks, jobs).unwrap();
+            let batched = engine.run_batch(&tasks, jobs, &never).unwrap();
             assert_eq!(batched.len(), sequential.len());
             for (b, s) in batched.iter().zip(&sequential) {
                 assert_eq!(b.program, s.program, "jobs={jobs}");
@@ -201,13 +196,15 @@ mod tests {
         let (engine, mut tasks) = engine_and_tasks();
         tasks[1].unlabeled.push(crate::store::PageId::forged(1000));
         tasks[3].unlabeled.push(crate::store::PageId::forged(2000));
-        let err = engine.run_batch(&tasks, 4).unwrap_err();
+        let never = CancelToken::never();
+        let err = engine.run_batch(&tasks, 4, &never).unwrap_err();
         assert_eq!(err, Error::UnknownPage(crate::store::PageId::forged(1000)));
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let (engine, _) = engine_and_tasks();
-        assert!(engine.run_batch(&[], 8).unwrap().is_empty());
+        let never = CancelToken::never();
+        assert!(engine.run_batch(&[], 8, &never).unwrap().is_empty());
     }
 }

@@ -95,7 +95,7 @@ impl CacheConfig {
 /// "cache off" instead of a misleading 0% hit rate. The
 /// `*_hit_rate` helpers fold both concerns: `None` means "no rate to
 /// report" (tier disabled or no lookups yet), never a division by zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
     /// Full feature tables served from the query tier.
     pub feature_hits: u64,

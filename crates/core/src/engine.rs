@@ -28,8 +28,7 @@ use crate::store::{PageId, PageStore};
 use webqa_dsl::{PageTree, Program, QueryContext};
 use webqa_select::{select_from_ensemble, select_random, select_shortest, Ensemble};
 use webqa_synth::{
-    synthesize_cancellable, synthesize_with_features, CancelToken, Example, PageBaseFeatures,
-    PageFeatures, SynthesisOutcome,
+    synthesize_cancellable, CancelToken, Example, PageBaseFeatures, PageFeatures, SynthesisOutcome,
 };
 
 /// One extraction task over pages interned in an engine's store.
@@ -473,36 +472,12 @@ impl<'e> Prepared<'e> {
         self.examples.push(Example::new(page, gold));
     }
 
-    /// Adds a labeled page by store handle without touching the
-    /// unlabeled set.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownPage`] when the handle is foreign to the engine's
-    /// store.
-    pub fn add_label(&mut self, page: PageId, gold: Vec<String>) -> Result<(), Error> {
-        let tree = Arc::clone(self.engine.store.get(page)?);
-        if !self.engine.config.synth.reference_kernels {
-            self.features.push(self.fetch_features(page, &tree));
-        }
-        self.examples.push(Example::new(tree, gold));
-        Ok(())
-    }
-
     /// Stage 2: synthesizes **all** optimal programs on the current
     /// labeled set (Section 5), reusing the prepared (possibly
     /// cache-borrowed) feature tables.
     pub fn synthesize(self) -> Synthesized<'e> {
-        let outcome = synthesize_with_features(
-            &self.engine.config.synth,
-            &self.ctx,
-            &self.examples,
-            &self.features,
-        );
-        Synthesized {
-            prepared: self,
-            outcome,
-        }
+        self.synthesize_cancellable(&CancelToken::never())
+            .expect("a never-token cannot cancel")
     }
 
     /// [`Prepared::synthesize`] under a cooperative [`CancelToken`]

@@ -63,7 +63,7 @@ const BASE_MAGIC: &str = "webqa-base-v1";
 /// Counters of one sink's disk traffic, snapshotted by
 /// [`PersistSink::stats`] and served through `webqa_server`'s `stats`
 /// op.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PersistStats {
     /// Pages loaded from the snapshot into a store.
     pub pages_loaded: u64,

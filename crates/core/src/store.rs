@@ -125,12 +125,6 @@ impl PageStore {
         Ok(self.insert_tree(PageTree::try_parse(html)?))
     }
 
-    /// Parses HTML leniently ([`PageTree::parse`], never fails) and
-    /// interns the result. For trusted or already-vetted sources.
-    pub fn insert_html_lenient(&mut self, html: &str) -> PageId {
-        self.insert_tree(PageTree::parse(html))
-    }
-
     /// Interns an already-parsed tree, deduplicating against every page
     /// inserted so far: a structurally identical tree returns the
     /// existing [`PageId`] and the tree is dropped.
@@ -266,7 +260,7 @@ mod tests {
         assert!(matches!(err, Error::Html(_)));
         assert!(store.is_empty());
         // The lenient path still accepts it.
-        let id = store.insert_html_lenient("<p>50&bogus;mg</p>");
+        let id = store.insert_tree(PageTree::parse("<p>50&bogus;mg</p>"));
         assert_eq!(store.get(id).unwrap().len(), 2);
     }
 

@@ -36,11 +36,6 @@ impl Corpus {
         }
     }
 
-    /// The paper-scale corpus: 40 pages × 4 domains = 160 pages.
-    pub fn paper_scale(seed: u64) -> Self {
-        Self::generate(DEFAULT_PAGES_PER_DOMAIN, seed)
-    }
-
     /// The generation seed.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -40,7 +40,11 @@ impl std::str::FromStr for Program {
     type Err = ParseProgramError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut p = Parser { src: s, pos: 0 };
+        let mut p = Parser {
+            src: s,
+            pos: 0,
+            depth: 0,
+        };
         let prog = p.program()?;
         p.skip_ws();
         if p.pos != s.len() {
@@ -50,9 +54,16 @@ impl std::str::FromStr for Program {
     }
 }
 
+/// Deepest parenthesis nesting accepted. The parser recurses once per
+/// level, so without a bound one short hostile program (`not(` repeated)
+/// overflows the stack; real programs nest a handful of levels.
+const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Parentheses currently open around `pos`.
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseProgramError>;
@@ -79,6 +90,23 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(&format!("expected {token:?}")))
         }
+    }
+
+    /// Eats an opening parenthesis, enforcing [`MAX_NESTING`].
+    fn open(&mut self) -> PResult<()> {
+        self.eat("(")?;
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Eats the closing parenthesis of [`Parser::open`].
+    fn close(&mut self) -> PResult<()> {
+        self.eat(")")?;
+        self.depth -= 1;
+        Ok(())
     }
 
     fn try_eat(&mut self, token: &str) -> bool {
@@ -171,17 +199,17 @@ impl<'a> Parser<'a> {
         let name = self.ident()?;
         match name {
             "sat" => {
-                self.eat("(")?;
+                self.open()?;
                 let l = self.locator()?;
                 self.eat(",")?;
                 let p = self.pred()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(Guard::Sat(l, p))
             }
             "singleton" => {
-                self.eat("(")?;
+                self.open()?;
                 let l = self.locator()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(Guard::IsSingleton(l))
             }
             other => Err(self.err(&format!("unknown guard {other:?}"))),
@@ -193,11 +221,11 @@ impl<'a> Parser<'a> {
         match name {
             "root" => Ok(Locator::Root),
             "children" | "descendants" => {
-                self.eat("(")?;
+                self.open()?;
                 let inner = self.locator()?;
                 self.eat(",")?;
                 let f = self.filter()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(if name == "children" {
                     Locator::Children(Box::new(inner), f)
                 } else {
@@ -215,20 +243,20 @@ impl<'a> Parser<'a> {
             "elem" => Ok(NodeFilter::IsElem),
             "true" => Ok(NodeFilter::True),
             "text" | "subtree" => {
-                self.eat("(")?;
+                self.open()?;
                 let p = self.pred()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(NodeFilter::MatchText {
                     pred: p,
                     subtree: name == "subtree",
                 })
             }
             "and" | "or" => {
-                self.eat("(")?;
+                self.open()?;
                 let a = self.filter()?;
                 self.eat(",")?;
                 let b = self.filter()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(if name == "and" {
                     NodeFilter::And(Box::new(a), Box::new(b))
                 } else {
@@ -236,9 +264,9 @@ impl<'a> Parser<'a> {
                 })
             }
             "not" => {
-                self.eat("(")?;
+                self.open()?;
                 let a = self.filter()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(NodeFilter::Not(Box::new(a)))
             }
             other => Err(self.err(&format!("unknown node filter {other:?}"))),
@@ -251,24 +279,24 @@ impl<'a> Parser<'a> {
             "answer" => Ok(NlpPred::HasAnswer),
             "true" => Ok(NlpPred::True),
             "kw" => {
-                self.eat("(")?;
+                self.open()?;
                 let t = self.number()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(NlpPred::MatchKeyword(Threshold::new(t)))
             }
             "entity" => {
-                self.eat("(")?;
+                self.open()?;
                 let kind_name = self.ident()?;
                 let kind: EntityKind = kind_name.parse().map_err(|e: String| self.err(&e))?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(NlpPred::HasEntity(kind))
             }
             "and" | "or" => {
-                self.eat("(")?;
+                self.open()?;
                 let a = self.pred()?;
                 self.eat(",")?;
                 let b = self.pred()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(if name == "and" {
                     NlpPred::And(Box::new(a), Box::new(b))
                 } else {
@@ -276,9 +304,9 @@ impl<'a> Parser<'a> {
                 })
             }
             "not" => {
-                self.eat("(")?;
+                self.open()?;
                 let a = self.pred()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(NlpPred::Not(Box::new(a)))
             }
             other => Err(self.err(&format!("unknown predicate {other:?}"))),
@@ -290,29 +318,29 @@ impl<'a> Parser<'a> {
         match name {
             "content" => Ok(Extractor::Content),
             "substr" => {
-                self.eat("(")?;
+                self.open()?;
                 let e = self.extractor()?;
                 self.eat(",")?;
                 let p = self.pred()?;
                 self.eat(",")?;
                 let k = self.integer()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(Extractor::Substring(Box::new(e), p, k))
             }
             "filter" => {
-                self.eat("(")?;
+                self.open()?;
                 let e = self.extractor()?;
                 self.eat(",")?;
                 let p = self.pred()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(Extractor::Filter(Box::new(e), p))
             }
             "split" => {
-                self.eat("(")?;
+                self.open()?;
                 let e = self.extractor()?;
                 self.eat(",")?;
                 let c = self.quoted_char()?;
-                self.eat(")")?;
+                self.close()?;
                 Ok(Extractor::Split(Box::new(e), c))
             }
             other => Err(self.err(&format!("unknown extractor {other:?}"))),

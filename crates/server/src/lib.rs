@@ -106,8 +106,9 @@
 //! * Frames larger than the server's `max_frame_bytes` (default 1 MiB)
 //!   get an `oversized` error response and the connection is then
 //!   closed — framing cannot resync past an unread tail.
-//! * A line that is not valid JSON (or not an object, or not UTF-8)
-//!   gets a `bad-frame` error; the connection stays open.
+//! * A line that is not valid JSON (or not an object, or not UTF-8, or
+//!   nested more than 128 levels deep) gets a `bad-frame` error; the
+//!   connection stays open.
 //! * EOF before a newline discards the partial frame and closes the
 //!   connection quietly — a mid-request disconnect is never executed as
 //!   a request and never poisons the shared engine.
@@ -208,36 +209,13 @@
 //!
 //! ```text
 //! → {"op":"stats"}
-//! ← {"id":null,"ok":{
-//!      "requests": 42, "errors": 1, "shed": 0, "deadline_exceeded": 0,
-//!      "workers": 8, "backlog": 64, "queue_depth": 0, "inflight": 0,
-//!      "pages": 7, "uptime_ms": 12345,
-//!      "cache": {"feature_hits":30,"feature_misses":4,"feature_evictions":0,
-//!                "base_hits":12,"base_misses":5,"base_evictions":0,
-//!                "result_hits":11,"result_misses":9,"result_evictions":0,
-//!                "features_enabled":true,"results_enabled":true},
-//!      "persist": {"pages_loaded":7,"base_loaded":5,"pages_spilled":0,
-//!                  "base_spilled":0,"corrupt_skipped":0,"load_ms":3},
-//!      "shards": [{"shard":0,"workers":8,"backlog":64,"queue_depth":0,
-//!                  "inflight":0,"pages":7,"cache":{...}}, ...]}}
+//! ← {"id":null,"ok":{"requests":42, ..., "shards":[{"shard":0, ...}]}}
 //! ```
 //!
-//! `shed` counts requests refused by the full admission queue,
-//! `deadline_exceeded` counts runs aborted by an expired latency
-//! budget; both are also included in `errors`. The `cache` object
-//! carries the engine's three tiers — the query-keyed feature tables
-//! (`feature_*`), the query-*independent* base tables shared across
-//! questions (`base_*`), and the completed-run LRU (`result_*`) — plus
-//! the `*_enabled` flags: a disabled tier counts nothing, so its
-//! counters stay zero rather than accumulating misleading misses. The
-//! `persist` object reports the on-disk snapshot tier
-//! ([`ServeOptions::cache_dir`]): entries loaded at startup, entries
-//! spilled at shutdown, corrupt entries skipped, and the load wall
-//! time; it is all zeros when no cache dir is configured. The `shards`
-//! array breaks workers, backlog, queue depth, inflight ops, pages,
-//! and every cache counter down per shard — computed in the same pass
-//! as the totals, so the breakdown always sums to them exactly
-//! (`tests/serve_api.rs` asserts this).
+//! The `ok` body is a serialized [`StatsSnapshot`], whose field docs
+//! are the schema: keys appear in field declaration order, and every
+//! total is derived from the per-shard [`ShardStats`] entries of the
+//! same response.
 //!
 //! ### `check` — lint + abstract-interpretation verdicts for a program
 //!
@@ -259,8 +237,9 @@
 //! [`webqa::Analyzer`]): the program is parsed and analyzed against the
 //! given query context without evaluating any page — the op is answered
 //! inline on the connection thread and never takes an engine lock, a
-//! worker slot, or an admission-queue place. An unparsable `program` is
-//! a `bad-request`; a parseable program with findings still answers
+//! worker slot, or an admission-queue place. An unparsable `program`
+//! (including one nesting parentheses more than 256 levels deep) is a
+//! `bad-request`; a parseable program with findings still answers
 //! `ok` (with `"clean": false`) — findings are the op's *output*, not a
 //! protocol failure. The body mirrors `webqa-cli check --json` field
 //! for field.
@@ -588,6 +567,65 @@ impl HeavyOp {
     }
 }
 
+/// The `ok` body of the `stats` op: serving counters plus the per-shard
+/// breakdown. Serialized in field order; every total that has a
+/// per-shard counterpart is derived from [`StatsSnapshot::shards`], so
+/// the breakdown sums to it exactly.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct StatsSnapshot {
+    /// Frames received, error responses included.
+    pub requests: u64,
+    /// Error responses, `shed` and `deadline_exceeded` included.
+    pub errors: u64,
+    /// Requests refused by a full admission queue (`overloaded`).
+    pub shed: u64,
+    /// Runs aborted by an expired latency budget (`deadline-exceeded`).
+    pub deadline_exceeded: u64,
+    /// Worker threads, summed over the shards.
+    pub workers: usize,
+    /// Admission-queue capacity, summed over the shards.
+    pub backlog: usize,
+    /// Heavy ops waiting for a worker, summed over the shards.
+    pub queue_depth: usize,
+    /// Heavy ops executing, summed over the shards.
+    pub inflight: u64,
+    /// Interned pages, summed over the shards.
+    pub pages: usize,
+    /// Milliseconds since the server was built.
+    pub uptime_ms: u64,
+    /// The engines' three cache tiers, merged over the shards
+    /// ([`CacheStats::merged`]): query-keyed feature tables (`feature_*`),
+    /// query-independent base tables (`base_*`), and the completed-run
+    /// LRU (`result_*`). A disabled tier counts nothing and has its
+    /// `*_enabled` flag off.
+    pub cache: CacheStats,
+    /// The on-disk snapshot tier ([`ServeOptions::cache_dir`]): entries
+    /// loaded at startup, spilled at shutdown, corrupt entries skipped,
+    /// and the load wall time. All zeros without a cache dir.
+    pub persist: webqa::PersistStats,
+    /// One entry per shard, in shard order.
+    pub shards: Vec<ShardStats>,
+}
+
+/// One shard's entry in [`StatsSnapshot::shards`].
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct ShardStats {
+    /// The shard index.
+    pub shard: usize,
+    /// Worker threads dedicated to the shard.
+    pub workers: usize,
+    /// The shard's admission-queue capacity.
+    pub backlog: usize,
+    /// Heavy ops in the shard's queue.
+    pub queue_depth: usize,
+    /// Heavy ops the shard is executing.
+    pub inflight: u64,
+    /// Pages interned in the shard's store.
+    pub pages: usize,
+    /// The shard engine's cache counters.
+    pub cache: CacheStats,
+}
+
 /// The resident WebQA server. Construct with [`Server::new`], then
 /// either bind endpoints with [`Server::listen`] or drive the protocol
 /// in-process with [`Server::handle_line`] (what the tests of pure
@@ -866,7 +904,7 @@ impl Server {
                     };
                     let engine = relock(self.shared.shards.get(shard).engine.read());
                     let results = engine
-                        .run_batch_with_cancel(&group, self.shared.batch_jobs, token)
+                        .run_batch(&group, self.shared.batch_jobs, token)
                         .map_err(|e| self.engine_err(e))?;
                     for (slot, result) in indices.into_iter().zip(results.iter()) {
                         rendered[slot] = render_run_result(result);
@@ -1211,92 +1249,46 @@ impl Server {
         Ok(Value::Object(map))
     }
 
+    /// `stats`: one pass over the shards fills a [`ShardStats`] each,
+    /// and every fleet total is derived from those entries, so the
+    /// breakdown sums to the totals in every response.
     fn op_stats(&self) -> Result<Value, ProtoError> {
-        let shards = &self.shared.shards;
-        // One pass over the shards: read each engine once, emitting the
-        // per-shard breakdown while accumulating the fleet totals (so
-        // the breakdown always sums to the totals in the same response).
-        let mut shard_entries = Vec::with_capacity(shards.count());
-        let mut cache_total = CacheStats::default();
-        let mut pages_total = 0usize;
-        for (i, s) in shards.iter().enumerate() {
-            let (pages, cache) = {
+        let shared = &self.shared;
+        let shards: Vec<ShardStats> = shared
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
                 let engine = relock(s.engine.read());
-                (engine.store().len(), engine.cache_stats())
-            };
-            pages_total += pages;
-            cache_total = cache_total.merged(cache);
-            let mut entry = Map::new();
-            entry.insert("shard".to_string(), serde_json::json!(i as u64));
-            entry.insert("workers".to_string(), serde_json::json!(s.workers as u64));
-            entry.insert(
-                "backlog".to_string(),
-                serde_json::json!(s.queue.capacity() as u64),
-            );
-            entry.insert(
-                "queue_depth".to_string(),
-                serde_json::json!(s.queue.depth() as u64),
-            );
-            entry.insert(
-                "inflight".to_string(),
-                serde_json::json!(s.inflight.load(Ordering::Relaxed)),
-            );
-            entry.insert("pages".to_string(), serde_json::json!(pages));
-            entry.insert(
-                "cache".to_string(),
-                serde_json::to_value(&cache)
-                    .map_err(|e| ProtoError::new(ErrKind::Internal, e.to_string()))?,
-            );
-            shard_entries.push(Value::Object(entry));
-        }
-        let cache = serde_json::to_value(&cache_total)
-            .map_err(|e| ProtoError::new(ErrKind::Internal, e.to_string()))?;
-        let mut map = Map::new();
-        map.insert(
-            "requests".to_string(),
-            serde_json::json!(self.shared.requests.load(Ordering::Relaxed)),
-        );
-        map.insert(
-            "errors".to_string(),
-            serde_json::json!(self.shared.errors.load(Ordering::Relaxed)),
-        );
-        map.insert(
-            "shed".to_string(),
-            serde_json::json!(self.shared.shed.load(Ordering::Relaxed)),
-        );
-        map.insert(
-            "deadline_exceeded".to_string(),
-            serde_json::json!(self.shared.deadline_hits.load(Ordering::Relaxed)),
-        );
-        map.insert(
-            "workers".to_string(),
-            serde_json::json!(shards.total_workers() as u64),
-        );
-        map.insert(
-            "backlog".to_string(),
-            serde_json::json!(shards.total_backlog() as u64),
-        );
-        map.insert(
-            "queue_depth".to_string(),
-            serde_json::json!(shards.total_queue_depth() as u64),
-        );
-        map.insert(
-            "inflight".to_string(),
-            serde_json::json!(relock(self.shared.inflight.lock()).len() as u64),
-        );
-        map.insert("pages".to_string(), serde_json::json!(pages_total));
-        map.insert(
-            "uptime_ms".to_string(),
-            serde_json::json!(self.shared.started.elapsed().as_millis() as u64),
-        );
-        map.insert("cache".to_string(), cache);
-        map.insert(
-            "persist".to_string(),
-            serde_json::to_value(&shards.persist_stats())
-                .map_err(|e| ProtoError::new(ErrKind::Internal, e.to_string()))?,
-        );
-        map.insert("shards".to_string(), Value::Array(shard_entries));
-        Ok(Value::Object(map))
+                ShardStats {
+                    shard: i,
+                    workers: s.workers,
+                    backlog: s.queue.capacity(),
+                    queue_depth: s.queue.depth(),
+                    inflight: s.inflight.load(Ordering::Relaxed),
+                    pages: engine.store().len(),
+                    cache: engine.cache_stats(),
+                }
+            })
+            .collect();
+        let stats = StatsSnapshot {
+            requests: shared.requests.load(Ordering::Relaxed),
+            errors: shared.errors.load(Ordering::Relaxed),
+            shed: shared.shed.load(Ordering::Relaxed),
+            deadline_exceeded: shared.deadline_hits.load(Ordering::Relaxed),
+            workers: shards.iter().map(|s| s.workers).sum(),
+            backlog: shards.iter().map(|s| s.backlog).sum(),
+            queue_depth: shards.iter().map(|s| s.queue_depth).sum(),
+            inflight: shards.iter().map(|s| s.inflight).sum(),
+            pages: shards.iter().map(|s| s.pages).sum(),
+            uptime_ms: shared.started.elapsed().as_millis() as u64,
+            cache: shards
+                .iter()
+                .fold(CacheStats::default(), |total, s| total.merged(s.cache)),
+            persist: shared.shards.persist_stats(),
+            shards,
+        };
+        serde_json::to_value(&stats).map_err(|e| ProtoError::new(ErrKind::Internal, e.to_string()))
     }
 }
 
@@ -1304,15 +1296,25 @@ impl Server {
 mod tests {
     use super::*;
 
-    fn server() -> Server {
-        Server::new(ServeOptions {
+    /// The typed `ok` body of a `stats` request.
+    fn stats(s: &Server) -> StatsSnapshot {
+        let v: Value = serde_json::from_str(&s.handle_line(r#"{"op":"stats"}"#)).expect("JSON");
+        serde_json::from_value(v["ok"].clone()).expect("a stats body")
+    }
+
+    fn options() -> ServeOptions {
+        ServeOptions {
             engine: webqa::Config {
                 synth: webqa::SynthConfig::fast(),
                 ..webqa::Config::default()
             },
             max_frame_bytes: 1 << 16,
             ..ServeOptions::default()
-        })
+        }
+    }
+
+    fn server() -> Server {
+        Server::new(options())
     }
 
     #[test]
@@ -1452,9 +1454,7 @@ mod tests {
         let ok = s.handle_line(&format!(r#"{{"op":"run",{fields}}}"#));
         assert!(ok.contains(r#""train_f1":1.0"#), "{ok}");
 
-        let stats = s.handle_line(r#"{"op":"stats"}"#);
-        let v: Value = serde_json::from_str(&stats).expect("valid JSON");
-        assert_eq!(v["ok"]["deadline_exceeded"].as_u64(), Some(1));
+        assert_eq!(stats(&s).deadline_exceeded, 1);
     }
 
     #[test]
@@ -1489,19 +1489,28 @@ mod tests {
         // and the op consumed no engine state: the store stays empty.
         let bad = s.handle_line(r#"{"op":"check","program":"sat(root,"}"#);
         assert!(bad.contains(r#""kind":"bad-request""#), "{bad}");
-        let stats = s.handle_line(r#"{"op":"stats"}"#);
-        let v: Value = serde_json::from_str(&stats).expect("valid JSON");
-        assert_eq!(v["ok"]["pages"].as_u64(), Some(0));
+        assert_eq!(stats(&s).pages, 0);
     }
 
     #[test]
-    fn stats_reports_counters_and_cache() {
-        let s = server();
-        let _ = s.handle_line(r#"{"op":"ping"}"#);
-        let resp = s.handle_line(r#"{"op":"stats"}"#);
-        let v: Value = serde_json::from_str(&resp).expect("valid JSON");
-        assert_eq!(v["ok"]["requests"].as_u64(), Some(2));
-        assert_eq!(v["ok"]["errors"].as_u64(), Some(0));
-        assert!(v["ok"]["cache"]["feature_hits"].as_u64().is_some());
+    fn stats_body_is_pinned() {
+        let s = Server::new(ServeOptions {
+            workers: 2,
+            backlog: 4,
+            shards: 2,
+            ..options()
+        });
+        let run = r#"{"op":"run","question":"Who are the PhD students?","keywords":["Students"],"labeled":[{"html":"<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>","gold":["Jane Doe"]}],"targets":[{"html":"<h1>B</h1><h2>Advisees</h2><ul><li>Wei Chen</li></ul>"}]}"#;
+        for line in [run, run, r#"{"op":"nope"}"#] {
+            let _ = s.handle_line(line);
+        }
+        // Every key in order, and every value but the uptime.
+        let body = s.handle_line(r#"{"op":"stats"}"#);
+        let (head, tail) = body.split_once(r#""uptime_ms":"#).expect("uptime");
+        let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        assert_eq!(
+            format!(r#"{head}"uptime_ms":0{tail}"#),
+            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"persist":{"pages_loaded":0,"base_loaded":0,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":0,"load_ms":0},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
+        );
     }
 }

@@ -191,14 +191,6 @@ impl Listening {
         }
     }
 
-    /// Total requests received so far (every non-blank frame counts,
-    /// error responses included; a request is counted when its frame is
-    /// read, possibly before its response is written — see
-    /// [`Listening::responses_sent`] for the completion-side counter).
-    pub fn requests_served(&self) -> u64 {
-        self.shared.requests.load(Ordering::Relaxed)
-    }
-
     /// Total responses fully written to clients. It can never run ahead
     /// of a response still being computed; for "stop after N requests"
     /// conditions use [`Listening::wait_for_responses`] instead of

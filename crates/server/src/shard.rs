@@ -86,7 +86,7 @@ impl ShardSet {
     /// The shard count is clamped to the worker and backlog budgets:
     /// more shards than workers (or backlog slots) would either leave
     /// shards unable to make progress or silently inflate the global
-    /// budget. Clamping keeps `total_workers()` / `total_backlog()`
+    /// budget. Clamping keeps the summed worker and backlog shares
     /// equal to what the operator configured.
     pub(crate) fn new(
         config: &webqa::Config,
@@ -161,16 +161,6 @@ impl ShardSet {
         self.shards.iter().map(|s| s.workers).sum()
     }
 
-    /// Sum of per-shard backlog capacities.
-    pub(crate) fn total_backlog(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.capacity()).sum()
-    }
-
-    /// Sum of per-shard queue depths (point-in-time).
-    pub(crate) fn total_queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.depth()).sum()
-    }
-
     /// Wakes every shard's parked workers (shutdown path).
     pub(crate) fn wake_all(&self) {
         for s in &self.shards {
@@ -202,6 +192,10 @@ mod tests {
 
     fn set(n: usize) -> ShardSet {
         ShardSet::new(&webqa::Config::default(), n, 8, 64, None)
+    }
+
+    fn total_backlog(s: &ShardSet) -> usize {
+        s.iter().map(|x| x.queue.capacity()).sum()
     }
 
     #[test]
@@ -240,7 +234,7 @@ mod tests {
             vec![3, 3, 2]
         );
         assert_eq!(s.total_workers(), 8);
-        assert_eq!(s.total_backlog(), 64);
+        assert_eq!(total_backlog(&s), 64);
         // More shards than workers: the shard count clamps to the
         // worker budget, so every shard gets exactly one worker and
         // one backlog slot — the totals stay what was configured.
@@ -258,20 +252,20 @@ mod tests {
         let s = ShardSet::new(&webqa::Config::default(), 8, 2, 64, None);
         assert_eq!(s.count(), 2);
         assert_eq!(s.total_workers(), 2, "worker budget must not inflate");
-        assert_eq!(s.total_backlog(), 64);
+        assert_eq!(total_backlog(&s), 64);
 
         // The backlog budget clamps too: a shard with a 0-capacity
         // queue could never admit its digest-routed requests.
         let s = ShardSet::new(&webqa::Config::default(), 8, 16, 3, None);
         assert_eq!(s.count(), 3);
         assert_eq!(s.total_workers(), 16);
-        assert_eq!(s.total_backlog(), 3);
+        assert_eq!(total_backlog(&s), 3);
 
         // Degenerate budgets still yield a working single shard.
         let s = ShardSet::new(&webqa::Config::default(), 4, 0, 0, None);
         assert_eq!(s.count(), 1);
         assert_eq!(s.total_workers(), 1);
-        assert_eq!(s.total_backlog(), 1);
+        assert_eq!(total_backlog(&s), 1);
     }
 
     #[test]

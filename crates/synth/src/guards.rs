@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 
-use webqa_dsl::{Guard, Locator, NlpPred, PageNodeId, QueryContext};
+use webqa_dsl::{Guard, Locator, PageNodeId, QueryContext};
 use webqa_metrics::Counts;
 
 use crate::example::Example;
@@ -418,13 +418,6 @@ pub(crate) fn propagate_examples<'e>(
         .into_iter()
         .map(|ex| locator.eval(ctx, &ex.page))
         .collect()
-}
-
-/// Convenience: the trivially-true guard `Sat(GetRoot, ⊤)` used as a
-/// fallback when a branch needs no discrimination.
-#[allow(dead_code)]
-pub(crate) fn trivial_guard() -> Guard {
-    Guard::Sat(Locator::Root, NlpPred::True)
 }
 
 #[cfg(test)]

@@ -92,4 +92,4 @@ pub use config::SynthConfig;
 pub use example::{counts_of_outputs, extractor_outputs, f1_of_outputs, program_counts, Example};
 pub use scorer::{PageBaseFeatures, PageFeatures};
 pub use stats::SynthStats;
-pub use top::{synthesize, synthesize_cancellable, synthesize_with_features, SynthesisOutcome};
+pub use top::{synthesize, synthesize_cancellable, SynthesisOutcome};

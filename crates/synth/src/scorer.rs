@@ -474,29 +474,19 @@ pub(crate) struct TaskCtx<'a> {
 }
 
 impl<'a> TaskCtx<'a> {
-    #[allow(dead_code)] // the no-borrowed-tables convenience, used by tests
+    /// The no-borrowed-tables, never-cancelled convenience of the tests.
+    #[cfg(test)]
     pub fn new(cfg: &'a SynthConfig, ctx: &'a QueryContext, examples: &'a [Example]) -> Self {
-        Self::with_features(cfg, ctx, examples, &[])
+        Self::with_features_cancel(cfg, ctx, examples, &[], CancelToken::never())
     }
 
-    /// [`TaskCtx::new`] with caller-supplied feature tables, aligned with
-    /// `examples` (missing or shape-mismatched entries are computed
-    /// fresh). Reused tables are observationally invisible: the table is
-    /// a pure function of `(cfg, ctx, page)`, so the search reads the
-    /// same bytes whether the table was borrowed or rebuilt.
-    pub fn with_features(
-        cfg: &'a SynthConfig,
-        ctx: &'a QueryContext,
-        examples: &'a [Example],
-        features: &[Arc<PageFeatures>],
-    ) -> Self {
-        Self::with_features_cancel(cfg, ctx, examples, features, CancelToken::never())
-    }
-
-    /// [`TaskCtx::with_features`] carrying a caller-supplied
-    /// [`CancelToken`]. The branch synthesizer checkpoints the token once
-    /// per guard step; a never-token makes those checkpoints free-ish
-    /// atomic increments.
+    /// The task context over `examples`, with caller-supplied feature
+    /// tables aligned with them (missing or shape-mismatched entries are
+    /// computed fresh). Reused tables are observationally invisible: the
+    /// table is a pure function of `(cfg, ctx, page)`, so the search
+    /// reads the same bytes whether the table was borrowed or rebuilt.
+    /// The branch synthesizer checkpoints `cancel` once per guard step; a
+    /// never-token makes those checkpoints free-ish atomic increments.
     pub fn with_features_cancel(
         cfg: &'a SynthConfig,
         ctx: &'a QueryContext,

@@ -48,12 +48,14 @@ pub struct SynthesisOutcome {
 /// Partitions of more than `config.max_blocks` blocks are not considered;
 /// with `max_blocks ≥ |examples|` the search matches the paper exactly.
 pub fn synthesize(cfg: &SynthConfig, ctx: &QueryContext, examples: &[Example]) -> SynthesisOutcome {
-    synthesize_with_features(cfg, ctx, examples, &[])
+    synthesize_cancellable(cfg, ctx, examples, &[], &CancelToken::never())
+        .expect("a never-token cannot cancel")
 }
 
 /// [`synthesize`] with caller-supplied per-example feature tables
 /// ([`PageFeatures`], aligned with `examples`; pass `&[]` — or tables
-/// that fail the shape check — to have them computed here).
+/// that fail the shape check — to have them computed here), under a
+/// cooperative [`CancelToken`] ([`CancelToken::never`] for none).
 ///
 /// This is the table-build/search split behind cross-request
 /// memoization: a long-lived `webqa::Engine` computes each page's table
@@ -64,17 +66,6 @@ pub fn synthesize(cfg: &SynthConfig, ctx: &QueryContext, examples: &[Example]) -
 /// built for a different same-sized page or query is the caller's bug
 /// (key stored tables by page content and query/config, as the engine
 /// does).
-pub fn synthesize_with_features(
-    cfg: &SynthConfig,
-    ctx: &QueryContext,
-    examples: &[Example],
-    features: &[Arc<PageFeatures>],
-) -> SynthesisOutcome {
-    synthesize_cancellable(cfg, ctx, examples, features, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// [`synthesize_with_features`] under a cooperative [`CancelToken`].
 ///
 /// The token is checkpointed once on entry and once per guard step of
 /// every branch problem (including the branch-parallel workers), so a
@@ -641,7 +632,8 @@ mod tests {
             .iter()
             .map(|ex| Arc::new(PageFeatures::compute(&cfg, &c, &ex.page)))
             .collect();
-        let borrowed = synthesize_with_features(&cfg, &c, &examples, &tables);
+        let never = CancelToken::never();
+        let borrowed = synthesize_cancellable(&cfg, &c, &examples, &tables, &never).unwrap();
         assert_eq!(borrowed.programs, fresh.programs);
         assert_eq!(borrowed.f1, fresh.f1);
         assert_eq!(borrowed.counts, fresh.counts);
@@ -654,7 +646,7 @@ mod tests {
             &c,
             &PageTree::parse("<p>unrelated</p>"),
         ))];
-        let recovered = synthesize_with_features(&cfg, &c, &examples, &wrong);
+        let recovered = synthesize_cancellable(&cfg, &c, &examples, &wrong, &never).unwrap();
         assert_eq!(recovered.programs, fresh.programs);
         assert_eq!(recovered.stats, fresh.stats);
     }

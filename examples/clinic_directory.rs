@@ -7,7 +7,7 @@
 //! cargo run --example clinic_directory
 //! ```
 
-use webqa::{score_answers, Config, Engine, Task};
+use webqa::{score_answers, CancelToken, Config, Engine, Task};
 use webqa_corpus::{task_by_id, Corpus, Domain};
 
 /// One directory row: clinic name, phones, hours, services.
@@ -47,7 +47,7 @@ fn main() {
 
     // One batch, one thread per task; results come back in input order.
     let results = engine
-        .run_batch(&specs, specs.len())
+        .run_batch(&specs, specs.len(), &CancelToken::never())
         .expect("ids from this store");
 
     let mut directory: Vec<DirectoryRow> = clinic_pages[TRAIN..]

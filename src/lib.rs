@@ -89,45 +89,14 @@
 //!   **Workloads** (`webqa_corpus`, `webqa_baselines`) provide the 25
 //!   evaluation tasks, the seeded page generators, and the three
 //!   baseline systems.
-//! * **Serving** (`webqa_server`) keeps engine state — and its caches —
-//!   resident across requests, split into **digest-routed shards**:
-//!   each shard owns an independent engine (store + caches) behind its
-//!   own lock, its own bounded admission queue, and its own worker
-//!   slice, with pages assigned by `content_digest % shards` (a pure
-//!   function of page bytes, so a fleet of daemons agrees on placement
-//!   without coordination) and wire handles interleaving the shard id
-//!   so a 1-shard server stays bit-compatible with the pre-shard
-//!   protocol. Two wire surfaces, both hand-rolled on `std::net`: a
-//!   line-delimited JSON protocol over TCP and Unix sockets, and an
-//!   HTTP/1.1 facade (`POST /v1/run|run_batch|intern|check`,
-//!   `GET /v1/ping|stats`; keep-alive, `Content-Length` framing, error
-//!   kinds mapped to status codes) whose response bodies are the
-//!   line-protocol envelopes byte for byte — see the crate docs for
-//!   both wire specs. Execution is a **bounded worker pool** per shard:
-//!   engine concurrency is `workers`, never "number of open sockets",
-//!   and when a shard's backlog cap is hit excess requests shed
-//!   immediately with a typed `overloaded` error. Requests pipeline on
-//!   one line-protocol connection (responses return in completion
-//!   order, correlated by the echoed `id`), `run_batch` ships many
-//!   tasks in one frame (cross-shard batches split per shard and
-//!   reassemble in input order), and a per-request `deadline_ms` budget
-//!   — queue wait included — trips a cooperative cancel token inside
-//!   the synthesis enumerator, returning a typed `deadline-exceeded`
-//!   without poisoning any cache. With `--cache-dir DIR` the daemon
-//!   spills its page store and base-feature tier to the on-disk
-//!   snapshot at shutdown and reloads it (per shard, owned digests
-//!   only) at startup, so restarts are warm; load/spill/corruption
-//!   counters surface through `stats` on both wire surfaces.
-//!   `tests/serve_api.rs` proves serving
-//!   observationally invisible (concurrent duplicated request streams
-//!   answer byte-identically to a cold, never-cached engine — at 1
-//!   shard, at 4 shards, and over HTTP — shard routing ignores intern
-//!   order, the per-shard stats breakdown sums to the totals, and
-//!   fuzzed pipelined interleavings never wedge);
-//!   `tests/serve_overload.rs` proves the bounds (prompt typed shedding
-//!   at saturation, deadlines covering synthesis and queue wait,
-//!   cancellation isolated from pipelined neighbors, and the whole
-//!   contract intact on a 4-shard server with cross-shard batches).
+//! * **Serving** ([`webqa_server`]) keeps engine state — and its
+//!   caches — resident in a daemon of digest-routed shards, each with
+//!   its own engine, bounded admission queue and worker slice, behind a
+//!   line-delimited JSON protocol and an HTTP/1.1 facade. Its crate
+//!   docs are the one wire spec: operations, error kinds, deadlines,
+//!   shedding, persistence, and the [`webqa_server::StatsSnapshot`]
+//!   schema. `tests/serve_api.rs` and `tests/serve_overload.rs` prove
+//!   serving observationally invisible and bounded.
 //! * **Apps** (`webqa_cli`, `webqa_bench`) stay thin: argument parsing and
 //!   report formatting only, every decision delegated to the libraries
 //!   (`webqa-cli serve` / `client` front the daemon over either

@@ -24,9 +24,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use webqa::{CacheConfig, Config, Engine, SynthConfig, Task};
+use webqa::{CacheConfig, CacheStats, Config, Engine, PersistStats, SynthConfig, Task};
 use webqa_corpus::{task_by_id, Corpus};
-use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server};
+use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server, StatsSnapshot};
 
 /// The engine config both the server and the cold reference use (the
 /// reference additionally disables the caches — cold means *never*
@@ -151,6 +151,14 @@ fn workload() -> Vec<Spec> {
     specs
 }
 
+/// The typed `ok` body of a `stats` request.
+fn stats(client: &mut Client) -> StatsSnapshot {
+    let reply = client
+        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
+        .expect("stats");
+    serde_json::from_value(reply["ok"].clone()).expect("a stats body")
+}
+
 fn spawn_server(opts: ServeOptions) -> Listening {
     Server::new(opts)
         .listen(Some("127.0.0.1:0"), None)
@@ -224,17 +232,14 @@ fn concurrent_duplicated_streams_are_byte_identical_to_a_cold_engine() {
     // tasks, repeats hit the result LRU, and the same-pages/different-
     // targets specs hit the feature store even on result misses.
     let mut client = Client::connect_tcp(addr).expect("connect");
-    let stats = client
-        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
-        .expect("stats");
-    let cache = &stats["ok"]["cache"];
+    let cache = stats(&mut client).cache;
     assert!(
-        cache["result_hits"].as_u64().unwrap() > 0,
-        "duplicated streams must hit the result LRU: {stats:?}"
+        cache.result_hits > 0,
+        "duplicated streams must hit the result LRU: {cache:?}"
     );
     assert!(
-        cache["feature_hits"].as_u64().unwrap() > 0,
-        "shared labeled pages must hit the FeatureStore: {stats:?}"
+        cache.feature_hits > 0,
+        "shared labeled pages must hit the FeatureStore: {cache:?}"
     );
     listening.shutdown();
 }
@@ -253,10 +258,7 @@ fn warm_repeat_is_a_cache_hit_with_an_identical_payload() {
     let mut client = Client::connect_tcp(addr).expect("connect");
 
     let first = client.request_line(&specs[0].request(1)).expect("cold run");
-    let stats0 = client
-        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
-        .expect("stats");
-    assert_eq!(stats0["ok"]["cache"]["result_hits"].as_u64(), Some(0));
+    assert_eq!(stats(&mut client).cache.result_hits, 0);
 
     let second = client.request_line(&specs[0].request(1)).expect("warm run");
     assert_eq!(second, first, "cache hit changed the payload");
@@ -264,14 +266,11 @@ fn warm_repeat_is_a_cache_hit_with_an_identical_payload() {
     // A same-pages/different-targets query exercises the FeatureStore
     // without being an exact repeat.
     let _ = client.request_line(&specs[1].request(2)).expect("variant");
-    let stats1 = client
-        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
-        .expect("stats");
-    let cache = &stats1["ok"]["cache"];
-    assert_eq!(cache["result_hits"].as_u64(), Some(1), "{stats1:?}");
+    let cache = stats(&mut client).cache;
+    assert_eq!(cache.result_hits, 1, "{cache:?}");
     assert!(
-        cache["feature_hits"].as_u64().unwrap() >= 2,
-        "the variant query must reuse both labeled tables: {stats1:?}"
+        cache.feature_hits >= 2,
+        "the variant query must reuse both labeled tables: {cache:?}"
     );
     listening.shutdown();
 }
@@ -311,6 +310,53 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
         .request_line(r#"{"id":1,"op":"ping"}"#)
         .expect("ping");
     assert_eq!(pong, r#"{"id":1,"ok":{"pong":true}}"#);
+    listening.shutdown();
+}
+
+/// Both readers bound their nesting: a deeply nested JSON frame and a
+/// deeply nested `check` program each get a typed error, where they
+/// used to overflow a connection thread's stack and abort the daemon.
+/// The connection then keeps serving, the deepest accepted program
+/// still checks, and a run stays byte-identical to the cold engine.
+#[test]
+fn deeply_nested_frames_are_typed_errors() {
+    let specs = workload();
+    let listening = Server::new(ServeOptions {
+        engine: engine_config(),
+        ..ServeOptions::default()
+    })
+    .listen_all(Some("127.0.0.1:0"), None, Some("127.0.0.1:0"))
+    .expect("bind loopback");
+    let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+
+    let deep = r#"{"op":"ping","x":"#.to_string() + &"[".repeat(50_000) + &"]".repeat(50_000) + "}";
+    let bad = client.request_line(&deep).expect("response");
+    assert!(bad.contains(r#""kind":"bad-frame""#), "{bad}");
+    let check = |nots: usize| {
+        format!(
+            r#"{{"op":"check","program":"sat(root, {}true{}) -> content"}}"#,
+            "not(".repeat(nots),
+            ")".repeat(nots)
+        )
+    };
+    // `sat(` is the first of the parser's 256 levels.
+    for nots in [256, 20_000] {
+        let bad = client.request_line(&check(nots)).expect("response");
+        assert!(bad.contains(r#""kind":"bad-request""#), "{bad}");
+    }
+
+    // The HTTP facade reads bodies with the same bounded parser.
+    let mut http =
+        webqa_server::HttpClient::connect(listening.http_addr().expect("http")).expect("connect");
+    let (status, body) = http.request("POST", "/v1/check", &deep).expect("reply");
+    assert_eq!(status, 400, "{body}");
+
+    let pong = client.request_line(r#"{"op":"ping"}"#).expect("ping");
+    assert_eq!(pong, r#"{"id":null,"ok":{"pong":true}}"#);
+    let deepest = client.request_line(&check(255)).expect("response");
+    assert!(deepest.contains(r#""clean":"#), "{deepest}");
+    let run = client.request_line(&specs[0].request(2)).expect("run");
+    assert_eq!(run, format!("{{\"id\":2,\"ok\":{}}}", specs[0].cold_body()));
     listening.shutdown();
 }
 
@@ -503,66 +549,28 @@ fn shard_stats_breakdown_sums_to_totals() {
         assert!(resp.contains(r#""ok""#), "{resp}");
     }
 
-    let stats = client
-        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
-        .expect("stats");
-    let ok = &stats["ok"];
-    let shards = match &ok["shards"] {
-        serde_json::Value::Array(a) => a,
-        other => panic!("stats must carry a shards array, got {other:?}"),
-    };
-    assert_eq!(shards.len(), 4, "{stats:?}");
-
-    let sum = |key: &str| -> u64 {
-        shards
+    let stats = stats(&mut client);
+    let s = &stats.shards;
+    assert_eq!(s.len(), 4, "{stats:?}");
+    assert!(stats.pages >= 8, "{stats:?}");
+    let sum = |field: fn(&webqa_server::ShardStats) -> usize| s.iter().map(field).sum();
+    let totals = StatsSnapshot {
+        workers: sum(|x| x.workers),
+        backlog: sum(|x| x.backlog),
+        queue_depth: sum(|x| x.queue_depth),
+        inflight: s.iter().map(|x| x.inflight).sum(),
+        pages: sum(|x| x.pages),
+        cache: s
             .iter()
-            .map(|s| s[key].as_u64().unwrap_or_else(|| panic!("{key} in {s:?}")))
-            .sum()
+            .fold(CacheStats::default(), |t, x| t.merged(x.cache)),
+        // No cache dir: the persist counters are all zero.
+        persist: PersistStats::default(),
+        ..stats.clone()
     };
-    for key in ["workers", "backlog", "queue_depth", "inflight", "pages"] {
-        assert_eq!(
-            Some(sum(key)),
-            ok[key].as_u64(),
-            "per-shard {key} must sum to the total: {stats:?}"
-        );
-    }
-    assert!(ok["pages"].as_u64().unwrap() >= 8, "{stats:?}");
-    // Every cache counter: the totals object defines the key set.
-    let totals = match &ok["cache"] {
-        serde_json::Value::Object(m) => m,
-        other => panic!("cache totals must be an object, got {other:?}"),
-    };
-    for (key, total) in totals.iter() {
-        // The tier-enabled flags are booleans, not counters: the total
-        // is the OR (identical config across shards → identical flags).
-        if let Some(flag) = total.as_bool() {
-            for s in shards {
-                assert_eq!(
-                    s["cache"][key.as_str()].as_bool(),
-                    Some(flag),
-                    "per-shard cache.{key} flag must match the total: {stats:?}"
-                );
-            }
-            continue;
-        }
-        let shard_sum: u64 = shards
-            .iter()
-            .map(|s| s["cache"][key.as_str()].as_u64().expect("cache counter"))
-            .sum();
-        assert_eq!(
-            Some(shard_sum),
-            total.as_u64(),
-            "per-shard cache.{key} must sum to the total: {stats:?}"
-        );
-    }
-    // The persist object is present (all-zero here: no --cache-dir).
-    let persist = match &ok["persist"] {
-        serde_json::Value::Object(m) => m,
-        other => panic!("stats must carry a persist object, got {other:?}"),
-    };
-    for (key, value) in persist.iter() {
-        assert_eq!(value.as_u64(), Some(0), "persist.{key} without a cache dir");
-    }
+    assert_eq!(stats, totals, "the breakdown must sum to the totals");
+    // Identical config on every shard: each has the merged tier flags.
+    let flags = |c: &CacheStats| (c.features_enabled, c.results_enabled);
+    assert!(s.iter().all(|x| flags(&x.cache) == flags(&stats.cache)));
     listening.shutdown();
 }
 
@@ -625,25 +633,21 @@ fn warm_restart_is_byte_identical_and_hits_the_base_tier() {
         "a warm restart must be observationally invisible"
     );
 
-    let stats = client
-        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
-        .expect("stats");
-    let persist = &stats["ok"]["persist"];
+    let stats = stats(&mut client);
     assert!(
-        persist["pages_loaded"].as_u64().unwrap_or(0) > 0,
+        stats.persist.pages_loaded > 0,
         "restart must load pages from the snapshot: {stats:?}"
     );
     assert!(
-        persist["base_loaded"].as_u64().unwrap_or(0) > 0,
+        stats.persist.base_loaded > 0,
         "restart must load base-feature tables: {stats:?}"
     );
     assert_eq!(
-        persist["corrupt_skipped"].as_u64(),
-        Some(0),
+        stats.persist.corrupt_skipped, 0,
         "a clean snapshot has nothing to skip: {stats:?}"
     );
     assert!(
-        stats["ok"]["cache"]["base_hits"].as_u64().unwrap_or(0) > 0,
+        stats.cache.base_hits > 0,
         "the new question over known pages must hit the base tier: {stats:?}"
     );
     listening.shutdown();

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use webqa::{CacheConfig, Config, Engine, SynthConfig, Task};
 use webqa_corpus::{task_by_id, Corpus};
-use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server};
+use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server, StatsSnapshot};
 
 /// Paper-scale synthesis: heavy enough that a corpus task occupies a
 /// worker for ~a second (the "slow request"), while tiny inline pages
@@ -199,10 +199,19 @@ fn spawn_server(opts: ServeOptions) -> Listening {
         .expect("bind loopback")
 }
 
-fn stats(addr: std::net::SocketAddr) -> serde_json::Value {
+/// The typed `ok` body of a `stats` request. While the server is busy,
+/// the per-shard queue depth and inflight count must sum to the totals:
+/// both come from the same pass over the shards.
+fn stats(addr: std::net::SocketAddr) -> StatsSnapshot {
     let mut c = Client::connect_tcp(addr).expect("connect");
-    c.request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
-        .expect("stats")
+    let reply = c
+        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
+        .expect("stats");
+    let s: StatsSnapshot = serde_json::from_value(reply["ok"].clone()).expect("a stats body");
+    let depth: usize = s.shards.iter().map(|x| x.queue_depth).sum();
+    let inflight: u64 = s.shards.iter().map(|x| x.inflight).sum();
+    assert_eq!((s.queue_depth, s.inflight), (depth, inflight), "{s:?}");
+    s
 }
 
 /// The headline test: saturate a 2-worker server, fill its backlog of
@@ -255,8 +264,7 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
     let t0 = Instant::now();
     loop {
         let s = stats(addr);
-        let inflight = s["ok"]["inflight"].as_u64().unwrap();
-        let depth = s["ok"]["queue_depth"].as_u64().unwrap();
+        let (inflight, depth) = (s.inflight, s.queue_depth);
         if inflight == 2 && depth == 0 {
             break;
         }
@@ -275,7 +283,7 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
     }
     let t0 = Instant::now();
     loop {
-        let depth = stats(addr)["ok"]["queue_depth"].as_u64().unwrap();
+        let depth = stats(addr).queue_depth;
         if depth == 2 {
             break;
         }
@@ -323,10 +331,10 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
         .expect("drained response");
     assert_eq!(resp, format!("{{\"id\":200,\"ok\":{drain_cold}}}"));
     let s = stats(addr);
-    assert_eq!(s["ok"]["shed"].as_u64(), Some(6), "{s:?}");
-    assert_eq!(s["ok"]["deadline_exceeded"].as_u64(), Some(0), "{s:?}");
-    assert_eq!(s["ok"]["queue_depth"].as_u64(), Some(0), "{s:?}");
-    assert!(s["ok"]["errors"].as_u64().unwrap() >= 6, "{s:?}");
+    assert_eq!(s.shed, 6, "{s:?}");
+    assert_eq!(s.deadline_exceeded, 0, "{s:?}");
+    assert_eq!(s.queue_depth, 0, "{s:?}");
+    assert!(s.errors >= 6, "{s:?}");
 
     let t = Instant::now();
     listening.shutdown();
@@ -387,8 +395,8 @@ fn deadlines_cover_synthesis_and_queue_wait() {
     );
 
     let s = stats(addr);
-    assert_eq!(s["ok"]["deadline_exceeded"].as_u64(), Some(2), "{s:?}");
-    assert_eq!(s["ok"]["shed"].as_u64(), Some(0), "{s:?}");
+    assert_eq!(s.deadline_exceeded, 2, "{s:?}");
+    assert_eq!(s.shed, 0, "{s:?}");
     listening.shutdown();
 }
 
@@ -558,8 +566,8 @@ fn four_shard_wire_handles_batches_and_deadlines_stay_exact() {
     assert_eq!(resp, format!("{{\"id\":12,\"ok\":{}}}", colds[0]));
 
     let s = stats(addr);
-    assert_eq!(s["ok"]["deadline_exceeded"].as_u64(), Some(1), "{s:?}");
-    assert_eq!(s["ok"]["shed"].as_u64(), Some(0), "{s:?}");
+    assert_eq!(s.deadline_exceeded, 1, "{s:?}");
+    assert_eq!(s.shed, 0, "{s:?}");
     listening.shutdown();
 }
 

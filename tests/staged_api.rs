@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use webqa::{Config, Engine, SynthConfig};
+use webqa::{CancelToken, Config, Engine, SynthConfig};
 use webqa_corpus::{task_by_id, Corpus};
 
 /// Two tasks per domain — the batch workload of the determinism test.
@@ -57,7 +57,8 @@ fn batch_matches_sequential_on_corpus_tasks() {
         .iter()
         .map(|t| engine.run(t).expect("ids from this store"))
         .collect();
-    let batched = engine.run_batch(&tasks, 4).expect("same ids");
+    let never = CancelToken::never();
+    let batched = engine.run_batch(&tasks, 4, &never).expect("same ids");
 
     assert_eq!(batched.len(), sequential.len());
     for (id, (b, s)) in TASK_IDS.iter().zip(batched.iter().zip(&sequential)) {
@@ -107,7 +108,9 @@ fn batch_times_branch_parallelism_is_deterministic() {
         engine.store().clone(),
     );
     for jobs in [2, 4] {
-        let batched = oversubscribed.run_batch(&tasks, jobs).expect("same ids");
+        let batched = oversubscribed
+            .run_batch(&tasks, jobs, &CancelToken::never())
+            .expect("same ids");
         for (id, (b, s)) in TASK_IDS.iter().zip(batched.iter().zip(&sequential)) {
             assert_eq!(
                 b.program, s.program,
