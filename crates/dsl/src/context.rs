@@ -2,46 +2,54 @@
 //! access to the neural modules.
 //!
 //! The synthesizer evaluates the same NLP predicates on the same strings
-//! thousands of times; a [`QueryContext`] caches `matchKeyword` scores, QA
-//! answerability, and recognized entities per string, which is what makes
-//! enumerative search tractable (the real system relies on the same trick —
-//! neural-module calls dominate its synthesis time, Table 3).
+//! thousands of times, so each neural-module result is computed once per
+//! string and context:
+//!
+//! * `matchKeyword` scores come from one [`KeywordSet`], which embeds `K`
+//!   when the context is built, and are cached per string;
+//! * the QA model runs once per string: one cache of answer spans serves
+//!   both `hasAnswer` (a span exists) and `Substring(…, hasAnswer, k)`;
+//! * recognized entities are cached per string, and the predicates read
+//!   them under the lock instead of cloning the list.
+//!
+//! This is what makes enumerative search tractable (the real system relies
+//! on the same trick — neural-module calls dominate its synthesis time,
+//! Table 3).
 //!
 //! The caches are behind [`Mutex`]es (not `RefCell`s) so one context can
 //! be shared by the synthesizer's branch-level worker threads
 //! (`SynthConfig::jobs`); uncontended locking costs nanoseconds and the
 //! hot search paths read precomputed per-task feature tables instead of
-//! hitting these caches per candidate.
+//! hitting these caches per candidate. A model runs outside the lock, so a
+//! miss never blocks other threads' hits.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use webqa_nlp::{best_keyword_similarity, Entity, EntityKind, EntityRecognizer, QaModel};
+use webqa_nlp::{Entity, EntityKind, EntityRecognizer, KeywordSet, QaModel};
 
 /// The question/keyword inputs plus cached neural modules.
 #[derive(Debug)]
 pub struct QueryContext {
     question: String,
     keywords: Vec<String>,
+    keyword_set: KeywordSet,
     qa: QaModel,
     ner: EntityRecognizer,
     kw_cache: Mutex<HashMap<String, f64>>,
-    qa_cache: Mutex<HashMap<String, bool>>,
+    qa_cache: Mutex<HashMap<String, Option<(usize, usize)>>>,
     ent_cache: Mutex<HashMap<String, Vec<Entity>>>,
 }
 
 impl QueryContext {
     /// Creates a context with the default pretrained models.
     pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(question: &str, keywords: I) -> Self {
-        QueryContext {
-            question: question.to_string(),
-            keywords: keywords.into_iter().map(Into::into).collect(),
-            qa: QaModel::pretrained(),
-            ner: EntityRecognizer::pretrained(),
-            kw_cache: Mutex::new(HashMap::new()),
-            qa_cache: Mutex::new(HashMap::new()),
-            ent_cache: Mutex::new(HashMap::new()),
-        }
+        Self::with_models(
+            question,
+            keywords,
+            QaModel::pretrained(),
+            EntityRecognizer::pretrained(),
+        )
     }
 
     /// A context with explicit neural modules instead of the pretrained
@@ -59,9 +67,11 @@ impl QueryContext {
         qa: QaModel,
         ner: EntityRecognizer,
     ) -> Self {
+        let keywords: Vec<String> = keywords.into_iter().map(Into::into).collect();
         QueryContext {
             question: question.to_string(),
-            keywords: keywords.into_iter().map(Into::into).collect(),
+            keyword_set: KeywordSet::new(&keywords),
+            keywords,
             qa,
             ner,
             kw_cache: Mutex::new(HashMap::new()),
@@ -99,7 +109,7 @@ impl QueryContext {
         if let Some(&s) = self.kw_cache.lock().expect("cache lock").get(text) {
             return s;
         }
-        let s = f64::from(best_keyword_similarity(text, &self.keywords));
+        let s = f64::from(self.keyword_set.best_similarity(text));
         self.kw_cache
             .lock()
             .expect("cache lock")
@@ -107,68 +117,73 @@ impl QueryContext {
         s
     }
 
-    /// Whether the QA model finds an answer to `Q` in `text` (cached).
-    /// `false` when the context has no question.
+    /// Whether the QA model finds an answer to `Q` in `text` (cached via
+    /// [`QueryContext::answer_span`]). `false` when the context has no
+    /// question.
     pub fn has_answer(&self, text: &str) -> bool {
-        if self.question.is_empty() {
-            return false;
-        }
-        if let Some(&b) = self.qa_cache.lock().expect("cache lock").get(text) {
-            return b;
-        }
-        let b = self.qa.has_answer(text, &self.question);
-        self.qa_cache
-            .lock()
-            .expect("cache lock")
-            .insert(text.to_string(), b);
-        b
+        self.answer_span(text).is_some()
     }
 
-    /// The QA model's best answer span in `text`, if any (not cached — used
-    /// only during extraction, not search).
+    /// The QA model's best answer in `text`, if any (cached via
+    /// [`QueryContext::answer_span`]).
     pub fn answer(&self, text: &str) -> Option<String> {
-        if self.question.is_empty() {
-            return None;
-        }
-        self.qa.answer(text, &self.question).map(|a| a.text)
+        self.answer_span(text)
+            .map(|(start, end)| text[start..end].trim().to_string())
     }
 
-    /// Byte span of the QA model's best answer in `text`, if any.
+    /// Byte span of the QA model's best answer in `text`, if any (cached).
+    /// `None` when the context has no question.
     pub fn answer_span(&self, text: &str) -> Option<(usize, usize)> {
         if self.question.is_empty() {
             return None;
         }
-        self.qa
+        if let Some(&span) = self.qa_cache.lock().expect("cache lock").get(text) {
+            return span;
+        }
+        let span = self
+            .qa
             .answer(text, &self.question)
-            .map(|a| (a.start, a.end))
+            .map(|a| (a.start, a.end));
+        self.qa_cache
+            .lock()
+            .expect("cache lock")
+            .insert(text.to_string(), span);
+        span
     }
 
     /// All entities in `text` (cached).
     pub fn entities(&self, text: &str) -> Vec<Entity> {
+        self.with_entities(text, <[Entity]>::to_vec)
+    }
+
+    /// Applies `f` to the cached entities of `text`, running the
+    /// recognizer on a miss.
+    fn with_entities<R>(&self, text: &str, f: impl FnOnce(&[Entity]) -> R) -> R {
         if let Some(es) = self.ent_cache.lock().expect("cache lock").get(text) {
-            return es.clone();
+            return f(es);
         }
         let es = self.ner.entities(text);
+        let r = f(&es);
         self.ent_cache
             .lock()
             .expect("cache lock")
-            .insert(text.to_string(), es.clone());
-        es
+            .insert(text.to_string(), es);
+        r
     }
 
-    /// Whether `text` contains an entity of `kind` (cached via
-    /// [`QueryContext::entities`]).
+    /// Whether `text` contains an entity of `kind` (cached).
     pub fn has_entity(&self, text: &str, kind: EntityKind) -> bool {
-        self.entities(text).iter().any(|e| e.kind == kind)
+        self.with_entities(text, |es| es.iter().any(|e| e.kind == kind))
     }
 
-    /// Entity surface strings of `kind` in `text`, in order.
+    /// Entity surface strings of `kind` in `text`, in order (cached).
     pub fn entity_strings(&self, text: &str, kind: EntityKind) -> Vec<String> {
-        self.entities(text)
-            .into_iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.text)
-            .collect()
+        self.with_entities(text, |es| {
+            es.iter()
+                .filter(|e| e.kind == kind)
+                .map(|e| e.text.clone())
+                .collect()
+        })
     }
 
     /// Number of distinct strings cached so far (diagnostics).
@@ -220,10 +235,21 @@ mod tests {
     #[test]
     fn qa_through_context() {
         let ctx = QueryContext::new("Who is the instructor?", Vec::<String>::new());
-        assert!(ctx.has_answer("Instructor: Jane Doe."));
         assert!(ctx
             .answer("Instructor: Jane Doe.")
             .unwrap()
             .contains("Jane"));
+        // One QA cache: `has_answer` then `answer_span` on a new text adds
+        // exactly one entry, and both agree with the model, answer or not.
+        for text in ["Instructor: Jane Doe. Office hours daily.", "No names here"] {
+            let before = ctx.cache_size();
+            let has = ctx.has_answer(text);
+            let span = ctx.answer_span(text);
+            assert_eq!(ctx.cache_size(), before + 1, "{text:?}");
+            assert_eq!(has, span.is_some(), "{text:?}");
+            let model = QaModel::pretrained().answer(text, ctx.question());
+            assert_eq!(span, model.map(|a| (a.start, a.end)), "{text:?}");
+        }
+        assert!(ctx.has_answer("Instructor: Jane Doe. Office hours daily."));
     }
 }

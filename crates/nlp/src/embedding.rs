@@ -179,9 +179,19 @@ fn embed_word(word: &str) -> Embedding {
 }
 
 fn embed_phrase_words(words: &[&str]) -> Embedding {
+    normalized_sum(words.iter().map(|w| embed_word(w)))
+}
+
+/// The normalized sum of `vectors`, added in order. Every phrase, window
+/// and whole-text embedding goes through this one summation, so the same
+/// word vectors in the same order give bit-identical results however they
+/// were obtained.
+fn normalized_sum<E: std::borrow::Borrow<Embedding>>(
+    vectors: impl IntoIterator<Item = E>,
+) -> Embedding {
     let mut e = Embedding::zero();
-    for w in words {
-        e.add(&embed_word(w), 1.0);
+    for v in vectors {
+        e.add(v.borrow(), 1.0);
     }
     e.normalize()
 }
@@ -213,51 +223,98 @@ pub fn embed(text: &str) -> Embedding {
 /// assert!(far < 0.5);
 /// ```
 pub fn keyword_similarity(text: &str, keyword: &str) -> f32 {
-    let text_words = crate::text::lower_words(text);
-    let kw_words = crate::text::lower_words(keyword);
-    if kw_words.is_empty() || text_words.is_empty() {
-        return 0.0;
-    }
-    // Exact stemmed phrase containment → 1.0.
-    let kw_stems: Vec<String> = kw_words.iter().map(|w| stem(w)).collect();
-    let text_stems: Vec<String> = text_words.iter().map(|w| stem(w)).collect();
-    if text_stems
-        .windows(kw_stems.len())
-        .any(|w| w == kw_stems.as_slice())
-    {
-        return 1.0;
-    }
-    let kw_emb = embed(keyword);
-    if kw_emb.is_zero() {
-        return 0.0;
-    }
-    let mut best: f32 = 0.0;
-    let widths = [
-        kw_words.len().saturating_sub(1).max(1),
-        kw_words.len(),
-        kw_words.len() + 1,
-    ];
-    for &w in &widths {
-        if w == 0 || w > text_words.len() {
-            continue;
-        }
-        for window in text_words.windows(w) {
-            let refs: Vec<&str> = window.iter().map(|s| s.as_str()).collect();
-            let e = embed_phrase_words(&refs);
-            best = best.max(kw_emb.cosine(&e));
-        }
-    }
-    // Whole-text comparison helps when the text is shorter than the keyword.
-    best = best.max(kw_emb.cosine(&embed(text)));
-    best.max(0.0)
+    KeywordSet::new(&[keyword]).best_similarity(text)
 }
 
 /// Similarity of `text` against the best-matching keyword in `keywords`.
 pub fn best_keyword_similarity<S: AsRef<str>>(text: &str, keywords: &[S]) -> f32 {
-    keywords
-        .iter()
-        .map(|k| keyword_similarity(text, k.as_ref()))
-        .fold(0.0, f32::max)
+    KeywordSet::new(keywords).best_similarity(text)
+}
+
+/// A keyword list `K` embedded once, to be scored against many texts.
+///
+/// [`KeywordSet::best_similarity`] is [`keyword_similarity`] maximized over
+/// the keywords, bit for bit: each text word is embedded once per call and
+/// every window (and the whole text) is the sum of those word vectors in
+/// text order, the same sum the per-keyword scorer would build.
+#[derive(Debug, Clone)]
+pub struct KeywordSet {
+    /// The keywords with at least one word; an empty keyword scores 0.
+    keywords: Vec<PreparedKeyword>,
+}
+
+#[derive(Debug, Clone)]
+struct PreparedKeyword {
+    stems: Vec<String>,
+    embedding: Embedding,
+}
+
+impl KeywordSet {
+    /// Embeds each keyword of `keywords`.
+    pub fn new<S: AsRef<str>>(keywords: &[S]) -> Self {
+        let keywords = keywords
+            .iter()
+            .map(|k| k.as_ref())
+            .filter_map(|k| {
+                let words = crate::text::lower_words(k);
+                (!words.is_empty()).then(|| PreparedKeyword {
+                    stems: words.iter().map(|w| stem(w)).collect(),
+                    embedding: embed(k),
+                })
+            })
+            .collect();
+        KeywordSet { keywords }
+    }
+
+    /// Similarity of `text` against its best-matching keyword, in
+    /// `[0, 1]`; 0 for an empty text or keyword list.
+    pub fn best_similarity(&self, text: &str) -> f32 {
+        let text_words = crate::text::lower_words(text);
+        if self.keywords.is_empty() || text_words.is_empty() {
+            return 0.0;
+        }
+        // Exact stemmed phrase containment → 1.0, the maximum score.
+        let text_stems: Vec<String> = text_words.iter().map(|w| stem(w)).collect();
+        if self.keywords.iter().any(|k| {
+            text_stems
+                .windows(k.stems.len())
+                .any(|w| w == k.stems.as_slice())
+        }) {
+            return 1.0;
+        }
+        let word_vectors: Vec<Embedding> = text_words.iter().map(|w| embed_word(w)).collect();
+        let whole = normalized_sum(&word_vectors);
+        // Window vectors by width, built the first time a keyword asks.
+        let mut windows: Vec<(usize, Vec<Embedding>)> = Vec::new();
+        let mut best_overall: f32 = 0.0;
+        for k in &self.keywords {
+            if k.embedding.is_zero() {
+                continue;
+            }
+            let n = k.stems.len();
+            let mut best: f32 = 0.0;
+            for w in [n.saturating_sub(1).max(1), n, n + 1] {
+                if w > word_vectors.len() {
+                    continue;
+                }
+                let at = match windows.iter().position(|(width, _)| *width == w) {
+                    Some(at) => at,
+                    None => {
+                        windows.push((w, word_vectors.windows(w).map(normalized_sum).collect()));
+                        windows.len() - 1
+                    }
+                };
+                for e in &windows[at].1 {
+                    best = best.max(k.embedding.cosine(e));
+                }
+            }
+            // Whole-text comparison helps when the text is shorter than
+            // the keyword.
+            best = best.max(k.embedding.cosine(&whole));
+            best_overall = best_overall.max(best.max(0.0));
+        }
+        best_overall
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! * **Keyword matching** (`matchKeyword(z, K, t)`):
 //!   [`keyword_similarity`] / [`best_keyword_similarity`], built on hashed
 //!   character-trigram embeddings plus a synonym table — the stand-in for
-//!   Sentence-BERT.
+//!   Sentence-BERT. [`KeywordSet`] embeds `K` once for scoring many texts.
 //! * **Question answering** (`hasAnswer(z, Q)`): [`QaModel`], a
 //!   deterministic extractive span scorer — the stand-in for BERT-SQuAD.
 //! * **Entity extraction** (`hasEntity(z, l)`): [`EntityRecognizer`], a
@@ -37,6 +37,6 @@ mod ner;
 mod qa;
 pub mod text;
 
-pub use embedding::{best_keyword_similarity, embed, keyword_similarity, Embedding};
+pub use embedding::{best_keyword_similarity, embed, keyword_similarity, Embedding, KeywordSet};
 pub use ner::{Entity, EntityKind, EntityRecognizer};
 pub use qa::{AnswerType, QaAnswer, QaModel};

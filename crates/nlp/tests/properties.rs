@@ -4,8 +4,80 @@
 
 use proptest::prelude::*;
 use webqa_nlp::{
-    best_keyword_similarity, keyword_similarity, text, EntityKind, EntityRecognizer, QaModel,
+    best_keyword_similarity, embed, keyword_similarity, text, EntityKind, EntityRecognizer, QaModel,
 };
+
+/// Reference scorer: the original per-keyword `keyword_similarity` body,
+/// which re-embedded the keyword and every window on each call. The
+/// keyword-set kernel must reproduce it bit for bit.
+fn reference_keyword_similarity(text: &str, keyword: &str) -> f32 {
+    let text_words = webqa_nlp::text::lower_words(text);
+    let kw_words = webqa_nlp::text::lower_words(keyword);
+    if kw_words.is_empty() || text_words.is_empty() {
+        return 0.0;
+    }
+    // Exact stemmed phrase containment → 1.0.
+    let kw_stems: Vec<String> = kw_words.iter().map(|w| stem(w)).collect();
+    let text_stems: Vec<String> = text_words.iter().map(|w| stem(w)).collect();
+    if text_stems
+        .windows(kw_stems.len())
+        .any(|w| w == kw_stems.as_slice())
+    {
+        return 1.0;
+    }
+    let kw_emb = embed(keyword);
+    if kw_emb.is_zero() {
+        return 0.0;
+    }
+    let mut best: f32 = 0.0;
+    let widths = [
+        kw_words.len().saturating_sub(1).max(1),
+        kw_words.len(),
+        kw_words.len() + 1,
+    ];
+    for &w in &widths {
+        if w == 0 || w > text_words.len() {
+            continue;
+        }
+        for window in text_words.windows(w) {
+            let refs: Vec<&str> = window.iter().map(|s| s.as_str()).collect();
+            let e = embed_phrase_words(&refs);
+            best = best.max(kw_emb.cosine(&e));
+        }
+    }
+    // Whole-text comparison helps when the text is shorter than the keyword.
+    best = best.max(kw_emb.cosine(&embed(text)));
+    best.max(0.0)
+}
+
+/// The crate's private stemmer, copied verbatim for the reference.
+fn stem(word: &str) -> String {
+    let w = word.to_lowercase();
+    if w.len() > 4 && w.ends_with("ies") {
+        format!("{}y", &w[..w.len() - 3])
+    } else if w.len() > 3 && w.ends_with('s') && !w.ends_with("ss") {
+        w[..w.len() - 1].to_string()
+    } else {
+        w
+    }
+}
+
+/// The crate's private phrase embedder, through the public `embed`:
+/// `refs` are already `lower_words` output, and re-tokenizing them joined
+/// by spaces yields the same words, so this is the same sum in the same
+/// order.
+fn embed_phrase_words(refs: &[&str]) -> webqa_nlp::Embedding {
+    embed(&refs.join(" "))
+}
+
+/// Keyword pool: synonyms from the canonicalization table, multi-word
+/// phrases, the empty keyword, non-ASCII and random words.
+const KEYWORD: &str = "PC|advisees|Advisees|Program Committee|Professional Services|\
+Ph\\.D Students||Études|naïve 中文|[a-zA-Zéü]{1,10}|[a-z]{1,8} [a-z]{1,8}";
+
+/// Page-like text over the same vocabulary plus punctuation.
+const TEXT: &str = "((PC|program|committee|Advisees|students|service|Études|naïve|中文|\
+Ph\\.D|'21|[a-zA-Zéüß]{1,8})[ ,.:()]{1,2}){0,12}";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -36,6 +108,28 @@ proptest! {
         let s1 = keyword_similarity(&text, &k1);
         let s2 = keyword_similarity(&text, &k2);
         prop_assert!((both - s1.max(s2)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn best_keyword_similarity_is_bit_identical_to_reference(
+        text in TEXT,
+        keywords in proptest::collection::vec(KEYWORD, 0..5),
+    ) {
+        let want = keywords
+            .iter()
+            .map(|k| reference_keyword_similarity(&text, k))
+            .fold(0.0, f32::max);
+        let got = best_keyword_similarity(&text, &keywords);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "text {:?} keywords {:?}", text, keywords);
+    }
+
+    #[test]
+    fn keyword_similarity_is_bit_identical_on_printable_text(
+        text in "\\PC{0,60}",
+        keyword in "\\PC{0,20}",
+    ) {
+        let want = reference_keyword_similarity(&text, &keyword);
+        prop_assert_eq!(keyword_similarity(&text, &keyword).to_bits(), want.to_bits());
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! can inspect *why* a program was selected, and so the Table 4 benches
 //! can report the variance the selector is reducing.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::Hash;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webqa_dsl::{PageTree, Program, QueryContext};
@@ -38,9 +42,17 @@ pub struct BehaviourGroup {
 }
 
 impl Ensemble {
-    /// Draws `size` i.i.d. members from `programs` (Eq. 5), evaluates each
-    /// distinct member once on `unlabeled` (Eq. 8), and groups members
+    /// Draws `size` i.i.d. members from `programs` (Eq. 5), computes each
+    /// distinct member's outputs on `unlabeled` (Eq. 8), and groups members
     /// with identical outputs.
+    ///
+    /// The members are evaluated together, page by page, and share work:
+    /// each distinct guard runs once per page, and each distinct extractor
+    /// once per page and located node set. A member's output on a page is
+    /// its first branch whose guard fires, as in [`Program::eval`], with
+    /// the extracted strings tokenized, sorted and deduplicated; no firing
+    /// guard gives the empty set. Groups, weights and representatives are
+    /// exactly those of running `Program::eval` per member.
     ///
     /// `unlabeled` is any slice viewable as `&PageTree` (plain trees or
     /// shared `Arc<PageTree>` handles).
@@ -61,27 +73,77 @@ impl Ensemble {
         for _ in 0..size {
             multiplicity[rng.gen_range(0..programs.len())] += 1;
         }
-        let mut groups: Vec<BehaviourGroup> = Vec::new();
-        for (i, &m) in multiplicity.iter().enumerate() {
-            if m == 0 {
-                continue;
+        let members: Vec<usize> = (0..programs.len())
+            .filter(|&i| multiplicity[i] > 0)
+            .collect();
+        // Each member as (guard id, extractor id) per branch.
+        let mut guards = Interner::default();
+        let mut extractors = Interner::default();
+        let member_branches: Vec<Vec<(usize, usize)>> = members
+            .iter()
+            .map(|&i| {
+                programs[i]
+                    .branches
+                    .iter()
+                    .map(|b| (guards.id(&b.guard), extractors.id(&b.extractor)))
+                    .collect()
+            })
+            .collect();
+
+        // outputs[k]: the distinct token sets on page k; behaviour[m][k]:
+        // the one member m extracts there.
+        let mut outputs: Vec<Vec<Vec<Token>>> = Vec::with_capacity(unlabeled.len());
+        let mut behaviour: Vec<Vec<usize>> =
+            vec![Vec::with_capacity(unlabeled.len()); members.len()];
+        for page in unlabeled {
+            let page = page.borrow();
+            let mut token_sets = Interner::default();
+            let empty = token_sets.id(Vec::new());
+            let mut node_sets = Interner::default();
+            // Per guard: `None` until evaluated, then the id of the node
+            // set it fires with, or `None` when it does not fire.
+            let mut fired: Vec<Option<Option<usize>>> = vec![None; guards.len()];
+            let mut extracted: HashMap<(usize, usize), usize> = HashMap::new();
+            for (m, branches) in member_branches.iter().enumerate() {
+                let mut out = empty;
+                for &(g, x) in branches {
+                    let fires = *fired[g].get_or_insert_with(|| {
+                        let (ok, nodes) = guards.get(g).eval(ctx, page);
+                        ok.then(|| node_sets.id(nodes))
+                    });
+                    if let Some(nodes) = fires {
+                        out = *extracted.entry((x, nodes)).or_insert_with(|| {
+                            let strings = extractors.get(x).eval(ctx, page, node_sets.get(nodes));
+                            let mut t = tokenize_all(&strings);
+                            t.sort();
+                            t.dedup();
+                            token_sets.id(t)
+                        });
+                        break;
+                    }
+                }
+                behaviour[m].push(out);
             }
-            let outputs: Vec<Vec<Token>> = unlabeled
-                .iter()
-                .map(|page| {
-                    let mut t = tokenize_all(&programs[i].eval(ctx, page.borrow()));
-                    t.sort();
-                    t.dedup();
-                    t
-                })
-                .collect();
-            match groups.iter_mut().find(|g| g.outputs == outputs) {
-                Some(g) => g.weight += m,
-                None => groups.push(BehaviourGroup {
-                    outputs,
-                    weight: m,
-                    representative: i,
-                }),
+            outputs.push(token_sets.values);
+        }
+
+        let mut groups: Vec<BehaviourGroup> = Vec::new();
+        let mut group_of: HashMap<&[usize], usize> = HashMap::new();
+        for (&i, ids) in members.iter().zip(&behaviour) {
+            match group_of.entry(ids) {
+                Entry::Occupied(g) => groups[*g.get()].weight += multiplicity[i],
+                Entry::Vacant(slot) => {
+                    slot.insert(groups.len());
+                    groups.push(BehaviourGroup {
+                        outputs: ids
+                            .iter()
+                            .zip(&outputs)
+                            .map(|(&id, sets)| sets[id].clone())
+                            .collect(),
+                        weight: multiplicity[i],
+                        representative: i,
+                    });
+                }
             }
         }
         Some(Ensemble {
@@ -146,6 +208,41 @@ impl Ensemble {
     }
 }
 
+/// Dense ids for distinct values, in first-seen order.
+struct Interner<T> {
+    ids: HashMap<T, usize>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Interner<T> {
+    fn default() -> Self {
+        Interner {
+            ids: HashMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T: Hash + Eq + Clone> Interner<T> {
+    fn id(&mut self, value: T) -> usize {
+        match self.ids.entry(value) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.values.push(e.key().clone());
+                *e.insert(self.values.len() - 1)
+            }
+        }
+    }
+
+    fn get(&self, id: usize) -> &T {
+        &self.values[id]
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +260,122 @@ mod tests {
             PageTree::parse("<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>"),
             PageTree::parse("<h1>B</h1><h2>Students</h2><ul><li>Bob Smith</li></ul>"),
         ]
+    }
+
+    /// The definitional reference: every sampled member run through
+    /// `Program::eval` on every page, grouped by a scan in member order.
+    fn naive_groups(
+        ctx: &QueryContext,
+        programs: &[Program],
+        pages: &[PageTree],
+        size: usize,
+        seed: u64,
+    ) -> Vec<(Vec<Vec<Token>>, u64, usize)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut multiplicity: Vec<u64> = vec![0; programs.len()];
+        for _ in 0..size {
+            multiplicity[rng.gen_range(0..programs.len())] += 1;
+        }
+        let mut groups: Vec<(Vec<Vec<Token>>, u64, usize)> = Vec::new();
+        for (i, &m) in multiplicity.iter().enumerate().filter(|(_, &m)| m > 0) {
+            let outputs: Vec<Vec<Token>> = pages
+                .iter()
+                .map(|page| {
+                    let mut t = tokenize_all(&programs[i].eval(ctx, page));
+                    t.sort();
+                    t.dedup();
+                    t
+                })
+                .collect();
+            match groups.iter_mut().find(|g| g.0 == outputs) {
+                Some(g) => g.1 += m,
+                None => groups.push((outputs, m, i)),
+            }
+        }
+        groups
+    }
+
+    fn assert_matches_naive(ctx: &QueryContext, programs: &[Program], pages: &[PageTree]) {
+        for (size, seed) in [(1, 0), (3, 7), (40, 1), (1000, 2)] {
+            let e = Ensemble::sample(ctx, programs, pages, size, seed).unwrap();
+            let got: Vec<_> = e
+                .groups()
+                .iter()
+                .map(|g| (g.outputs.clone(), g.weight, g.representative))
+                .collect();
+            assert_eq!(
+                got,
+                naive_groups(ctx, programs, pages, size, seed),
+                "size {size} seed {seed}"
+            );
+        }
+    }
+
+    /// Pages A and B list a person; page C lists none.
+    fn three_pages() -> Vec<PageTree> {
+        vec![
+            PageTree::parse("<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>"),
+            PageTree::parse("<h1>B</h1><h2>Students</h2><ul><li>Robert Smith</li></ul>"),
+            PageTree::parse("<h1>C</h1><h2>Students</h2><ul><li>none listed yet</li></ul>"),
+        ]
+    }
+
+    #[test]
+    fn shared_guard_with_different_extractors_matches_naive() {
+        let programs = vec![
+            prog("sat(descendants(root, leaf), true) -> content"),
+            prog("sat(descendants(root, leaf), true) -> filter(content, entity(PERSON))"),
+            prog("sat(descendants(root, leaf), true) -> substr(content, entity(PERSON), 1)"),
+            prog("sat(descendants(root, leaf), kw(0.90)) -> content"),
+        ];
+        let e = Ensemble::sample(&ctx(), &programs, &three_pages(), 1000, 2).unwrap();
+        assert!(e.distinct_behaviours() >= 2, "extractors must diverge");
+        assert_matches_naive(&ctx(), &programs, &three_pages());
+    }
+
+    #[test]
+    fn guard_failing_on_one_page_falls_through_like_naive() {
+        let first = "sat(descendants(root, leaf), entity(PERSON))";
+        let programs = vec![
+            prog(&format!(
+                "{first} -> filter(content, entity(PERSON)); sat(root, true) -> content"
+            )),
+            prog(&format!("{first} -> content; singleton(root) -> content")),
+            prog("sat(root, true) -> content"),
+        ];
+        let ctx = ctx();
+        let pages = three_pages();
+        let guard = &programs[0].branches[0].guard;
+        let fires: Vec<bool> = pages.iter().map(|p| guard.eval(&ctx, p).0).collect();
+        assert_eq!(
+            fires,
+            [true, true, false],
+            "the first guard fails on page C only"
+        );
+        assert_matches_naive(&ctx, &programs, &pages);
+    }
+
+    #[test]
+    fn guard_that_never_fires_matches_naive() {
+        let dead = "sat(root, entity(MONEY))";
+        let programs = vec![
+            prog(&format!("{dead} -> content")),
+            prog(&format!(
+                "{dead} -> content; sat(descendants(root, leaf), true) -> content"
+            )),
+            prog("sat(descendants(root, leaf), true) -> content"),
+        ];
+        let ctx = ctx();
+        let pages = three_pages();
+        assert!(pages
+            .iter()
+            .all(|p| !programs[0].branches[0].guard.eval(&ctx, p).0));
+        let e = Ensemble::sample(&ctx, &programs, &pages, 1000, 2).unwrap();
+        assert!(e
+            .groups()
+            .iter()
+            .any(|g| g.outputs.iter().all(|o| o.is_empty())));
+        assert_matches_naive(&ctx, &programs, &pages);
     }
 
     #[test]

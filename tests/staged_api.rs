@@ -4,8 +4,13 @@
 
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use webqa::{CancelToken, Config, Engine, SynthConfig};
 use webqa_corpus::{task_by_id, Corpus};
+use webqa_dsl::{PageTree, Program, QueryContext};
+use webqa_metrics::{tokenize_all, Token};
+use webqa_select::Ensemble;
 
 /// Two tasks per domain — the batch workload of the determinism test.
 const TASK_IDS: [&str; 8] = [
@@ -129,6 +134,82 @@ fn batch_times_branch_parallelism_is_deterministic() {
                 "{id}: counts diverged at jobs={jobs}"
             );
         }
+    }
+}
+
+/// The definitional ensemble: each sampled member run through
+/// `Program::eval` on every page, grouped in member order, as
+/// (outputs, weight, representative).
+fn naive_groups(
+    ctx: &QueryContext,
+    programs: &[Program],
+    pages: &[Arc<PageTree>],
+    size: usize,
+    seed: u64,
+) -> Vec<(Vec<Vec<Token>>, u64, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut multiplicity: Vec<u64> = vec![0; programs.len()];
+    for _ in 0..size {
+        multiplicity[rng.gen_range(0..programs.len())] += 1;
+    }
+    let mut groups: Vec<(Vec<Vec<Token>>, u64, usize)> = Vec::new();
+    for (i, &m) in multiplicity.iter().enumerate().filter(|(_, &m)| m > 0) {
+        let outputs: Vec<Vec<Token>> = pages
+            .iter()
+            .map(|page| {
+                let mut t = tokenize_all(&programs[i].eval(ctx, page));
+                t.sort();
+                t.dedup();
+                t
+            })
+            .collect();
+        match groups.iter_mut().find(|g| g.0 == outputs) {
+            Some(g) => g.1 += m,
+            None => groups.push((outputs, m, i)),
+        }
+    }
+    groups
+}
+
+#[test]
+fn ensemble_matches_per_member_eval_on_synthesized_programs() {
+    let (engine, tasks) = engine_and_corpus_tasks();
+    let selection = &engine.config().selection;
+    for (id, task) in TASK_IDS.iter().zip(&tasks) {
+        if !matches!(*id, "fac_t1" | "conf_t1" | "clinic_t1") {
+            continue;
+        }
+        let synthesized = engine
+            .prepare(task)
+            .expect("ids from this store")
+            .synthesize();
+        let programs = &synthesized.outcome().programs;
+        assert!(programs.len() > 1, "{id}: a one-program set checks nothing");
+        let (ctx, pages) = (synthesized.context(), synthesized.unlabeled());
+        let e = Ensemble::sample(
+            ctx,
+            programs,
+            pages,
+            selection.ensemble_size,
+            selection.seed,
+        )
+        .expect("programs are non-empty");
+        let got: Vec<_> = e
+            .groups()
+            .iter()
+            .map(|g| (g.outputs.clone(), g.weight, g.representative))
+            .collect();
+        let want = naive_groups(
+            ctx,
+            programs,
+            pages,
+            selection.ensemble_size,
+            selection.seed,
+        );
+        assert_eq!(
+            got, want,
+            "{id}: ensemble groups diverged from per-member eval"
+        );
     }
 }
 
