@@ -7,7 +7,7 @@ use webqa_metrics::Counts;
 
 use crate::extractors::{synthesize_extractors, ExtractorSynthesis, F1_EPS};
 use crate::guards::{propagate_examples, GuardEnumerator};
-use crate::scorer::{Scorer, TaskCtx};
+use crate::scorer::{Scorer, StringTable, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Optimal extractors for one guard, grouped by the token counts they
@@ -66,31 +66,34 @@ impl BranchSynthesis {
 
 /// Figure 8: synthesizes all optimal branch programs, decomposing guard
 /// from extractor synthesis (or jointly, for the `NoDecomp` ablation).
-/// `pos` / `neg` are indices into the task's example list.
+/// `pos` / `neg` are indices into the task's example list; `table` is the
+/// solving thread's string table.
 ///
 /// Returns `None` when no guard in the bounded space separates E⁺ from E⁻.
 pub(crate) fn synthesize_branch(
     task: &TaskCtx,
+    table: &mut StringTable,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
 ) -> Option<BranchSynthesis> {
     stats.branch_calls += 1;
     if task.cfg.decompose {
-        synthesize_branch_decomposed(task, pos, neg, stats)
+        synthesize_branch_decomposed(task, table, pos, neg, stats)
     } else {
-        synthesize_branch_joint(task, pos, neg, stats)
+        synthesize_branch_joint(task, table, pos, neg, stats)
     }
 }
 
 fn synthesize_branch_decomposed(
     task: &TaskCtx,
+    table: &mut StringTable,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
 ) -> Option<BranchSynthesis> {
     let mut enumerator = GuardEnumerator::new(task, pos, neg);
-    let mut scorer = Scorer::new(task, pos);
+    let mut scorer = Scorer::new(task, table, pos);
     // The NoLazy ablation: drain the enumerator up-front with a bound of
     // 0, so the rising optimum never strengthens locator pruning.
     let mut eager: Option<std::collections::VecDeque<(Guard, usize)>> = if task.cfg.lazy_guards {
@@ -214,6 +217,7 @@ fn synthesize_branch_decomposed(
 /// locator. The result set is identical; only the work differs.
 fn synthesize_branch_joint(
     task: &TaskCtx,
+    table: &mut StringTable,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
@@ -227,7 +231,7 @@ fn synthesize_branch_joint(
         }
         guards.push(g);
     }
-    let mut scorer = Scorer::new(task, pos);
+    let mut scorer = Scorer::new(task, table, pos);
     let mut opt = 0.0f64;
     let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
     let mut counts = Counts::default();
@@ -280,7 +284,8 @@ pub(crate) fn synthesize_branch_over(
     let task = TaskCtx::new(cfg, ctx, &all);
     let pos_idx: Vec<usize> = (0..pos.len()).collect();
     let neg_idx: Vec<usize> = (pos.len()..all.len()).collect();
-    synthesize_branch(&task, &pos_idx, &neg_idx, stats)
+    let mut table = StringTable::new(&task);
+    synthesize_branch(&task, &mut table, &pos_idx, &neg_idx, stats)
 }
 
 #[cfg(test)]

@@ -267,13 +267,13 @@ pub fn counts_of_outputs(examples: &[Example], outputs: &[Vec<String>]) -> Count
 /// Reference-kernel scoring used by `SynthConfig::reference()`: the exact
 /// pre-overhaul string path (tokenize every output, hash against the gold
 /// bag), optionally applying the program-level set semantics first.
-pub(crate) fn counts_of_outputs_ref<S: AsRef<str>>(
-    examples: &[&Example],
+pub(crate) fn counts_of_outputs_ref<'e, S: AsRef<str>>(
+    examples: impl IntoIterator<Item = &'e Example>,
     outputs: &[Vec<S>],
     dedup: bool,
 ) -> Counts {
     examples
-        .iter()
+        .into_iter()
         .zip(outputs)
         .map(|(ex, out)| {
             if dedup {

@@ -11,23 +11,24 @@
 //! Hot-path structure (all semantics-free; `SynthConfig::reference()`
 //! swaps the kernels back to definitional string scoring):
 //!
-//! * outputs flow as shared `Arc<str>` slices, so `Filter` and dedup
-//!   copy pointers, not bytes (atomically counted so the task-level
-//!   production caches can be shared across branch-parallel workers);
+//! * outputs flow as dense string ids from the thread's
+//!   [`StringTable`](crate::scorer::StringTable): equal content is an
+//!   equal id, so `Filter`, set-semantics dedup, and behavioural
+//!   equivalence compare integers, never bytes;
 //! * candidates are scored on interned token ids ([`crate::scorer::Scorer`])
-//!   — tokenization happens once per distinct output string per branch;
+//!   indexed by string id — each distinct string is tokenized, and each
+//!   production step applied to it, once per thread for the whole task;
 //! * child candidates are generated as *production steps* applied to the
 //!   parent's outputs; the `UB = 2R/(1+R)` bound (Eq. 3) is checked
 //!   **before** the child AST exists, so dominated candidates never
 //!   materialize an `Extractor` value at all.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use webqa_dsl::{Extractor, PageNodeId};
 use webqa_metrics::Counts;
 
-use crate::scorer::{OutStr, Scorer, StepOp, TaskCtx};
+use crate::scorer::{behaviour_key, FxBuild, Scorer, StepOp, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Result of extractor synthesis: all extractors achieving the optimal F₁
@@ -80,11 +81,11 @@ fn push_group(groups: &mut Vec<(Counts, Vec<Extractor>)>, counts: Counts, e: Ext
 /// integers; 1e-9 distinguishes all genuinely different values).
 pub(crate) const F1_EPS: f64 = 1e-9;
 
-/// One worklist candidate: the extractor AST, its per-example outputs,
-/// and the spine facts child generation needs.
+/// One worklist candidate: the extractor AST, its per-example outputs
+/// (string ids), and the spine facts child generation needs.
 struct Cand {
     ast: Extractor,
-    outputs: Vec<Vec<OutStr>>,
+    outputs: Vec<Vec<u32>>,
     depth: usize,
     /// `Some(c)` when the top production is `Split(·, c)` (double splits
     /// on one delimiter are identities and are skipped).
@@ -100,27 +101,16 @@ pub(crate) fn synthesize_extractors(
     opt: f64,
     stats: &mut SynthStats,
 ) -> ExtractorSynthesis {
-    debug_assert_eq!(scorer.pos.len(), nodes.len());
+    debug_assert_eq!(scorer.len(), nodes.len());
     let mut best: Vec<(Counts, Vec<Extractor>)> = Vec::new();
     let mut best_f1 = opt;
     let mut best_counts = Counts::default();
 
     // Seed: ExtractContent(x) and its outputs.
-    let seed_outputs: Vec<Vec<OutStr>> = scorer
-        .pos
-        .iter()
-        .zip(nodes)
-        .map(|(ex, ns)| {
-            Extractor::Content
-                .eval(task.ctx, &ex.page, ns)
-                .into_iter()
-                .map(Arc::from)
-                .collect()
-        })
-        .collect();
+    let seed_outputs = scorer.seed_outputs(nodes);
 
     let mut worklist: std::collections::VecDeque<Cand> = std::collections::VecDeque::new();
-    let seed_sig = scorer.signature(&seed_outputs);
+    let seed_key = behaviour_key(&seed_outputs);
     worklist.push_back(Cand {
         ast: Extractor::Content,
         outputs: seed_outputs,
@@ -132,8 +122,9 @@ pub(crate) fn synthesize_extractors(
     // may be one of the tied optimal programs) but not *expanded* — every
     // extension it could produce has an output-identical twin reachable
     // from the representative, so no distinct-behavior optimum is lost.
-    let mut seen_outputs: HashSet<u64> = HashSet::new();
-    seen_outputs.insert(seed_sig);
+    // Keyed on the exact output ids, so no two behaviours can collide.
+    let mut seen_outputs: HashSet<Box<[u32]>, FxBuild> = HashSet::default();
+    seen_outputs.insert(seed_key);
 
     // Analysis prune (sound, kernel-mode-invariant): with gold tokens
     // present, a candidate whose outputs are empty on every example —
@@ -178,7 +169,7 @@ pub(crate) fn synthesize_extractors(
                 stats.analysis_pruned_extractors += 1;
                 continue;
             }
-            let child_outputs = scorer.apply_step(task, si, &cand.outputs);
+            let child_outputs = scorer.apply_step(si, &cand.outputs);
             if analyze && child_outputs.iter().all(Vec::is_empty) {
                 stats.analysis_pruned_extractors += 1;
                 continue;
@@ -193,7 +184,7 @@ pub(crate) fn synthesize_extractors(
                 stats.extractors_pruned += 1;
                 continue;
             }
-            if !seen_outputs.insert(scorer.signature(&child_outputs)) {
+            if !seen_outputs.insert(behaviour_key(&child_outputs)) {
                 // Score the behavioral duplicate, but do not expand it.
                 let dup_counts = scorer.counts_dedup(&child_outputs);
                 let s = dup_counts.f1();
@@ -239,6 +230,7 @@ mod tests {
     use super::*;
     use crate::config::SynthConfig;
     use crate::example::{counts_of_outputs, Example};
+    use crate::scorer::StringTable;
     use webqa_dsl::{Locator, PageTree, QueryContext};
 
     fn setup() -> (QueryContext, Vec<Example>, Vec<Vec<PageNodeId>>) {
@@ -265,7 +257,8 @@ mod tests {
     ) -> ExtractorSynthesis {
         let task = TaskCtx::new(cfg, ctx, examples);
         let pos: Vec<usize> = (0..examples.len()).collect();
-        let mut scorer = Scorer::new(&task, &pos);
+        let mut table = StringTable::new(&task);
+        let mut scorer = Scorer::new(&task, &mut table, &pos);
         synthesize_extractors(&task, &mut scorer, nodes, opt, stats)
     }
 

@@ -21,18 +21,28 @@
 //! ## Hot-path architecture
 //!
 //! The enumerative search scores hundreds of thousands of candidate
-//! terms per task; the implementation keeps that affordable with four
+//! terms per task; the implementation keeps that affordable with five
 //! semantics-free layers (each disabled by
 //! [`SynthConfig::reference`], which swaps in the original definitional
 //! kernels — `tests/synth_parity.rs` proves the two paths
 //! observationally identical on the full corpus):
 //!
-//! * **Interned scoring** (`scorer` module): gold bags and candidate
-//!   outputs are interned to dense `u32` token ids once per distinct
-//!   string (`webqa_metrics::TokenInterner`), and F₁ counts are multiset
-//!   overlaps over small integer bags — no tokenization or string
-//!   hashing per candidate. The `UB = 2R/(1+R)` ceiling (Eq. 3) runs on
-//!   per-node dense gold-id bags precomputed in [`Example`].
+//! * **String table** (`scorer` module): every string the extractor
+//!   search sees gets a dense `u32` id, once per task in the thread that
+//!   solves its branch problems (the sequential solve keeps one table,
+//!   each branch-parallel worker its own; no lock). Equal content is an
+//!   equal id, so candidate outputs are id lists, set-semantics dedup
+//!   and behavioural equivalence compare integers, and the search keys
+//!   behaviours on the exact id sequence. The table also holds each
+//!   string's token ids, the output ids of every (production step,
+//!   string) pair in one flat arena, and the `Content` seed id of every
+//!   (example, node) — each computed once however many branches reach it.
+//! * **Interned scoring**: gold bags are interned into the table's
+//!   token space (`webqa_metrics::TokenInterner`), and F₁ counts are
+//!   multiset overlaps over small integer bags indexed by string id — no
+//!   tokenization or string hashing per candidate. The `UB = 2R/(1+R)`
+//!   ceiling (Eq. 3) runs on per-node dense gold-id bags precomputed in
+//!   [`Example`].
 //! * **Task-level mask tables**: every `NodeFilter` in the pool is
 //!   evaluated once per (example, node) — via a single neural-feature
 //!   pass per node text — and the `[example][filter][node]` mask table
@@ -45,9 +55,9 @@
 //!   `Arc`-shared results — no locator cloning/hashing, no node
 //!   re-propagation, no group deep-copies.
 //! * **Step-wise extractor enumeration**: children are generated as
-//!   production steps applied to the parent's shared `Arc<str>` outputs;
-//!   the UB prune fires *before* the child AST is built, so dominated
-//!   candidates never materialize.
+//!   production steps applied to the parent's output ids; the UB prune
+//!   fires *before* the child AST is built, so dominated candidates
+//!   never materialize.
 //!
 //! Partition blocks can additionally be solved in parallel inside one
 //! task ([`SynthConfig::jobs`]) with a deterministic merge.

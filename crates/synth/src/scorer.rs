@@ -9,29 +9,42 @@
 //! original definitional evaluation — `tests/synth_parity.rs` proves the
 //! two paths observationally identical on the whole corpus.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`TaskCtx`] — one per [`crate::synthesize`] call: the filter /
 //!   predicate / production pools, plus (optimized mode only) per-node
 //!   [`TextFeatures`] and the `[example][filter][node]` mask table every
 //!   guard enumeration reads instead of re-evaluating `NodeFilter`s.
-//! * [`Scorer`] — one per branch problem: a [`TokenInterner`] plus a
-//!   string → token-id cache, so scoring a candidate extractor is a
-//!   multiset-overlap run over small integer bags rather than
-//!   re-tokenizing every output string.
-//! * [`FxHasher`] — a fast non-cryptographic hasher for the behavioral
-//!   signatures and string-keyed caches on the hot path.
+//! * [`StringTable`] — one per thread that solves branch problems (the
+//!   sequential solve keeps one for the whole task, each branch-parallel
+//!   worker its own): every string the extractor search sees gets a
+//!   dense `u32` id, equal content meaning an equal id. For the
+//!   optimized kernels the table also keeps each string's token ids, the
+//!   output ids of every (production step, string) pair in one flat
+//!   arena, and the `Content` seed id of every (example, node) — each
+//!   computed once per thread, however many branches reach it. No lock
+//!   is taken.
+//! * [`Scorer`] — one per branch problem: the positive examples' gold
+//!   bags interned into the table's token space, so scoring a candidate
+//!   is a multiset-overlap run over integer ids indexed by string id.
+//! * [`FxHasher`] — a fast non-cryptographic hasher for the search's
+//!   behaviour keys. Those are id sequences the program builds; the
+//!   table's content map keys on page text, so it keeps the standard
+//!   library's seeded hasher.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
+use std::sync::Arc;
 
-use webqa_dsl::{Analyzer, EntityKind, NlpPred, NodeFilter, QueryContext, Truth};
-use webqa_metrics::{BagOverlap, Counts, IdBag, IdVec, TokenInterner};
+use webqa_dsl::{
+    Analyzer, EntityKind, Extractor, NlpPred, NodeFilter, PageNodeId, QueryContext, Truth,
+};
+use webqa_metrics::{BagOverlap, Counts, IdBag, TokenInterner};
 
 use crate::cancel::CancelToken;
 use crate::config::SynthConfig;
-use crate::example::Example;
+use crate::example::{counts_of_outputs_ref, Example};
 use crate::pool::{nlp_preds, node_filters};
 
 /// FxHash (the rustc hash): fast, deterministic, non-cryptographic.
@@ -42,10 +55,22 @@ pub(crate) struct FxHasher {
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(FX_SEED);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(w);
+            self.add(u64::from_le_bytes(buf));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
         }
     }
     fn finish(&self) -> u64 {
@@ -138,10 +163,6 @@ fn filter_holds(
         NodeFilter::Not(a) => !filter_holds(a, own, subtree, is_leaf, is_elem),
     }
 }
-
-/// One shard of the task-level production-output cache: input string
-/// content → the step's outputs.
-type StepShard = Mutex<HashMap<Box<str>, Vec<OutStr>, FxBuild>>;
 
 /// The per-page half of the task-level caches: one node's worth of
 /// neural-module outcomes per tree node plus the `[filter][node]` mask
@@ -461,16 +482,6 @@ pub(crate) struct TaskCtx<'a> {
     /// borrowed from the caller (the engine's cross-request store) or
     /// computed here. Empty in reference mode.
     tables: Vec<Arc<PageFeatures>>,
-    /// Task-level production-step output cache, content-keyed and shared
-    /// across branch problems (and branch-parallel workers, hence the
-    /// mutexes). `Substring`'s span search is by far the most expensive
-    /// string operation in the search and the same strings recur in every
-    /// branch over the same pages, so its results are computed once per
-    /// distinct (step, content) for the whole task. `Filter` entries stay
-    /// `None`: their output aliases the *input* allocation and the
-    /// context-cached predicate lookup is already cheap. All `None` in
-    /// reference mode.
-    step_results: Vec<Option<StepShard>>,
 }
 
 impl<'a> TaskCtx<'a> {
@@ -508,13 +519,6 @@ impl<'a> TaskCtx<'a> {
         for &c in &cfg.delimiters {
             steps.push(StepOp::Split(c));
         }
-        let step_results = steps
-            .iter()
-            .map(|s| {
-                (!cfg.reference_kernels && !matches!(s, StepOp::Filter(_)))
-                    .then(|| Mutex::new(HashMap::default()))
-            })
-            .collect();
         let analysis = AnalysisFacts::compute(cfg, ctx, &filters, &guard_preds, &steps);
 
         let tables = if cfg.reference_kernels {
@@ -543,7 +547,6 @@ impl<'a> TaskCtx<'a> {
             analysis,
             cancel,
             tables,
-            step_results,
         }
     }
 
@@ -559,76 +562,217 @@ impl<'a> TaskCtx<'a> {
     }
 }
 
-/// Internal output representation of the extractor search: shared string
-/// slices, so `Filter` steps and dedup clone a pointer, not the bytes.
-/// Atomically counted so the task-level extraction cache can be shared
-/// by the branch-parallel workers.
-pub(crate) type OutStr = Arc<str>;
+/// A not-yet-computed slot in the [`StringTable`]'s dense columns.
+const NONE: u32 = u32::MAX;
 
-/// Everything the scorer knows about one distinct string allocation:
-/// its interned token ids and its content hash. Keyed by the `Arc`
-/// allocation address; the stored handle keeps the allocation alive so
-/// the address can never be reused while the entry exists.
-struct StrInfo {
-    /// Never read — exists to pin the allocation so the address key
-    /// stays valid for the scorer's lifetime.
-    _keepalive: OutStr,
-    ids: IdVec,
-    content_hash: u64,
+/// A `Content` seed slot whose node text is empty (the extractor drops
+/// empty strings, so the node contributes no output).
+const EMPTY: u32 = u32::MAX - 1;
+
+/// A table length or offset as a `u32` id.
+fn id_of(n: usize) -> u32 {
+    u32::try_from(n)
+        .ok()
+        .filter(|&id| id < EMPTY)
+        .expect("string table exceeds the u32 id space")
+}
+
+/// The string table of one thread's extractor searches: every string the
+/// search sees, under a dense `u32` id. Equal content always means an
+/// equal id, so the search compares, deduplicates, and keys candidate
+/// behaviours on ids alone.
+///
+/// The table also memoizes, once per thread, every string function the
+/// optimized search applies: the token ids of each string (in one
+/// [`TokenInterner`], which each [`Scorer`] also interns its gold bags
+/// into), the output ids of each (production step, string) pair in one
+/// flat arena, and the `Content` seed id of each (example, node). The
+/// reference kernels read only content ↔ id: every score and step output
+/// is recomputed definitionally from the text.
+///
+/// The table is owned by the thread that solves branch problems and
+/// passed down by `&mut`, so the hot path takes no lock.
+pub(crate) struct StringTable {
+    /// Content → id.
+    ids: HashMap<Rc<str>, u32>,
+    /// Id → content (the same allocation as the `ids` key).
+    text: Vec<Rc<str>>,
+    interner: TokenInterner,
+    /// `tokens[token_start[s]..token_start[s + 1]]` are string `s`'s
+    /// token ids.
+    token_start: Vec<u32>,
+    tokens: Vec<u32>,
+    /// Size of the task's production pool: the width of a step row.
+    steps: usize,
+    /// Per string: its row in `slots`, or `NONE` until a production step
+    /// is first applied to it.
+    row_of: Vec<u32>,
+    /// `steps` slots per row; slot `(start, len)` spans the step's
+    /// output ids in `outputs`, `start == NONE` until computed.
+    slots: Vec<(u32, u32)>,
+    outputs: Vec<u32>,
+    /// `[task example][node]` → the node's `Content` seed id, `EMPTY`
+    /// for empty text, `NONE` until first asked for. A row is allocated
+    /// on the example's first use.
+    seeds: Vec<Vec<u32>>,
+    /// Per string: the dedup epoch it was last counted in.
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl StringTable {
+    /// An empty table for `task`'s pools and examples.
+    pub fn new(task: &TaskCtx) -> Self {
+        StringTable {
+            ids: HashMap::default(),
+            text: Vec::new(),
+            interner: TokenInterner::new(),
+            token_start: vec![0],
+            tokens: Vec::new(),
+            steps: task.steps.len(),
+            row_of: Vec::new(),
+            slots: Vec::new(),
+            outputs: Vec::new(),
+            seeds: vec![Vec::new(); task.examples.len()],
+            stamp: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// The id of `s`, assigned (and tokenized) on first sight.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = id_of(self.text.len());
+        let rc: Rc<str> = Rc::from(s);
+        self.text.push(Rc::clone(&rc));
+        self.ids.insert(rc, id);
+        let tokens = self.interner.tokenize_ids(s);
+        self.tokens.extend_from_slice(tokens.as_slice());
+        self.token_start.push(id_of(self.tokens.len()));
+        self.row_of.push(NONE);
+        self.stamp.push(0);
+        id
+    }
+
+    /// The content of string `id`.
+    pub fn text(&self, id: u32) -> &str {
+        &self.text[id as usize]
+    }
+
+    /// String `id`'s token ids.
+    fn tokens(&self, id: u32) -> &[u32] {
+        let s = id as usize;
+        &self.tokens[self.token_start[s] as usize..self.token_start[s + 1] as usize]
+    }
+
+    /// The `Content` seed id of `node` on task example `ex`, `None` when
+    /// its text is empty (optimized mode).
+    fn seed(&mut self, examples: &[Example], ex: usize, node: PageNodeId) -> Option<u32> {
+        let page = &examples[ex].page;
+        if self.seeds[ex].is_empty() {
+            self.seeds[ex] = vec![NONE; page.len()];
+        }
+        let mut id = self.seeds[ex][node.index()];
+        if id == NONE {
+            let text = page.text(node);
+            id = if text.is_empty() {
+                EMPTY
+            } else {
+                self.intern(text)
+            };
+            self.seeds[ex][node.index()] = id;
+        }
+        (id != EMPTY).then_some(id)
+    }
+
+    /// The output ids of production step `si` on string `s`, computed on
+    /// the pair's first use (optimized mode).
+    fn step_outputs(&mut self, ctx: &QueryContext, step: &StepOp, si: usize, s: u32) -> &[u32] {
+        let mut row = self.row_of[s as usize];
+        if row == NONE {
+            row = id_of(self.slots.len() / self.steps);
+            self.slots.resize(self.slots.len() + self.steps, (NONE, 0));
+            self.row_of[s as usize] = row;
+        }
+        let slot = row as usize * self.steps + si;
+        if self.slots[slot].0 == NONE {
+            let text = Rc::clone(&self.text[s as usize]);
+            let start = id_of(self.outputs.len());
+            apply_step_one(ctx, step, &text, |piece| {
+                let id = self.intern(piece);
+                self.outputs.push(id);
+            });
+            self.slots[slot] = (start, id_of(self.outputs.len()) - start);
+        }
+        let (start, len) = self.slots[slot];
+        &self.outputs[start as usize..(start + len) as usize]
+    }
+
+    /// A fresh dedup epoch: no string is marked as seen in it.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
+/// The exact behaviour key of per-example outputs: each example's output
+/// count followed by its ids. Two candidates share a key iff their
+/// outputs are equal string for string on every example.
+pub(crate) fn behaviour_key(outputs: &[Vec<u32>]) -> Box<[u32]> {
+    let mut key = Vec::with_capacity(outputs.len() + outputs.iter().map(Vec::len).sum::<usize>());
+    for ids in outputs {
+        key.push(id_of(ids.len()));
+        key.extend_from_slice(ids);
+    }
+    key.into_boxed_slice()
 }
 
 /// Per-branch scoring state: the positive examples with their gold bags
-/// interned into one id space, plus pointer-keyed caches for string
-/// token-ids, content hashes, and production-step outputs.
-pub(crate) struct Scorer<'a> {
-    reference: bool,
-    /// The branch's positive examples (scoring targets), in order.
-    pub pos: Vec<&'a Example>,
-    interner: TokenInterner,
+/// interned into the thread's [`StringTable`], which the scorer borrows
+/// for the branch.
+pub(crate) struct Scorer<'s> {
+    task: &'s TaskCtx<'s>,
+    /// The branch's positive examples (scoring targets), as task example
+    /// indices, in order.
+    pos: Vec<usize>,
+    /// Gold bag per positive example, in the table's token space.
     gold: Vec<IdBag>,
-    strings: HashMap<usize, StrInfo, FxBuild>,
-    /// `(string allocation, step index)` → the step's outputs on that
-    /// string. Production steps are pure string functions, so the result
-    /// is computed once per distinct input allocation and the output
-    /// `Rc`s are shared by every candidate that reaches it.
-    step_cache: HashMap<(usize, u32), Vec<OutStr>, FxBuild>,
+    table: &'s mut StringTable,
     overlap: BagOverlap,
 }
 
-fn addr(s: &OutStr) -> usize {
-    Arc::as_ptr(s) as *const u8 as usize
-}
-
-fn fx_content_hash(s: &str) -> u64 {
-    let mut h = FxHasher::default();
-    s.hash(&mut h);
-    h.finish()
-}
-
-impl<'a> Scorer<'a> {
-    pub fn new(task: &TaskCtx<'a>, pos: &[usize]) -> Self {
-        let pos: Vec<&Example> = pos.iter().map(|&i| &task.examples[i]).collect();
-        let mut interner = TokenInterner::new();
+impl<'s> Scorer<'s> {
+    pub fn new(task: &'s TaskCtx<'s>, table: &'s mut StringTable, pos: &[usize]) -> Self {
         let gold = pos
             .iter()
-            .map(|ex| {
+            .map(|&i| {
                 IdBag::from_ids(
-                    ex.gold_tokens()
+                    task.examples[i]
+                        .gold_tokens()
                         .iter()
-                        .map(|t| interner.intern(t))
+                        .map(|t| table.interner.intern(t))
                         .collect(),
                 )
             })
             .collect();
         Scorer {
-            reference: task.cfg.reference_kernels,
-            pos,
-            interner,
+            task,
+            pos: pos.to_vec(),
             gold,
-            strings: HashMap::default(),
-            step_cache: HashMap::default(),
+            table,
             overlap: BagOverlap::default(),
         }
+    }
+
+    /// Number of positive examples.
+    pub fn len(&self) -> usize {
+        self.pos.len()
     }
 
     /// Total gold tokens across the branch's positive examples. The
@@ -636,90 +780,75 @@ impl<'a> Scorer<'a> {
     /// tokens an empty output scores a (vacuous) perfect F₁ and must stay
     /// enumerable.
     pub fn gold_total(&self) -> usize {
-        self.gold.iter().map(webqa_metrics::IdBag::total).sum()
+        self.gold.iter().map(IdBag::total).sum()
     }
 
-    fn info<'m>(
-        strings: &'m mut HashMap<usize, StrInfo, FxBuild>,
-        interner: &mut TokenInterner,
-        s: &OutStr,
-    ) -> &'m StrInfo {
-        strings.entry(addr(s)).or_insert_with(|| StrInfo {
-            _keepalive: Arc::clone(s),
-            ids: interner.tokenize_ids(s),
-            content_hash: fx_content_hash(s),
-        })
+    /// The outputs of `ExtractContent(x)` on each positive example's
+    /// located `nodes`: the search's seed candidate.
+    pub fn seed_outputs(&mut self, nodes: &[Vec<PageNodeId>]) -> Vec<Vec<u32>> {
+        let task = self.task;
+        self.pos
+            .iter()
+            .zip(nodes)
+            .map(|(&ex, ns)| {
+                if task.cfg.reference_kernels {
+                    Extractor::Content
+                        .eval(task.ctx, &task.examples[ex].page, ns)
+                        .iter()
+                        .map(|s| self.table.intern(s))
+                        .collect()
+                } else {
+                    ns.iter()
+                        .filter_map(|&n| self.table.seed(task.examples, ex, n))
+                        .collect()
+                }
+            })
+            .collect()
     }
 
     /// Micro-averaged counts of the raw per-example output multisets —
     /// the `UB` input of Eq. 3.
-    pub fn counts_raw(&mut self, outputs: &[Vec<OutStr>]) -> Counts {
-        if self.reference {
-            return crate::example::counts_of_outputs_ref(&self.pos, outputs, false);
-        }
-        let mut total = Counts::default();
-        for (i, strings) in outputs.iter().enumerate() {
-            let gold = &self.gold[i];
-            self.overlap.begin(gold);
-            let mut matched = 0usize;
-            let mut predicted = 0usize;
-            for s in strings {
-                let info = Self::info(&mut self.strings, &mut self.interner, s);
-                predicted += info.ids.len();
-                matched += info
-                    .ids
-                    .iter()
-                    .filter(|&&id| self.overlap.consume(gold, id))
-                    .count();
-            }
-            total += Counts {
-                matched,
-                predicted,
-                gold: gold.total(),
-            };
-        }
-        total
+    pub fn counts_raw(&mut self, outputs: &[Vec<u32>]) -> Counts {
+        self.counts(outputs, false)
     }
 
     /// Micro-averaged counts under the program-level set semantics:
     /// per-example duplicate strings are counted once (Figure 6).
-    pub fn counts_dedup(&mut self, outputs: &[Vec<OutStr>]) -> Counts {
-        if self.reference {
-            return crate::example::counts_of_outputs_ref(&self.pos, outputs, true);
+    pub fn counts_dedup(&mut self, outputs: &[Vec<u32>]) -> Counts {
+        self.counts(outputs, true)
+    }
+
+    fn counts(&mut self, outputs: &[Vec<u32>], dedup: bool) -> Counts {
+        if self.task.cfg.reference_kernels {
+            let texts: Vec<Vec<&str>> = outputs
+                .iter()
+                .map(|ids| ids.iter().map(|&s| self.table.text(s)).collect())
+                .collect();
+            let examples = self.pos.iter().map(|&i| &self.task.examples[i]);
+            return counts_of_outputs_ref(examples, &texts, dedup);
         }
         let mut total = Counts::default();
-        for (i, strings) in outputs.iter().enumerate() {
-            // Order-preserving first-occurrence filter, content equality
-            // (pointer equality as the fast path — shared `Rc`s make it
-            // hit almost always). Inline buffer for the common small
-            // case; spills only for outputs with many distinct strings.
-            let mut inline: [&str; 16] = [""; 16];
-            let mut inline_len = 0usize;
-            let mut spill: Vec<&str> = Vec::new();
-            let gold = &self.gold[i];
+        for (gold, ids) in self.gold.iter().zip(outputs) {
+            // Set semantics: a string counts at its first occurrence
+            // only. Equal content is an equal id, so one stamp per id
+            // marks it as seen for this example.
+            let epoch = if dedup { self.table.next_epoch() } else { 0 };
             self.overlap.begin(gold);
             let mut matched = 0usize;
             let mut predicted = 0usize;
-            'strings: for s in strings {
-                let str_ref: &str = s;
-                for seen in inline[..inline_len].iter().chain(spill.iter()) {
-                    if std::ptr::eq(*seen as *const str, str_ref as *const str) || *seen == str_ref
-                    {
-                        continue 'strings;
+            for &s in ids {
+                if dedup {
+                    let stamp = &mut self.table.stamp[s as usize];
+                    if *stamp == epoch {
+                        continue;
                     }
+                    *stamp = epoch;
                 }
-                if inline_len < inline.len() {
-                    inline[inline_len] = str_ref;
-                    inline_len += 1;
-                } else {
-                    spill.push(str_ref);
-                }
-                let info = Self::info(&mut self.strings, &mut self.interner, s);
-                predicted += info.ids.len();
-                matched += info
-                    .ids
+                let tokens = self.table.tokens(s);
+                predicted += tokens.len();
+                matched += tokens
                     .iter()
-                    .filter(|&&id| self.overlap.consume(gold, id))
+                    .filter(|&&t| self.overlap.consume(gold, t))
                     .count();
             }
             total += Counts {
@@ -732,107 +861,50 @@ impl<'a> Scorer<'a> {
     }
 
     /// Applies production step `si` of the task's pool to the parent's
-    /// outputs. In optimized mode the per-string results are memoized by
-    /// input allocation — `Substring`'s span search and `Split`'s
-    /// re-allocation happen once per distinct string, and their output
-    /// `Rc`s are shared across all candidates. Reference mode computes
-    /// every application definitionally.
-    pub fn apply_step(
-        &mut self,
-        task: &TaskCtx,
-        si: usize,
-        parent_outputs: &[Vec<OutStr>],
-    ) -> Vec<Vec<OutStr>> {
+    /// outputs. In optimized mode each (step, string) result comes from
+    /// the table, computed once per thread; reference mode applies the
+    /// step definitionally to every string.
+    pub fn apply_step(&mut self, si: usize, parent_outputs: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let task = self.task;
         let step = &task.steps[si];
         parent_outputs
             .iter()
-            .map(|strings| {
-                let mut out: Vec<OutStr> = Vec::with_capacity(strings.len());
-                for s in strings {
-                    if self.reference {
-                        apply_step_one(task.ctx, step, s, &mut out);
-                        continue;
-                    }
-                    match self.step_cache.get(&(addr(s), si as u32)) {
-                        Some(cached) => out.extend(cached.iter().cloned()),
-                        None => {
-                            let one = match &task.step_results[si] {
-                                // Expensive step: go through the
-                                // task-level content-keyed cache shared
-                                // by all branches.
-                                Some(shared) => {
-                                    let mut map = shared.lock().expect("step cache lock");
-                                    match map.get(&**s) {
-                                        Some(v) => v.clone(),
-                                        None => {
-                                            let mut v = Vec::new();
-                                            apply_step_one(task.ctx, step, s, &mut v);
-                                            map.insert(Box::from(&**s), v.clone());
-                                            v
-                                        }
-                                    }
-                                }
-                                None => {
-                                    let mut v = Vec::new();
-                                    apply_step_one(task.ctx, step, s, &mut v);
-                                    v
-                                }
-                            };
-                            out.extend(one.iter().cloned());
-                            // Retain the input `Arc` in the strings
-                            // table so its address key stays valid for
-                            // the scorer's lifetime.
-                            Self::info(&mut self.strings, &mut self.interner, s);
-                            self.step_cache.insert((addr(s), si as u32), one);
-                        }
+            .map(|ids| {
+                let mut out: Vec<u32> = Vec::with_capacity(ids.len());
+                for &s in ids {
+                    if task.cfg.reference_kernels {
+                        let text = Rc::clone(&self.table.text[s as usize]);
+                        apply_step_one(task.ctx, step, &text, |piece| {
+                            out.push(self.table.intern(piece));
+                        });
+                    } else {
+                        out.extend_from_slice(self.table.step_outputs(task.ctx, step, si, s));
                     }
                 }
                 out
             })
             .collect()
     }
-
-    /// Order-sensitive behavioral signature of per-example outputs. The
-    /// optimized path combines per-string content hashes (cached per
-    /// allocation) with [`FxHasher`]; the reference path hashes the whole
-    /// nested structure with the standard library's SipHash, exactly as
-    /// the pre-overhaul code did.
-    pub fn signature(&mut self, outputs: &[Vec<OutStr>]) -> u64 {
-        if self.reference {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            outputs.hash(&mut h);
-            return h.finish();
-        }
-        let mut h = FxHasher::default();
-        for strings in outputs {
-            h.write_u64(strings.len() as u64);
-            for s in strings {
-                let info = Self::info(&mut self.strings, &mut self.interner, s);
-                h.write_u64(info.content_hash);
-            }
-        }
-        h.finish()
-    }
 }
 
-/// One production step on one string, definitionally.
-fn apply_step_one(ctx: &QueryContext, step: &StepOp, s: &OutStr, out: &mut Vec<OutStr>) {
+/// One production step on one string, definitionally: `emit` receives
+/// each output string in order.
+fn apply_step_one(ctx: &QueryContext, step: &StepOp, s: &str, mut emit: impl FnMut(&str)) {
     match step {
         StepOp::Filter(pred) => {
             if pred.eval(ctx, s) {
-                out.push(Arc::clone(s));
+                emit(s);
             }
         }
         StepOp::Substring(pred, k) => {
-            out.extend(pred.extract(ctx, s).into_iter().take(*k).map(Arc::from));
+            for piece in pred.extract(ctx, s).iter().take(*k) {
+                emit(piece);
+            }
         }
         StepOp::Split(c) => {
-            out.extend(
-                s.split(*c)
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(Arc::from),
-            );
+            for piece in s.split(*c).map(str::trim).filter(|p| !p.is_empty()) {
+                emit(piece);
+            }
         }
     }
 }
@@ -840,6 +912,7 @@ fn apply_step_one(ctx: &QueryContext, step: &StepOp, s: &OutStr, out: &mut Vec<O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use webqa_dsl::{PageTree, Threshold};
 
     fn ctx() -> QueryContext {
@@ -962,6 +1035,22 @@ mod tests {
         }
     }
 
+    /// Interns per-example string lists into `table`.
+    fn ids_of(table: &mut StringTable, outputs: &[Vec<&str>]) -> Vec<Vec<u32>> {
+        outputs
+            .iter()
+            .map(|strings| strings.iter().map(|s| table.intern(s)).collect())
+            .collect()
+    }
+
+    /// The texts of per-example id lists.
+    fn texts_of(table: &StringTable, outputs: &[Vec<u32>]) -> Vec<Vec<String>> {
+        outputs
+            .iter()
+            .map(|ids| ids.iter().map(|&s| table.text(s).to_string()).collect())
+            .collect()
+    }
+
     #[test]
     fn scorer_counts_match_reference_counts() {
         let c = ctx();
@@ -979,26 +1068,105 @@ mod tests {
         ];
         let task_fast = TaskCtx::new(&cfg_fast, &c, &examples);
         let task_ref = TaskCtx::new(&cfg_ref, &c, &examples);
-        let outputs: Vec<Vec<OutStr>> = vec![
-            vec![
-                Arc::from("Jane Doe"),
-                Arc::from("Jane Doe"),
-                Arc::from("noise"),
-            ],
-            vec![Arc::from("Bob Smith"), Arc::from("")],
-        ];
-        let mut fast = Scorer::new(&task_fast, &[0, 1]);
-        let mut slow = Scorer::new(&task_ref, &[0, 1]);
-        assert_eq!(fast.counts_raw(&outputs), slow.counts_raw(&outputs));
-        assert_eq!(fast.counts_dedup(&outputs), slow.counts_dedup(&outputs));
+        let strings = vec![vec!["Jane Doe", "Jane Doe", "noise"], vec!["Bob Smith", ""]];
+        let mut fast_table = StringTable::new(&task_fast);
+        let mut ref_table = StringTable::new(&task_ref);
+        let fast_ids = ids_of(&mut fast_table, &strings);
+        let ref_ids = ids_of(&mut ref_table, &strings);
+        let mut fast = Scorer::new(&task_fast, &mut fast_table, &[0, 1]);
+        let mut slow = Scorer::new(&task_ref, &mut ref_table, &[0, 1]);
+        assert_eq!(fast.counts_raw(&fast_ids), slow.counts_raw(&ref_ids));
+        assert_eq!(fast.counts_dedup(&fast_ids), slow.counts_dedup(&ref_ids));
         // Dedup drops the duplicate "Jane Doe" but keeps distinct strings.
-        let raw = fast.counts_raw(&outputs);
-        let dedup = fast.counts_dedup(&outputs);
+        let raw = fast.counts_raw(&fast_ids);
+        let dedup = fast.counts_dedup(&fast_ids);
         assert_eq!(raw.predicted, dedup.predicted + 2);
+    }
+
+    /// Output strings for the id-kernel property: duplicates (drawn with
+    /// replacement), the empty string, non-ASCII text, and strings that
+    /// production steps reach again from other strings ("Jane Doe" is a
+    /// `Split(',')` piece of the first entry and an entry of its own).
+    const POOL: [&str; 10] = [
+        "Jane Doe, Bob Smith",
+        "Jane Doe",
+        "Bob Smith; PLDI 2020",
+        "",
+        "Zoë Saldaña",
+        "Ωmega ΣΊΣΥΦΟΣ, Zoë Saldaña",
+        "北京大学: 2019",
+        "Students since 2019",
+        "noise",
+        "Dr. Mary Anderson (PhD), March 3, 2021",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The id kernels are the definitional scoring and step
+        /// semantics: on random per-example output lists, raw and dedup
+        /// counts equal `counts_of_outputs_ref` and every production
+        /// step's output ids spell out `apply_step_one`'s strings —
+        /// including on the step outputs themselves, which meet the
+        /// pool's strings again under the same ids.
+        #[test]
+        fn id_kernels_match_definitional_scoring(
+            a in proptest::collection::vec(0usize..POOL.len(), 0..8),
+            b in proptest::collection::vec(0usize..POOL.len(), 0..8)
+        ) {
+            let c = ctx();
+            let cfg = SynthConfig::fast();
+            let examples = vec![
+                example("<p>Jane Doe</p>", &["Jane Doe", "Zoë Saldaña"]),
+                example("<p>Bob Smith</p>", &["Bob Smith", "北京大学", "2019"]),
+            ];
+            let task = TaskCtx::new(&cfg, &c, &examples);
+            let strings: Vec<Vec<&str>> =
+                [a, b].iter().map(|ix| ix.iter().map(|&i| POOL[i]).collect()).collect();
+            let mut table = StringTable::new(&task);
+            let outputs = ids_of(&mut table, &strings);
+            let mut scorer = Scorer::new(&task, &mut table, &[0, 1]);
+            let mut lists = vec![outputs];
+            for si in 0..task.steps.len() {
+                lists.push(scorer.apply_step(si, &lists[0]));
+            }
+            for (si, ids) in lists.iter().enumerate() {
+                let texts = texts_of(scorer.table, ids);
+                prop_assert_eq!(
+                    scorer.counts_raw(ids),
+                    counts_of_outputs_ref(&examples, &texts, false)
+                );
+                prop_assert_eq!(
+                    scorer.counts_dedup(ids),
+                    counts_of_outputs_ref(&examples, &texts, true)
+                );
+                if si > 0 {
+                    let expected: Vec<Vec<String>> = strings
+                        .iter()
+                        .map(|parent| {
+                            let mut out = Vec::new();
+                            for s in parent {
+                                apply_step_one(&c, &task.steps[si - 1], s, |p| {
+                                    out.push(p.to_string());
+                                });
+                            }
+                            out
+                        })
+                        .collect();
+                    prop_assert_eq!(&texts, &expected);
+                }
+            }
+            // Equal content is an equal id, however the string was reached.
+            for id in 0..id_of(scorer.table.text.len()) {
+                let text = scorer.table.text(id).to_owned();
+                prop_assert_eq!(scorer.table.intern(&text), id);
+            }
+        }
     }
 
     #[test]
     fn fx_hasher_is_deterministic() {
+        use std::hash::Hash;
         let hash = |s: &str| {
             let mut h = FxHasher::default();
             s.hash(&mut h);

@@ -23,7 +23,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SynthConfig;
 use crate::example::Example;
 use crate::extractors::F1_EPS;
-use crate::scorer::{PageFeatures, TaskCtx};
+use crate::scorer::{PageFeatures, StringTable, TaskCtx};
 use crate::stats::SynthStats;
 
 /// The result of [`synthesize`]: all optimal programs (capped), their
@@ -101,32 +101,29 @@ pub fn synthesize_cancellable(
     let task = TaskCtx::with_features_cancel(cfg, ctx, examples, features, cancel.clone());
     let partitions = ordered_partitions(n, cfg.max_blocks);
 
-    // Branch problems are memoized by (positive set, negative set)
-    // bitmask — different partitions share blocks heavily. Key order is
-    // first encounter across the partition scan, which is what makes the
+    // Branch problems are memoized by (positive set, negative set) —
+    // different partitions share blocks heavily. Key order is first
+    // encounter across the partition scan, which is what makes the
     // parallel solve's stats merge deterministic.
-    let mut keys: Vec<(u32, u32)> = Vec::new();
-    let mut key_index: HashMap<(u32, u32), usize> = HashMap::new();
+    let mut keys: Vec<BlockKey> = Vec::new();
+    let mut key_index: HashMap<BlockKey, usize> = HashMap::new();
     for partition in &partitions {
-        for (i, block) in partition.iter().enumerate() {
-            let pos_mask = mask_of(block);
-            let mut neg_mask = 0u32;
-            for later in &partition[i + 1..] {
-                neg_mask |= mask_of(later);
-            }
-            key_index.entry((pos_mask, neg_mask)).or_insert_with(|| {
-                keys.push((pos_mask, neg_mask));
-                keys.len() - 1
-            });
+        for i in 0..partition.len() {
+            key_index
+                .entry(block_key(partition, i))
+                .or_insert_with_key(|key| {
+                    keys.push(key.clone());
+                    keys.len() - 1
+                });
         }
     }
 
-    let solve = |key: (u32, u32)| -> (Option<BranchSynthesis>, SynthStats) {
+    // Each thread that solves branch problems owns one string table: the
+    // sequential scan below keeps one for the whole task, each parallel
+    // worker builds its own.
+    let solve = |table: &mut StringTable, (pos, neg): &BlockKey| {
         let mut st = SynthStats::default();
-        let pos = bits_of(key.0);
-        // E⁻ = examples in later blocks of the partition (footnote 5).
-        let neg = bits_of(key.1);
-        let r = synthesize_branch(&task, &pos, &neg, &mut st);
+        let r = synthesize_branch(&task, table, pos, neg, &mut st);
         (r, st)
     };
 
@@ -144,16 +141,19 @@ pub fn synthesize_cancellable(
         let slots: Mutex<Vec<Slot>> = Mutex::new((0..keys.len()).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&key) = keys.get(i) else { break };
-                    // A tripped token drains the queue without solving:
-                    // the whole search is abandoned below.
-                    if cancel.is_cancelled() {
-                        break;
+                scope.spawn(|| {
+                    let mut table = StringTable::new(&task);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(key) = keys.get(i) else { break };
+                        // A tripped token drains the queue without
+                        // solving: the whole search is abandoned below.
+                        if cancel.is_cancelled() {
+                            break;
+                        }
+                        let result = solve(&mut table, key);
+                        slots.lock().expect("no poisoned workers")[i] = Some(result);
                     }
-                    let result = solve(key);
-                    slots.lock().expect("no poisoned workers")[i] = Some(result);
                 });
             }
         });
@@ -170,6 +170,7 @@ pub fn synthesize_cancellable(
             solved[i] = Some(r.map(Arc::new));
         }
     }
+    let mut table = StringTable::new(&task);
 
     let mut best_f1 = -1.0f64;
     let mut best_counts = Counts::default();
@@ -185,13 +186,8 @@ pub fn synthesize_cancellable(
         }
         let mut blocks: Vec<Arc<BranchSynthesis>> = Vec::new();
         let mut ok = true;
-        for (i, block) in partition.iter().enumerate() {
-            let pos_mask = mask_of(block);
-            let mut neg_mask = 0u32;
-            for later in &partition[i + 1..] {
-                neg_mask |= mask_of(later);
-            }
-            let ki = key_index[&(pos_mask, neg_mask)];
+        for i in 0..partition.len() {
+            let ki = key_index[&block_key(partition, i)];
             let entry: Option<Arc<BranchSynthesis>> = match &solved[ki] {
                 Some(cached) => {
                     if touched[ki] {
@@ -200,7 +196,7 @@ pub fn synthesize_cancellable(
                     cached.clone()
                 }
                 None => {
-                    let (r, st) = solve((pos_mask, neg_mask));
+                    let (r, st) = solve(&mut table, &keys[ki]);
                     stats += st;
                     let r = r.map(Arc::new);
                     solved[ki] = Some(r.clone());
@@ -292,12 +288,15 @@ fn best_sum(sums: impl IntoIterator<Item = Counts>) -> (f64, Counts) {
         .unwrap_or((-1.0, Counts::default()))
 }
 
-fn mask_of(block: &[usize]) -> u32 {
-    block.iter().fold(0u32, |m, &i| m | (1 << i))
-}
+/// One branch problem of a partition: E⁺ (a block) and E⁻ (the examples
+/// in later blocks, footnote 5), both as ascending example indices.
+type BlockKey = (Vec<usize>, Vec<usize>);
 
-fn bits_of(mask: u32) -> Vec<usize> {
-    (0..32).filter(|i| mask & (1 << i) != 0).collect()
+/// The branch problem of block `i` of `partition`.
+fn block_key(partition: &[Vec<usize>], i: usize) -> BlockKey {
+    let mut neg = partition[i + 1..].concat();
+    neg.sort_unstable();
+    (partition[i].clone(), neg)
 }
 
 /// All ordered partitions of `{0..n}` into at most `max_blocks` non-empty
@@ -683,6 +682,37 @@ mod tests {
                 "jobs={jobs}"
             );
         }
+        // Every worker builds its own string table, so the search work —
+        // every counter — cannot depend on how the blocks were shared out.
+        let stats_with = |jobs| synthesize(&cfg.clone().with_jobs(jobs), &c, &examples).stats;
+        assert_eq!(stats_with(2), stats_with(4));
+    }
+
+    #[test]
+    fn every_one_of_forty_examples_is_scored() {
+        // Past 8 examples only the one-block partition is searched, and
+        // past 32 its example set no longer fits a 32-bit mask: E⁺ must
+        // still hold all forty.
+        let names = [
+            "Jane Doe",
+            "Bob Smith",
+            "Mary Anderson",
+            "Wei Chen",
+            "Ana Lima",
+        ];
+        let examples: Vec<Example> = (0..40)
+            .map(|i| {
+                let name = names[i % names.len()];
+                example(
+                    &format!("<h1>Lab {i}</h1><h2>Students</h2><ul><li>{name}</li></ul>"),
+                    &[name],
+                )
+            })
+            .collect();
+        let out = synthesize(&SynthConfig::fast(), &ctx(), &examples);
+        let gold: usize = examples.iter().map(|ex| ex.gold_tokens().len()).sum();
+        assert_eq!(out.counts.gold, gold);
+        assert!(out.f1 > 0.99, "got {}", out.f1);
     }
 
     fn counts(matched: usize, predicted: usize, gold: usize) -> Counts {

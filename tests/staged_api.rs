@@ -287,3 +287,38 @@ fn f1_tied_counts_are_identical_across_fresh_engines() {
         runs.iter().map(|r| r.0).collect::<Vec<_>>()
     );
 }
+
+/// Regression: a `run` may carry any number of labeled pages. Past 32 the
+/// labeled set no longer fits the partition search's old 32-bit example
+/// masks — debug builds overflowed, release builds dropped the extra
+/// examples from E⁺ — so all forty must be scored.
+#[test]
+fn run_scores_every_one_of_forty_labeled_pages() {
+    let names = [
+        "Jane Doe",
+        "Bob Smith",
+        "Mary Anderson",
+        "Wei Chen",
+        "Ana Lima",
+    ];
+    let mut engine = Engine::new(fast_config());
+    let labeled: Vec<(PageTree, Vec<String>)> = (0..40)
+        .map(|i| {
+            let name = names[i % names.len()];
+            let html = format!("<h1>Lab {i}</h1><h2>Students</h2><ul><li>{name}</li></ul>");
+            (PageTree::parse(&html), vec![name.to_string()])
+        })
+        .collect();
+    let gold_tokens: usize = labeled.iter().map(|(_, g)| tokenize_all(g).len()).sum();
+    let target = PageTree::parse("<h1>Lab</h1><h2>Students</h2><ul><li>Zoe Park</li></ul>");
+    let task = webqa::Task::from_split(
+        "Who are the students?",
+        ["Students"],
+        engine.store_mut(),
+        labeled,
+        [target],
+    );
+    let r = engine.run(&task).expect("ids from this store");
+    assert_eq!(r.synthesis.counts.gold, gold_tokens);
+    assert_eq!(r.answers, vec![vec!["Zoe Park".to_string()]]);
+}
