@@ -37,14 +37,12 @@ COMMANDS:
                   --task ID [--train N] [--pages N] [--seed S] [--paper]
                   [--strategy transductive|random|shortest]
                   [--modality both|nl|kw] [--baselines] [--show N] [--json]
-                  [--synth-jobs N]
     eval      Evaluate many corpus tasks through the batch engine
                   [--tasks A,B,C] [--domain D] [--pages N] [--train N]
-                  [--seed S] [--jobs N] [--synth-jobs N] [--paper]
-                  --jobs N runs independent tasks on N worker threads;
-                  --synth-jobs N parallelizes branch synthesis *inside*
-                  each task (default 1 = sequential; results are
-                  identical either way)
+                  [--seed S] [--jobs N] [--paper]
+                  --jobs N runs independent tasks on N worker threads
+                  (default 1 = sequential; results are identical either
+                  way)
     export    Write generated pages (HTML + gold labels) to a directory
                   --domain D --out DIR [--count N] [--seed S]
     run       Run a DSL program on a page
@@ -71,7 +69,7 @@ COMMANDS:
               and/or HTTP/1.1; see webqa_server's crate docs for both
               wire protocols)
                   (--tcp HOST:PORT | --unix PATH | --http HOST:PORT |
-                  any mix) [--paper] [--shards N] [--synth-jobs N]
+                  any mix) [--paper] [--shards N]
                   [--feature-cache N] [--result-cache N]
                   [--max-frame BYTES] [--max-requests N] [--workers N]
                   [--backlog N] [--deadline-ms MS] [--cache-dir DIR]
@@ -222,7 +220,6 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
         "baselines",
         "show",
         "json",
-        "synth-jobs",
     ])?;
     let task_id = a.require("task")?;
     let task: &Task = task_by_id(task_id)
@@ -241,7 +238,6 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
     if a.switch("paper") {
         config.synth = SynthConfig::paper();
     }
-    config.synth.jobs = a.get_parsed("synth-jobs", 1, "a positive integer")?;
     if let Some(s) = a.get("strategy") {
         config.strategy = parse_strategy(s)?;
     }
@@ -375,16 +371,7 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
 /// store; `--jobs N` (default 1) fans independent tasks out over `N`
 /// worker threads with deterministic, input-ordered results.
 pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
-    a.expect_only(&[
-        "tasks",
-        "domain",
-        "pages",
-        "train",
-        "seed",
-        "jobs",
-        "synth-jobs",
-        "paper",
-    ])?;
+    a.expect_only(&["tasks", "domain", "pages", "train", "seed", "jobs", "paper"])?;
     let n_pages: usize = a.get_parsed("pages", 8, "a positive integer")?;
     let n_train: usize = a.get_parsed("train", 3, "a positive integer")?;
     let seed: u64 = a.get_parsed("seed", 0, "an integer")?;
@@ -416,7 +403,6 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
     if a.switch("paper") {
         config.synth = SynthConfig::paper();
     }
-    config.synth.jobs = a.get_parsed("synth-jobs", 1, "a positive integer")?;
 
     // One shared store: every page of every involved domain is parsed
     // and interned exactly once, however many tasks read it.
@@ -714,7 +700,6 @@ pub(crate) fn serve(a: &ParsedArgs) -> Result<String, CliError> {
         "unix",
         "http",
         "paper",
-        "synth-jobs",
         "feature-cache",
         "result-cache",
         "max-frame",
@@ -739,7 +724,6 @@ pub(crate) fn serve(a: &ParsedArgs) -> Result<String, CliError> {
     if a.switch("paper") {
         config.synth = SynthConfig::paper();
     }
-    config.synth.jobs = a.get_parsed("synth-jobs", 1, "a positive integer")?;
     config.cache.feature_capacity = a.get_parsed(
         "feature-cache",
         config.cache.feature_capacity,
@@ -1043,7 +1027,7 @@ pub(crate) fn check(a: &ParsedArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::render_shard_stats;
-    use crate::{dispatch, CliError};
+    use crate::{dispatch, ArgError, CliError};
 
     #[test]
     fn tasks_lists_all_25() {
@@ -1148,25 +1132,20 @@ mod tests {
     }
 
     #[test]
-    fn eval_synth_jobs_do_not_change_output() {
-        let args = |synth_jobs: &'static str| {
-            vec![
-                "eval",
-                "--tasks",
-                "fac_t1",
-                "--pages",
-                "5",
-                "--train",
-                "2",
-                "--seed",
-                "3",
-                "--synth-jobs",
-                synth_jobs,
-            ]
-        };
-        // Branch-parallel synthesis inside the task is deterministic:
-        // byte-identical report for any worker count.
-        assert_eq!(dispatch(&args("1")).unwrap(), dispatch(&args("3")).unwrap());
+    fn synth_jobs_is_an_unknown_option() {
+        for line in [
+            "synth --task fac_t1 --pages 4 --train 1 --synth-jobs 2",
+            "eval --tasks fac_t1 --pages 4 --train 1 --synth-jobs 2",
+            // No endpoint: the option check comes first, and nothing binds.
+            "serve --synth-jobs 2",
+        ] {
+            let argv: Vec<&str> = line.split_whitespace().collect();
+            let err = dispatch(&argv).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::UnknownOption(k)) if k == "synth-jobs"),
+                "{line}: {err:?}"
+            );
+        }
     }
 
     #[test]

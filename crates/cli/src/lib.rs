@@ -129,6 +129,14 @@ mod tests {
     }
 
     #[test]
+    fn help_has_no_synth_jobs_option() {
+        // Branch-level parallel synthesis is gone; its flag must not be
+        // advertised anywhere in the usage text.
+        let out = dispatch(&["help"]).unwrap();
+        assert!(!out.contains("synth-jobs"), "{out}");
+    }
+
+    #[test]
     fn unknown_command_is_rejected() {
         let err = dispatch(&["frobnicate"]).unwrap_err();
         assert!(matches!(err, CliError::UnknownCommand(_)));

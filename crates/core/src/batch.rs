@@ -21,23 +21,9 @@ impl Engine {
     /// Runs every task, using up to `jobs` worker threads (`0` and `1`
     /// both mean sequential). Results are aligned with `tasks` and
     /// deterministic: the same inputs produce the same outputs regardless
-    /// of `jobs`.
-    ///
-    /// This is *across*-task parallelism; it composes with the
-    /// branch-level parallelism *inside* one task
-    /// (`SynthConfig::jobs` in [`Config::synth`](crate::Config)) —
-    /// e.g. few big tasks with many synth jobs each, or many tasks with
-    /// sequential synthesis. Both levels are deterministic, so any
-    /// combination produces identical results.
-    ///
-    /// The two levels multiply: `jobs` batch workers each spawning
-    /// `synth.jobs` branch workers would oversubscribe the machine
-    /// (`jobs × synth.jobs` live threads for `available_parallelism`
-    /// cores). The batch runner therefore caps the *effective* per-task
-    /// branch worker count so the product stays within the hardware
-    /// budget. The cap is invisible in the output — programs, counts,
-    /// F₁, and answers are identical for every worker-count combination
-    /// (`tests/staged_api.rs` pins batch × branch determinism).
+    /// of `jobs`. Each task is synthesized sequentially on its worker,
+    /// and every task goes through the same result cache as
+    /// [`Engine::run`].
     ///
     /// The whole batch runs under one cooperative [`CancelToken`] (pass
     /// [`CancelToken::never`] for none) — the serving layer's
@@ -87,27 +73,6 @@ impl Engine {
                 .collect();
         }
 
-        // Cap combined batch × branch parallelism: `jobs` workers share
-        // the machine, so each task gets at most its fair share of cores
-        // for branch-level synthesis (never more than configured, never
-        // less than 1). Purely a scheduling change — results are
-        // identical for any effective worker count.
-        let synth_jobs = self.config().synth.jobs.max(1);
-        let budget = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let effective = synth_jobs.min((budget / jobs).max(1));
-        // Compare against the *normalized* count: jobs 0 and 1 are the
-        // same sequential config, and a needless worker-engine clone
-        // would carry a different config digest — splitting the shared
-        // result cache between `run` and `run_batch` entries.
-        let worker_engine = if effective == synth_jobs {
-            None
-        } else {
-            Some(self.with_synth_jobs(effective))
-        };
-        let engine: &Engine = worker_engine.as_ref().unwrap_or(self);
-
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<Result<RunResult, Error>>>> =
             Mutex::new((0..tasks.len()).map(|_| None).collect());
@@ -122,7 +87,7 @@ impl Engine {
                     if cancel.is_cancelled() {
                         break;
                     }
-                    let result = engine.run_with_cancel(task, cancel);
+                    let result = self.run_with_cancel(task, cancel);
                     slots.lock().expect("no poisoned workers")[i] = Some(result);
                 });
             }

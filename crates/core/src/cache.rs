@@ -579,25 +579,18 @@ impl EngineCaches {
 }
 
 /// Digest of the feature-table pool: the query context plus the synth
-/// config *with the worker count normalized out* — `jobs` parallelizes
-/// the search but never changes a table, so a batch run with a capped
-/// worker count still hits tables built by a single-threaded run.
+/// config.
 pub(crate) fn pool_digest(cfg: &SynthConfig, ctx: &QueryContext) -> u64 {
     let mut h = DefaultHasher::new();
     ctx.question().hash(&mut h);
     ctx.keywords().hash(&mut h);
-    let mut normalized = cfg.clone();
-    normalized.jobs = 1;
     // SynthConfig has no Hash (f64 fields); its derived Debug output is
     // injective enough for an in-process cache key (floats round-trip).
-    format!("{normalized:?}").hash(&mut h);
+    format!("{cfg:?}").hash(&mut h);
     h.finish()
 }
 
-/// Digest of the full engine config for result-cache keying. `jobs` is
-/// *kept*: branch-parallel runs can legitimately differ from sequential
-/// ones in their speculative `SynthStats` counters, and a cached result
-/// must be byte-identical to what the live config would compute.
+/// Digest of the full engine config for result-cache keying.
 pub(crate) fn config_digest(config: &Config) -> u64 {
     let mut h = DefaultHasher::new();
     format!("{config:?}").hash(&mut h);
@@ -731,25 +724,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_digest_ignores_jobs_but_not_search_knobs() {
+    fn pool_digest_tracks_search_knobs_and_query() {
         let ctx = QueryContext::new("Who?", ["Students"]);
         let base = SynthConfig::fast();
-        assert_eq!(
-            pool_digest(&base, &ctx),
-            pool_digest(&base.clone().with_jobs(4), &ctx)
-        );
         let mut deeper = base.clone();
         deeper.guard_depth += 1;
         assert_ne!(pool_digest(&base, &ctx), pool_digest(&deeper, &ctx));
         let other_ctx = QueryContext::new("Who?", ["Faculty"]);
         assert_ne!(pool_digest(&base, &ctx), pool_digest(&base, &other_ctx));
-    }
-
-    #[test]
-    fn config_digest_keeps_jobs() {
-        let base = Config::default();
-        let mut jobs4 = base.clone();
-        jobs4.synth.jobs = 4;
-        assert_ne!(config_digest(&base), config_digest(&jobs4));
     }
 }

@@ -349,9 +349,9 @@ impl Engine {
     /// e.g. a request whose deadline expired while queued — returns
     /// [`Error::Cancelled`] without touching the engine) and once per
     /// guard step inside synthesis, so a trip aborts within one
-    /// enumerator step per in-flight branch worker. Cancellation never
-    /// poisons the caches: a cancelled run inserts nothing, and a run
-    /// that completes is byte-identical to one without a token.
+    /// enumerator step. Cancellation never poisons the caches: a
+    /// cancelled run inserts nothing, and a run that completes is
+    /// byte-identical to one without a token.
     ///
     /// # Errors
     ///
@@ -373,23 +373,6 @@ impl Engine {
             .results
             .insert(self.config_digest, task, result.clone());
         Ok(result)
-    }
-
-    /// A clone of this engine sharing the page store (cheap: `Arc`
-    /// refcounts) and the caches, with the branch-level synthesis worker
-    /// count replaced — the batch runner uses it to cap combined
-    /// batch × branch parallelism (see [`Engine::run_batch`]).
-    pub(crate) fn with_synth_jobs(&self, jobs: usize) -> Engine {
-        let mut config = self.config.clone();
-        config.synth.jobs = jobs;
-        let config_digest = cache::config_digest(&config);
-        Engine {
-            config,
-            store: self.store.clone(),
-            caches: Arc::clone(&self.caches),
-            config_digest,
-            persist: self.persist.clone(),
-        }
     }
 }
 

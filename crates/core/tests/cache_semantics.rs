@@ -20,7 +20,9 @@
 
 use proptest::prelude::*;
 
-use webqa::{CacheConfig, Config, Engine, PageStore, PersistSink, SynthConfig, Task};
+use webqa::{
+    CacheConfig, CancelToken, Config, Engine, PageStore, PersistSink, RunResult, SynthConfig, Task,
+};
 
 /// The task pool: overlapping page/question combinations so feature keys
 /// are shared across tasks (hits), and enough *distinct* (page, query)
@@ -100,34 +102,33 @@ fn engine_with(cache: CacheConfig, store: PageStore) -> Engine {
     )
 }
 
+/// Asserts `got` equals `want` field by field (`what` names the case).
+fn assert_results_equal(got: &RunResult, want: &RunResult, what: &str) {
+    assert_eq!(got.program, want.program, "program, {what}");
+    assert_eq!(got.answers, want.answers, "answers, {what}");
+    assert_eq!(got.synthesis.f1, want.synthesis.f1, "F1, {what}");
+    assert_eq!(
+        got.synthesis.counts, want.synthesis.counts,
+        "counts, {what}"
+    );
+    assert_eq!(
+        got.synthesis.total_optimal, want.synthesis.total_optimal,
+        "total_optimal, {what}"
+    );
+    assert_eq!(got.synthesis.stats, want.synthesis.stats, "stats, {what}");
+    assert_eq!(
+        got.synthesis.programs, want.synthesis.programs,
+        "program set, {what}"
+    );
+}
+
 /// Runs `seq` through `cached` and the never-cached `reference`,
 /// asserting field-by-field equality at every step.
 fn assert_sequence_equal(cached: &Engine, reference: &Engine, tasks: &[Task], seq: &[usize]) {
     for (step, &i) in seq.iter().enumerate() {
         let got = cached.run(&tasks[i]).expect("store-issued ids resolve");
         let want = reference.run(&tasks[i]).expect("store-issued ids resolve");
-        assert_eq!(got.program, want.program, "program, step {step} task {i}");
-        assert_eq!(got.answers, want.answers, "answers, step {step} task {i}");
-        assert_eq!(
-            got.synthesis.f1, want.synthesis.f1,
-            "F1, step {step} task {i}"
-        );
-        assert_eq!(
-            got.synthesis.counts, want.synthesis.counts,
-            "counts, step {step} task {i}"
-        );
-        assert_eq!(
-            got.synthesis.total_optimal, want.synthesis.total_optimal,
-            "total_optimal, step {step} task {i}"
-        );
-        assert_eq!(
-            got.synthesis.stats, want.synthesis.stats,
-            "stats, step {step} task {i}"
-        );
-        assert_eq!(
-            got.synthesis.programs, want.synthesis.programs,
-            "program set, step {step} task {i}"
-        );
+        assert_results_equal(&got, &want, &format!("step {step} task {i}"));
     }
 }
 
@@ -332,6 +333,54 @@ fn reordered_requests_hit_the_result_cache() {
         stats.result_misses, 2,
         "example order is significant; the flip must miss: {stats:?}"
     );
+}
+
+/// `run` and `run_batch` key the result cache the same way: whichever
+/// entry point fills an entry, the other one is served from it and
+/// returns an equal result.
+#[test]
+fn run_and_run_batch_share_result_cache_entries() {
+    let mut store = PageStore::new();
+    let tasks = task_pool(&mut store);
+    let never = CancelToken::never();
+    let run_all = |engine: &Engine| -> Vec<RunResult> {
+        tasks
+            .iter()
+            .map(|t| engine.run(t).expect("store-issued ids resolve"))
+            .collect()
+    };
+    let run_batch = |engine: &Engine| {
+        engine
+            .run_batch(&tasks, 2, &never)
+            .expect("store-issued ids resolve")
+    };
+    for batch_first in [true, false] {
+        let order = if batch_first {
+            "batch then run"
+        } else {
+            "run then batch"
+        };
+        let engine = engine_with(CacheConfig::default(), store.clone());
+        let first = if batch_first {
+            run_batch(&engine)
+        } else {
+            run_all(&engine)
+        };
+        let hits = engine.cache_stats().result_hits;
+        let second = if batch_first {
+            run_all(&engine)
+        } else {
+            run_batch(&engine)
+        };
+        assert_eq!(
+            engine.cache_stats().result_hits,
+            hits + tasks.len() as u64,
+            "{order}: every task must hit the entry the first pass filled"
+        );
+        for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+            assert_results_equal(b, a, &format!("{order}, task {i}"));
+        }
+    }
 }
 
 /// A fresh, collision-free snapshot directory under the system temp

@@ -16,12 +16,11 @@
 //! on the same trick — neural-module calls dominate its synthesis time,
 //! Table 3).
 //!
-//! The caches are behind [`Mutex`]es (not `RefCell`s) so one context can
-//! be shared by the synthesizer's branch-level worker threads
-//! (`SynthConfig::jobs`); uncontended locking costs nanoseconds and the
-//! hot search paths read precomputed per-task feature tables instead of
-//! hitting these caches per candidate. A model runs outside the lock, so a
-//! miss never blocks other threads' hits.
+//! The caches are behind [`Mutex`]es (not `RefCell`s), so a context is
+//! `Sync` and can be shared across threads; uncontended locking costs
+//! nanoseconds and the hot search paths read precomputed per-task feature
+//! tables instead of hitting these caches per candidate. A model runs
+//! outside the lock, so a miss never blocks other threads' hits.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -207,9 +207,6 @@ pub const LAST_NAMES: &[&str] = &[
     "Fischer",
 ];
 
-/// Academic title prefixes.
-pub const TITLES: &[&str] = &["Dr.", "Prof.", "Professor", "Mr.", "Ms.", "Mrs."];
-
 /// Place names used for universities, clinic locations, and addresses.
 pub const PLACES: &[&str] = &[
     "Austin",

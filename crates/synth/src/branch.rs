@@ -67,7 +67,7 @@ impl BranchSynthesis {
 /// Figure 8: synthesizes all optimal branch programs, decomposing guard
 /// from extractor synthesis (or jointly, for the `NoDecomp` ablation).
 /// `pos` / `neg` are indices into the task's example list; `table` is the
-/// solving thread's string table.
+/// task's string table.
 ///
 /// Returns `None` when no guard in the bounded space separates E⁺ from E⁻.
 pub(crate) fn synthesize_branch(

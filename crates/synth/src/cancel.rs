@@ -6,8 +6,8 @@
 //! on entry and the branch synthesizer checks it once per guard step —
 //! the unit at which `SynthesizeBranch` (Figure 8) pops the next
 //! `(guard, locator)` pair — so a cancelled search returns within one
-//! guard step per in-flight worker, never mid-extractor-enumeration
-//! with partial state observable.
+//! guard step, never mid-extractor-enumeration with partial state
+//! observable.
 //!
 //! Three triggers fold into one token:
 //!

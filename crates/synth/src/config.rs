@@ -56,15 +56,6 @@ pub struct SynthConfig {
     /// proves it on the full corpus — only the work per decision differs.
     /// See [`SynthConfig::reference`].
     pub reference_kernels: bool,
-    /// Worker threads for branch-level parallel synthesis *inside* one
-    /// task: the distinct partition-block problems of Figure 7 fan out
-    /// over a scoped pool and merge in deterministic order. `0`/`1` both
-    /// mean sequential. Programs, counts, and F₁ are identical for any
-    /// value; the [`SynthStats`](crate::SynthStats) counters can grow
-    /// with `jobs > 1` because blocks the lazy sequential scan would have
-    /// skipped (those following a failing block in every containing
-    /// partition) are solved speculatively, and their search work counts.
-    pub jobs: usize,
 }
 
 impl SynthConfig {
@@ -85,7 +76,6 @@ impl SynthConfig {
             lazy_guards: true,
             filter_conjunctions: true,
             reference_kernels: false,
-            jobs: 1,
         }
     }
 
@@ -108,7 +98,6 @@ impl SynthConfig {
             lazy_guards: true,
             filter_conjunctions: false,
             reference_kernels: false,
-            jobs: 1,
         }
     }
 
@@ -127,13 +116,6 @@ impl SynthConfig {
     /// kernels (see [`SynthConfig::reference`]).
     pub fn with_reference_kernels(mut self) -> Self {
         self.reference_kernels = true;
-        self
-    }
-
-    /// Sets the branch-level worker-thread count (see
-    /// [`SynthConfig::jobs`]).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
         self
     }
 
@@ -209,12 +191,5 @@ mod tests {
         assert!(r.reference_kernels);
         r.reference_kernels = false;
         assert_eq!(r, SynthConfig::fast());
-    }
-
-    #[test]
-    fn jobs_builder() {
-        let c = SynthConfig::fast().with_jobs(4);
-        assert_eq!(c.jobs, 4);
-        assert_eq!(SynthConfig::fast().jobs, 1);
     }
 }

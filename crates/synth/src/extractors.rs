@@ -11,13 +11,13 @@
 //! Hot-path structure (all semantics-free; `SynthConfig::reference()`
 //! swaps the kernels back to definitional string scoring):
 //!
-//! * outputs flow as dense string ids from the thread's
+//! * outputs flow as dense string ids from the task's
 //!   [`StringTable`](crate::scorer::StringTable): equal content is an
 //!   equal id, so `Filter`, set-semantics dedup, and behavioural
 //!   equivalence compare integers, never bytes;
 //! * candidates are scored on interned token ids ([`crate::scorer::Scorer`])
 //!   indexed by string id — each distinct string is tokenized, and each
-//!   production step applied to it, once per thread for the whole task;
+//!   production step applied to it, once for the whole task;
 //! * child candidates are generated as *production steps* applied to the
 //!   parent's outputs; the `UB = 2R/(1+R)` bound (Eq. 3) is checked
 //!   **before** the child AST exists, so dominated candidates never

@@ -28,9 +28,7 @@
 //! observationally identical on the full corpus):
 //!
 //! * **String table** (`scorer` module): every string the extractor
-//!   search sees gets a dense `u32` id, once per task in the thread that
-//!   solves its branch problems (the sequential solve keeps one table,
-//!   each branch-parallel worker its own; no lock). Equal content is an
+//!   search sees gets a dense `u32` id, once per task. Equal content is an
 //!   equal id, so candidate outputs are id lists, set-semantics dedup
 //!   and behavioural equivalence compare integers, and the search keys
 //!   behaviours on the exact id sequence. The table also holds each
@@ -58,9 +56,6 @@
 //!   production steps applied to the parent's output ids; the UB prune
 //!   fires *before* the child AST is built, so dominated candidates
 //!   never materialize.
-//!
-//! Partition blocks can additionally be solved in parallel inside one
-//! task ([`SynthConfig::jobs`]) with a deterministic merge.
 //!
 //! The search can be abandoned cooperatively: [`synthesize_cancellable`]
 //! threads a [`CancelToken`] (explicit cancel, wall-clock deadline, or

@@ -123,7 +123,6 @@ pub fn tiny_config() -> SynthConfig {
         lazy_guards: true,
         filter_conjunctions: false,
         reference_kernels: false,
-        jobs: 1,
     }
 }
 

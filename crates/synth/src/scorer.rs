@@ -15,15 +15,13 @@
 //!   predicate / production pools, plus (optimized mode only) per-node
 //!   [`TextFeatures`] and the `[example][filter][node]` mask table every
 //!   guard enumeration reads instead of re-evaluating `NodeFilter`s.
-//! * [`StringTable`] — one per thread that solves branch problems (the
-//!   sequential solve keeps one for the whole task, each branch-parallel
-//!   worker its own): every string the extractor search sees gets a
-//!   dense `u32` id, equal content meaning an equal id. For the
-//!   optimized kernels the table also keeps each string's token ids, the
-//!   output ids of every (production step, string) pair in one flat
-//!   arena, and the `Content` seed id of every (example, node) — each
-//!   computed once per thread, however many branches reach it. No lock
-//!   is taken.
+//! * [`StringTable`] — one per task, shared by its branch problems:
+//!   every string the extractor search sees gets a dense `u32` id, equal
+//!   content meaning an equal id. For the optimized kernels the table
+//!   also keeps each string's token ids, the output ids of every
+//!   (production step, string) pair in one flat arena, and the `Content`
+//!   seed id of every (example, node) — each computed once per task,
+//!   however many branches reach it.
 //! * [`Scorer`] — one per branch problem: the positive examples' gold
 //!   bags interned into the table's token space, so scoring a candidate
 //!   is a multiset-overlap run over integer ids indexed by string id.
@@ -476,7 +474,7 @@ pub(crate) struct TaskCtx<'a> {
     /// `cfg.analysis` is set.
     pub analysis: AnalysisFacts,
     /// Cooperative cancellation handle, checkpointed once per guard step
-    /// by the branch synthesizer (shared by the branch-parallel workers).
+    /// by the branch synthesizer.
     pub cancel: CancelToken,
     /// Optimized mode: one feature/mask table per example, either
     /// borrowed from the caller (the engine's cross-request store) or
@@ -577,12 +575,12 @@ fn id_of(n: usize) -> u32 {
         .expect("string table exceeds the u32 id space")
 }
 
-/// The string table of one thread's extractor searches: every string the
+/// The string table of one task's extractor searches: every string the
 /// search sees, under a dense `u32` id. Equal content always means an
 /// equal id, so the search compares, deduplicates, and keys candidate
 /// behaviours on ids alone.
 ///
-/// The table also memoizes, once per thread, every string function the
+/// The table also memoizes, once per task, every string function the
 /// optimized search applies: the token ids of each string (in one
 /// [`TokenInterner`], which each [`Scorer`] also interns its gold bags
 /// into), the output ids of each (production step, string) pair in one
@@ -590,8 +588,7 @@ fn id_of(n: usize) -> u32 {
 /// reference kernels read only content ↔ id: every score and step output
 /// is recomputed definitionally from the text.
 ///
-/// The table is owned by the thread that solves branch problems and
-/// passed down by `&mut`, so the hot path takes no lock.
+/// The task's synthesis owns the table and passes it down by `&mut`.
 pub(crate) struct StringTable {
     /// Content → id.
     ids: HashMap<Rc<str>, u32>,
@@ -734,7 +731,7 @@ pub(crate) fn behaviour_key(outputs: &[Vec<u32>]) -> Box<[u32]> {
 }
 
 /// Per-branch scoring state: the positive examples with their gold bags
-/// interned into the thread's [`StringTable`], which the scorer borrows
+/// interned into the task's [`StringTable`], which the scorer borrows
 /// for the branch.
 pub(crate) struct Scorer<'s> {
     task: &'s TaskCtx<'s>,
@@ -862,7 +859,7 @@ impl<'s> Scorer<'s> {
 
     /// Applies production step `si` of the task's pool to the parent's
     /// outputs. In optimized mode each (step, string) result comes from
-    /// the table, computed once per thread; reference mode applies the
+    /// the table, computed once per task; reference mode applies the
     /// step definitionally to every string.
     pub fn apply_step(&mut self, si: usize, parent_outputs: &[Vec<u32>]) -> Vec<Vec<u32>> {
         let task = self.task;

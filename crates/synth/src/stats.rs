@@ -14,9 +14,8 @@ pub struct SynthStats {
     pub extractors_enumerated: usize,
     /// Extractor extensions discarded by the UB check (Figure 9 line 9).
     pub extractors_pruned: usize,
-    /// Calls to `SynthesizeBranch` (one per distinct partition block;
-    /// with `SynthConfig::jobs > 1` this can include speculatively solved
-    /// blocks the lazy sequential scan would have skipped).
+    /// Calls to `SynthesizeBranch` (one per distinct partition block the
+    /// scan reaches).
     pub branch_calls: usize,
     /// Partition-block synthesis results served from the top-level
     /// `(E⁺, E⁻)` memo (Figure 7).
@@ -92,5 +91,69 @@ mod tests {
         assert_eq!(a.guards_yielded, 3);
         assert_eq!(a.memo_hits, 4);
         assert_eq!(a.locator_memo_hits, 7);
+    }
+
+    #[test]
+    fn add_assign_sums_every_field() {
+        // Synthesis adds each branch problem's counters straight into the
+        // task's stats, which is only sound while `+=` is a plain sum of
+        // every field. The exhaustive destructuring below stops compiling
+        // when a field is added, so a new counter cannot be left out.
+        let mut a = SynthStats {
+            guards_yielded: 1,
+            locators_expanded: 2,
+            locators_pruned: 3,
+            extractors_enumerated: 4,
+            extractors_pruned: 5,
+            branch_calls: 6,
+            memo_hits: 7,
+            locator_memo_hits: 8,
+            analysis_pruned_guards: 9,
+            analysis_pruned_locators: 10,
+            analysis_pruned_extractors: 11,
+        };
+        let b = SynthStats {
+            guards_yielded: 100,
+            locators_expanded: 200,
+            locators_pruned: 300,
+            extractors_enumerated: 400,
+            extractors_pruned: 500,
+            branch_calls: 600,
+            memo_hits: 700,
+            locator_memo_hits: 800,
+            analysis_pruned_guards: 900,
+            analysis_pruned_locators: 1000,
+            analysis_pruned_extractors: 1100,
+        };
+        a += b;
+        let SynthStats {
+            guards_yielded,
+            locators_expanded,
+            locators_pruned,
+            extractors_enumerated,
+            extractors_pruned,
+            branch_calls,
+            memo_hits,
+            locator_memo_hits,
+            analysis_pruned_guards,
+            analysis_pruned_locators,
+            analysis_pruned_extractors,
+        } = a;
+        assert_eq!(
+            [
+                guards_yielded,
+                locators_expanded,
+                locators_pruned,
+                extractors_enumerated,
+                extractors_pruned,
+                branch_calls,
+                memo_hits,
+                locator_memo_hits,
+                analysis_pruned_guards,
+                analysis_pruned_locators,
+                analysis_pruned_extractors,
+            ],
+            [101, 202, 303, 404, 505, 606, 707, 808, 909, 1010, 1111]
+        );
     }
 }

@@ -2,18 +2,14 @@
 //! example partitions, synthesize optimal branch programs per block, and
 //! return *all* programs achieving the optimal F₁.
 //!
-//! Partition blocks are independent (E⁺, E⁻) problems memoized by example
-//! bitmask. With `SynthConfig::jobs > 1` the distinct block problems are
-//! solved up-front on a scoped worker pool (the same pattern as
-//! `webqa::Engine::run_batch`, one level down) and the partition
-//! assembly then reads the finished results — the merge is performed in
-//! first-encounter key order, so programs, counts, and F₁ are
-//! byte-identical to the sequential run regardless of worker count.
+//! Partition blocks are independent (E⁺, E⁻) problems, memoized across
+//! the partition scan and solved lazily: a block after a failing one is
+//! never searched.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use webqa_dsl::{Branch, Extractor, Guard, Program, QueryContext};
 use webqa_metrics::Counts;
@@ -68,9 +64,8 @@ pub fn synthesize(cfg: &SynthConfig, ctx: &QueryContext, examples: &[Example]) -
 /// does).
 ///
 /// The token is checkpointed once on entry and once per guard step of
-/// every branch problem (including the branch-parallel workers), so a
-/// trip — explicit cancel, deadline, or step budget — aborts the search
-/// within one guard step per in-flight worker. A cancelled search
+/// every branch problem, so a trip — explicit cancel, deadline, or step
+/// budget — aborts the search within one guard step. A cancelled search
 /// returns [`Err(Cancelled)`](Cancelled) and exposes **no** partial
 /// outcome; a search that completes is byte-identical to one run without
 /// a token (the token's counters are separate from [`SynthStats`]).
@@ -102,83 +97,16 @@ pub fn synthesize_cancellable(
     let partitions = ordered_partitions(n, cfg.max_blocks);
 
     // Branch problems are memoized by (positive set, negative set) —
-    // different partitions share blocks heavily. Key order is first
-    // encounter across the partition scan, which is what makes the
-    // parallel solve's stats merge deterministic.
-    let mut keys: Vec<BlockKey> = Vec::new();
-    let mut key_index: HashMap<BlockKey, usize> = HashMap::new();
-    for partition in &partitions {
-        for i in 0..partition.len() {
-            key_index
-                .entry(block_key(partition, i))
-                .or_insert_with_key(|key| {
-                    keys.push(key.clone());
-                    keys.len() - 1
-                });
-        }
-    }
-
-    // Each thread that solves branch problems owns one string table: the
-    // sequential scan below keeps one for the whole task, each parallel
-    // worker builds its own.
-    let solve = |table: &mut StringTable, (pos, neg): &BlockKey| {
-        let mut st = SynthStats::default();
-        let r = synthesize_branch(&task, table, pos, neg, &mut st);
-        (r, st)
-    };
-
-    // `None` = not solved yet; `Some(None)` = solved, no separating guard.
-    let mut solved: Vec<Option<Option<Arc<BranchSynthesis>>>> = vec![None; keys.len()];
-    let jobs = cfg.jobs.clamp(1, keys.len().max(1));
-    if jobs > 1 {
-        // Solve every distinct block problem up-front on a scoped pool.
-        // This can touch blocks the lazy sequential scan would have
-        // skipped (blocks after a failing one in every containing
-        // partition): their full search counters accumulate into the
-        // stats, but the optimum and the program set cannot change.
-        type Slot = Option<(Option<BranchSynthesis>, SynthStats)>;
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Slot>> = Mutex::new((0..keys.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let mut table = StringTable::new(&task);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(key) = keys.get(i) else { break };
-                        // A tripped token drains the queue without
-                        // solving: the whole search is abandoned below.
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let result = solve(&mut table, key);
-                        slots.lock().expect("no poisoned workers")[i] = Some(result);
-                    }
-                });
-            }
-        });
-        // Deterministic merge: stats accumulate in key order. Unclaimed
-        // slots only exist after a cancel, which discards everything.
-        for (i, slot) in slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .enumerate()
-        {
-            let Some((r, st)) = slot else { continue };
-            stats += st;
-            solved[i] = Some(r.map(Arc::new));
-        }
-    }
+    // different partitions share blocks heavily. One string table serves
+    // every branch problem of the task. A memo entry of `None` means the
+    // block was solved and has no separating guard.
     let mut table = StringTable::new(&task);
+    let mut solved: HashMap<BlockKey, Option<Arc<BranchSynthesis>>> = HashMap::new();
 
     let mut best_f1 = -1.0f64;
     let mut best_counts = Counts::default();
     // Each optimal partition contributes a list of per-block option sets.
     let mut best_partitions: Vec<Vec<Arc<BranchSynthesis>>> = Vec::new();
-    // Whether a key has been looked up during assembly before (memo-hit
-    // accounting identical to the lazy path).
-    let mut touched = vec![false; keys.len()];
 
     for partition in &partitions {
         if cancel.is_cancelled() {
@@ -187,23 +115,17 @@ pub fn synthesize_cancellable(
         let mut blocks: Vec<Arc<BranchSynthesis>> = Vec::new();
         let mut ok = true;
         for i in 0..partition.len() {
-            let ki = key_index[&block_key(partition, i)];
-            let entry: Option<Arc<BranchSynthesis>> = match &solved[ki] {
-                Some(cached) => {
-                    if touched[ki] {
-                        stats.memo_hits += 1;
-                    }
-                    cached.clone()
+            let entry = match solved.entry(block_key(partition, i)) {
+                Entry::Occupied(hit) => {
+                    stats.memo_hits += 1;
+                    hit.get().clone()
                 }
-                None => {
-                    let (r, st) = solve(&mut table, &keys[ki]);
-                    stats += st;
-                    let r = r.map(Arc::new);
-                    solved[ki] = Some(r.clone());
-                    r
+                Entry::Vacant(slot) => {
+                    let (pos, neg) = slot.key();
+                    let r = synthesize_branch(&task, &mut table, pos, neg, &mut stats);
+                    slot.insert(r.map(Arc::new)).clone()
                 }
             };
-            touched[ki] = true;
             match entry {
                 Some(b) => blocks.push(b),
                 None => {
@@ -651,17 +573,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_block_solving_is_deterministic() {
-        let c = ctx();
+    fn scan_solves_each_branch_problem_once() {
+        // Replay the partition scan against a model memo: a branch problem
+        // is solved the first time its (E⁺, E⁻) key is reached and served
+        // from the memo every later time, and a partition stops at its
+        // first block without a separating guard. `synthesize` must do
+        // exactly that search, with one string table for the whole task.
         let mut cfg = SynthConfig::fast();
-        cfg.max_blocks = 2;
+        cfg.max_blocks = 3;
+        let c = ctx();
         let examples = vec![
             example(
-                "<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>",
-                &["Jane Doe"],
+                "<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li><li>Bob Smith</li></ul>",
+                &["Jane Doe", "Bob Smith"],
             ),
             example(
-                "<h1>B</h1><h2>Group</h2><ul><li>Mary Anderson</li></ul>",
+                "<h1>B</h1><h2>Group</h2><ul><li>Mary Anderson</li></ul><h2>Students</h2><p>none currently</p>",
                 &["Mary Anderson"],
             ),
             example(
@@ -669,23 +596,39 @@ mod tests {
                 &["Wei Chen"],
             ),
         ];
-        let sequential = synthesize(&cfg, &c, &examples);
-        for jobs in [2, 4] {
-            let mut pcfg = cfg.clone();
-            pcfg.jobs = jobs;
-            let parallel = synthesize(&pcfg, &c, &examples);
-            assert_eq!(parallel.programs, sequential.programs, "jobs={jobs}");
-            assert_eq!(parallel.f1, sequential.f1, "jobs={jobs}");
-            assert_eq!(parallel.counts, sequential.counts, "jobs={jobs}");
-            assert_eq!(
-                parallel.total_optimal, sequential.total_optimal,
-                "jobs={jobs}"
-            );
+        let out = synthesize(&cfg, &c, &examples);
+
+        let task = TaskCtx::new(&cfg, &c, &examples);
+        let mut table = StringTable::new(&task);
+        let mut replay = SynthStats::default();
+        let mut solvable: HashMap<BlockKey, bool> = HashMap::new();
+        for partition in ordered_partitions(examples.len(), cfg.max_blocks) {
+            for i in 0..partition.len() {
+                let key = block_key(&partition, i);
+                let ok = match solvable.get(&key) {
+                    Some(&ok) => {
+                        replay.memo_hits += 1;
+                        ok
+                    }
+                    None => {
+                        let (pos, neg) = &key;
+                        let ok =
+                            synthesize_branch(&task, &mut table, pos, neg, &mut replay).is_some();
+                        solvable.insert(key, ok);
+                        ok
+                    }
+                };
+                if !ok {
+                    break;
+                }
+            }
         }
-        // Every worker builds its own string table, so the search work —
-        // every counter — cannot depend on how the blocks were shared out.
-        let stats_with = |jobs| synthesize(&cfg.clone().with_jobs(jobs), &c, &examples).stats;
-        assert_eq!(stats_with(2), stats_with(4));
+        assert!(
+            replay.memo_hits > 0,
+            "three examples share partition blocks"
+        );
+        assert_eq!(replay.branch_calls, solvable.len());
+        assert_eq!(out.stats, replay);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! binary on top. Arrows point from dependent to dependency:
 //!
 //! ```text
-//!        webqa_cli (bin)      webqa_bench (9 bench targets)
+//!        webqa_cli (bin)      webqa_bench (8 bench targets)
 //!              │  │                │
 //!              │  ▼                │
 //!              │ webqa_server      │
@@ -70,8 +70,7 @@
 //!   interactive-labeling loop and the ablations can drive any stage
 //!   alone, errors are a typed `webqa::Error`, and independent tasks
 //!   batch through `Engine::run_batch` on a scoped threadpool with
-//!   deterministic input-ordered results (the runner caps combined
-//!   batch × branch-parallel worker counts against the hardware budget).
+//!   deterministic input-ordered results.
 //!   The engine additionally owns the cross-request caches: a sharded,
 //!   content-keyed **two-tier** `FeatureStore` — a query-*independent*
 //!   base tier (NER spans, leaf/element masks, keyed by page alone, so
@@ -107,10 +106,10 @@
 //! This umbrella crate (`webqa-repro`) re-exports everything so the
 //! integration tests and examples can `use` one coherent surface.
 //!
-//! Third-party dependencies (`rand`, `proptest`, `criterion`, `serde`,
-//! `serde_json`) resolve to minimal offline stand-ins vendored under
-//! `compat/` — see `compat/README.md` for exactly what subset each
-//! implements and how to swap the real crates back in.
+//! Third-party dependencies (`rand`, `proptest`, `serde`, `serde_json`)
+//! resolve to minimal offline stand-ins vendored under `compat/` — see
+//! `compat/README.md` for exactly what subset each implements and how to
+//! swap the real crates back in.
 
 pub use webqa;
 pub use webqa_baselines;

@@ -2,10 +2,10 @@
 //!
 //! The optimized synthesizer (interned-id scoring kernels, task-level
 //! filter-mask tables, arena-indexed locator memoization, step-wise
-//! extractor enumeration with shared production caches, branch-parallel
-//! solving) must be *observationally identical* to the definitional slow
-//! path selected by [`SynthConfig::reference`]: same optimal F₁, same
-//! `Counts`, same program list, in the same order, on every task.
+//! extractor enumeration with shared production caches) must be
+//! *observationally identical* to the definitional slow path selected by
+//! [`SynthConfig::reference`]: same optimal F₁, same `Counts`, same
+//! program list, in the same order, on every task.
 //!
 //! This file is the contract that lets future hot-path changes land
 //! safely: break the semantics anywhere — a kernel that scores one token
@@ -67,19 +67,24 @@ fn optimized_synthesis_matches_reference_on_every_corpus_task() {
     }
 }
 
-/// Branch-parallel solving composes with both kernel modes and cannot
-/// change the observable outcome.
+/// Three examples in up to three blocks: different partitions share
+/// blocks (`[{0},{1},{2}]` and `[{1},{0},{2}]` both end in `({2}, ∅)`),
+/// so the top-level block memo serves repeats, and the memo must not
+/// change what the reference path finds. Two blocks are not enough: an
+/// ordered two-block partition is the only one containing either of its
+/// branch problems.
 #[test]
-fn parallel_jobs_match_reference_too() {
+fn shared_partition_blocks_match_reference() {
     let mut cfg = SynthConfig::fast();
-    cfg.max_blocks = 2;
-    let parallel = cfg.clone().with_jobs(4);
+    cfg.max_blocks = 3;
     let reference = cfg.clone().with_reference_kernels();
     for task in [&TASKS[0], &TASKS[7], &TASKS[13], &TASKS[19]] {
         let (ctx, examples) = task_examples(task, 3, 7);
-        let fast = synthesize(&parallel, &ctx, &examples);
+        let fast = synthesize(&cfg, &ctx, &examples);
         let slow = synthesize(&reference, &ctx, &examples);
         assert_outcomes_identical(task.id, &fast, &slow);
+        assert_eq!(fast.stats, slow.stats, "{}: stats diverged", task.id);
+        assert!(fast.stats.memo_hits > 0, "{}: no block was shared", task.id);
     }
 }
 
