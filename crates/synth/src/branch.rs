@@ -1,8 +1,9 @@
 //! `SynthesizeBranch` (Figure 8 of the paper) and its `NoDecomp` ablation.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use webqa_dsl::Guard;
+use webqa_dsl::{Guard, PageNodeId};
 use webqa_metrics::Counts;
 
 use crate::extractors::{synthesize_extractors, ExtractorSynthesis, F1_EPS};
@@ -12,9 +13,18 @@ use crate::stats::SynthStats;
 
 /// Optimal extractors for one guard, grouped by the token counts they
 /// achieve on the positive examples. Shared (`Arc`) across every guard
-/// whose locator produced the same extractor synthesis — the footnote 6
-/// memo hands out references, never clones of the groups.
+/// whose locator produced the same extractor synthesis — both memos hand
+/// out references, never clones of the groups.
 pub(crate) type GuardOptions = Arc<ExtractorSynthesis>;
+
+/// The task-level extractor memo: every `SynthesizeExtractors` result of
+/// one task, keyed by E⁺ (the positive example indices) and then by the
+/// node sets the guard's locator propagates to on each positive. That
+/// pair is the whole input of [`synthesize_extractors`] at bound `0.0`,
+/// so a hit is exactly the result a fresh search would return. E⁺ must
+/// be part of the key: node ids are per page, so the same node sets
+/// over different examples are different problems.
+pub(crate) type ExtractorMemo = HashMap<Vec<usize>, HashMap<Vec<Vec<PageNodeId>>, GuardOptions>>;
 
 /// All optimal branch programs for one (E⁺, E⁻) problem, represented as
 /// the paper's mapping from guards to extractor sets.
@@ -67,19 +77,21 @@ impl BranchSynthesis {
 /// Figure 8: synthesizes all optimal branch programs, decomposing guard
 /// from extractor synthesis (or jointly, for the `NoDecomp` ablation).
 /// `pos` / `neg` are indices into the task's example list; `table` is the
-/// task's string table.
+/// task's string table and `memo` its extractor memo (the joint ablation,
+/// which shares no extractor search, leaves `memo` alone).
 ///
 /// Returns `None` when no guard in the bounded space separates E⁺ from E⁻.
 pub(crate) fn synthesize_branch(
     task: &TaskCtx,
     table: &mut StringTable,
+    memo: &mut ExtractorMemo,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
 ) -> Option<BranchSynthesis> {
     stats.branch_calls += 1;
     if task.cfg.decompose {
-        synthesize_branch_decomposed(task, table, pos, neg, stats)
+        synthesize_branch_decomposed(task, table, memo, pos, neg, stats)
     } else {
         synthesize_branch_joint(task, table, pos, neg, stats)
     }
@@ -88,6 +100,7 @@ pub(crate) fn synthesize_branch(
 fn synthesize_branch_decomposed(
     task: &TaskCtx,
     table: &mut StringTable,
+    memo: &mut ExtractorMemo,
     pos: &[usize],
     neg: &[usize],
     stats: &mut SynthStats,
@@ -113,13 +126,18 @@ fn synthesize_branch_decomposed(
     let mut opt = 0.0f64;
     let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
     let mut counts = Counts::default();
-    // Footnote 6: branches whose guards share a section locator share the
-    // optimal-extractor computation. The memo is indexed by the
-    // enumerator's entry id (each entry *is* one locator), so no locator
-    // is ever cloned or hashed to key it. `Some(None)` records a locator
-    // whose UB was below `opt` (Figure 8 line 6) — sound to skip forever
-    // since `opt` only rises.
-    let mut memo: Vec<Option<Option<GuardOptions>>> = Vec::new();
+    // Footnote 6: guards whose locators agree share one extractor
+    // synthesis, through two memos. `by_entry` is indexed by the
+    // enumerator's entry id (each entry *is* one locator), so a repeated
+    // locator costs one index and is never cloned or hashed. `Some(None)`
+    // records a locator whose UB was below `opt` (Figure 8 line 6) —
+    // sound to skip forever since `opt` only rises. A new locator that
+    // passes the UB gate goes to `by_nodes`, the task memo's table for
+    // this E⁺: any locator, of this or another branch problem over the
+    // same E⁺, that selected the same nodes has already been solved.
+    // Only a miss in both runs the search.
+    let mut by_entry: Vec<Option<Option<GuardOptions>>> = Vec::new();
+    let by_nodes = memo.entry(pos.to_vec()).or_default();
 
     while let Some((guard, eid)) = match eager.as_mut() {
         Some(q) => q.pop_front(),
@@ -131,10 +149,10 @@ fn synthesize_branch_decomposed(
         if task.cancel.checkpoint() {
             return None;
         }
-        if memo.len() <= eid {
-            memo.resize_with(eid + 1, || None);
+        if by_entry.len() <= eid {
+            by_entry.resize_with(eid + 1, || None);
         }
-        let synth: Option<GuardOptions> = match &memo[eid] {
+        let synth: Option<GuardOptions> = match &by_entry[eid] {
             Some(s) => {
                 stats.locator_memo_hits += 1;
                 s.clone()
@@ -155,13 +173,13 @@ fn synthesize_branch_decomposed(
                     if task.cfg.prune && ub.upper_bound() + F1_EPS < opt {
                         None
                     } else {
-                        Some(Arc::new(synthesize_extractors(
+                        Some(memoized_extractors(
                             task,
                             &mut scorer,
+                            by_nodes,
                             &nodes,
-                            0.0,
                             stats,
-                        )))
+                        ))
                     }
                 } else {
                     // Optimized path: the enumerator already propagated
@@ -172,16 +190,16 @@ fn synthesize_branch_decomposed(
                     if task.cfg.prune && ub.upper_bound() + F1_EPS < opt {
                         None
                     } else {
-                        Some(Arc::new(synthesize_extractors(
+                        Some(memoized_extractors(
                             task,
                             &mut scorer,
+                            by_nodes,
                             enumerator.entry_nodes(eid),
-                            0.0,
                             stats,
-                        )))
+                        ))
                     }
                 };
-                memo[eid] = Some(s.clone());
+                by_entry[eid] = Some(s.clone());
                 s
             }
         };
@@ -209,6 +227,28 @@ fn synthesize_branch_decomposed(
             counts,
         })
     }
+}
+
+/// The extractor synthesis over `nodes` for the scorer's E⁺: served from
+/// `by_nodes` (the task memo's table for that E⁺) when some earlier
+/// locator selected the same nodes, solved and recorded otherwise.
+/// Every recorded entry is complete: [`synthesize_extractors`] has no
+/// cancellation checkpoint, so it never returns a partial result. A
+/// checkpoint added there must not let its early exit reach `by_nodes`.
+fn memoized_extractors(
+    task: &TaskCtx,
+    scorer: &mut Scorer,
+    by_nodes: &mut HashMap<Vec<Vec<PageNodeId>>, GuardOptions>,
+    nodes: &[Vec<PageNodeId>],
+    stats: &mut SynthStats,
+) -> GuardOptions {
+    if let Some(s) = by_nodes.get(nodes) {
+        stats.extractor_memo_hits += 1;
+        return s.clone();
+    }
+    let s = Arc::new(synthesize_extractors(task, scorer, nodes, 0.0, stats));
+    by_nodes.insert(nodes.to_vec(), s.clone());
+    s
 }
 
 /// The `WebQA-NoDecomp` ablation (Section 8.2): guards and extractors are
@@ -285,7 +325,8 @@ pub(crate) fn synthesize_branch_over(
     let pos_idx: Vec<usize> = (0..pos.len()).collect();
     let neg_idx: Vec<usize> = (pos.len()..all.len()).collect();
     let mut table = StringTable::new(&task);
-    synthesize_branch(&task, &mut table, &pos_idx, &neg_idx, stats)
+    let mut memo = ExtractorMemo::new();
+    synthesize_branch(&task, &mut table, &mut memo, &pos_idx, &neg_idx, stats)
 }
 
 #[cfg(test)]

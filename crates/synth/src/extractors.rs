@@ -21,7 +21,12 @@
 //! * child candidates are generated as *production steps* applied to the
 //!   parent's outputs; the `UB = 2R/(1+R)` bound (Eq. 3) is checked
 //!   **before** the child AST exists, so dominated candidates never
-//!   materialize an `Extractor` value at all.
+//!   materialize an `Extractor` value at all;
+//! * the search runs once per distinct input of a task. `SynthesizeBranch`
+//!   looks a locator up in two memos before calling it: the footnote 6
+//!   memo over the branch's enumerator entries, then the task's memo
+//!   keyed by (E⁺, propagated node sets), which serves every branch
+//!   problem over the same E⁺ (see [`crate::branch::ExtractorMemo`]).
 
 use std::collections::HashSet;
 
@@ -94,6 +99,17 @@ struct Cand {
 
 /// Figure 9: returns all extractors (up to the configured depth) whose F₁
 /// on the propagated examples is maximal and at least `opt`.
+///
+/// The result is a function of E⁺ (through the scorer's gold) and
+/// `nodes` only at `opt = 0.0`, which is what every caller passes and
+/// what the task-level extractor memo relies on. At a higher `opt` the
+/// optimal set can differ: the behavioural-duplicate branch below only
+/// accepts ties with the running best, so a duplicate scored before its
+/// queued representative, while it beats the running best, is dropped —
+/// yet at a bound equal to the final optimum the same duplicate ties and
+/// is kept. On the 25 corpus tasks, passing each branch's running optimum
+/// as the bound grows the optimal program sets (and the selection's
+/// input with them), so the two are not interchangeable.
 pub(crate) fn synthesize_extractors(
     task: &TaskCtx,
     scorer: &mut Scorer,

@@ -7,7 +7,7 @@
 //!   ordered example partitions and returns **all** programs with optimal
 //!   token-level F₁ on the labeled pages;
 //! * `SynthesizeBranch` (Figure 8) with guard/extractor decomposition and
-//!   per-locator memoization (footnote 6);
+//!   extractor sharing among guards whose locators agree (footnote 6);
 //! * `SynthesizeExtractors` (Figure 9): bottom-up enumeration with
 //!   `UB = 2R/(1+R)` pruning (Eq. 3), sound by recall monotonicity
 //!   (Theorem A.3);
@@ -22,10 +22,11 @@
 //!
 //! The enumerative search scores hundreds of thousands of candidate
 //! terms per task; the implementation keeps that affordable with five
-//! semantics-free layers (each disabled by
-//! [`SynthConfig::reference`], which swaps in the original definitional
-//! kernels — `tests/synth_parity.rs` proves the two paths
-//! observationally identical on the full corpus):
+//! semantics-free layers ([`SynthConfig::reference`] swaps in the
+//! original definitional kernels, and keeps only the memos so that both
+//! paths make the same decisions — `tests/synth_parity.rs` proves the two
+//! paths observationally identical, statistics included, on the full
+//! corpus):
 //!
 //! * **String table** (`scorer` module): every string the extractor
 //!   search sees gets a dense `u32` id, once per task. Equal content is an
@@ -46,12 +47,16 @@
 //!   pass per node text — and the `[example][filter][node]` mask table
 //!   is shared by every branch problem of the task, instead of being
 //!   recomputed per `SynthesizeBranch` call.
-//! * **Arena-indexed locator memo**: the guard enumerator keeps its
+//! * **Two-level extractor memo**: the guard enumerator keeps its
 //!   locator entries (with their propagated node sets and recall
-//!   ceilings) in an arena and yields `(guard, entry id)`; the footnote 6
-//!   extractor-synthesis memo is a dense vector over those ids holding
-//!   `Arc`-shared results — no locator cloning/hashing, no node
-//!   re-propagation, no group deep-copies.
+//!   ceilings) in an arena and yields `(guard, entry id)`. The footnote 6
+//!   memo is a dense vector over those ids, so a repeated locator costs
+//!   one index — no locator cloning/hashing, no node re-propagation. Its
+//!   misses go to a task-level memo keyed by (E⁺, propagated node sets),
+//!   shared by every branch problem of the task: different locators
+//!   often select the same nodes, and different partition blocks share
+//!   E⁺, so each distinct extractor problem is searched once per task.
+//!   Both hold `Arc`-shared results — no group deep-copies.
 //! * **Step-wise extractor enumeration**: children are generated as
 //!   production steps applied to the parent's output ids; the UB prune
 //!   fires *before* the child AST is built, so dominated candidates

@@ -23,6 +23,11 @@ pub struct SynthStats {
     /// Extractor-synthesis results shared across guards over the same
     /// section locator (the footnote 6 memo inside one branch problem).
     pub locator_memo_hits: usize,
+    /// Extractor-synthesis results served from the task-level memo keyed
+    /// by (E⁺, propagated node sets): a locator the footnote 6 memo had
+    /// not seen, but whose nodes an earlier locator of this or another
+    /// branch problem over the same E⁺ already selected.
+    pub extractor_memo_hits: usize,
     /// Guard candidates skipped because the abstract interpreter proved
     /// they can never classify (predicate provably `⊥` on the positives,
     /// or guard provably `⊤` while negatives exist).
@@ -55,6 +60,7 @@ impl std::ops::AddAssign for SynthStats {
         self.branch_calls += rhs.branch_calls;
         self.memo_hits += rhs.memo_hits;
         self.locator_memo_hits += rhs.locator_memo_hits;
+        self.extractor_memo_hits += rhs.extractor_memo_hits;
         self.analysis_pruned_guards += rhs.analysis_pruned_guards;
         self.analysis_pruned_locators += rhs.analysis_pruned_locators;
         self.analysis_pruned_extractors += rhs.analysis_pruned_extractors;
@@ -108,9 +114,10 @@ mod tests {
             branch_calls: 6,
             memo_hits: 7,
             locator_memo_hits: 8,
-            analysis_pruned_guards: 9,
-            analysis_pruned_locators: 10,
-            analysis_pruned_extractors: 11,
+            extractor_memo_hits: 9,
+            analysis_pruned_guards: 10,
+            analysis_pruned_locators: 11,
+            analysis_pruned_extractors: 12,
         };
         let b = SynthStats {
             guards_yielded: 100,
@@ -121,9 +128,10 @@ mod tests {
             branch_calls: 600,
             memo_hits: 700,
             locator_memo_hits: 800,
-            analysis_pruned_guards: 900,
-            analysis_pruned_locators: 1000,
-            analysis_pruned_extractors: 1100,
+            extractor_memo_hits: 900,
+            analysis_pruned_guards: 1000,
+            analysis_pruned_locators: 1100,
+            analysis_pruned_extractors: 1200,
         };
         a += b;
         let SynthStats {
@@ -135,6 +143,7 @@ mod tests {
             branch_calls,
             memo_hits,
             locator_memo_hits,
+            extractor_memo_hits,
             analysis_pruned_guards,
             analysis_pruned_locators,
             analysis_pruned_extractors,
@@ -149,11 +158,12 @@ mod tests {
                 branch_calls,
                 memo_hits,
                 locator_memo_hits,
+                extractor_memo_hits,
                 analysis_pruned_guards,
                 analysis_pruned_locators,
                 analysis_pruned_extractors,
             ],
-            [101, 202, 303, 404, 505, 606, 707, 808, 909, 1010, 1111]
+            [101, 202, 303, 404, 505, 606, 707, 808, 909, 1010, 1111, 1212]
         );
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! Partition blocks are independent (E⁺, E⁻) problems, memoized across
 //! the partition scan and solved lazily: a block after a failing one is
-//! never searched.
+//! never searched. Blocks that share E⁺ also share extractor searches,
+//! through the task's extractor memo (see [`ExtractorMemo`]).
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use webqa_dsl::{Branch, Extractor, Guard, Program, QueryContext};
 use webqa_metrics::Counts;
 
-use crate::branch::{synthesize_branch, BranchSynthesis};
+use crate::branch::{synthesize_branch, BranchSynthesis, ExtractorMemo};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SynthConfig;
 use crate::example::Example;
@@ -97,10 +98,13 @@ pub fn synthesize_cancellable(
     let partitions = ordered_partitions(n, cfg.max_blocks);
 
     // Branch problems are memoized by (positive set, negative set) —
-    // different partitions share blocks heavily. One string table serves
-    // every branch problem of the task. A memo entry of `None` means the
-    // block was solved and has no separating guard.
+    // different partitions share blocks heavily. One string table and one
+    // extractor memo serve every branch problem of the task; both are
+    // dropped with it, so a cancelled search leaves nothing behind. A
+    // block memo entry of `None` means the block was solved and has no
+    // separating guard.
     let mut table = StringTable::new(&task);
+    let mut extractors = ExtractorMemo::new();
     let mut solved: HashMap<BlockKey, Option<Arc<BranchSynthesis>>> = HashMap::new();
 
     let mut best_f1 = -1.0f64;
@@ -122,7 +126,8 @@ pub fn synthesize_cancellable(
                 }
                 Entry::Vacant(slot) => {
                     let (pos, neg) = slot.key();
-                    let r = synthesize_branch(&task, &mut table, pos, neg, &mut stats);
+                    let r =
+                        synthesize_branch(&task, &mut table, &mut extractors, pos, neg, &mut stats);
                     slot.insert(r.map(Arc::new)).clone()
                 }
             };
@@ -578,7 +583,8 @@ mod tests {
         // is solved the first time its (E⁺, E⁻) key is reached and served
         // from the memo every later time, and a partition stops at its
         // first block without a separating guard. `synthesize` must do
-        // exactly that search, with one string table for the whole task.
+        // exactly that search, with one string table and one extractor
+        // memo for the whole task.
         let mut cfg = SynthConfig::fast();
         cfg.max_blocks = 3;
         let c = ctx();
@@ -600,6 +606,7 @@ mod tests {
 
         let task = TaskCtx::new(&cfg, &c, &examples);
         let mut table = StringTable::new(&task);
+        let mut extractors = ExtractorMemo::new();
         let mut replay = SynthStats::default();
         let mut solvable: HashMap<BlockKey, bool> = HashMap::new();
         for partition in ordered_partitions(examples.len(), cfg.max_blocks) {
@@ -612,8 +619,15 @@ mod tests {
                     }
                     None => {
                         let (pos, neg) = &key;
-                        let ok =
-                            synthesize_branch(&task, &mut table, pos, neg, &mut replay).is_some();
+                        let ok = synthesize_branch(
+                            &task,
+                            &mut table,
+                            &mut extractors,
+                            pos,
+                            neg,
+                            &mut replay,
+                        )
+                        .is_some();
                         solvable.insert(key, ok);
                         ok
                     }
@@ -628,7 +642,80 @@ mod tests {
             "three examples share partition blocks"
         );
         assert_eq!(replay.branch_calls, solvable.len());
+        assert!(
+            replay.extractor_memo_hits > 0,
+            "blocks over one E⁺ share extractor searches"
+        );
         assert_eq!(out.stats, replay);
+    }
+
+    /// The extractor memo is invisible: for 3-label corpus tasks, every
+    /// branch problem the partition scan can reach, solved in scan order
+    /// with one memo shared across the task, has exactly the guards,
+    /// count groups and extractor order it has when solved alone with a
+    /// fresh memo.
+    #[test]
+    fn extractor_memo_is_invisible_to_every_branch_problem() {
+        use webqa_corpus::{generate_pages, TASKS};
+        for task in [&TASKS[0], &TASKS[7], &TASKS[13], &TASKS[19]] {
+            let pages = generate_pages(task.domain, 3, 7);
+            let c = QueryContext::new(task.question, task.keywords.to_vec());
+            let examples: Vec<Example> = pages
+                .iter()
+                .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
+                .collect();
+            for max_blocks in [2, 3] {
+                let mut cfg = SynthConfig::fast();
+                cfg.max_blocks = max_blocks;
+                let tc = TaskCtx::new(&cfg, &c, &examples);
+                let mut table = StringTable::new(&tc);
+                let mut shared = ExtractorMemo::new();
+                let mut stats = SynthStats::default();
+                let mut seen = HashSet::new();
+                for partition in ordered_partitions(examples.len(), max_blocks) {
+                    for i in 0..partition.len() {
+                        let key = block_key(&partition, i);
+                        if !seen.insert(key.clone()) {
+                            continue;
+                        }
+                        let (pos, neg) = &key;
+                        let with_shared =
+                            synthesize_branch(&tc, &mut table, &mut shared, pos, neg, &mut stats);
+                        let alone = synthesize_branch(
+                            &tc,
+                            &mut table,
+                            &mut ExtractorMemo::new(),
+                            pos,
+                            neg,
+                            &mut SynthStats::default(),
+                        );
+                        let what = format!("{} max_blocks={max_blocks} {key:?}", task.id);
+                        assert_same_branch(&what, with_shared.as_ref(), alone.as_ref());
+                    }
+                }
+                assert!(
+                    stats.extractor_memo_hits > 0,
+                    "{} max_blocks={max_blocks}: the memo was never hit",
+                    task.id
+                );
+            }
+        }
+    }
+
+    fn assert_same_branch(what: &str, a: Option<&BranchSynthesis>, b: Option<&BranchSynthesis>) {
+        let (a, b) = match (a, b) {
+            (Some(a), Some(b)) => (a, b),
+            (None, None) => return,
+            _ => panic!("{what}: one solve found a separating guard, the other did not"),
+        };
+        assert_eq!(a.f1, b.f1, "{what}: optimal F1");
+        assert_eq!(a.counts, b.counts, "{what}: counts");
+        let guards =
+            |s: &BranchSynthesis| s.options.iter().map(|(g, _)| g.clone()).collect::<Vec<_>>();
+        assert_eq!(guards(a), guards(b), "{what}: guards");
+        for ((g, x), (_, y)) in a.options.iter().zip(&b.options) {
+            assert_eq!(x.groups, y.groups, "{what}: extractor groups of {g}");
+        }
     }
 
     #[test]

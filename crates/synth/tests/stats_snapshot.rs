@@ -80,14 +80,15 @@ fn students_fixture_stats_snapshot() {
             guards_yielded: 1022,
             locators_expanded: 3724,
             locators_pruned: 192,
-            extractors_enumerated: 2974,
-            extractors_pruned: 897,
+            extractors_enumerated: 242,
+            extractors_pruned: 81,
             branch_calls: 4,
             memo_hits: 0,
             locator_memo_hits: 544,
+            extractor_memo_hits: 432,
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 4466,
-            analysis_pruned_extractors: 14568,
+            analysis_pruned_extractors: 744,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -105,14 +106,15 @@ fn service_fixture_stats_snapshot() {
             guards_yielded: 2649,
             locators_expanded: 4224,
             locators_pruned: 27,
-            extractors_enumerated: 13323,
-            extractors_pruned: 19788,
+            extractors_enumerated: 615,
+            extractors_pruned: 1137,
             branch_calls: 4,
             memo_hits: 0,
             locator_memo_hits: 1861,
+            extractor_memo_hits: 753,
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 2686,
-            analysis_pruned_extractors: 35817,
+            analysis_pruned_extractors: 2025,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -129,6 +131,7 @@ fn counters_move_with_their_mechanisms() {
     assert!(base.locators_pruned > 0, "pruning is live on this fixture");
     assert!(base.extractors_pruned > 0);
     assert!(base.locator_memo_hits > 0, "locator memo is live");
+    assert!(base.extractor_memo_hits > 0, "task extractor memo is live");
 
     let noprune = synthesize(&cfg().without_pruning(), &ctx, &examples).stats;
     assert_eq!(noprune.locators_pruned, 0);
@@ -141,6 +144,10 @@ fn counters_move_with_their_mechanisms() {
     let nodecomp = synthesize(&cfg().without_decomposition(), &ctx, &examples).stats;
     assert_eq!(
         nodecomp.locator_memo_hits, 0,
+        "joint synthesis shares nothing"
+    );
+    assert_eq!(
+        nodecomp.extractor_memo_hits, 0,
         "joint synthesis shares nothing"
     );
     assert!(nodecomp.extractors_enumerated >= base.extractors_enumerated);

@@ -24,9 +24,9 @@ use webqa::{CacheConfig, Config, Engine, SynthConfig, Task};
 use webqa_corpus::{task_by_id, Corpus};
 use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server, StatsSnapshot};
 
-/// Paper-scale synthesis: heavy enough that a corpus task occupies a
-/// worker for ~a second (the "slow request"), while tiny inline pages
-/// (the "probes") still answer fast.
+/// Paper-scale synthesis: heavy enough that a three-label corpus task
+/// occupies a worker for about a second (the "slow request"), while tiny
+/// inline pages (the "probes") still answer fast.
 fn engine_config() -> Config {
     Config {
         synth: SynthConfig::paper(),
@@ -114,13 +114,15 @@ impl Spec {
     }
 }
 
-/// A slow request: a corpus task at paper scale (~1 s of synthesis).
-/// Distinct seeds give distinct pages, so no two slow requests share a
-/// result-cache entry.
+/// A slow request: a corpus task with three labeled pages at paper scale
+/// (0.6–1.1 s cold over seeds 3, 4, 7, 8 and 9, in the test profile on a
+/// 2-core Xeon; two labels take about a third of that). Distinct seeds
+/// give distinct pages, so no two slow requests share a result-cache
+/// entry.
 fn slow_spec(seed: u64) -> Spec {
     let task = task_by_id("conf_t3").expect("catalogue task");
-    let corpus = Corpus::generate(4, seed);
-    let data = corpus.dataset(task, 2);
+    let corpus = Corpus::generate(5, seed);
+    let data = corpus.dataset(task, 3);
     Spec {
         question: task.question.to_string(),
         keywords: task.keywords.iter().map(|k| k.to_string()).collect(),
@@ -221,10 +223,9 @@ fn stats(addr: std::net::SocketAddr) -> StatsSnapshot {
 /// serves a fresh request normally and shuts down cleanly.
 #[test]
 fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
-    // The first two seeds feed the workers and must keep them busy for
-    // seconds (corpus seeds vary: these two measure ~3 s at paper
-    // scale); the last two only need to sit in the backlog, so fast
-    // seeds keep the drain phase short.
+    // The first two seeds feed the workers and must keep them busy
+    // through the probe burst (about a second each); the last two only
+    // need to sit in the backlog.
     let slow: Vec<Spec> = [4u64, 7, 3, 9].into_iter().map(slow_spec).collect();
     let slow_cold: Vec<String> = slow.iter().map(Spec::cold_body).collect();
     let drain_probe = probe_spec(0);
@@ -357,11 +358,23 @@ fn deadlines_cover_synthesis_and_queue_wait() {
     });
     let addr = listening.tcp_addr().expect("tcp endpoint");
 
-    // Mid-synthesis: a ~1 s run under a 150 ms budget aborts early.
+    // Mid-synthesis: a run several times longer than a 150 ms budget
+    // aborts early. Time the run cold first, so that a synthesis speed-up
+    // that lets it finish inside the budget fails here, by name, rather
+    // than as a missing deadline trip below.
+    let budget = Duration::from_millis(150);
+    let slow = slow_spec(4);
+    let t0 = Instant::now();
+    slow.cold_body();
+    let cold = t0.elapsed();
+    assert!(
+        cold >= 4 * budget,
+        "slow fixture must take ≥ 4× the {budget:?} budget, took {cold:?}: make it heavier"
+    );
     let mut c = Client::connect_tcp(addr).expect("connect");
     let t0 = Instant::now();
     let resp = c
-        .request_line(&slow_spec(7).request_with_deadline(1, 150))
+        .request_line(&slow.request_with_deadline(1, budget.as_millis() as u64))
         .expect("response");
     let elapsed = t0.elapsed();
     assert!(
