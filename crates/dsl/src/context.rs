@@ -18,8 +18,11 @@
 //!
 //! The caches are behind [`Mutex`]es (not `RefCell`s), so a context is
 //! `Sync` and can be shared across threads; uncontended locking costs
-//! nanoseconds and the hot search paths read precomputed per-task feature
-//! tables instead of hitting these caches per candidate. A model runs
+//! nanoseconds. These caches hold per-string results only. Structural work
+//! is shared one level up: the synthesizer's search reads precomputed
+//! per-task feature tables instead of hitting these caches per candidate,
+//! and program evaluation shares sub-locator node sets, filter verdicts
+//! and subtree texts through a per-page [`crate::PageMemo`]. A model runs
 //! outside the lock, so a miss never blocks other threads' hits.
 
 use std::collections::HashMap;

@@ -3,6 +3,17 @@
 //! A program has type `Question × Keywords × Webpage → Set<String>`: the
 //! question and keywords live in the [`QueryContext`], the webpage is a
 //! [`PageTree`], and evaluation walks the branch list until a guard fires.
+//!
+//! There is one evaluator, [`PageMemo`]: it evaluates on one page under
+//! one context and memoizes what evaluations share — sub-locator node
+//! sets, locator-step filter verdicts and subtree texts — for as long as
+//! it lives. `NodeFilter::eval`, `Locator::eval`, `Guard::eval` and
+//! `Program::eval` run it with a fresh memo; transductive selection keeps
+//! one memo per unlabeled page and shares it across every ensemble
+//! member's guards.
+
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use webqa_html::{PageNodeId, PageTree};
 
@@ -119,80 +130,28 @@ fn keyword_windows(ctx: &QueryContext, z: &str, threshold: f64) -> Vec<(usize, u
 }
 
 impl NodeFilter {
-    /// Does node `n` of `page` satisfy the filter?
+    /// Does node `n` of `page` satisfy the filter? Evaluates with a fresh
+    /// [`PageMemo`].
     pub fn eval(&self, ctx: &QueryContext, page: &PageTree, n: PageNodeId) -> bool {
-        match self {
-            NodeFilter::IsLeaf => page.is_leaf(n),
-            NodeFilter::IsElem => page.is_elem(n),
-            NodeFilter::MatchText { pred, subtree } => {
-                if *subtree {
-                    pred.eval(ctx, &page.subtree_text(n))
-                } else {
-                    pred.eval(ctx, page.text(n))
-                }
-            }
-            NodeFilter::True => true,
-            NodeFilter::And(a, b) => a.eval(ctx, page, n) && b.eval(ctx, page, n),
-            NodeFilter::Or(a, b) => a.eval(ctx, page, n) || b.eval(ctx, page, n),
-            NodeFilter::Not(a) => !a.eval(ctx, page, n),
-        }
+        PageMemo::new(ctx, page).eval_filter(self, n)
     }
 }
 
 impl Locator {
     /// The nodes located by `ν` on `page`, in document order, no
-    /// duplicates.
+    /// duplicates. Evaluates with a fresh [`PageMemo`].
     pub fn eval(&self, ctx: &QueryContext, page: &PageTree) -> Vec<PageNodeId> {
-        match self {
-            Locator::Root => vec![page.root()],
-            Locator::Children(inner, filter) => {
-                let mut out = Vec::new();
-                for n in inner.eval(ctx, page) {
-                    for &c in page.children(n) {
-                        if filter.eval(ctx, page, c) {
-                            out.push(c);
-                        }
-                    }
-                }
-                dedup_ordered(out)
-            }
-            Locator::Descendants(inner, filter) => {
-                let mut out = Vec::new();
-                for n in inner.eval(ctx, page) {
-                    for d in page.descendants(n) {
-                        if filter.eval(ctx, page, d) {
-                            out.push(d);
-                        }
-                    }
-                }
-                dedup_ordered(out)
-            }
-        }
+        PageMemo::new(ctx, page).eval_locator(self).to_vec()
     }
-}
-
-fn dedup_ordered(mut v: Vec<PageNodeId>) -> Vec<PageNodeId> {
-    v.sort_unstable();
-    v.dedup();
-    v
 }
 
 impl Guard {
     /// Evaluates the guard: returns whether it fires and the located
-    /// section nodes that get bound to `x`.
+    /// section nodes that get bound to `x`. Evaluates with a fresh
+    /// [`PageMemo`].
     pub fn eval(&self, ctx: &QueryContext, page: &PageTree) -> (bool, Vec<PageNodeId>) {
-        match self {
-            Guard::Sat(locator, pred) => {
-                let nodes = locator.eval(ctx, page);
-                let ok = nodes.iter().any(|&n| pred.eval(ctx, page.text(n)));
-                (ok, nodes)
-            }
-            Guard::IsSingleton(locator) => {
-                let nodes = locator.eval(ctx, page);
-                let ok = nodes.len() == 1;
-                (ok, nodes)
-            }
-        }
+        let (ok, nodes) = PageMemo::new(ctx, page).eval_guard(self);
+        (ok, nodes.to_vec())
     }
 }
 
@@ -239,18 +198,178 @@ impl Extractor {
 impl Program {
     /// Runs the program on a page: the first branch whose guard fires
     /// produces the output; if no guard fires the result is `∅`.
+    /// Evaluates with a fresh [`PageMemo`].
     pub fn eval(&self, ctx: &QueryContext, page: &PageTree) -> Vec<String> {
-        for branch in &self.branches {
-            let (ok, nodes) = branch.guard.eval(ctx, page);
+        PageMemo::new(ctx, page).eval_program(self)
+    }
+}
+
+/// The evaluator of node filters, locators, guards and programs on one
+/// page under one query context, with a memo of the work they share.
+///
+/// Evaluation is pure for a fixed `(QueryContext, page)`, so whatever
+/// one evaluation computes, a later one can reuse:
+///
+/// * each distinct (sub-)locator's node set is computed once, so guards
+///   whose locators share an inner `descendants(root, text(kw(..)))`
+///   walk the tree for it once;
+/// * each `(NodeFilter, node)` verdict of a locator step is computed
+///   once, whichever locator takes the step;
+/// * each node's subtree text (for `matchText(…, subtree)`) is built
+///   once.
+///
+/// The memo borrows its page and context, so it cannot outlive them —
+/// node ids mean nothing on another page.
+#[derive(Debug)]
+pub struct PageMemo<'a> {
+    ctx: &'a QueryContext,
+    page: &'a PageTree,
+    /// Node set of each locator evaluated so far.
+    locators: HashMap<Locator, Rc<[PageNodeId]>>,
+    /// Dense ids of the filters of the locator steps taken so far.
+    filter_ids: HashMap<NodeFilter, usize>,
+    /// `verdicts[f][n]`: filter `f` on node `n`, once computed.
+    verdicts: Vec<Vec<Option<bool>>>,
+    /// Subtree text of each node built so far.
+    subtree_texts: HashMap<PageNodeId, String>,
+}
+
+impl<'a> PageMemo<'a> {
+    /// An empty memo for `page` under `ctx`.
+    pub fn new(ctx: &'a QueryContext, page: &'a PageTree) -> Self {
+        PageMemo {
+            ctx,
+            page,
+            locators: HashMap::new(),
+            filter_ids: HashMap::new(),
+            verdicts: Vec::new(),
+            subtree_texts: HashMap::new(),
+        }
+    }
+
+    /// Number of distinct locators (sub-locators included) whose node
+    /// sets are memoized.
+    pub fn memoized_locators(&self) -> usize {
+        self.locators.len()
+    }
+
+    /// Does node `n` satisfy `filter`?
+    fn eval_filter(&mut self, filter: &NodeFilter, n: PageNodeId) -> bool {
+        let (ctx, page) = (self.ctx, self.page);
+        match filter {
+            NodeFilter::IsLeaf => page.is_leaf(n),
+            NodeFilter::IsElem => page.is_elem(n),
+            NodeFilter::MatchText {
+                pred,
+                subtree: true,
+            } => {
+                let text = self
+                    .subtree_texts
+                    .entry(n)
+                    .or_insert_with(|| page.subtree_text(n));
+                pred.eval(ctx, text)
+            }
+            NodeFilter::MatchText {
+                pred,
+                subtree: false,
+            } => pred.eval(ctx, page.text(n)),
+            NodeFilter::True => true,
+            NodeFilter::And(a, b) => self.eval_filter(a, n) && self.eval_filter(b, n),
+            NodeFilter::Or(a, b) => self.eval_filter(a, n) || self.eval_filter(b, n),
+            NodeFilter::Not(a) => !self.eval_filter(a, n),
+        }
+    }
+
+    /// The nodes located by `locator`, in document order, no duplicates.
+    fn eval_locator(&mut self, locator: &Locator) -> Rc<[PageNodeId]> {
+        if let Some(nodes) = self.locators.get(locator) {
+            return Rc::clone(nodes);
+        }
+        let page = self.page;
+        let nodes: Rc<[PageNodeId]> = match locator {
+            Locator::Root => Rc::new([page.root()]),
+            Locator::Children(inner, filter) | Locator::Descendants(inner, filter) => {
+                let base = self.eval_locator(inner);
+                let f = self.filter_id(filter);
+                let mut out = Vec::new();
+                for &n in base.iter() {
+                    let candidates = match locator {
+                        Locator::Children(..) => page.children(n).to_vec(),
+                        _ => page.descendants(n),
+                    };
+                    for c in candidates {
+                        if self.step_verdict(f, filter, c) {
+                            out.push(c);
+                        }
+                    }
+                }
+                out.sort_unstable();
+                out.dedup();
+                out.into()
+            }
+        };
+        self.locators.insert(locator.clone(), Rc::clone(&nodes));
+        nodes
+    }
+
+    /// Evaluates `guard`: whether it fires and the located section nodes
+    /// that get bound to `x`.
+    pub fn eval_guard(&mut self, guard: &Guard) -> (bool, Rc<[PageNodeId]>) {
+        match guard {
+            Guard::Sat(locator, pred) => {
+                let nodes = self.eval_locator(locator);
+                let ok = nodes
+                    .iter()
+                    .any(|&n| pred.eval(self.ctx, self.page.text(n)));
+                (ok, nodes)
+            }
+            Guard::IsSingleton(locator) => {
+                let nodes = self.eval_locator(locator);
+                (nodes.len() == 1, nodes)
+            }
+        }
+    }
+
+    /// Runs `program`: the first branch whose guard fires produces the
+    /// output; if no guard fires the result is `∅`.
+    pub fn eval_program(&mut self, program: &Program) -> Vec<String> {
+        for branch in &program.branches {
+            let (ok, nodes) = self.eval_guard(&branch.guard);
             if ok {
-                let mut out = branch.extractor.eval(ctx, page, &nodes);
+                let mut out = self.eval_extractor(&branch.extractor, &nodes);
                 // Set semantics (Figure 6: p returns Set<String>).
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = HashSet::new();
                 out.retain(|s| seen.insert(s.clone()));
                 return out;
             }
         }
         Vec::new()
+    }
+
+    /// Applies `extractor` to the located `nodes` (see [`Extractor::eval`]).
+    pub fn eval_extractor(&self, extractor: &Extractor, nodes: &[PageNodeId]) -> Vec<String> {
+        extractor.eval(self.ctx, self.page, nodes)
+    }
+
+    /// The dense id of a locator step's filter.
+    fn filter_id(&mut self, filter: &NodeFilter) -> usize {
+        if let Some(&f) = self.filter_ids.get(filter) {
+            return f;
+        }
+        let f = self.verdicts.len();
+        self.filter_ids.insert(filter.clone(), f);
+        self.verdicts.push(vec![None; self.page.len()]);
+        f
+    }
+
+    /// `filter` (whose id is `f`) on node `n`, computed once.
+    fn step_verdict(&mut self, f: usize, filter: &NodeFilter, n: PageNodeId) -> bool {
+        if let Some(v) = self.verdicts[f][n.index()] {
+            return v;
+        }
+        let v = self.eval_filter(filter, n);
+        self.verdicts[f][n.index()] = Some(v);
+        v
     }
 }
 

@@ -13,7 +13,7 @@ use std::hash::Hash;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webqa_dsl::{PageTree, Program, QueryContext};
+use webqa_dsl::{Extractor, Guard, PageMemo, PageTree, Program, QueryContext};
 use webqa_metrics::{tokenize_all, Token};
 
 /// An ensemble of optimal programs with their precomputed outputs on the
@@ -46,13 +46,18 @@ impl Ensemble {
     /// distinct member's outputs on `unlabeled` (Eq. 8), and groups members
     /// with identical outputs.
     ///
-    /// The members are evaluated together, page by page, and share work:
-    /// each distinct guard runs once per page, and each distinct extractor
-    /// once per page and located node set. A member's output on a page is
-    /// its first branch whose guard fires, as in [`Program::eval`], with
-    /// the extracted strings tokenized, sorted and deduplicated; no firing
-    /// guard gives the empty set. Groups, weights and representatives are
-    /// exactly those of running `Program::eval` per member.
+    /// The members are evaluated together, page by page, and share work.
+    /// Each distinct guard and each distinct extractor (per located node
+    /// set) runs once per page, and every guard evaluates through one
+    /// [`PageMemo`] per page: a sub-locator that many guards share (a
+    /// `descendants(root, text(kw(..)))`, say) walks the tree once, each
+    /// locator-step filter is decided once per node, and each subtree
+    /// text is built once. The memo is dropped with its page. A member's
+    /// output on a page is its first branch whose guard fires, as in
+    /// [`Program::eval`], with the extracted strings tokenized, sorted and
+    /// deduplicated; no firing guard gives the empty set. Groups, weights
+    /// and representatives are exactly those of running `Program::eval`
+    /// per member.
     ///
     /// `unlabeled` is any slice viewable as `&PageTree` (plain trees or
     /// shared `Arc<PageTree>` handles).
@@ -76,19 +81,7 @@ impl Ensemble {
         let members: Vec<usize> = (0..programs.len())
             .filter(|&i| multiplicity[i] > 0)
             .collect();
-        // Each member as (guard id, extractor id) per branch.
-        let mut guards = Interner::default();
-        let mut extractors = Interner::default();
-        let member_branches: Vec<Vec<(usize, usize)>> = members
-            .iter()
-            .map(|&i| {
-                programs[i]
-                    .branches
-                    .iter()
-                    .map(|b| (guards.id(&b.guard), extractors.id(&b.extractor)))
-                    .collect()
-            })
-            .collect();
+        let plan = Members::new(programs, &members);
 
         // outputs[k]: the distinct token sets on page k; behaviour[m][k]:
         // the one member m extracts there.
@@ -96,35 +89,11 @@ impl Ensemble {
         let mut behaviour: Vec<Vec<usize>> =
             vec![Vec::with_capacity(unlabeled.len()); members.len()];
         for page in unlabeled {
-            let page = page.borrow();
-            let mut token_sets = Interner::default();
-            let empty = token_sets.id(Vec::new());
-            let mut node_sets = Interner::default();
-            // Per guard: `None` until evaluated, then the id of the node
-            // set it fires with, or `None` when it does not fire.
-            let mut fired: Vec<Option<Option<usize>>> = vec![None; guards.len()];
-            let mut extracted: HashMap<(usize, usize), usize> = HashMap::new();
-            for (m, branches) in member_branches.iter().enumerate() {
-                let mut out = empty;
-                for &(g, x) in branches {
-                    let fires = *fired[g].get_or_insert_with(|| {
-                        let (ok, nodes) = guards.get(g).eval(ctx, page);
-                        ok.then(|| node_sets.id(nodes))
-                    });
-                    if let Some(nodes) = fires {
-                        out = *extracted.entry((x, nodes)).or_insert_with(|| {
-                            let strings = extractors.get(x).eval(ctx, page, node_sets.get(nodes));
-                            let mut t = tokenize_all(&strings);
-                            t.sort();
-                            t.dedup();
-                            token_sets.id(t)
-                        });
-                        break;
-                    }
-                }
-                behaviour[m].push(out);
+            let (token_sets, ids) = plan.outputs_on(&mut PageMemo::new(ctx, page.borrow()));
+            for (b, id) in behaviour.iter_mut().zip(ids) {
+                b.push(id);
             }
-            outputs.push(token_sets.values);
+            outputs.push(token_sets);
         }
 
         let mut groups: Vec<BehaviourGroup> = Vec::new();
@@ -205,6 +174,74 @@ impl Ensemble {
     /// Number of behaviourally distinct groups.
     pub fn distinct_behaviours(&self) -> usize {
         self.groups.len()
+    }
+}
+
+/// The sampled members, each as one `(guard id, extractor id)` pair per
+/// branch, with ids over the distinct guards and extractors.
+struct Members<'p> {
+    guards: Interner<&'p Guard>,
+    extractors: Interner<&'p Extractor>,
+    branches: Vec<Vec<(usize, usize)>>,
+}
+
+impl<'p> Members<'p> {
+    /// The members `programs[i]` for `i` in `members`, in that order.
+    fn new(programs: &'p [Program], members: &[usize]) -> Self {
+        let mut guards = Interner::default();
+        let mut extractors = Interner::default();
+        let branches = members
+            .iter()
+            .map(|&i| {
+                programs[i]
+                    .branches
+                    .iter()
+                    .map(|b| (guards.id(&b.guard), extractors.id(&b.extractor)))
+                    .collect()
+            })
+            .collect();
+        Members {
+            guards,
+            extractors,
+            branches,
+        }
+    }
+
+    /// Every member's output on `memo`'s page: the distinct token sets
+    /// extracted there, and the id of each member's among them. Each
+    /// distinct guard runs once, and each distinct extractor once per
+    /// located node set.
+    fn outputs_on(&self, memo: &mut PageMemo) -> (Vec<Vec<Token>>, Vec<usize>) {
+        let mut token_sets = Interner::default();
+        let empty = token_sets.id(Vec::new());
+        let mut node_sets = Interner::default();
+        // Per guard: `None` until evaluated, then the id of the node set
+        // it fires with, or `None` when it does not fire.
+        let mut fired: Vec<Option<Option<usize>>> = vec![None; self.guards.len()];
+        let mut extracted: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut ids = Vec::with_capacity(self.branches.len());
+        for branches in &self.branches {
+            let mut out = empty;
+            for &(g, x) in branches {
+                let fires = *fired[g].get_or_insert_with(|| {
+                    let (ok, nodes) = memo.eval_guard(self.guards.get(g));
+                    ok.then(|| node_sets.id(nodes))
+                });
+                if let Some(nodes) = fires {
+                    out = *extracted.entry((x, nodes)).or_insert_with(|| {
+                        let strings =
+                            memo.eval_extractor(self.extractors.get(x), node_sets.get(nodes));
+                        let mut t = tokenize_all(&strings);
+                        t.sort();
+                        t.dedup();
+                        token_sets.id(t)
+                    });
+                    break;
+                }
+            }
+            ids.push(out);
+        }
+        (token_sets.values, ids)
     }
 }
 
@@ -376,6 +413,157 @@ mod tests {
             .iter()
             .any(|g| g.outputs.iter().all(|o| o.is_empty())));
         assert_matches_naive(&ctx, &programs, &pages);
+    }
+
+    #[test]
+    fn shared_sub_locator_is_evaluated_once_per_page() {
+        let shared = "descendants(root, text(kw(0.80)))";
+        let programs = vec![
+            prog(&format!("sat(descendants({shared}, leaf), true) -> content")),
+            prog(&format!(
+                "sat(children({shared}, subtree(entity(PERSON))), true) -> substr(content, entity(PERSON), 1)"
+            )),
+        ];
+        let ctx = ctx();
+        let pages = three_pages();
+        let plan = Members::new(&programs, &[0, 1]);
+        for page in &pages {
+            let mut memo = PageMemo::new(&ctx, page);
+            plan.outputs_on(&mut memo);
+            // `root`, the shared locator and the two guards' own: the
+            // shared one is memoized once and serves both guards.
+            assert_eq!(memo.memoized_locators(), 4);
+            for p in &programs {
+                let guard = &p.branches[0].guard;
+                let (ok, nodes) = memo.eval_guard(guard);
+                assert_eq!((ok, nodes.to_vec()), guard.eval(&ctx, page));
+            }
+            assert_eq!(memo.memoized_locators(), 4, "every lookup hits");
+        }
+        assert_matches_naive(&ctx, &programs, &pages);
+    }
+
+    mod memo_parity {
+        use super::*;
+        use proptest::prelude::*;
+        use webqa_corpus::{generate_pages, TASKS};
+        use webqa_dsl::{Branch, EntityKind, Locator, NlpPred, NodeFilter, Threshold};
+
+        fn pred() -> impl Strategy<Value = NlpPred> {
+            prop_oneof![
+                (0u8..4)
+                    .prop_map(|i| NlpPred::MatchKeyword(Threshold::new(0.5 + 0.15 * f64::from(i)))),
+                Just(NlpPred::HasEntity(EntityKind::Person)),
+                Just(NlpPred::HasEntity(EntityKind::Date)),
+                Just(NlpPred::True),
+            ]
+        }
+
+        fn filter() -> impl Strategy<Value = NodeFilter> {
+            let leaf = prop_oneof![
+                Just(NodeFilter::IsLeaf),
+                Just(NodeFilter::IsElem),
+                Just(NodeFilter::True),
+                (pred(), any::<bool>())
+                    .prop_map(|(pred, subtree)| NodeFilter::MatchText { pred, subtree }),
+            ];
+            leaf.prop_recursive(1, 3, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone())
+                        .prop_map(|(a, b)| NodeFilter::And(Box::new(a), Box::new(b))),
+                    inner.prop_map(|a| NodeFilter::Not(Box::new(a))),
+                ]
+            })
+        }
+
+        /// One of three shared prefixes (so guards share sub-locators),
+        /// extended by up to two random steps.
+        fn locator() -> impl Strategy<Value = Locator> {
+            let prefixes = [
+                "root",
+                "descendants(root, text(kw(0.80)))",
+                "descendants(root, subtree(kw(0.60)))",
+            ];
+            (
+                0..prefixes.len(),
+                proptest::collection::vec((any::<bool>(), filter()), 0..3),
+            )
+                .prop_map(move |(i, steps)| {
+                    let prefix = format!("sat({}, true) -> content", prefixes[i]);
+                    let prefix = prog(&prefix).branches[0].guard.locator().clone();
+                    steps.into_iter().fold(prefix, |l, (descend, f)| {
+                        if descend {
+                            Locator::Descendants(Box::new(l), f)
+                        } else {
+                            Locator::Children(Box::new(l), f)
+                        }
+                    })
+                })
+        }
+
+        fn guard() -> impl Strategy<Value = Guard> {
+            prop_oneof![
+                (locator(), pred()).prop_map(|(l, p)| Guard::Sat(l, p)),
+                locator().prop_map(Guard::IsSingleton),
+            ]
+        }
+
+        fn extractor() -> impl Strategy<Value = Extractor> {
+            let content = || Box::new(Extractor::Content);
+            prop_oneof![
+                Just(Extractor::Content),
+                Just(Extractor::Split(content(), ',')),
+                pred().prop_map(move |p| Extractor::Filter(content(), p)),
+                (pred(), 1usize..3).prop_map(move |(p, k)| Extractor::Substring(content(), p, k)),
+            ]
+        }
+
+        fn program() -> impl Strategy<Value = Program> {
+            proptest::collection::vec((guard(), extractor()), 1..3).prop_map(|bs| {
+                Program::new(bs.into_iter().map(|(g, e)| Branch::new(g, e)).collect())
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Evaluating every guard and program on a page through one
+            /// shared memo gives what a fresh memo per call gives, and
+            /// the ensemble (one memo per page) groups as per-member
+            /// `Program::eval` does.
+            #[test]
+            fn a_shared_memo_changes_no_result(
+                programs in proptest::collection::vec(program(), 2..10),
+                t in 0usize..25,
+                seed in 0u64..100,
+            ) {
+                let task = &TASKS[t];
+                let ctx = QueryContext::new(task.question, task.keywords.to_vec());
+                let pages: Vec<PageTree> = generate_pages(task.domain, 2, seed)
+                    .iter()
+                    .map(|p| p.tree())
+                    .collect();
+                for page in &pages {
+                    let mut memo = PageMemo::new(&ctx, page);
+                    for p in &programs {
+                        for b in &p.branches {
+                            let (ok, nodes) = memo.eval_guard(&b.guard);
+                            prop_assert_eq!((ok, nodes.to_vec()), b.guard.eval(&ctx, page));
+                        }
+                        prop_assert_eq!(memo.eval_program(p), p.eval(&ctx, page));
+                    }
+                }
+                for (size, seed) in [(7, seed), (200, seed + 1)] {
+                    let e = Ensemble::sample(&ctx, &programs, &pages, size, seed).unwrap();
+                    let got: Vec<_> = e
+                        .groups()
+                        .iter()
+                        .map(|g| (g.outputs.clone(), g.weight, g.representative))
+                        .collect();
+                    prop_assert_eq!(got, naive_groups(&ctx, &programs, &pages, size, seed));
+                }
+            }
+        }
     }
 
     #[test]

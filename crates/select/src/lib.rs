@@ -15,6 +15,15 @@
 //!    default; [`TokenLoss`] provides the negative-F₁ and Jaccard
 //!    alternatives.
 //!
+//! Step 2 is the cost of selection: up to `N` programs run on every
+//! unlabeled page. The members are evaluated together, page by page.
+//! Each distinct guard and extractor runs once per page, and all guards
+//! on a page share one [`webqa_dsl::PageMemo`], so a sub-locator common
+//! to many guards walks the tree once, each locator-step filter is
+//! decided once per node, and each subtree text is built once. The memo
+//! is dropped with its page. The result is exactly that of running
+//! [`Program::eval`] per member.
+//!
 //! ```
 //! use webqa_dsl::{PageTree, Program, QueryContext};
 //! use webqa_select::{select_transductive, SelectionConfig};
