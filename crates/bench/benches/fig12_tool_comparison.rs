@@ -5,7 +5,7 @@
 //! Regenerate with:
 //! `cargo bench -p webqa-bench --bench fig12_tool_comparison`
 
-use webqa_bench::{mean_scores, task_rows_cached, Setup};
+use webqa_bench::{mean_scores, task_rows, Setup};
 
 fn main() {
     let setup = Setup::from_env();
@@ -17,7 +17,7 @@ fn main() {
     );
 
     let start = std::time::Instant::now();
-    let rows = task_rows_cached(&setup);
+    let rows = task_rows(&setup);
 
     let webqa = mean_scores(rows.iter().map(|r| &r.webqa).collect::<Vec<_>>());
     let bertqa = mean_scores(rows.iter().map(|r| &r.bertqa).collect::<Vec<_>>());

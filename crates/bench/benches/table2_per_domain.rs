@@ -9,13 +9,13 @@
 //! *asserts* the paper's headline direction instead of only printing it:
 //! WebQA's macro-averaged F₁ must strictly beat every baseline's.
 
-use webqa_bench::{mean_scores, task_rows_cached, Setup};
+use webqa_bench::{mean_scores, task_rows, Setup};
 use webqa_corpus::Domain;
 
 fn main() {
     let setup = Setup::from_env();
     println!("# Table 2: per-domain results (P / R / F1 per tool)\n");
-    let rows = task_rows_cached(&setup);
+    let rows = task_rows(&setup);
 
     println!(
         "{:<12} | {:^17} | {:^17} | {:^17} | {:^17}",

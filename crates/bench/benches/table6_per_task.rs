@@ -4,12 +4,12 @@
 //! Regenerate with:
 //! `cargo bench -p webqa-bench --bench table6_per_task`
 
-use webqa_bench::{fmt_score, task_rows_cached, Setup};
+use webqa_bench::{fmt_score, task_rows, Setup};
 
 fn main() {
     let setup = Setup::from_env();
     println!("# Table 6: per-task results (P R F1 per tool)\n");
-    let rows = task_rows_cached(&setup);
+    let rows = task_rows(&setup);
 
     println!(
         "{:<10} | {:^15} | {:^15} | {:^15} | {:^15}",

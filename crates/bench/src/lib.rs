@@ -9,7 +9,7 @@
 //!
 //! Knobs (environment variables, so `cargo bench` stays zero-config):
 //!
-//! * `WEBQA_PAGES` — pages per domain (default 40, the paper's scale);
+//! * `WEBQA_PAGES` — pages per domain (default 16; the paper uses 40);
 //! * `WEBQA_TRAIN` — labeled pages per task (default 5);
 //! * `WEBQA_SEED` — corpus seed (default 42).
 
@@ -133,31 +133,12 @@ impl Setup {
             .map(|p| p.gold(task.id).to_vec())
             .collect()
     }
-
-    /// Path of the cross-bench result cache for this setup. Figure 12,
-    /// Table 2, and Table 6 all present the *same* experiment, so the
-    /// first bench to run stores the per-task rows and the others reuse
-    /// them.
-    fn cache_path(&self) -> std::path::PathBuf {
-        // Benches run with the package directory as cwd; anchor the cache
-        // in the workspace target directory.
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-        root.join(format!(
-            "webqa_rows_p{}_t{}_s{}.tsv",
-            self.pages_per_domain, self.train_pages, self.seed
-        ))
-    }
 }
 
-/// Per-task rows of the tool-comparison experiment, cached on disk across
-/// bench invocations (delete `target/webqa_rows_*.tsv` to force a rerun).
-pub fn task_rows_cached(setup: &Setup) -> Vec<TaskRow> {
-    let path = setup.cache_path();
-    if let Some(rows) = read_rows(&path) {
-        eprintln!("# reusing cached rows from {}", path.display());
-        return rows;
-    }
-    let rows: Vec<TaskRow> = webqa_corpus::TASKS
+/// Per-task rows of the tool-comparison experiment (Figure 12, Table 2
+/// and Table 6 present the same rows), computed by the running code.
+pub fn task_rows(setup: &Setup) -> Vec<TaskRow> {
+    webqa_corpus::TASKS
         .iter()
         .map(|t| {
             let row = run_all_tools(setup, t, default_config());
@@ -167,57 +148,7 @@ pub fn task_rows_cached(setup: &Setup) -> Vec<TaskRow> {
             );
             row
         })
-        .collect();
-    write_rows(&path, &rows);
-    rows
-}
-
-fn read_rows(path: &std::path::Path) -> Option<Vec<TaskRow>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let mut cols = line.split('\t');
-        let id = cols.next()?;
-        let task = webqa_corpus::task_by_id(id)?;
-        let mut vals = [0.0f64; 12];
-        for v in vals.iter_mut() {
-            *v = cols.next()?.parse().ok()?;
-        }
-        let s = |i: usize| Score {
-            precision: vals[i],
-            recall: vals[i + 1],
-            f1: vals[i + 2],
-        };
-        rows.push(TaskRow {
-            task,
-            webqa: s(0),
-            bertqa: s(3),
-            hyb: s(6),
-            ent: s(9),
-        });
-    }
-    if rows.len() == webqa_corpus::TASKS.len() {
-        Some(rows)
-    } else {
-        None
-    }
-}
-
-fn write_rows(path: &std::path::Path, rows: &[TaskRow]) {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for r in rows {
-        let mut line = r.task.id.to_string();
-        for s in [&r.webqa, &r.bertqa, &r.hyb, &r.ent] {
-            let _ = write!(line, "\t{}\t{}\t{}", s.precision, s.recall, s.f1);
-        }
-        out.push_str(&line);
-        out.push('\n');
-    }
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let _ = std::fs::write(path, out);
+        .collect()
 }
 
 fn env_usize(name: &str, default: usize) -> usize {

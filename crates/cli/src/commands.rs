@@ -84,8 +84,9 @@ COMMANDS:
                   --backlog N caps the admission queue (beyond it,
                   requests are shed with an overloaded error);
                   --deadline-ms MS bounds every request's latency (0 =
-                  none); cache knobs size the engine's cross-request
-                  feature store / result LRU (0 disables);
+                  none); --feature-cache N caps each feature tier (query,
+                  base) at N tables, --result-cache N the result LRU at
+                  N runs (0 disables);
                   --cache-dir DIR persists interned pages and the
                   query-independent base-feature tier across restarts
                   (loaded on startup, spilled on clean shutdown;

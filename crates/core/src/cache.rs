@@ -1,67 +1,63 @@
-//! Cross-request memoization: the engine-owned [`FeatureStore`] and the
-//! completed-run LRU.
+//! Cross-request memoization: the three LRU tiers an
+//! [`Engine`](crate::Engine) owns, each one [`Lru`].
 //!
-//! PR 4 made everything *inside* one `synthesize` call cheap; what was
-//! left on the table is cross-*task* reuse — every `Engine::prepare →
-//! synthesize` rebuilt its per-page neural-feature / `[filter][node]`
-//! mask tables even over the same interned pages, and a repeat of an
-//! identical query re-ran the whole search. Both artifacts are pure
-//! functions of their keys:
+//! Without them every `Engine::prepare → synthesize` would rebuild its
+//! per-page neural-feature / `[filter][node]` mask tables even over the
+//! same interned pages, and a repeat of an identical query would re-run
+//! the whole search. Each cached value is a pure function of its key
+//! under the engine's config, and that config never changes after
+//! construction (the caches are created per engine and shared only by
+//! its clones), so no key needs to carry it:
 //!
-//! * a [`webqa_synth::PageFeatures`] table is determined by
-//!   `(page, question+keywords, synth config)` — cached in the sharded,
-//!   **two-tier** [`FeatureStore`]: the query tier keyed by the page's
-//!   [`PageId`] (which embeds the content digest) plus a pool digest of
-//!   the context and config, and a query-independent **base tier**
-//!   ([`webqa_synth::PageBaseFeatures`]: NER entity bits, leaf/elem
-//!   masks — the expensive half) keyed by the page alone, so different
-//!   questions over the same page share it. The base tier is what
-//!   [`crate::Engine::spill_snapshot`] persists to disk;
-//! * a [`RunResult`] is determined by `(task, engine config)` — cached in
-//!   the [`ResultCache`], keyed by the task's canonical form (exact, not
-//!   a digest: a hash collision must not serve the wrong programs). The
-//!   canonical form ([`normalize_task`]) folds together only input
-//!   reorderings the pipeline is provably invariant to — sorted/deduped
-//!   keywords, sorted gold per example — so semantically equivalent
-//!   requests share one entry while example and target order (which the
-//!   pipeline *does* observe) stay significant.
+//! * the **query tier** holds full [`webqa_synth::PageFeatures`] tables,
+//!   keyed by `(page, question, keywords)` ([`QueryKey`]). The page's
+//!   [`PageId`] embeds its content digest;
+//! * the **base tier** holds [`webqa_synth::PageBaseFeatures`] tables
+//!   (NER entity bits, leaf/elem masks — the expensive, query-independent
+//!   half), keyed by the page alone, so different questions over one page
+//!   share it. This tier is what [`crate::Engine::spill_snapshot`]
+//!   persists to disk;
+//! * the **result tier** holds completed [`RunResult`]s, keyed by the
+//!   task's canonical form ([`normalize_task`]). It folds together only
+//!   input reorderings the pipeline is provably invariant to —
+//!   sorted/deduped keywords, sorted gold per example — so semantically
+//!   equivalent requests share one entry, while example and target order
+//!   (which the pipeline *does* observe) stay significant.
 //!
-//! Because both values are pure, a cache hit is observationally
-//! invisible: reuse, eviction, and re-insertion change latency, never
-//! bytes. `tests/serve_api.rs` and the cache-invalidation proptest
-//! (`crates/core/tests/cache_semantics.rs`) pin that — every cached
-//! engine response is compared against a cold, never-cached reference
-//! engine, the same discipline `tests/synth_parity.rs` applies one level
-//! down.
+//! Every key is the exact input, never a digest of it, so a hash
+//! collision cannot serve another key's value. Because values are pure,
+//! a cache hit is observationally invisible: reuse, eviction, and
+//! re-insertion change latency, never bytes. `tests/serve_api.rs` and the
+//! cache-invalidation proptest (`crates/core/tests/cache_semantics.rs`)
+//! pin that — every cached engine response is compared against a cold,
+//! never-cached reference engine, the same discipline
+//! `tests/synth_parity.rs` applies one level down.
 //!
-//! Eviction is LRU via a monotonic clock stamp per entry; capacities are
-//! set by [`CacheConfig`] (0 disables a cache entirely). Counters are
-//! atomics, snapshotted by [`Engine::cache_stats`](crate::Engine::cache_stats)
-//! and served over the wire by `webqa_server`'s `stats` op.
+//! Each tier is one map behind one lock. A run takes at most
+//! 2 + 4 × (labeled pages) lock acquisitions next to tens of milliseconds
+//! of search, and the daemon already splits traffic across whole engines
+//! by page digest (`webqa_server`'s shards). Capacities are set by
+//! [`CacheConfig`] (0 disables a tier). Counters are atomics, snapshotted
+//! by [`Engine::cache_stats`](crate::Engine::cache_stats) and served over
+//! the wire by `webqa_server`'s `stats` op.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::engine::Task;
-use crate::pipeline::{Config, RunResult};
+use crate::pipeline::RunResult;
 use crate::store::PageId;
-use webqa_dsl::QueryContext;
-use webqa_synth::{PageBaseFeatures, PageFeatures, SynthConfig};
+use webqa_synth::{PageBaseFeatures, PageFeatures};
 
 /// Capacities of the engine's cross-request caches (entries, not bytes).
 /// `0` disables the respective cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Max feature tables resident in the engine's feature store (one
-    /// table per distinct `(page, question+keywords, synth config)`).
-    ///
-    /// Rounded up to the store's shard granularity: capacity is split
-    /// evenly across 8 independently locked shards, so the actual
-    /// resident maximum is `8 × ceil(feature_capacity / 8)` (a nonzero
-    /// capacity always admits at least one table per shard).
+    /// Max feature tables resident in *each* feature tier: at most this
+    /// many full tables (one per distinct `(page, question, keywords)`)
+    /// and at most this many base tables (one per page).
     pub feature_capacity: usize,
     /// Max completed [`RunResult`]s resident in the result LRU.
     pub result_capacity: usize,
@@ -116,7 +112,8 @@ pub struct CacheStats {
     pub result_misses: u64,
     /// Completed runs evicted (LRU, over capacity).
     pub result_evictions: u64,
-    /// Whether the feature store (both tiers) is enabled (capacity > 0).
+    /// Whether the feature tiers (query and base) are enabled
+    /// (capacity > 0).
     pub features_enabled: bool,
     /// Whether the result LRU is enabled (capacity > 0).
     pub results_enabled: bool,
@@ -151,8 +148,8 @@ impl CacheStats {
         Some(hits as f64 / total as f64)
     }
 
-    /// Query-tier hit rate; `None` when the feature store is disabled or
-    /// has seen no lookups.
+    /// Query-tier hit rate; `None` when the feature tiers are disabled or
+    /// the query tier has seen no lookups.
     pub fn feature_hit_rate(&self) -> Option<f64> {
         Self::rate(
             self.features_enabled,
@@ -161,7 +158,7 @@ impl CacheStats {
         )
     }
 
-    /// Base-tier hit rate; `None` when the feature store is disabled or
+    /// Base-tier hit rate; `None` when the feature tiers are disabled or
     /// the base tier has seen no lookups.
     pub fn base_hit_rate(&self) -> Option<f64> {
         Self::rate(self.features_enabled, self.base_hits, self.base_misses)
@@ -174,250 +171,128 @@ impl CacheStats {
     }
 }
 
-/// Number of independently locked shards in the [`FeatureStore`]:
-/// concurrent requests over different pages take different locks.
-const FEATURE_SHARDS: usize = 8;
-
-/// Key of one feature table: the page handle (whose embedded content
-/// digest makes the key content-addressed) plus the pool digest of the
-/// query context and synthesis config it was built under.
-type FeatKey = (PageId, u64);
-
-#[derive(Debug)]
-struct FeatEntry {
-    table: Arc<PageFeatures>,
-    stamp: u64,
-}
-
-#[derive(Debug)]
-struct BaseEntry {
-    table: Arc<PageBaseFeatures>,
-    stamp: u64,
-}
-
-/// Sharded, content-keyed, **two-tier** store of feature tables.
+/// One least-recently-used map: the structure behind all three tiers.
 ///
-/// * The **query tier** holds full [`PageFeatures`] tables keyed by
-///   `(page, pool digest)` — exact reuse for repeats of the same
-///   question/config over the same page.
-/// * The **base tier** holds [`PageBaseFeatures`] tables keyed by the
-///   page alone: NER entity bits and leaf/elem masks are pure functions
-///   of page content (under the pretrained modules), so *different*
-///   questions over the same page share the expensive half and only the
-///   thin keyword/answerability layer is recomputed. This tier is also
-///   what `crate::persist` spills to disk, making a restarted engine
-///   warm.
-///
-/// Both tiers are LRU with per-shard capacity; capacity 0 disables the
-/// whole store (pass-through computes, no counter traffic — see
-/// [`CacheStats`]).
+/// Recency is a clock stamp per entry; eviction scans the resident
+/// entries for the oldest stamp — O(capacity) per insert into a full
+/// map. That is deliberate: capacities are a few hundred entries, every
+/// insert follows a computation that costs far more than the scan, and
+/// the scan keeps the structure a plain map instead of a linked list.
 #[derive(Debug)]
-pub(crate) struct FeatureStore {
-    /// Per-shard capacity (total capacity split across shards); 0 = off.
-    shard_capacity: usize,
-    enabled: bool,
-    shards: Vec<Mutex<HashMap<FeatKey, FeatEntry>>>,
-    /// The query-independent base tier, keyed by page handle (content
-    /// digest included — the key is content-addressed like `FeatKey`).
-    base_shards: Vec<Mutex<HashMap<PageId, BaseEntry>>>,
+pub(crate) struct Lru<K, V> {
+    /// Max resident entries; 0 = off (nothing stored, nothing counted).
+    capacity: usize,
+    map: Mutex<HashMap<K, (V, u64)>>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    base_hits: AtomicU64,
-    base_misses: AtomicU64,
-    base_evictions: AtomicU64,
 }
 
-impl FeatureStore {
+impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     fn new(capacity: usize) -> Self {
-        FeatureStore {
-            shard_capacity: capacity.div_ceil(FEATURE_SHARDS),
-            enabled: capacity > 0,
-            shards: (0..FEATURE_SHARDS).map(|_| Mutex::default()).collect(),
-            base_shards: (0..FEATURE_SHARDS).map(|_| Mutex::default()).collect(),
+        Lru {
+            capacity,
+            map: Mutex::default(),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            base_hits: AtomicU64::new(0),
-            base_misses: AtomicU64::new(0),
-            base_evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(&self, key: &FeatKey) -> &Mutex<HashMap<FeatKey, FeatEntry>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % FEATURE_SHARDS]
+    fn enabled(&self) -> bool {
+        self.capacity > 0
     }
 
-    fn base_shard_of(&self, id: &PageId) -> &Mutex<HashMap<PageId, BaseEntry>> {
-        let mut h = DefaultHasher::new();
-        id.hash(&mut h);
-        &self.base_shards[(h.finish() as usize) % FEATURE_SHARDS]
+    /// The map, recovered if a panicking holder poisoned the lock: every
+    /// step below leaves the map valid, so its contents stay usable.
+    fn map(&self) -> MutexGuard<'_, HashMap<K, (V, u64)>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The base table for page `id`, computing (and caching) it on a
-    /// miss. Same discipline as the query tier: compute outside the
-    /// lock, first insert wins, min-stamp eviction.
-    pub fn base_for(
-        &self,
-        id: PageId,
-        compute: impl FnOnce() -> PageBaseFeatures,
-    ) -> Arc<PageBaseFeatures> {
-        if !self.enabled {
-            return Arc::new(compute());
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.base_shard_of(&id).lock().expect("base shard");
-            if let Some(entry) = shard.get_mut(&id) {
-                entry.stamp = stamp;
-                self.base_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.table);
-            }
-        }
-        self.base_misses.fetch_add(1, Ordering::Relaxed);
-        let table = Arc::new(compute());
-        self.seed_base_entry(id, Arc::clone(&table), stamp);
-        table
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Inserts a base table computed (or loaded) elsewhere — the warm-
-    /// start path of [`crate::Engine::load_snapshot`]. No counter
-    /// traffic: seeding is not a lookup. A no-op when disabled or when
-    /// the page already has a resident entry.
-    pub fn seed_base(&self, id: PageId, table: Arc<PageBaseFeatures>) {
-        if !self.enabled {
-            return;
+    /// The resident value for `key`, now the most recently used. Counts
+    /// one hit or one miss; a disabled tier counts nothing (a cache that
+    /// is off has no hit rate — see [`CacheStats`]).
+    pub fn get(&self, key: &K) -> Option<V> {
+        if !self.enabled() {
+            return None;
         }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.seed_base_entry(id, table, stamp);
+        let stamp = self.tick();
+        let found = self.map().get_mut(key).map(|(value, used)| {
+            *used = stamp;
+            value.clone()
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    fn seed_base_entry(&self, id: PageId, table: Arc<PageBaseFeatures>, stamp: u64) {
-        let mut shard = self.base_shard_of(&id).lock().expect("base shard");
-        if shard.contains_key(&id) {
-            // Lost the race to a concurrent miss (or an earlier seed):
-            // the resident table is identical by purity.
-            return;
+    /// Makes `value` resident under `key`, evicting the least recently
+    /// used entry from a full map, and returns the value now resident.
+    /// An entry already resident is kept: values are pure functions of
+    /// their keys, so which of two equal values survives is unobservable.
+    /// Counts no lookup — this is also how a snapshot seeds the base
+    /// tier.
+    pub fn insert(&self, key: K, value: V) -> V {
+        if !self.enabled() {
+            return value;
         }
-        if shard.len() >= self.shard_capacity {
-            let victim = shard.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                shard.remove(&victim);
-                self.base_evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        let stamp = self.tick();
+        let mut map = self.map();
+        if let Some((resident, _)) = map.get(&key) {
+            return resident.clone();
         }
-        shard.insert(id, BaseEntry { table, stamp });
-    }
-
-    /// Snapshot of the resident base tier: every `(page, base table)`
-    /// pair, in unspecified order — the spill surface of
-    /// [`crate::Engine::spill_snapshot`].
-    pub fn resident_base(&self) -> Vec<(PageId, Arc<PageBaseFeatures>)> {
-        self.base_shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("base shard")
-                    .iter()
-                    .map(|(id, e)| (*id, Arc::clone(&e.table)))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// The table for `key`, computing (and caching) it on a miss. The
-    /// compute runs *outside* the shard lock, so a slow table build never
-    /// blocks hits on other pages; two concurrent misses on the same key
-    /// may both compute, and the first insert wins (the values are
-    /// identical by purity, so which one survives is unobservable).
-    ///
-    /// When the store is disabled, this is a pure pass-through: the
-    /// compute runs and **no** counters move (a disabled cache has no
-    /// hit rate — see [`CacheStats`]).
-    pub fn get_or_compute(
-        &self,
-        key: FeatKey,
-        compute: impl FnOnce() -> PageFeatures,
-    ) -> Arc<PageFeatures> {
-        if !self.enabled {
-            return Arc::new(compute());
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.shard_of(&key).lock().expect("feature shard");
-            if let Some(entry) = shard.get_mut(&key) {
-                entry.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.table);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let table = Arc::new(compute());
-        let mut shard = self.shard_of(&key).lock().expect("feature shard");
-        if let Some(entry) = shard.get(&key) {
-            // Lost the race to a concurrent miss: share its table.
-            return Arc::clone(&entry.table);
-        }
-        if shard.len() >= self.shard_capacity {
-            let victim = shard.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                shard.remove(&victim);
+        if map.len() >= self.capacity {
+            let oldest = map.iter().min_by_key(|(_, (_, used))| *used);
+            if let Some(victim) = oldest.map(|(k, _)| k.clone()) {
+                map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.insert(
-            key,
-            FeatEntry {
-                table: Arc::clone(&table),
-                stamp,
-            },
-        );
-        table
+        map.insert(key, (value.clone(), stamp));
+        value
+    }
+
+    /// The value for `key`, computed and inserted on a miss. The compute
+    /// runs outside the lock, so a slow build never blocks lookups of
+    /// other keys; two concurrent misses on one key may both compute, and
+    /// the first insert wins.
+    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        match self.get(&key) {
+            Some(value) => value,
+            None => self.insert(key, compute()),
+        }
+    }
+
+    /// Every resident `(key, value)`, in unspecified order — the spill
+    /// surface of [`crate::Engine::spill_snapshot`].
+    pub fn entries(&self) -> Vec<(K, V)> {
+        self.map()
+            .iter()
+            .map(|(k, (v, _))| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    /// `[hits, misses, evictions]`.
+    fn counts(&self) -> [u64; 3] {
+        [&self.hits, &self.misses, &self.evictions].map(|c| c.load(Ordering::Relaxed))
     }
 }
 
-#[derive(Debug)]
-struct ResultEntry {
-    /// The canonical form ([`normalize_task`]) of the task this entry
-    /// was computed for — verified on lookup, so a digest collision can
-    /// never serve another task's programs.
-    task: Task,
-    result: RunResult,
-    stamp: u64,
-}
+/// Key of one query-tier table: the page plus the question and keywords
+/// of the query context it was built under.
+pub(crate) type QueryKey = (PageId, String, Vec<String>);
 
-/// LRU of completed `(task, config)` runs, bucketed by digest with exact
-/// task equality inside a bucket.
-///
-/// Eviction scans all resident entries for the minimum stamp — O(capacity)
-/// per at-capacity insert. That is deliberate: capacities are small (a
-/// few hundred entries of whole `RunResult`s), inserts are rare next to
-/// the synthesis they follow, and the scan keeps the structure a plain
-/// map instead of a linked LRU. Revisit if `--result-cache` is ever
-/// sized in the tens of thousands.
-#[derive(Debug)]
-pub(crate) struct ResultCache {
-    capacity: usize,
-    buckets: Mutex<HashMap<u64, Vec<ResultEntry>>>,
-    len: AtomicU64,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-fn result_key(cfg: u64, task: &Task) -> u64 {
-    let mut h = DefaultHasher::new();
-    cfg.hash(&mut h);
-    task.hash(&mut h);
-    h.finish()
-}
-
-/// The canonical form of a task for result-cache keying, folding
+/// The canonical form of a task for result-tier keying, folding
 /// together exactly the input reorderings the pipeline is invariant to:
 ///
 /// * **keywords** are sorted and deduplicated — keyword evidence is
@@ -433,7 +308,7 @@ fn result_key(cfg: u64, task: &Task) -> u64 {
 /// break the byte-identical-to-a-cold-engine contract; the invariances
 /// above are pinned (against a never-cached reference engine) by
 /// `crates/core/tests/cache_semantics.rs`.
-fn normalize_task(task: &Task) -> Task {
+pub(crate) fn normalize_task(task: &Task) -> Task {
     let mut t = task.clone();
     t.keywords.sort();
     t.keywords.dedup();
@@ -443,294 +318,122 @@ fn normalize_task(task: &Task) -> Task {
     t
 }
 
-impl ResultCache {
-    fn new(capacity: usize) -> Self {
-        ResultCache {
-            capacity,
-            buckets: Mutex::default(),
-            len: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// A cached run for the task under config digest `cfg`, if resident.
-    /// Lookup is by the task's canonical form ([`normalize_task`]), so a
-    /// request that merely reorders keywords or gold strings hits the
-    /// entry its equivalent predecessor filled.
-    pub fn get(&self, cfg: u64, task: &Task) -> Option<RunResult> {
-        if self.capacity == 0 {
-            // Disabled: no lookup happened, so no miss is counted — a
-            // cache that is off has no hit rate (see [`CacheStats`]).
-            return None;
-        }
-        let task = normalize_task(task);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut buckets = self.buckets.lock().expect("result cache");
-        let found = buckets
-            .get_mut(&result_key(cfg, &task))
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.task == task))
-            .map(|e| {
-                e.stamp = stamp;
-                e.result.clone()
-            });
-        match found {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts a completed run under the task's canonical form
-    /// ([`normalize_task`]), evicting the least-recently-used entry when
-    /// over capacity.
-    pub fn insert(&self, cfg: u64, task: &Task, result: RunResult) {
-        if self.capacity == 0 {
-            return;
-        }
-        let task = normalize_task(task);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let key = result_key(cfg, &task);
-        let mut buckets = self.buckets.lock().expect("result cache");
-        let resident = buckets
-            .get(&key)
-            .is_some_and(|b| b.iter().any(|e| e.task == task));
-        if !resident && self.len.load(Ordering::Relaxed) as usize >= self.capacity {
-            // Evict the globally least-recently-used entry.
-            if let Some(victim_key) = buckets
-                .iter()
-                .filter_map(|(k, b)| b.iter().map(|e| e.stamp).min().map(|s| (s, *k)))
-                .min()
-                .map(|(_, k)| k)
-            {
-                let bucket = buckets.get_mut(&victim_key).expect("victim bucket");
-                let oldest = bucket
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(i, _)| i)
-                    .expect("non-empty bucket");
-                bucket.swap_remove(oldest);
-                if bucket.is_empty() {
-                    buckets.remove(&victim_key);
-                }
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let bucket = buckets.entry(key).or_default();
-        match bucket.iter_mut().find(|e| e.task == task) {
-            Some(existing) => {
-                existing.result = result;
-                existing.stamp = stamp;
-            }
-            None => {
-                bucket.push(ResultEntry {
-                    task,
-                    result,
-                    stamp,
-                });
-                self.len.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// The caches an [`Engine`](crate::Engine) owns; clones of an engine
 /// share them through an `Arc`, so a server handing out per-request
 /// engine views accumulates hits in one place.
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
-    pub features: FeatureStore,
-    pub results: ResultCache,
+    pub query: Lru<QueryKey, Arc<PageFeatures>>,
+    pub base: Lru<PageId, Arc<PageBaseFeatures>>,
+    pub results: Lru<Task, RunResult>,
 }
 
 impl EngineCaches {
     pub fn new(config: CacheConfig) -> Self {
         EngineCaches {
-            features: FeatureStore::new(config.feature_capacity),
-            results: ResultCache::new(config.result_capacity),
+            query: Lru::new(config.feature_capacity),
+            base: Lru::new(config.feature_capacity),
+            results: Lru::new(config.result_capacity),
         }
     }
 
     /// A point-in-time snapshot of all counters.
     pub fn stats(&self) -> CacheStats {
+        let [feature_hits, feature_misses, feature_evictions] = self.query.counts();
+        let [base_hits, base_misses, base_evictions] = self.base.counts();
+        let [result_hits, result_misses, result_evictions] = self.results.counts();
         CacheStats {
-            feature_hits: self.features.hits.load(Ordering::Relaxed),
-            feature_misses: self.features.misses.load(Ordering::Relaxed),
-            feature_evictions: self.features.evictions.load(Ordering::Relaxed),
-            base_hits: self.features.base_hits.load(Ordering::Relaxed),
-            base_misses: self.features.base_misses.load(Ordering::Relaxed),
-            base_evictions: self.features.base_evictions.load(Ordering::Relaxed),
-            result_hits: self.results.hits.load(Ordering::Relaxed),
-            result_misses: self.results.misses.load(Ordering::Relaxed),
-            result_evictions: self.results.evictions.load(Ordering::Relaxed),
-            features_enabled: self.features.enabled,
-            results_enabled: self.results.capacity > 0,
+            feature_hits,
+            feature_misses,
+            feature_evictions,
+            base_hits,
+            base_misses,
+            base_evictions,
+            result_hits,
+            result_misses,
+            result_evictions,
+            features_enabled: self.query.enabled(),
+            results_enabled: self.results.enabled(),
         }
     }
-}
-
-/// Digest of the feature-table pool: the query context plus the synth
-/// config.
-pub(crate) fn pool_digest(cfg: &SynthConfig, ctx: &QueryContext) -> u64 {
-    let mut h = DefaultHasher::new();
-    ctx.question().hash(&mut h);
-    ctx.keywords().hash(&mut h);
-    // SynthConfig has no Hash (f64 fields); its derived Debug output is
-    // injective enough for an in-process cache key (floats round-trip).
-    format!("{cfg:?}").hash(&mut h);
-    h.finish()
-}
-
-/// Digest of the full engine config for result-cache keying.
-pub(crate) fn config_digest(config: &Config) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{config:?}").hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webqa_dsl::PageTree;
 
-    fn table(nodes: &str) -> PageFeatures {
-        let cfg = SynthConfig::fast();
-        let ctx = QueryContext::new("Who?", ["Students"]);
-        PageFeatures::compute(&cfg, &ctx, &PageTree::parse(nodes))
-    }
-
-    fn base(nodes: &str) -> PageBaseFeatures {
-        let ctx = QueryContext::new("Who?", ["Students"]);
-        PageBaseFeatures::compute(&ctx, &PageTree::parse(nodes))
-    }
-
-    fn key(n: u32) -> FeatKey {
-        (crate::store::PageId::forged(n), 7)
+    #[test]
+    fn each_lookup_counts_one_hit_or_one_miss() {
+        let lru = Lru::new(4);
+        assert_eq!(lru.get(&1), None);
+        assert_eq!(lru.get_or_insert_with(1, || 10), 10);
+        assert_eq!(lru.get_or_insert_with(1, || panic!("must hit")), 10);
+        assert_eq!(lru.get(&1), Some(10));
+        assert_eq!(lru.counts(), [2, 2, 0], "[hits, misses, evictions]");
     }
 
     #[test]
-    fn feature_store_hits_after_insert() {
-        let store = FeatureStore::new(16);
-        let a1 = store.get_or_compute(key(1), || table("<p>a</p>"));
-        let a2 = store.get_or_compute(key(1), || panic!("must hit"));
-        assert!(Arc::ptr_eq(&a1, &a2));
-        let s = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        assert_eq!((s(&store.hits), s(&store.misses)), (1, 1));
+    fn eviction_order_is_least_recently_used() {
+        let lru = Lru::new(2);
+        lru.insert(1, 'a');
+        lru.insert(2, 'b');
+        // Touching 1 leaves 2 as the least recently used entry.
+        assert_eq!(lru.get(&1), Some('a'));
+        lru.insert(3, 'c');
+        assert_eq!(lru.counts()[2], 1);
+        assert_eq!(lru.get(&2), None);
+        assert_eq!(lru.get(&1), Some('a'));
+        assert_eq!(lru.get(&3), Some('c'));
     }
 
     #[test]
-    fn feature_store_evicts_least_recently_used() {
-        // Capacity 8 over 8 shards = 1 entry per shard; two keys in the
-        // same shard force an eviction of the older one.
-        let store = FeatureStore::new(8);
-        let mut in_shard = (0u32..).filter(|&n| {
-            std::ptr::eq(
-                store.shard_of(&key(n)) as *const _,
-                store.shard_of(&key(0)) as *const _,
-            )
-        });
-        let a = in_shard.next().unwrap();
-        let b = in_shard.next().unwrap();
-        store.get_or_compute(key(a), || table("<p>a</p>"));
-        store.get_or_compute(key(b), || table("<p>b</p>"));
-        assert_eq!(store.evictions.load(Ordering::Relaxed), 1);
-        // `a` was evicted: asking again recomputes.
-        store.get_or_compute(key(a), || table("<p>a</p>"));
-        assert_eq!(store.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(store.misses.load(Ordering::Relaxed), 3);
+    fn capacity_n_holds_at_most_n_entries() {
+        for n in [1usize, 2, 5] {
+            let lru = Lru::new(n);
+            for k in 0..3 * n {
+                lru.get_or_insert_with(k, || k);
+                assert!(lru.entries().len() <= n, "capacity {n}");
+            }
+            assert_eq!(lru.entries().len(), n);
+            assert_eq!(lru.counts()[2], 2 * n as u64);
+        }
     }
 
     #[test]
-    fn disabled_feature_store_is_a_pass_through() {
-        // A disabled store computes every request — and counts *nothing*:
-        // a cache that is off has no hit rate (the PR 9 bugfix; it used
-        // to count every lookup as a miss, rendering as "0% hit rate").
-        let store = FeatureStore::new(0);
-        assert!(!store.enabled);
-        store.get_or_compute(key(1), || table("<p>a</p>"));
-        store.get_or_compute(key(1), || table("<p>a</p>"));
-        store.base_for(PageId::forged(1), || base("<p>a</p>"));
-        store.seed_base(PageId::forged(1), Arc::new(base("<p>a</p>")));
-        assert_eq!(store.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(store.misses.load(Ordering::Relaxed), 0);
-        assert_eq!(store.base_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(store.base_misses.load(Ordering::Relaxed), 0);
-        assert!(store.shards.iter().all(|s| s.lock().unwrap().is_empty()));
-        assert!(store
-            .base_shards
-            .iter()
-            .all(|s| s.lock().unwrap().is_empty()));
-        assert!(store.resident_base().is_empty());
+    fn disabled_tier_stores_and_counts_nothing() {
+        let lru = Lru::new(0);
+        assert_eq!(lru.get_or_insert_with(1, || 10), 10);
+        assert_eq!(lru.get_or_insert_with(1, || 11), 11);
+        assert_eq!(lru.insert(2, 20), 20);
+        assert_eq!(lru.get(&2), None);
+        assert!(lru.entries().is_empty());
+        assert_eq!(lru.counts(), [0, 0, 0]);
     }
 
     #[test]
-    fn base_tier_shares_across_queries_and_evicts_lru() {
-        let store = FeatureStore::new(16);
-        let id = PageId::forged(1);
-        let b1 = store.base_for(id, || base("<p>a</p>"));
-        let b2 = store.base_for(id, || panic!("must hit"));
-        assert!(Arc::ptr_eq(&b1, &b2));
-        let s = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        assert_eq!((s(&store.base_hits), s(&store.base_misses)), (1, 1));
-        // The base tier never touches the query-tier counters.
-        assert_eq!((s(&store.hits), s(&store.misses)), (0, 0));
-        assert_eq!(store.resident_base().len(), 1);
-    }
-
-    #[test]
-    fn base_tier_eviction_is_least_recently_used() {
-        // Capacity 8 over 8 shards = 1 entry per base shard; two pages
-        // in the same shard force an eviction of the older one.
-        let store = FeatureStore::new(8);
-        let mut in_shard = (0u32..).filter(|&n| {
-            std::ptr::eq(
-                store.base_shard_of(&PageId::forged(n)) as *const _,
-                store.base_shard_of(&PageId::forged(0)) as *const _,
-            )
-        });
-        let a = PageId::forged(in_shard.next().unwrap());
-        let b = PageId::forged(in_shard.next().unwrap());
-        store.base_for(a, || base("<p>a</p>"));
-        store.base_for(b, || base("<p>b</p>"));
-        assert_eq!(store.base_evictions.load(Ordering::Relaxed), 1);
-        store.base_for(a, || base("<p>a</p>"));
-        assert_eq!(store.base_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(store.base_misses.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn seeded_base_tables_hit_without_counting_a_lookup() {
-        let store = FeatureStore::new(16);
-        let id = PageId::forged(9);
-        let seeded = Arc::new(base("<p>a</p>"));
-        store.seed_base(id, Arc::clone(&seeded));
-        assert_eq!(store.base_misses.load(Ordering::Relaxed), 0);
-        let got = store.base_for(id, || panic!("must hit the seeded table"));
+    fn seeding_counts_no_lookup_and_keeps_the_resident_value() {
+        let lru = Lru::new(4);
+        let seeded = Arc::new(1);
+        assert!(Arc::ptr_eq(&lru.insert(9, Arc::clone(&seeded)), &seeded));
+        assert_eq!(lru.counts(), [0, 0, 0]);
+        // Seeding a resident key is a no-op, not a replace.
+        assert!(Arc::ptr_eq(&lru.insert(9, Arc::new(1)), &seeded));
+        let got = lru.get_or_insert_with(9, || panic!("must hit the seeded value"));
         assert!(Arc::ptr_eq(&got, &seeded));
-        assert_eq!(store.base_hits.load(Ordering::Relaxed), 1);
-        // Seeding an already-resident page is a no-op, not a replace.
-        store.seed_base(id, Arc::new(base("<p>a</p>")));
-        let again = store.base_for(id, || panic!("must hit"));
-        assert!(Arc::ptr_eq(&again, &seeded));
+        assert_eq!(lru.counts(), [1, 0, 0]);
     }
 
     #[test]
-    fn pool_digest_tracks_search_knobs_and_query() {
-        let ctx = QueryContext::new("Who?", ["Students"]);
-        let base = SynthConfig::fast();
-        let mut deeper = base.clone();
-        deeper.guard_depth += 1;
-        assert_ne!(pool_digest(&base, &ctx), pool_digest(&deeper, &ctx));
-        let other_ctx = QueryContext::new("Who?", ["Faculty"]);
-        assert_ne!(pool_digest(&base, &ctx), pool_digest(&base, &other_ctx));
+    fn answers_after_its_lock_was_poisoned() {
+        let lru = Lru::new(2);
+        lru.insert(1, 10);
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = lru.map.lock();
+            panic!("a panicking holder poisons the lock");
+        }));
+        assert!(poisoner.is_err() && lru.map.is_poisoned());
+        assert_eq!(lru.get(&1), Some(10));
+        assert_eq!(lru.get_or_insert_with(2, || 20), 20);
+        assert_eq!(lru.entries().len(), 2);
     }
 }

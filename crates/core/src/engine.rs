@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use crate::cache::{self, CacheStats, EngineCaches};
+use crate::cache::{normalize_task, CacheStats, EngineCaches};
 use crate::error::Error;
 use crate::persist::{PersistSink, PersistStats};
 use crate::pipeline::{Config, RunResult, Selection};
@@ -145,13 +145,9 @@ pub struct Engine {
     /// Cross-request caches ([`crate::cache`]); shared by clones of this
     /// engine, so per-request engine views accumulate hits in one place.
     caches: Arc<EngineCaches>,
-    /// Digest of `config` for result-cache keying, fixed at construction
-    /// (the config is immutable afterwards).
-    config_digest: u64,
     /// Optional on-disk snapshot sink ([`crate::persist`]). Deliberately
     /// *not* part of [`Config`]: persistence is observationally invisible
-    /// (`persist + reload ≡ never-cached`), so it must not perturb
-    /// `config_digest` or any cache key.
+    /// (`persist + reload ≡ never-cached`).
     persist: Option<Arc<PersistSink>>,
 }
 
@@ -174,12 +170,10 @@ impl Engine {
     /// per-store).
     pub fn with_store(config: Config, store: PageStore) -> Self {
         let caches = Arc::new(EngineCaches::new(config.cache));
-        let config_digest = cache::config_digest(&config);
         Engine {
             config,
             store,
             caches,
-            config_digest,
             persist: None,
         }
     }
@@ -227,7 +221,7 @@ impl Engine {
             let id = self.store.insert_tree(tree);
             pages += 1;
             if let Some(table) = base {
-                self.caches.features.seed_base(id, Arc::new(table));
+                self.caches.base.insert(id, Arc::new(table));
                 bases += 1;
             }
         });
@@ -253,7 +247,7 @@ impl Engine {
             };
             sink.spill_page(id.digest(), tree);
         }
-        for (id, table) in self.caches.features.resident_base() {
+        for (id, table) in self.caches.base.entries() {
             // Guard against a forged/foreign id: only spill a base table
             // whose page is resolvable here, under its *content* digest.
             if self.store.get(id).is_ok() {
@@ -267,9 +261,10 @@ impl Engine {
         &self.config
     }
 
-    /// A snapshot of the cross-request cache counters (feature-store and
-    /// result-LRU hits / misses / evictions). Counters accumulate across
-    /// every `prepare`/`run` of this engine and its clones.
+    /// A snapshot of the cross-request cache counters (query-tier,
+    /// base-tier and result-LRU hits / misses / evictions). Counters
+    /// accumulate across every `prepare`/`run` of this engine and its
+    /// clones.
     pub fn cache_stats(&self) -> CacheStats {
         self.caches.stats()
     }
@@ -304,7 +299,6 @@ impl Engine {
             .iter()
             .map(|id| Ok(Arc::clone(self.store.get(*id)?)))
             .collect::<Result<Vec<_>, Error>>()?;
-        let pool_digest = cache::pool_digest(&self.config.synth, &ctx);
         let mut prepared = Prepared {
             engine: self,
             ctx,
@@ -312,10 +306,9 @@ impl Engine {
             unlabeled,
             unlabeled_ids: task.unlabeled.clone(),
             features: Vec::new(),
-            pool_digest,
         };
         // Feature/mask tables for the labeled pages, through the engine's
-        // cross-request store (pure per-(page, query, config), so a hit
+        // query and base tiers (pure per-(page, query, config), so a hit
         // is byte-identical to a rebuild). Reference-kernel mode computes
         // everything definitionally inside the search instead.
         if !self.config.synth.reference_kernels {
@@ -361,7 +354,8 @@ impl Engine {
         if cancel.is_cancelled() {
             return Err(Error::Cancelled);
         }
-        if let Some(cached) = self.caches.results.get(self.config_digest, task) {
+        let key = normalize_task(task);
+        if let Some(cached) = self.caches.results.get(&key) {
             return Ok(cached);
         }
         let result = self
@@ -369,10 +363,7 @@ impl Engine {
             .synthesize_cancellable(cancel)?
             .select()
             .finish();
-        self.caches
-            .results
-            .insert(self.config_digest, task, result.clone());
-        Ok(result)
+        Ok(self.caches.results.insert(key, result))
     }
 }
 
@@ -395,25 +386,22 @@ pub struct Prepared<'e> {
     /// Feature/mask tables aligned with `examples` (empty in
     /// reference-kernel mode, where the search computes definitionally).
     features: Vec<Arc<PageFeatures>>,
-    /// Cache key half identifying the (query context, synth config) pool
-    /// the feature tables were built under.
-    pool_digest: u64,
 }
 
 impl<'e> Prepared<'e> {
-    /// One page's feature table, through the engine's two-tier
-    /// cross-request store: a query-tier miss rebuilds the full table
-    /// *over* the base tier, so the expensive query-independent half
-    /// (NER spans, structural masks) is shared by every question that
-    /// touches the page and only the thin keyword/QA layer is recomputed
-    /// per query.
+    /// One page's feature table, through the engine's query and base
+    /// tiers: a query-tier miss rebuilds the full table *over* the base
+    /// tier, so the expensive query-independent half (NER spans,
+    /// structural masks) is shared by every question that touches the
+    /// page and only the thin keyword/QA layer is recomputed per query.
     fn fetch_features(&self, id: PageId, page: &Arc<PageTree>) -> Arc<PageFeatures> {
-        let (cfg, ctx) = (&self.engine.config.synth, &self.ctx);
-        let features = &self.engine.caches.features;
-        let page = Arc::clone(page);
-        features.get_or_compute((id, self.pool_digest), move || {
-            let base = features.base_for(id, || PageBaseFeatures::compute(ctx, &page));
-            PageFeatures::compute_with_base(cfg, ctx, &page, &base)
+        let (cfg, ctx, caches) = (&self.engine.config.synth, &self.ctx, &self.engine.caches);
+        let key = (id, ctx.question().to_owned(), ctx.keywords().to_vec());
+        caches.query.get_or_insert_with(key, || {
+            let base = caches
+                .base
+                .get_or_insert_with(id, || Arc::new(PageBaseFeatures::compute(ctx, page)));
+            Arc::new(PageFeatures::compute_with_base(cfg, ctx, page, &base))
         })
     }
     /// The query context (modality already applied).
@@ -768,6 +756,60 @@ mod tests {
         assert_eq!(stats.result_misses, 2);
         assert_eq!(stats.feature_hits, 2);
         assert_eq!(stats.feature_misses, 2);
+    }
+
+    #[test]
+    fn base_tier_is_shared_across_questions_while_the_query_tier_misses() {
+        let (engine, a, b, c) = engine_with_pages();
+        let mut other = task(a, b, c);
+        other.question = "Who advises the lab?".into();
+        engine.prepare(&task(a, b, c)).unwrap();
+        engine.prepare(&other).unwrap();
+        let stats = engine.cache_stats();
+        assert_eq!((stats.feature_hits, stats.feature_misses), (0, 4));
+        assert_eq!((stats.base_hits, stats.base_misses), (2, 2));
+    }
+
+    #[test]
+    fn query_tier_never_shares_across_questions_or_keywords() {
+        let (engine, a, _, _) = engine_with_pages();
+        let query = |question: &str, keywords: &[&str]| {
+            Task::new(question, keywords.iter().copied()).with_label(a, vec!["Jane Doe".into()])
+        };
+        let contexts = [
+            query("Who?", &["Students"]),
+            query("Who else?", &["Students"]),
+            query("Who?", &["PhD"]),
+            query("Who?", &["Students", "PhD"]),
+        ];
+        for t in &contexts {
+            engine.prepare(t).unwrap();
+        }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.feature_hits, stats.feature_misses), (0, 4));
+        assert_eq!((stats.base_hits, stats.base_misses), (3, 1));
+        engine.prepare(&contexts[0]).unwrap();
+        assert_eq!(engine.cache_stats().feature_hits, 1);
+    }
+
+    #[test]
+    fn feature_capacity_is_exact_per_tier() {
+        let (engine, a, b, c) = engine_with_pages();
+        let one = Engine::with_store(
+            Config {
+                cache: crate::CacheConfig {
+                    feature_capacity: 1,
+                    result_capacity: 0,
+                },
+                ..engine.config().clone()
+            },
+            engine.store().clone(),
+        );
+        // Two labeled pages through one-table tiers: the second table of
+        // each tier evicts the first.
+        one.prepare(&task(a, b, c)).unwrap();
+        let stats = one.cache_stats();
+        assert_eq!((stats.feature_evictions, stats.base_evictions), (1, 1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Cache-invalidation property tests: arbitrary interleavings of
-//! `FeatureStore` hits, LRU evictions, and re-insertions must be
+//! feature-tier hits, LRU evictions, and re-insertions must be
 //! observationally invisible.
 //!
 //! The discipline extends the `SynthConfig::reference()` pattern one
@@ -25,9 +25,8 @@ use webqa::{
 };
 
 /// The task pool: overlapping page/question combinations so feature keys
-/// are shared across tasks (hits), and enough *distinct* (page, query)
-/// keys — 10, over the store's 8 shards — that a capacity-1 feature
-/// store is guaranteed evictions by pigeonhole, whatever the shard hash.
+/// are shared across tasks (hits), and 10 *distinct* (page, query) keys,
+/// so a capacity-1 query tier must evict.
 fn task_pool(store: &mut PageStore) -> Vec<Task> {
     let a = store
         .insert_html("<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li><li>Bob Smith</li></ul>")
@@ -237,9 +236,8 @@ fn fixed_sequence_exercises_hits_evictions_and_reinsertions() {
         "returning to evicted tasks must re-miss (re-insertion), 7 distinct tasks: {stats:?}"
     );
 
-    // Thrashing engine: 10 distinct (page, query) feature keys over 8
-    // shards at one entry per shard — pigeonhole guarantees evictions
-    // regardless of the shard hash; the second pass re-inserts.
+    // Thrashing engine: 10 distinct (page, query) feature keys through
+    // a one-entry query tier must evict; the second pass re-inserts.
     let thrash = engine_with(
         CacheConfig {
             feature_capacity: 1,
@@ -252,7 +250,7 @@ fn fixed_sequence_exercises_hits_evictions_and_reinsertions() {
     let stats = thrash.cache_stats();
     assert!(
         stats.feature_evictions > 0,
-        "10 keys into 8 single-entry shards must evict: {stats:?}"
+        "10 keys into a one-entry tier must evict: {stats:?}"
     );
     assert!(stats.result_evictions > 0, "no result evictions: {stats:?}");
 }

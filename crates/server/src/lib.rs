@@ -2,7 +2,7 @@
 //!
 //! The resident serving layer: a daemon owning long-lived
 //! [`webqa::Engine`] state — and therefore its cross-request caches
-//! (the feature store and the completed-run LRU, `webqa::CacheStats`)
+//! (the query, base and result tiers `webqa::CacheStats` counts)
 //! — split into digest-routed **shards** and speaking two wire
 //! surfaces: a line-delimited JSON protocol over TCP and/or Unix
 //! domain sockets, and a minimal HTTP/1.1 facade mapping the same
@@ -37,7 +37,7 @@
 //!
 //! The engine is split into [`ServeOptions::shards`] independent shards
 //! (default 1; `0` = one per core). Each shard owns its *own* engine —
-//! page store, feature store, result LRU — behind its own `RwLock`,
+//! page store and caches — behind its own `RwLock`,
 //! plus its own admission queue and worker slice (the global
 //! `workers`/`backlog` budgets are split as evenly as possible, floored
 //! at one per shard). A page belongs to exactly one shard, chosen by a
@@ -124,10 +124,9 @@
 //! ← {"id": 1, "err": {"kind": "<kind>", "message": "..."}}
 //! ```
 //!
-//! Error kinds: `bad-frame`, `oversized`, `bad-request`, `unknown-op`,
-//! `page`, `unknown-page`, `overloaded`, `deadline-exceeded`,
-//! `internal` (see [`protocol::ErrKind`]). Errors are responses like
-//! any other — the engine and the connection remain fully usable
+//! The error kinds are the variants of [`protocol::ErrKind`], whose docs
+//! say when each is sent; [`ErrKind::as_str`](protocol::ErrKind::as_str)
+//! gives the wire spelling. Errors are responses like any other — the engine and the connection remain fully usable
 //! afterwards (except `oversized`, which closes).
 //!
 //! ## Operations

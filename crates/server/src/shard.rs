@@ -2,7 +2,7 @@
 //!
 //! One global `RwLock<Engine>` made every page intern a writer that
 //! stalled all readers. A [`ShardSet`] instead owns `N` [`EngineShard`]s
-//! — each with its *own* engine, page store, feature store, result LRU,
+//! — each with its *own* engine, page store, feature and result caches,
 //! admission queue, and worker slice — and assigns every page to exactly
 //! one shard by a pure function of its content digest:
 //!

@@ -169,14 +169,15 @@ fn filter_holds(
 ///
 /// A table is a pure function of `(config, query context, page)`:
 /// computing it once and reusing it across `synthesize` calls (what
-/// `webqa::Engine`'s cross-request feature store does) is observationally
+/// `webqa::Engine`'s cross-request query tier does) is observationally
 /// invisible — the search reads identical bytes either way. Tables are
 /// *shape*-checked on use ([`PageFeatures::fits`]): a table whose node or
 /// filter counts don't match falls back to a fresh computation. The
 /// shape check cannot detect a table built for a *different page of the
 /// same size* under the same config — callers are responsible for keying
-/// stored tables by page content and query/config identity, as
-/// `webqa::Engine`'s feature store does.
+/// stored tables by page content and query identity under one fixed
+/// config, as `webqa::Engine`'s query tier does (its caches belong to one
+/// engine, whose config never changes).
 #[derive(Debug)]
 pub struct PageFeatures {
     /// Per-node own-text features (guard classification reads these).
@@ -297,7 +298,7 @@ impl PageFeatures {
 /// leaf/elem masks. Everything here is a pure function of *page
 /// content* under the pretrained neural modules — no question, keyword,
 /// or synthesis-config input — which is what lets `webqa::Engine`'s
-/// feature store share one base table across *different* questions over
+/// base tier share one base table across *different* questions over
 /// the same page, and persist it to disk keyed by content digest alone.
 ///
 /// Contract: [`PageBaseFeatures::compute`] reads only

@@ -71,12 +71,12 @@
 //!   alone, errors are a typed `webqa::Error`, and independent tasks
 //!   batch through `Engine::run_batch` on a scoped threadpool with
 //!   deterministic input-ordered results.
-//!   The engine additionally owns the cross-request caches: a sharded,
-//!   content-keyed **two-tier** `FeatureStore` — a query-*independent*
-//!   base tier (NER spans, leaf/element masks, keyed by page alone, so
-//!   different questions over the same pages share the expensive half)
-//!   under a thin query-dependent tier of keyword scores — and an LRU
-//!   of completed runs; all pure values, so hits and evictions change
+//!   The engine additionally owns the cross-request caches, three tiers
+//!   of one exact-keyed LRU: a query-*independent* base tier (NER spans,
+//!   leaf/element masks, keyed by page alone, so different questions
+//!   over the same pages share the expensive half) under a thin query
+//!   tier of keyword scores keyed by (page, question, keywords), and a
+//!   tier of completed runs; all pure values, so hits and evictions change
 //!   latency, never results (`webqa::CacheStats` counts every tier,
 //!   and a disabled tier counts nothing). The page store and base tier
 //!   additionally persist: `webqa::PersistSink` spills them to a

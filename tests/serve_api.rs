@@ -14,7 +14,7 @@
 //!   byte against an envelope rendered from the cold reference engine
 //!   (same `render_run_result` code path, so a single differing bit in
 //!   programs, `Counts`, F₁, or answers fails the test);
-//! * a warm repeat shows `FeatureStore` hits and result-LRU hits in the
+//! * a warm repeat shows feature-tier hits and result-LRU hits in the
 //!   served cache-stats — the caches demonstrably *work* and
 //!   demonstrably *don't show* in the payloads;
 //! * protocol robustness: malformed frames, oversized requests, unknown
@@ -230,7 +230,7 @@ fn concurrent_duplicated_streams_are_byte_identical_to_a_cold_engine() {
 
     // The caches must have engaged: with 4 clients × 3 repeats of 5
     // tasks, repeats hit the result LRU, and the same-pages/different-
-    // targets specs hit the feature store even on result misses.
+    // targets specs hit the query tier even on result misses.
     let mut client = Client::connect_tcp(addr).expect("connect");
     let cache = stats(&mut client).cache;
     assert!(
@@ -239,7 +239,7 @@ fn concurrent_duplicated_streams_are_byte_identical_to_a_cold_engine() {
     );
     assert!(
         cache.feature_hits > 0,
-        "shared labeled pages must hit the FeatureStore: {cache:?}"
+        "shared labeled pages must hit the query tier: {cache:?}"
     );
     listening.shutdown();
 }
@@ -263,7 +263,7 @@ fn warm_repeat_is_a_cache_hit_with_an_identical_payload() {
     let second = client.request_line(&specs[0].request(1)).expect("warm run");
     assert_eq!(second, first, "cache hit changed the payload");
 
-    // A same-pages/different-targets query exercises the FeatureStore
+    // A same-pages/different-targets query exercises the query tier
     // without being an exact repeat.
     let _ = client.request_line(&specs[1].request(2)).expect("variant");
     let cache = stats(&mut client).cache;
