@@ -43,7 +43,17 @@ impl Setup {
     }
 
     /// Builds a setup with explicit knobs, interning every corpus page.
+    ///
+    /// # Panics
+    ///
+    /// When `train_pages >= pages_per_domain`: the test split would be
+    /// empty, and every tool would score a perfect F1 on zero pages.
     pub fn new(pages_per_domain: usize, train_pages: usize, seed: u64) -> Setup {
+        assert!(
+            train_pages < pages_per_domain,
+            "WEBQA_TRAIN ({train_pages}) must be below WEBQA_PAGES ({pages_per_domain}): \
+             with no test pages left every tool would score 1.00"
+        );
         let corpus = Corpus::generate(pages_per_domain, seed);
         let mut store = PageStore::new();
         let page_ids = Domain::ALL
@@ -281,6 +291,12 @@ mod tests {
         assert_eq!(spec.labeled.len(), 4);
         assert_eq!(spec.unlabeled.len(), 4);
         assert_eq!(setup.test_gold(t).len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "WEBQA_TRAIN (4) must be below WEBQA_PAGES (4)")]
+    fn a_split_without_test_pages_is_rejected() {
+        Setup::new(4, 4, 7);
     }
 
     #[test]

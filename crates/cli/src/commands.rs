@@ -2,13 +2,16 @@
 
 use std::fmt::Write as _;
 
-use webqa::{score_answers, CancelToken, Config, Engine, Modality, Selection, Task as EngineTask};
+use webqa::{
+    score_answers, CancelToken, Config, Engine, Modality, PersistStats, Selection,
+    Task as EngineTask,
+};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{
     domain_stats, generate_pages, task_by_id, Corpus, Domain, Task, TaskDataset, TASKS,
 };
 use webqa_dsl::{lint, normalize, PageTree, Program, QueryContext};
-use webqa_server::StatsSnapshot;
+use webqa_server::{protocol, ShardStats};
 use webqa_synth::SynthConfig;
 
 use crate::args::ParsedArgs;
@@ -77,7 +80,7 @@ COMMANDS:
                   shards, each with its own store, caches, and worker
                   slice (0 = one per core; responses are byte-identical
                   whatever N is); --http HOST:PORT serves the same ops
-                  as POST /v1/run|run_batch|intern, GET /v1/ping|stats;
+                  over HTTP/1.1, one route per op (see the crate docs);
                   --max-requests N serves exactly N responses then stops
                   (0 = run until killed, the default); --workers N fixes
                   the pool executing run/run_batch (0 = all cores);
@@ -862,18 +865,13 @@ pub(crate) fn client(a: &ParsedArgs) -> Result<String, CliError> {
             let parsed: serde_json::Value = serde_json::from_str(&line).map_err(|e| {
                 CliError::Command(format!("--http needs a valid JSON object request: {e}"))
             })?;
-            let (method, path) = match parsed["op"].as_str() {
-                Some("run") => ("POST", "/v1/run"),
-                Some("run_batch") => ("POST", "/v1/run_batch"),
-                Some("intern") => ("POST", "/v1/intern"),
-                Some("check") => ("POST", "/v1/check"),
-                Some("ping") => ("GET", "/v1/ping"),
-                Some("stats") => ("GET", "/v1/stats"),
-                other => {
-                    return Err(CliError::Command(format!(
-                        "cannot route op {other:?} over HTTP (expected ping|intern|run|run_batch|check|stats)"
-                    )))
-                }
+            let op = parsed["op"].as_str().and_then(protocol::op_named);
+            let Some(protocol::Op { method, path, .. }) = op else {
+                return Err(CliError::Command(format!(
+                    "cannot route op {:?} over HTTP (expected {})",
+                    parsed["op"].as_str(),
+                    protocol::op_names()
+                )));
             };
             let (_status, body) = webqa_server::HttpClient::connect(addr)
                 .map_err(|e| CliError::Command(format!("cannot connect to http://{addr}: {e}")))?
@@ -900,14 +898,20 @@ pub(crate) fn client(a: &ParsedArgs) -> Result<String, CliError> {
 /// `persist:` line when the daemon has a snapshot directory with
 /// traffic.
 fn render_shard_stats(response: &str) -> String {
-    let Some(stats) = serde_json::from_str::<serde_json::Value>(response)
+    // Only the two fields rendered are read, so a daemon whose stats
+    // body has more (or fewer) top-level counters still renders.
+    let ok = serde_json::from_str::<serde_json::Value>(response)
         .ok()
-        .and_then(|v| serde_json::from_value::<StatsSnapshot>(v.get("ok")?.clone()).ok())
-    else {
+        .and_then(|v| v.get("ok").cloned());
+    let field = |name: &str| ok.as_ref()?.get(name).cloned();
+    let (Some(Ok(shards)), Some(Ok(p))) = (
+        field("shards").map(serde_json::from_value::<Vec<ShardStats>>),
+        field("persist").map(serde_json::from_value::<PersistStats>),
+    ) else {
         return String::new();
     };
     let mut out = String::new();
-    for s in &stats.shards {
+    for s in &shards {
         let c = &s.cache;
         // A tier renders as `3h/2m (60%)`, `0h/0m` (no traffic yet: a
         // rate would be 0/0), or `off` (a disabled tier has no rate).
@@ -943,7 +947,6 @@ fn render_shard_stats(response: &str) -> String {
             s.shard, s.workers, s.backlog, s.queue_depth, s.inflight, s.pages,
         );
     }
-    let p = &stats.persist;
     if p.pages_loaded + p.base_loaded + p.pages_spilled + p.base_spilled + p.corrupt_skipped > 0 {
         let _ = writeln!(
             out,
@@ -971,34 +974,18 @@ pub(crate) fn check(a: &ParsedArgs) -> Result<String, CliError> {
         .parse()
         .map_err(|e| CliError::Command(format!("bad --program: {e}")))?;
     let ctx = QueryContext::new(a.get("question").unwrap_or(""), a.get_list("keywords"));
-    let report = lint(&program, &ctx);
-    let analysis = webqa_dsl::Analyzer::new(&ctx).analyze(&program);
-    let verdicts = analysis.verdicts();
-    let clean = report.is_clean() && verdicts.is_empty();
     let normalized = a.switch("normalize").then(|| normalize(&program));
-    let out = if a.switch("json") {
-        let strings = |items: Vec<String>| {
-            serde_json::Value::Array(items.into_iter().map(serde_json::Value::from).collect())
-        };
-        let mut obj = serde_json::Map::new();
-        obj.insert("program".into(), program.to_string().into());
-        obj.insert("size".into(), serde_json::json!(program.size()));
-        obj.insert("branches".into(), serde_json::json!(program.branches.len()));
-        obj.insert(
-            "lint".into(),
-            strings(report.issues.iter().map(|i| i.to_string()).collect()),
-        );
-        obj.insert("verdicts".into(), strings(verdicts.clone()));
-        obj.insert(
-            "canonical_key".into(),
-            analysis.canonical_key.clone().into(),
-        );
-        obj.insert("clean".into(), serde_json::Value::Bool(clean));
+    let (out, clean) = if a.switch("json") {
+        let mut body = webqa_server::render_check(&program, &ctx);
+        let clean = body.get("clean") == Some(&serde_json::Value::Bool(true));
         if let Some(n) = &normalized {
-            obj.insert("normalized".into(), n.to_string().into());
+            body.insert("normalized".into(), n.to_string().into());
         }
-        format!("{}\n", serde_json::Value::Object(obj))
+        (format!("{}\n", serde_json::Value::Object(body)), clean)
     } else {
+        let report = lint(&program, &ctx);
+        let analysis = webqa_dsl::Analyzer::new(&ctx).analyze(&program);
+        let clean = report.is_clean() && analysis.verdicts().is_empty();
         let mut out = String::new();
         let _ = writeln!(out, "program: {program}");
         let _ = writeln!(
@@ -1016,7 +1003,7 @@ pub(crate) fn check(a: &ParsedArgs) -> Result<String, CliError> {
                 let _ = writeln!(out, "normalized: {n}");
             }
         }
-        out
+        (out, clean)
     };
     if clean {
         Ok(out)
@@ -1338,6 +1325,35 @@ mod tests {
         assert!(err.to_string().contains("exactly one"), "{err}");
         let err = dispatch(&["client", "--tcp", "127.0.0.1:1", "--op", "run"]).unwrap_err();
         assert!(err.to_string().contains("ping|stats"), "{err}");
+    }
+
+    #[test]
+    fn client_routes_ops_over_http_by_the_op_table() {
+        let listening = webqa_server::Server::new(webqa_server::ServeOptions::default())
+            .listen_all(None, None, Some("127.0.0.1:0"))
+            .expect("bind loopback");
+        let addr = listening.http_addr().expect("http endpoint").to_string();
+        let pong = dispatch(&["client", "--http", &addr, "--op", "ping"]).unwrap();
+        assert_eq!(pong.trim(), r#"{"id":null,"ok":{"pong":true}}"#);
+        let checked = dispatch(&[
+            "client",
+            "--http",
+            &addr,
+            "--request",
+            r#"{"id":4,"op":"check","program":"sat(root, true) -> content"}"#,
+        ])
+        .unwrap();
+        assert!(
+            checked.starts_with(r#"{"id":4,"ok":{"program":"#),
+            "{checked}"
+        );
+        let err =
+            dispatch(&["client", "--http", &addr, "--request", r#"{"op":"nope"}"#]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"cannot route op Some("nope") over HTTP (expected ping|intern|run|run_batch|check|stats)"#
+        );
+        listening.shutdown();
     }
 
     #[test]

@@ -1,58 +1,25 @@
-//! The HTTP/1.1 facade: the line protocol's ops, reachable by anything
-//! that speaks plain HTTP (`curl`, load balancers, language runtimes
-//! with no raw-socket access).
-//!
-//! This is a deliberate 1:1 mapping, not a second API. Each route
-//! borrows the line protocol's request object verbatim as its JSON body
-//! — minus the `"op"` field, which the path supplies — and each
-//! response body **is** the line protocol's one-line envelope, byte for
-//! byte (without the trailing newline). That identity is what lets the
-//! byte-compare harnesses in `tests/serve_api.rs` cover both transports
-//! with one reference.
-//!
-//! ```text
-//! POST /v1/run        body: {"question": ..., "keywords": ..., ...}
-//! POST /v1/run_batch  body: {"tasks": [...], ...}
-//! POST /v1/intern     body: {"html": "...", "lenient": false}
-//! GET  /v1/ping
-//! GET  /v1/stats
-//! ```
-//!
-//! Framing is `Content-Length` only, capped at the server's
-//! `max_frame_bytes` like a line-protocol frame. Requests that make the
-//! body boundary ambiguous are refused outright — `Transfer-Encoding`
-//! (any value) with `411 Length Required`, a duplicate `Content-Length`
-//! with `400` — because silently mis-framing one would replay its body
-//! bytes as the next request's head on a keep-alive connection (request
-//! smuggling). Connections are keep-alive by default;
-//! `Connection: close` (or HTTP/1.0, or any framing-level error) closes
-//! after the response. Typed errors map
-//! onto status codes (see `status_for`): the envelope in the body
-//! remains the source of truth, the status line is a convenience for
-//! HTTP-native clients.
-//!
-//! Heavy ops (`run`, `run_batch`) go through the *same* shard admission
-//! queues and worker pool as line-protocol requests — the facade adds
-//! no second execution path. The connection thread parks on a
-//! [`ResponseGate`] that the worker fills through the ordinary
-//! `write_response` machinery, so completion counting, write permits,
-//! and load shedding behave identically across transports (HTTP is
-//! one-request-at-a-time per connection, so "completion order" and
-//! "request order" coincide here).
+//! The HTTP/1.1 facade's framing: reading a request head and its
+//! `Content-Length` body, routing the path through [`OPS`], and writing
+//! the status line. The facade's contract (routes, body, status codes,
+//! keep-alive) is in the crate docs; what a request means is the line
+//! protocol's business — each request goes through the same
+//! [`Server::submit`] as a line frame, and a heavy op's worker hands its
+//! response back over this connection's channel.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serde_json::Value;
 
 use crate::net::{accept_loop, read_frame, Frame};
-use crate::pool::{ConnWriter, Job};
-use crate::protocol::ProtoError;
-use crate::{Action, ErrKind, Server, Shared};
+use crate::pool::Reply;
+use crate::protocol::{Response, OPS};
+use crate::{ErrKind, Server, Shared};
 
 /// Maximum header lines per request — far above any legitimate client,
 /// low enough that a drip-feed of garbage headers cannot pin a thread.
@@ -84,9 +51,13 @@ enum ReadOutcome {
     /// Clean end of the connection (EOF between requests, transport
     /// error, or shutdown).
     Closed,
-    /// A protocol-level failure to respond to, then close: the error
-    /// kind, the HTTP status, and a message.
-    Fail(ErrKind, u16, String),
+    /// A protocol-level failure to respond to, then close: the status
+    /// when the kind's own does not fit, the error kind, and a message.
+    Fail(Option<u16>, ErrKind, String),
+}
+
+fn fail(kind: ErrKind, message: impl Into<String>) -> ReadOutcome {
+    ReadOutcome::Fail(None, kind, message.into())
 }
 
 /// Reads one HTTP/1.1 request (head + `Content-Length` body) from the
@@ -100,29 +71,21 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
             Frame::Line(l) => break l,
             Frame::Eof | Frame::Io => return ReadOutcome::Closed,
             Frame::Oversized => {
-                return ReadOutcome::Fail(
+                return fail(
                     ErrKind::Oversized,
-                    413,
                     format!("request line exceeds max_frame_bytes ({max})"),
                 )
             }
-            Frame::BadUtf8 => {
-                return ReadOutcome::Fail(
-                    ErrKind::BadFrame,
-                    400,
-                    "request line is not UTF-8".to_string(),
-                )
-            }
+            Frame::BadUtf8 => return fail(ErrKind::BadFrame, "request line is not UTF-8"),
         }
     };
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v), None) => (m.to_string(), p.to_string(), v),
         _ => {
-            return ReadOutcome::Fail(
+            return fail(
                 ErrKind::BadFrame,
-                400,
-                "malformed request line (expected \"METHOD PATH VERSION\")".to_string(),
+                "malformed request line (expected \"METHOD PATH VERSION\")",
             )
         }
     };
@@ -130,9 +93,8 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
         "HTTP/1.1" => false,
         "HTTP/1.0" => true,
         other => {
-            return ReadOutcome::Fail(
+            return fail(
                 ErrKind::BadFrame,
-                400,
                 format!("unsupported protocol version {other:?}"),
             )
         }
@@ -142,27 +104,23 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
     let mut content_length: Option<usize> = None;
     for n in 0.. {
         if n >= MAX_HEADERS {
-            return ReadOutcome::Fail(ErrKind::BadFrame, 400, "too many headers".to_string());
+            return fail(ErrKind::BadFrame, "too many headers");
         }
         let header = match read_frame(reader, max) {
             Frame::Line(l) if l.is_empty() => break,
             Frame::Line(l) => l,
             Frame::Eof | Frame::Io => return ReadOutcome::Closed,
             Frame::Oversized => {
-                return ReadOutcome::Fail(
+                return fail(
                     ErrKind::Oversized,
-                    413,
                     format!("header exceeds max_frame_bytes ({max})"),
                 )
             }
-            Frame::BadUtf8 => {
-                return ReadOutcome::Fail(ErrKind::BadFrame, 400, "header is not UTF-8".to_string())
-            }
+            Frame::BadUtf8 => return fail(ErrKind::BadFrame, "header is not UTF-8"),
         };
         let Some((name, value)) = header.split_once(':') else {
-            return ReadOutcome::Fail(
+            return fail(
                 ErrKind::BadFrame,
-                400,
                 format!("malformed header line {header:?}"),
             );
         };
@@ -176,17 +134,15 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
                 // bytes would be parsed as the next request's head
                 // (request smuggling). Refuse and close.
                 Ok(n) if content_length.is_some() => {
-                    return ReadOutcome::Fail(
+                    return fail(
                         ErrKind::BadFrame,
-                        400,
                         format!("duplicate Content-Length header ({n})"),
                     )
                 }
                 Ok(n) => content_length = Some(n),
                 Err(_) => {
-                    return ReadOutcome::Fail(
+                    return fail(
                         ErrKind::BadFrame,
-                        400,
                         format!("unparsable Content-Length {value:?}"),
                     )
                 }
@@ -197,8 +153,8 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
             // zero-length and its bytes replayed as subsequent requests.
             // 411: the client must resend with a Content-Length.
             return ReadOutcome::Fail(
+                Some(411),
                 ErrKind::BadFrame,
-                411,
                 format!("Transfer-Encoding {value:?} unsupported: this endpoint frames by Content-Length only"),
             );
         } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
@@ -210,9 +166,8 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
     let body = match content_length {
         None | Some(0) => String::new(),
         Some(n) if n > max => {
-            return ReadOutcome::Fail(
+            return fail(
                 ErrKind::Oversized,
-                413,
                 format!("body of {n} bytes exceeds max_frame_bytes ({max})"),
             )
         }
@@ -223,13 +178,7 @@ fn read_request(reader: &mut BufReader<TcpStream>, max: usize) -> ReadOutcome {
             }
             match String::from_utf8(buf) {
                 Ok(s) => s,
-                Err(_) => {
-                    return ReadOutcome::Fail(
-                        ErrKind::BadFrame,
-                        400,
-                        "body is not UTF-8".to_string(),
-                    )
-                }
+                Err(_) => return fail(ErrKind::BadFrame, "body is not UTF-8"),
             }
         }
     };
@@ -251,39 +200,10 @@ enum Route {
 }
 
 fn route(method: &str, path: &str) -> Route {
-    let (op, expected) = match path {
-        "/v1/run" => ("run", "POST"),
-        "/v1/run_batch" => ("run_batch", "POST"),
-        "/v1/intern" => ("intern", "POST"),
-        "/v1/check" => ("check", "POST"),
-        "/v1/ping" => ("ping", "GET"),
-        "/v1/stats" => ("stats", "GET"),
-        _ => return Route::Unknown,
-    };
-    if method == expected {
-        Route::Op(op)
-    } else {
-        Route::WrongMethod(expected)
-    }
-}
-
-/// The status code a response envelope maps to: 200 for `ok`, the typed
-/// error's HTTP rendering otherwise. The envelope stays the source of
-/// truth; an unrecognized kind degrades to 500.
-fn status_for(envelope: &str) -> u16 {
-    let Ok(v) = serde_json::from_str::<Value>(envelope) else {
-        return 500;
-    };
-    match v["err"]["kind"].as_str() {
-        None => 200,
-        Some("bad-frame" | "bad-request") => 400,
-        Some("unknown-op" | "unknown-page") => 404,
-        Some("oversized") => 413,
-        Some("page") => 422,
-        Some("overloaded") => 503,
-        Some("deadline-exceeded") => 504,
-        // `internal`, or any kind this mapping has not learned yet.
-        Some(_) => 500,
+    match OPS.iter().find(|op| op.path == path) {
+        None => Route::Unknown,
+        Some(op) if op.method == method => Route::Op(op.name),
+        Some(op) => Route::WrongMethod(op.method),
     }
 }
 
@@ -303,84 +223,29 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response; returns whether the full write succeeded.
-fn write_http(stream: &mut TcpStream, status: u16, body: &str, close: bool) -> bool {
+/// Writes one response: the head, then the body, then a flush.
+fn write_http(stream: &mut TcpStream, status: u16, body: &str, close: bool) -> io::Result<()> {
     let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n",
         reason(status),
         body.len(),
         if close { "Connection: close\r\n" } else { "" },
     );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
-        .and_then(|()| stream.flush())
-        .is_ok()
+    stream.write_all(head.as_bytes())?;
+    stream.write_all(body.as_bytes())?;
+    stream.flush()
 }
 
-/// The rendezvous between an HTTP connection thread and the worker that
-/// executes its heavy op: the worker's `write_response` lands the
-/// envelope here (through a [`GateWriter`]); the connection thread
-/// parks until it arrives or the server shuts down.
-struct ResponseGate {
-    slot: Mutex<Option<String>>,
-    ready: Condvar,
-}
-
-impl ResponseGate {
-    fn new() -> Arc<ResponseGate> {
-        Arc::new(ResponseGate {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Blocks until the response arrives; `None` on shutdown (the
-    /// periodic timeout exists only to observe the flag — a suppressed
-    /// response, e.g. under a write-permit cap, must not pin the thread
-    /// forever).
-    fn wait(&self, shutdown: &AtomicBool) -> Option<String> {
-        let mut slot = crate::relock(self.slot.lock());
-        loop {
-            if let Some(line) = slot.take() {
-                return Some(line);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (s, _) = crate::relock(self.ready.wait_timeout(slot, Duration::from_millis(100)));
-            slot = s;
+/// Waits for a worker's response; `None` on shutdown (queued jobs are
+/// abandoned then, so the periodic timeout exists only to observe the
+/// flag).
+fn await_reply(replies: &Receiver<Response>, shared: &Shared) -> Option<Response> {
+    loop {
+        match replies.recv_timeout(Duration::from_millis(100)) {
+            Ok(response) => return Some(response),
+            Err(RecvTimeoutError::Timeout) if !shared.shutdown.load(Ordering::SeqCst) => {}
+            Err(_) => return None,
         }
-    }
-}
-
-/// A `Write` that delivers each flushed line into a [`ResponseGate`] —
-/// what lets a worker answer an HTTP request through the very same
-/// `ConnWriter`/`write_response` path it uses for socket lines (so
-/// completion counting and write permits stay transport-uniform).
-struct GateWriter {
-    gate: Arc<ResponseGate>,
-    buf: Vec<u8>,
-}
-
-impl Write for GateWriter {
-    fn write(&mut self, b: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(b);
-        Ok(b.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let mut line = String::from_utf8(std::mem::take(&mut self.buf))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        *crate::relock(self.gate.slot.lock()) = Some(line);
-        self.gate.ready.notify_all();
-        Ok(())
     }
 }
 
@@ -394,6 +259,12 @@ pub(crate) fn serve_http_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
+    let (reply_to, replies) = mpsc::channel();
+    let reply = Reply::Http(reply_to);
+    let mut write = |status: Option<u16>, response: &Response, close: bool| {
+        let status = status.unwrap_or_else(|| response.http_status());
+        shared.write_counted(|| write_http(&mut stream, status, &response.envelope, close))
+    };
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
@@ -401,39 +272,31 @@ pub(crate) fn serve_http_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         let request = match read_request(&mut reader, shared.max_frame_bytes) {
             ReadOutcome::Request(r) => r,
             ReadOutcome::Closed => return,
-            ReadOutcome::Fail(kind, status, message) => {
+            ReadOutcome::Fail(status, kind, message) => {
                 // The stream may be out of sync past the failure, so
                 // this is always a closing response.
-                let envelope = typed_error(&server, kind, &message);
-                let _ = write_http(&mut stream, status, &envelope, true);
+                let _ = write(status, &server.frame_error(kind, message), true);
                 return;
             }
         };
-        let close = request.close;
 
-        let (status, envelope) = match route(&request.method, &request.path) {
-            Route::Unknown => (
-                404,
-                typed_error(
-                    &server,
-                    ErrKind::UnknownOp,
-                    &format!(
-                        "unknown path {} (expected /v1/run, /v1/run_batch, /v1/intern, /v1/check, /v1/ping, or /v1/stats)",
-                        request.path
-                    ),
-                ),
-            ),
-            Route::WrongMethod(expected) => (
-                405,
-                typed_error(
-                    &server,
-                    ErrKind::BadRequest,
-                    &format!(
-                        "method {} not allowed for {} (expected {expected})",
-                        request.method, request.path
-                    ),
-                ),
-            ),
+        let (status, response) = match route(&request.method, &request.path) {
+            Route::Unknown => {
+                let [rest @ .., last] = OPS.map(|op| op.path);
+                let message = format!(
+                    "unknown path {} (expected {}, or {last})",
+                    request.path,
+                    rest.join(", ")
+                );
+                (None, server.frame_error(ErrKind::UnknownOp, message))
+            }
+            Route::WrongMethod(expected) => {
+                let message = format!(
+                    "method {} not allowed for {} (expected {expected})",
+                    request.method, request.path
+                );
+                (Some(405), server.frame_error(ErrKind::BadRequest, message))
+            }
             Route::Op(op) => {
                 // The body is the line protocol's request object with
                 // the op injected from the path (an empty body means an
@@ -445,63 +308,32 @@ pub(crate) fn serve_http_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                 };
                 match parsed {
                     Err(_) => (
-                        400,
-                        typed_error(&server, ErrKind::BadFrame, "body is not valid JSON"),
+                        None,
+                        server.frame_error(ErrKind::BadFrame, "body is not valid JSON"),
                     ),
                     Ok(mut v) => {
                         if let Value::Object(obj) = &mut v {
                             obj.insert("op".to_string(), Value::String(op.to_string()));
                         }
                         let (id, classified) = server.classify_value(v);
-                        match classified {
-                            Ok(Action::Immediate(body)) => {
-                                let envelope = server.render_outcome(id, Ok(body));
-                                (status_for(&envelope), envelope)
-                            }
-                            Err(e) => {
-                                let envelope = server.render_outcome(id, Err(e));
-                                (status_for(&envelope), envelope)
-                            }
-                            Ok(Action::Heavy(op)) => {
-                                let gate = ResponseGate::new();
-                                let conn = Arc::new(ConnWriter::new(Box::new(GateWriter {
-                                    gate: Arc::clone(&gate),
-                                    buf: Vec::new(),
-                                })));
-                                let shard = op.shard;
-                                let admitted = shared.shards.get(shard).queue.try_push(Job {
-                                    id: id.clone(),
-                                    op,
-                                    conn,
-                                });
-                                if !admitted {
-                                    let envelope = server.overloaded_response(id, shard);
-                                    (status_for(&envelope), envelope)
-                                } else {
-                                    match gate.wait(&shared.shutdown) {
-                                        Some(envelope) => (status_for(&envelope), envelope),
-                                        // Shutdown before the response
-                                        // landed: close without one.
-                                        None => return,
-                                    }
-                                }
-                            }
+                        match server.submit(id, classified, &reply) {
+                            Some(response) => (None, response),
+                            None => match await_reply(&replies, shared) {
+                                Some(response) => (None, response),
+                                // Shutdown before the response landed:
+                                // close without one.
+                                None => return,
+                            },
                         }
                     }
                 }
             }
         };
 
-        if !write_http(&mut stream, status, &envelope, close) || close {
+        if !write(status, &response, request.close) || request.close {
             return;
         }
     }
-}
-
-/// Renders a facade-level typed error (counting it like any request).
-fn typed_error(server: &Server, kind: ErrKind, message: &str) -> String {
-    server.shared.requests.fetch_add(1, Ordering::Relaxed);
-    server.render_outcome(Value::Null, Err(ProtoError::new(kind, message)))
 }
 
 /// A thin blocking client for the HTTP/1.1 facade: one request out, one

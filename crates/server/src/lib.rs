@@ -15,7 +15,7 @@
 //! # Execution model: bounded worker pool
 //!
 //! Connection threads are cheap: they read frames, parse them, and
-//! answer control ops (`ping`, `intern`, `stats`) and protocol errors
+//! answer control ops (`ping`, `intern`, `check`, `stats`) and protocol errors
 //! inline. Heavy ops (`run`, `run_batch`) instead pass through a
 //! **bounded admission queue** ([`ServeOptions::backlog`]) into a
 //! **fixed worker pool** ([`ServeOptions::workers`]):
@@ -92,198 +92,40 @@
 //!
 //! # Wire protocol
 //!
-//! ## Framing
-//!
-//! * One request per line: a UTF-8 JSON **object** terminated by `\n`
-//!   (a trailing `\r` is tolerated and stripped). Blank lines are
-//!   ignored.
-//! * One response per line, **in completion order** — *not* request
-//!   order. Clients may pipeline: send many requests without waiting,
-//!   and correlate responses by the echoed `id`. Control ops and
-//!   errors answer immediately; heavy ops answer whenever a worker
-//!   finishes them, so a fast request overtakes a slow one on the same
-//!   connection. Clients that never pipeline still see request order.
-//! * Frames larger than the server's `max_frame_bytes` (default 1 MiB)
-//!   get an `oversized` error response and the connection is then
-//!   closed — framing cannot resync past an unread tail.
-//! * A line that is not valid JSON (or not an object, or not UTF-8, or
-//!   nested more than 128 levels deep) gets a `bad-frame` error; the
-//!   connection stays open.
-//! * EOF before a newline discards the partial frame and closes the
-//!   connection quietly — a mid-request disconnect is never executed as
-//!   a request and never poisons the shared engine.
-//!
-//! ## Envelope
-//!
-//! Requests carry an operation and an optional correlation id (any JSON
-//! value, echoed verbatim; `null` when absent or unparsable):
-//!
-//! ```text
-//! → {"id": 1, "op": "<ping|intern|run|run_batch|check|stats>", ...op fields...}
-//! ← {"id": 1, "ok": {...}}
-//! ← {"id": 1, "err": {"kind": "<kind>", "message": "..."}}
-//! ```
-//!
-//! The error kinds are the variants of [`protocol::ErrKind`], whose docs
-//! say when each is sent; [`ErrKind::as_str`](protocol::ErrKind::as_str)
-//! gives the wire spelling. Errors are responses like any other — the engine and the connection remain fully usable
-//! afterwards (except `oversized`, which closes).
-//!
-//! ## Operations
-//!
-//! ### `ping`
-//!
-//! ```text
-//! → {"op":"ping"}
-//! ← {"id":null,"ok":{"pong":true}}
-//! ```
-//!
-//! ### `intern` — parse and store a page, returning its handle
-//!
-//! ```text
-//! → {"op":"intern","html":"<h1>A</h1>...","lenient":false}
-//! ← {"id":null,"ok":{"page":0,"nodes":7,"digest":"91c5a6d2e03b7f14"}}
-//! ```
-//!
-//! Interning is content-addressed (the store deduplicates): the same
-//! HTML always yields the same handle, however many clients send it.
-//! Damaged HTML is rejected with `kind:"page"`. The optional `"lenient"`
-//! flag (default `false`) parses with browser-style recovery instead, so
-//! real-world pages the strict parser rejects can still be ingested —
-//! the same opt-out `webqa-cli import --lenient` uses. `"digest"` is the
-//! interned tree's content digest as a 16-hex-digit string (a u64 does
-//! not survive JSON numbers); it equals the digest `import` prints for
-//! the same page, so client- and server-side ingestion can be diffed.
-//!
-//! ### `run` — synthesize and answer one task
-//!
-//! ```text
-//! → {"op":"run",
-//!    "question": "Who are the PhD students?",
-//!    "keywords": ["Students"],
-//!    "labeled":  [{"page": 0, "gold": ["Jane Doe"]},
-//!                 {"html": "<h1>B</h1>...", "gold": ["Mary"]}],
-//!    "targets":  [1, {"html": "<h1>C</h1>..."}]}
-//! ← {"id":null,"ok":{
-//!      "program": "sat(...) -> ...",        // null when nothing found
-//!      "train_f1": 1.0,
-//!      "counts": {"matched":3,"predicted":3,"gold":3},
-//!      "total_optimal": 12,
-//!      "answers": [["Wei Chen"], ["..."]]}}  // aligned with targets
-//! ```
-//!
-//! Pages are referenced by handle (from `intern`, or a previous inline
-//! use) or supplied inline as `{"html": ...}`; inline pages are interned
-//! first (content-addressed, so resending the same page is free) and the
-//! request then runs against the store. Unknown handles yield
-//! `kind:"unknown-page"`.
-//!
-//! An optional `"deadline_ms": N` field bounds the request's latency:
-//! if the run has not finished `N` milliseconds after the frame
-//! arrived (queue wait included), it aborts with `deadline-exceeded`.
-//! When the server also has a default deadline, the smaller budget
-//! wins.
-//!
-//! ### `run_batch` — synthesize and answer many tasks as one request
-//!
-//! ```text
-//! → {"op":"run_batch",
-//!    "tasks": [{...run fields...}, {...run fields...}],
-//!    "deadline_ms": 5000}
-//! ← {"id":null,"ok":{"results":[{...run body...}, {...run body...}]}}
-//! ```
-//!
-//! Each `tasks[]` entry takes exactly the fields of a `run` request
-//! (`question`, `keywords`, `labeled`, `targets`). The batch occupies
-//! **one** worker slot and fans its tasks out over the engine's batch
-//! runner internally (parallelism = machine budget ÷ workers), so one
-//! huge batch cannot starve other connections of the whole pool.
-//! `results` aligns with `tasks`, and every entry is byte-identical to
-//! what a separate `run` would have produced. The request is
-//! all-or-nothing: a malformed task fails the whole batch up front
-//! (before anything executes), and one optional `deadline_ms` covers
-//! the entire batch.
-//!
-//! ### `stats` — serving and cache counters
-//!
-//! ```text
-//! → {"op":"stats"}
-//! ← {"id":null,"ok":{"requests":42, ..., "shards":[{"shard":0, ...}]}}
-//! ```
-//!
-//! The `ok` body is a serialized [`StatsSnapshot`], whose field docs
-//! are the schema: keys appear in field declaration order, and every
-//! total is derived from the per-shard [`ShardStats`] entries of the
-//! same response.
-//!
-//! ### `check` — lint + abstract-interpretation verdicts for a program
-//!
-//! ```text
-//! → {"op":"check",
-//!    "program": "sat(root, kw(0.60)) -> content; sat(root, true) -> content",
-//!    "question": "Who are the PhD students?",   // optional
-//!    "keywords": ["Students"]}                  // optional
-//! ← {"id":null,"ok":{
-//!      "program": "sat(...) -> ...",   // round-tripped canonical text
-//!      "size": 8, "branches": 2,
-//!      "lint": ["..."],                // static well-formedness issues
-//!      "verdicts": ["..."],            // analyzer proofs of dead code
-//!      "canonical_key": "...",         // equality-up-to-normalization key
-//!      "clean": true}}                 // no lint issues, no verdicts
-//! ```
-//!
-//! Pure static analysis ([`webqa::lint`] plus the abstract interpreter,
-//! [`webqa::Analyzer`]): the program is parsed and analyzed against the
-//! given query context without evaluating any page — the op is answered
-//! inline on the connection thread and never takes an engine lock, a
-//! worker slot, or an admission-queue place. An unparsable `program`
-//! (including one nesting parentheses more than 256 levels deep) is a
-//! `bad-request`; a parseable program with findings still answers
-//! `ok` (with `"clean": false`) — findings are the op's *output*, not a
-//! protocol failure. The body mirrors `webqa-cli check --json` field
-//! for field.
+//! The line protocol's framing, envelope and operations are documented
+//! on the [`protocol`] module; [`protocol::OPS`] lists the operations.
+//! Every response, on either surface, leaves through one request path:
+//! a parsed frame is answered at once (control ops, errors, sheds) or
+//! admitted as a job whose worker hands the response back to the
+//! connection, and one counted write sends it.
 //!
 //! # HTTP/1.1 facade
 //!
 //! With an HTTP endpoint bound ([`Server::listen_all`], or
-//! `webqa-cli serve --http HOST:PORT`), the same six operations are
-//! served as routes; the response **body is the line-protocol envelope
-//! byte for byte** (without the trailing newline), so everything above
-//! about envelopes, error kinds, and byte-identical semantics carries
-//! over verbatim:
-//!
-//! ```text
-//! POST /v1/run        body = the run request object (op injected)
-//! POST /v1/run_batch  body = the run_batch request object
-//! POST /v1/intern     body = {"html": "..."}
-//! POST /v1/check      body = the check request object (op injected)
-//! GET  /v1/ping       (empty body)
-//! GET  /v1/stats      (empty body)
-//! ```
+//! `webqa-cli serve --http HOST:PORT`), every operation is also served
+//! at its route in [`protocol::OPS`]. The request body is the line
+//! protocol's request object without `"op"` (the path supplies it; an
+//! empty body is `{}`), and the response **body is the line-protocol
+//! envelope byte for byte** (without the trailing newline), so
+//! everything about envelopes, error kinds, and byte-identical
+//! semantics carries over verbatim. The status is
+//! [`ErrKind::http_status`] of the envelope's kind, 200 for `ok`.
 //!
 //! * **Framing**: requests must carry exactly one `Content-Length` —
 //!   the facade never parses chunked bodies, so any
 //!   `Transfer-Encoding` header is refused with 411 (Length Required)
-//!   and a duplicate `Content-Length` with 400, both closing the
-//!   connection: ambiguous framing is how request smuggling works, and
-//!   refusing is the only safe answer. Bodies above `max_frame_bytes`
-//!   are refused with 413.
-//!   An empty body is treated as `{}` (all ops accept it except the
-//!   heavy ones, which then fail with their usual typed errors).
-//!   Responses always carry `Content-Type: application/json` and
-//!   `Content-Length`.
+//!   and a duplicate `Content-Length` as a `bad-frame`, both closing
+//!   the connection: ambiguous framing is how request smuggling works,
+//!   and refusing is the only safe answer. Bodies above
+//!   `max_frame_bytes` are `oversized`. A known path with the wrong
+//!   method gets 405. Responses always carry
+//!   `Content-Type: application/json` and `Content-Length`.
 //! * **Keep-alive**: connections persist by default (HTTP/1.1
 //!   semantics); `Connection: close` — or an `HTTP/1.0` request line —
 //!   is honored. Requests on one connection are processed in order;
 //!   there is no cross-request pipelining on the facade (use the line
-//!   protocol for that).
-//! * **Status codes** map from the envelope's error kind: 200 `ok`,
-//!   400 `bad-frame`/`bad-request`, 404 `unknown-op`/`unknown-page`
-//!   (and unknown paths), 405 wrong method on a known path, 413
-//!   `oversized`, 422 `page`, 503 `overloaded`, 504
-//!   `deadline-exceeded`, 500 `internal`. Heavy ops pass through the
-//!   same per-shard admission queues, deadlines, and shedding as the
-//!   line protocol.
+//!   protocol for that). Heavy ops pass through the same per-shard
+//!   admission queues, deadlines, and shedding as the line protocol.
 //!
 //! # Example
 //!
@@ -316,12 +158,13 @@ mod shard;
 
 pub use http::HttpClient;
 pub use net::{Client, Listening};
-pub use protocol::{render_run_result, ErrKind};
+pub use protocol::{render_check, render_run_result, ErrKind};
 
 use std::io;
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -329,13 +172,14 @@ use std::time::{Duration, Instant};
 
 use serde_json::{Map, Value};
 use webqa::{
-    content_digest, lint, Analyzer, CacheStats, CancelToken, Engine, Error as EngineError, PageId,
-    PageTree, Program, QueryContext, Task,
+    content_digest, CacheStats, CancelToken, Engine, Error as EngineError, PageId, PageTree,
+    Program, QueryContext, Task,
 };
 
-use pool::ConnWriter;
+use pool::{Job, Reply};
 use protocol::{
-    bad_request, bool_field, envelope, page_ref, str_field, string_list, PageRef, ProtoError,
+    bad_request, bool_field, op_names, page_ref, str_field, string_list, PageRef, ProtoError,
+    Response,
 };
 use shard::ShardSet;
 
@@ -452,6 +296,8 @@ pub(crate) struct Shared {
     pub(crate) shed: AtomicU64,
     /// Requests that returned `deadline-exceeded` (also in `errors`).
     pub(crate) deadline_hits: AtomicU64,
+    /// Heavy ops whose execution panicked (also in `errors`).
+    pub(crate) panics: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     /// Per-task parallelism handed to `Engine::run_batch` by the
     /// `run_batch` op: the machine budget divided across workers.
@@ -480,17 +326,19 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Writes one response line through `conn` under the write-permit
-    /// cap and counts the completion. Returns `false` when the response
-    /// was suppressed (cap reached) or the connection is gone.
-    pub(crate) fn write_response(&self, conn: &ConnWriter, line: &str) -> bool {
+    /// Sends one response through `write`, the transport's write of a
+    /// whole response, under the write-permit cap, and counts the
+    /// completion. Every response on every transport leaves through
+    /// here. Returns `false` when the response was suppressed (cap
+    /// reached) or the connection is gone.
+    pub(crate) fn write_counted(&self, write: impl FnOnce() -> io::Result<()>) -> bool {
         if let Some(max) = self.max_responses {
             let n = self.write_permits.fetch_add(1, Ordering::SeqCst);
             if n >= max {
                 return false;
             }
         }
-        let ok = conn.write_line(line);
+        let ok = write().is_ok();
         if ok {
             let mut done = relock(self.completions.lock());
             *done += 1;
@@ -553,7 +401,18 @@ enum HeavyKind {
     /// cross-shard batch can split per shard and reassemble in input
     /// order.
     Batch(Vec<(usize, Task)>),
+    /// Panics when executed: the planted fault of the containment tests.
+    #[cfg(test)]
+    Panic,
+    /// Holds its worker until [`PLANTED_GATE`] opens, so a test can
+    /// fill the pool and the backlog at will.
+    #[cfg(test)]
+    Block,
 }
+
+/// The gate of [`HeavyKind::Block`]: `true` once a test opens it.
+#[cfg(test)]
+static PLANTED_GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
 
 impl HeavyOp {
     #[cfg(test)]
@@ -574,12 +433,15 @@ impl HeavyOp {
 pub struct StatsSnapshot {
     /// Frames received, error responses included.
     pub requests: u64,
-    /// Error responses, `shed` and `deadline_exceeded` included.
+    /// Error responses, `shed`, `deadline_exceeded` and `panics` included.
     pub errors: u64,
     /// Requests refused by a full admission queue (`overloaded`).
     pub shed: u64,
     /// Runs aborted by an expired latency budget (`deadline-exceeded`).
     pub deadline_exceeded: u64,
+    /// Heavy ops whose execution panicked: each was answered `internal`
+    /// and its worker kept serving.
+    pub panics: u64,
     /// Worker threads, summed over the shards.
     pub workers: usize,
     /// Admission-queue capacity, summed over the shards.
@@ -671,6 +533,7 @@ impl Server {
                 errors: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 deadline_hits: AtomicU64::new(0),
+                panics: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 // Split the machine budget across workers so a full pool
                 // of run_batch ops cannot oversubscribe the cores.
@@ -768,9 +631,9 @@ impl Server {
     /// Handles one complete frame and renders the one-line response —
     /// the entire protocol, transport-free and synchronous (heavy ops
     /// execute inline on the calling thread). Tests of pure protocol
-    /// behavior drive this directly; connection loops instead use the
-    /// crate-private `classify_line` so heavy ops go through the
-    /// worker pool.
+    /// behavior drive this directly; connection loops instead pass each
+    /// classified frame to the crate-private `submit`, so heavy ops go
+    /// through the worker pool.
     pub fn handle_line(&self, line: &str) -> String {
         let (id, classified) = self.classify_line(line);
         let outcome = match classified {
@@ -778,7 +641,41 @@ impl Server {
             Ok(Action::Heavy(op)) => self.execute_heavy(op),
             Err(e) => Err(e),
         };
-        self.render_outcome(id, outcome)
+        self.render_outcome(id, outcome).envelope
+    }
+
+    /// The one request path of both transports: a classified frame
+    /// becomes either a response to write now (`ok` or error, or the
+    /// `overloaded` shed when its shard's backlog is full — refused in
+    /// constant time on the connection thread, never queued behind the
+    /// backlog it refuses) or a job admitted to its home shard's queue,
+    /// whose worker answers through `reply` (`None`).
+    pub(crate) fn submit(
+        &self,
+        id: Value,
+        classified: Result<Action, ProtoError>,
+        reply: &Reply,
+    ) -> Option<Response> {
+        let op = match classified {
+            Ok(Action::Heavy(op)) => op,
+            Ok(Action::Immediate(body)) => return Some(self.render_outcome(id, Ok(body))),
+            Err(e) => return Some(self.render_outcome(id, Err(e))),
+        };
+        let queue = &self.shared.shards.get(op.shard).queue;
+        let job = Job {
+            id: id.clone(),
+            op,
+            reply: reply.clone(),
+        };
+        if queue.try_push(job) {
+            return None;
+        }
+        self.shared.shed.fetch_add(1, Ordering::Relaxed);
+        let message = format!(
+            "admission queue full (backlog {}); request shed",
+            queue.capacity()
+        );
+        Some(self.render_outcome(id, Err(ProtoError::new(ErrKind::Overloaded, message))))
     }
 
     /// Parses one frame into its echo id and either an immediate result
@@ -819,33 +716,28 @@ impl Server {
         (id, self.dispatch(&v))
     }
 
-    /// Renders the response envelope and maintains the error counter —
-    /// the single exit point for every response, wherever it executed.
-    pub(crate) fn render_outcome(&self, id: Value, outcome: Result<Value, ProtoError>) -> String {
+    /// Renders the response and maintains the error counter — the
+    /// single exit point for every response, wherever it executed.
+    pub(crate) fn render_outcome(&self, id: Value, outcome: Result<Value, ProtoError>) -> Response {
         if outcome.is_err() {
             self.shared.errors.fetch_add(1, Ordering::Relaxed);
         }
-        envelope(id, outcome)
+        Response::new(id, outcome)
     }
 
-    /// The response to a heavy op its home shard's admission queue
-    /// refused.
-    pub(crate) fn overloaded_response(&self, id: Value, shard: usize) -> String {
-        self.shared.shed.fetch_add(1, Ordering::Relaxed);
-        self.render_outcome(
-            id,
-            Err(ProtoError::new(
-                ErrKind::Overloaded,
-                format!(
-                    "admission queue full (backlog {}); request shed",
-                    self.shared.shards.get(shard).queue.capacity()
-                ),
-            )),
-        )
+    /// The response to a frame that never reached `classify_line` — an
+    /// oversized or non-UTF-8 frame, an HTTP framing or routing failure —
+    /// counted as one request and one error, with a `null` id.
+    pub(crate) fn frame_error(&self, kind: ErrKind, message: impl Into<String>) -> Response {
+        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+        self.render_outcome(Value::Null, Err(ProtoError::new(kind, message)))
     }
 
     /// Executes a parsed heavy op under its deadline token. Runs on a
     /// worker thread in the daemon, inline in [`Server::handle_line`].
+    /// A panic is contained to its request: it is answered `internal`
+    /// and counted, and the shard's `inflight` count and the job
+    /// registry are restored, so the worker keeps serving.
     pub(crate) fn execute_heavy(&self, op: HeavyOp) -> Result<Value, ProtoError> {
         let token = match op.deadline {
             Some(at) => CancelToken::with_deadline(at),
@@ -854,7 +746,16 @@ impl Server {
         let job = self.shared.track_job(&token);
         let shard = self.shared.shards.get(op.shard);
         shard.inflight.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.run_heavy(op.shard, op.kind, &token);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.run_heavy(op.shard, op.kind, &token)
+        }))
+        .unwrap_or_else(|_| {
+            self.shared.panics.fetch_add(1, Ordering::Relaxed);
+            Err(ProtoError::new(
+                ErrKind::Internal,
+                "the operation panicked; the server recovered",
+            ))
+        });
         shard.inflight.fetch_sub(1, Ordering::Relaxed);
         self.shared.untrack_job(job);
         outcome
@@ -913,6 +814,17 @@ impl Server {
                 map.insert("results".to_string(), Value::Array(rendered));
                 Ok(Value::Object(map))
             }
+            #[cfg(test)]
+            HeavyKind::Panic => panic!("planted panic"),
+            #[cfg(test)]
+            HeavyKind::Block => {
+                let (open, opened) = &PLANTED_GATE;
+                let mut guard = relock(open.lock());
+                while !*guard {
+                    guard = relock(opened.wait(guard));
+                }
+                Ok(Value::Bool(true))
+            }
         }
     }
 
@@ -933,33 +845,6 @@ impl Server {
             }
             other => ProtoError::new(ErrKind::Internal, other.to_string()),
         }
-    }
-
-    /// The response to a frame that blew the size cap (counted like any
-    /// other request; the caller closes the connection afterwards).
-    pub(crate) fn oversized_response(&self) -> String {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
-        envelope(
-            Value::Null,
-            Err(ProtoError::new(
-                ErrKind::Oversized,
-                format!(
-                    "frame exceeds max_frame_bytes ({}); closing connection",
-                    self.shared.max_frame_bytes
-                ),
-            )),
-        )
-    }
-
-    /// The response to a complete but non-UTF-8 frame.
-    pub(crate) fn bad_utf8_response(&self) -> String {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
-        envelope(
-            Value::Null,
-            Err(ProtoError::new(ErrKind::BadFrame, "frame is not UTF-8")),
-        )
     }
 
     fn dispatch(&self, request: &Value) -> Result<Action, ProtoError> {
@@ -999,9 +884,21 @@ impl Server {
             }
             Some("check") => self.op_check(request).map(Action::Immediate),
             Some("stats") => self.op_stats().map(Action::Immediate),
+            #[cfg(test)]
+            Some("panic") => Ok(Action::Heavy(HeavyOp {
+                kind: HeavyKind::Panic,
+                deadline: None,
+                shard: 0,
+            })),
+            #[cfg(test)]
+            Some("block") => Ok(Action::Heavy(HeavyOp {
+                kind: HeavyKind::Block,
+                deadline: None,
+                shard: 0,
+            })),
             Some(other) => Err(ProtoError::new(
                 ErrKind::UnknownOp,
-                format!("unknown op {other:?} (expected ping|intern|run|run_batch|check|stats)"),
+                format!("unknown op {other:?} (expected {})", op_names()),
             )),
             None => bad_request("field \"op\" must be a string"),
         }
@@ -1201,11 +1098,8 @@ impl Server {
         Ok((task, home))
     }
 
-    /// `check`: lint plus abstract-interpretation verdicts for a program
-    /// against an (optional) query context. Pure static analysis — no
-    /// page is evaluated, no engine lock is taken, no worker slot or
-    /// queue place is consumed — so it is answered inline like `ping`.
-    /// The body mirrors `webqa-cli check --json` field for field.
+    /// `check`: [`render_check`] of a program against an (optional)
+    /// query context. Pure static analysis, answered inline like `ping`.
     fn op_check(&self, request: &Value) -> Result<Value, ProtoError> {
         let src = str_field(request, "program")?;
         let program: Program = src.parse().map_err(|e| {
@@ -1222,30 +1116,7 @@ impl Server {
             },
         };
         let ctx = QueryContext::new(question, string_list(request, "keywords")?);
-        let report = lint(&program, &ctx);
-        let analysis = Analyzer::new(&ctx).analyze(&program);
-        let verdicts = analysis.verdicts();
-        let clean = report.is_clean() && verdicts.is_empty();
-        let strings =
-            |items: Vec<String>| Value::Array(items.into_iter().map(Value::String).collect());
-        let mut map = Map::new();
-        map.insert("program".to_string(), Value::String(program.to_string()));
-        map.insert("size".to_string(), serde_json::json!(program.size()));
-        map.insert(
-            "branches".to_string(),
-            serde_json::json!(program.branches.len()),
-        );
-        map.insert(
-            "lint".to_string(),
-            strings(report.issues.iter().map(|i| i.to_string()).collect()),
-        );
-        map.insert("verdicts".to_string(), strings(verdicts));
-        map.insert(
-            "canonical_key".to_string(),
-            Value::String(analysis.canonical_key.clone()),
-        );
-        map.insert("clean".to_string(), Value::Bool(clean));
-        Ok(Value::Object(map))
+        Ok(Value::Object(render_check(&program, &ctx)))
     }
 
     /// `stats`: one pass over the shards fills a [`ShardStats`] each,
@@ -1275,6 +1146,7 @@ impl Server {
             errors: shared.errors.load(Ordering::Relaxed),
             shed: shared.shed.load(Ordering::Relaxed),
             deadline_exceeded: shared.deadline_hits.load(Ordering::Relaxed),
+            panics: shared.panics.load(Ordering::Relaxed),
             workers: shards.iter().map(|s| s.workers).sum(),
             backlog: shards.iter().map(|s| s.backlog).sum(),
             queue_depth: shards.iter().map(|s| s.queue_depth).sum(),
@@ -1491,6 +1363,152 @@ mod tests {
         assert_eq!(stats(&s).pages, 0);
     }
 
+    /// An HTTP-only daemon on a loopback port.
+    fn http_daemon(opts: ServeOptions) -> Listening {
+        Server::new(opts)
+            .listen_all(None, None, Some("127.0.0.1:0"))
+            .expect("bind loopback")
+    }
+
+    /// `responses_sent` once it reaches `n` (a client can read its
+    /// response just before the server counts it), or after 10 s.
+    fn sent_after(listening: &Listening, n: u64) -> u64 {
+        let t0 = Instant::now();
+        while listening.responses_sent() < n && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        listening.responses_sent()
+    }
+
+    #[test]
+    fn http_responses_are_counted_writes() {
+        let listening = http_daemon(options());
+        let addr = listening.http_addr().expect("http endpoint");
+        let mut client = HttpClient::connect(addr).expect("connect");
+        for _ in 0..2 {
+            let (status, body) = client.get("/v1/ping").expect("ping");
+            assert_eq!(
+                (status, body.as_str()),
+                (200, r#"{"id":null,"ok":{"pong":true}}"#)
+            );
+        }
+        assert_eq!(sent_after(&listening, 2), 2);
+        // Routing failures leave through the same counted write.
+        let (status, _) = client.get("/v1/nope").expect("unknown path");
+        assert_eq!(status, 404);
+        assert_eq!(sent_after(&listening, 3), 3);
+    }
+
+    #[test]
+    fn response_cap_covers_http_responses() {
+        let listening = http_daemon(ServeOptions {
+            max_responses: Some(2),
+            ..options()
+        });
+        let addr = listening.http_addr().expect("http endpoint");
+        let mut client = HttpClient::connect(addr).expect("connect");
+        for _ in 0..2 {
+            assert_eq!(client.get("/v1/ping").expect("ping").0, 200);
+        }
+        // `wait_for_responses` blocks until the count is reached; wait
+        // on a helper thread so a miscount fails instead of hanging.
+        let (done, waited) = std::sync::mpsc::channel();
+        let listening = Arc::new(listening);
+        let waiter = Arc::clone(&listening);
+        let waiting = std::thread::spawn(move || {
+            let _ = done.send(waiter.wait_for_responses(2));
+        });
+        assert_eq!(waited.recv_timeout(Duration::from_secs(10)), Ok(2));
+        waiting.join().expect("the waiter returned");
+        // The cap is spent: a third request gets no response.
+        assert!(client.get("/v1/ping").is_err());
+    }
+
+    /// Opens [`PLANTED_GATE`] when dropped, so a failing test releases
+    /// its blocked workers and fails instead of hanging in shutdown.
+    struct OpenGate;
+
+    impl Drop for OpenGate {
+        fn drop(&mut self) {
+            let (open, opened) = &PLANTED_GATE;
+            *relock(open.lock()) = true;
+            opened.notify_all();
+        }
+    }
+
+    #[test]
+    fn an_http_request_shed_by_a_full_backlog_is_counted() {
+        let listening = Server::new(ServeOptions {
+            workers: 1,
+            backlog: 1,
+            ..options()
+        })
+        .listen_all(Some("127.0.0.1:0"), None, Some("127.0.0.1:0"))
+        .expect("bind loopback");
+        let gate = OpenGate;
+        let settle = |done: &dyn Fn(&StatsSnapshot) -> bool| {
+            let t0 = Instant::now();
+            while !done(&stats(&listening.server())) {
+                assert!(t0.elapsed() < Duration::from_secs(10), "never settled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Occupy the one worker, then the one backlog slot. (In-process
+        // `stats` calls write nothing, so they leave the count alone.)
+        let mut line = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+        line.send_line(r#"{"id":1,"op":"block"}"#).expect("send");
+        settle(&|s| s.inflight == 1);
+        line.send_line(r#"{"id":2,"op":"block"}"#).expect("send");
+        settle(&|s| s.queue_depth == 1);
+
+        let addr = listening.http_addr().expect("http endpoint");
+        let mut http = HttpClient::connect(addr).expect("connect");
+        let (status, body) = http
+            .post("/v1/run", r#"{"id":3,"question":"Q"}"#)
+            .expect("a shed");
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            body.starts_with(r#"{"id":3,"err":{"kind":"overloaded","#),
+            "{body}"
+        );
+        assert_eq!(sent_after(&listening, 1), 1);
+        assert_eq!(stats(&listening.server()).shed, 1);
+
+        // Open the gate: both blocked ops answer on the line connection.
+        drop(gate);
+        for _ in 0..2 {
+            let resp = line.read_response_line().expect("released");
+            assert!(resp.ends_with(r#""ok":true}"#), "{resp}");
+        }
+        assert_eq!(sent_after(&listening, 3), 3);
+    }
+
+    #[test]
+    fn a_panicking_op_is_contained_and_its_worker_keeps_serving() {
+        let run = r#"{"id":2,"op":"run","question":"Who are the PhD students?","keywords":["Students"],"labeled":[{"html":"<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>","gold":["Jane Doe"]}],"targets":[{"html":"<h1>B</h1><h2>Advisees</h2><ul><li>Wei Chen</li></ul>"}]}"#;
+        let want = server().handle_line(run);
+        let listening = Server::new(ServeOptions {
+            workers: 1,
+            ..options()
+        })
+        .listen(Some("127.0.0.1:0"), None)
+        .expect("bind loopback");
+        let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+        let resp = client
+            .request_line(r#"{"id":1,"op":"panic"}"#)
+            .expect("a response");
+        assert!(
+            resp.starts_with(r#"{"id":1,"err":{"kind":"internal","#),
+            "{resp}"
+        );
+        // The one worker survived and serves the same bytes as a
+        // reference server that never panicked.
+        assert_eq!(client.request_line(run).expect("run"), want);
+        let s = stats(&listening.server());
+        assert_eq!((s.panics, s.errors, s.inflight), (1, 1, 0), "{s:?}");
+        assert!(relock(listening.shared.inflight.lock()).is_empty());
+    }
+
     #[test]
     fn stats_body_is_pinned() {
         let s = Server::new(ServeOptions {
@@ -1509,7 +1527,7 @@ mod tests {
         let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
         assert_eq!(
             format!(r#"{head}"uptime_ms":0{tail}"#),
-            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"persist":{"pages_loaded":0,"base_loaded":0,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":0,"load_ms":0},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
+            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"persist":{"pages_loaded":0,"base_loaded":0,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":0,"load_ms":0},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
         );
     }
 }

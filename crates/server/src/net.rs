@@ -16,8 +16,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::pool::{ConnWriter, Job};
-use crate::{Action, Server, Shared};
+use crate::pool::{ConnWriter, Reply};
+use crate::protocol::Response;
+use crate::{ErrKind, Server, Shared};
 
 /// One read attempt's outcome.
 #[derive(Debug, PartialEq, Eq)]
@@ -80,11 +81,12 @@ pub(crate) fn read_frame(reader: &mut impl BufRead, max: usize) -> Frame {
 /// server shutdown. Every complete frame gets exactly one response line
 /// (unless the response-count cap suppresses it).
 ///
-/// This is the pipelined read loop: control ops and protocol errors are
-/// answered inline, heavy ops go to the admission queue and are answered
-/// by the worker pool through the connection's shared [`ConnWriter`] —
-/// the reader keeps pulling frames while earlier requests compute, so
-/// responses arrive in completion order, correlated by `id`.
+/// This is the pipelined read loop: each frame goes to
+/// [`Server::submit`]; what it answers at once is written here, and
+/// admitted heavy ops are answered by the worker pool through the
+/// connection's shared [`ConnWriter`] — the reader keeps pulling frames
+/// while earlier requests compute, so responses arrive in completion
+/// order, correlated by `id`.
 pub(crate) fn serve_conn<S: AcceptedStream>(shared: &Arc<Shared>, stream: S) {
     let server = Server {
         shared: Arc::clone(shared),
@@ -93,59 +95,35 @@ pub(crate) fn serve_conn<S: AcceptedStream>(shared: &Arc<Shared>, stream: S) {
         Ok(w) => Arc::new(ConnWriter::new(w)),
         Err(_) => return,
     };
+    let reply = Reply::Line(Arc::clone(&conn));
+    let write = |response: Response| shared.write_counted(|| conn.write_line(&response.envelope));
     let mut reader = BufReader::new(stream);
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        match read_frame(&mut reader, shared.max_frame_bytes) {
+        let response = match read_frame(&mut reader, shared.max_frame_bytes) {
             Frame::Line(line) if line.trim().is_empty() => continue,
             Frame::Line(line) => {
                 let (id, classified) = server.classify_line(&line);
-                match classified {
-                    Ok(Action::Heavy(op)) => {
-                        let shard = op.shard;
-                        let admitted = shared.shards.get(shard).queue.try_push(Job {
-                            id: id.clone(),
-                            op,
-                            conn: Arc::clone(&conn),
-                        });
-                        if !admitted {
-                            // Shed: constant-time refusal, written here
-                            // on the reader thread — never queued behind
-                            // the very backlog that is full.
-                            let response = server.overloaded_response(id, shard);
-                            if !shared.write_response(&conn, &response) {
-                                return;
-                            }
-                        }
-                    }
-                    Ok(Action::Immediate(body)) => {
-                        let response = server.render_outcome(id, Ok(body));
-                        if !shared.write_response(&conn, &response) {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let response = server.render_outcome(id, Err(e));
-                        if !shared.write_response(&conn, &response) {
-                            return;
-                        }
-                    }
+                match server.submit(id, classified, &reply) {
+                    Some(response) => response,
+                    None => continue,
                 }
             }
             Frame::Eof | Frame::Io => return,
             Frame::Oversized => {
-                let response = server.oversized_response();
-                let _ = shared.write_response(&conn, &response);
+                let message = format!(
+                    "frame exceeds max_frame_bytes ({}); closing connection",
+                    shared.max_frame_bytes
+                );
+                let _ = write(server.frame_error(ErrKind::Oversized, message));
                 return;
             }
-            Frame::BadUtf8 => {
-                let response = server.bad_utf8_response();
-                if !shared.write_response(&conn, &response) {
-                    return;
-                }
-            }
+            Frame::BadUtf8 => server.frame_error(ErrKind::BadFrame, "frame is not UTF-8"),
+        };
+        if !write(response) {
+            return;
         }
     }
 }

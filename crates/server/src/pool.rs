@@ -14,20 +14,25 @@
 //!   response *immediately* — load shedding is constant-time, never
 //!   queued behind the work it is refusing.
 //!
-//! Responses go out through the job's [`ConnWriter`] — a mutex around
-//! the connection's write half — in **completion order**, which is what
-//! makes request pipelining safe: the reader thread keeps pulling frames
-//! while workers finish earlier ones, and the `id` echoed in each
-//! response is the client's correlation key.
+//! A job's response goes back through its [`Reply`]. On the line
+//! protocol that is the connection's [`ConnWriter`] — a mutex around its
+//! write half — so responses leave in **completion order**, which is
+//! what makes request pipelining safe: the reader thread keeps pulling
+//! frames while workers finish earlier ones, and the `id` echoed in each
+//! response is the client's correlation key. On the HTTP facade it is a
+//! channel to the connection thread, which waits for its one request's
+//! response and writes it.
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use serde_json::Value;
 
+use crate::protocol::Response;
 use crate::{relock, HeavyOp, Server, Shared};
 
 /// The write half of one connection, shared between its reader thread
@@ -45,23 +50,45 @@ impl ConnWriter {
     }
 
     /// Writes one response line (newline appended) atomically w.r.t.
-    /// other lines on this connection. Returns whether the full line
-    /// reached the transport.
-    pub(crate) fn write_line(&self, line: &str) -> bool {
+    /// other lines on this connection.
+    pub(crate) fn write_line(&self, line: &str) -> io::Result<()> {
         let mut w = relock(self.writer.lock());
-        w.write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .and_then(|()| w.flush())
-            .is_ok()
+        w.write_all(line.as_bytes())?;
+        w.write_all(b"\n")?;
+        w.flush()
     }
 }
 
-/// One admitted heavy op: the parsed request, its echo id, and the
-/// connection to answer on.
+/// Where an admitted job's response goes.
+#[derive(Clone)]
+pub(crate) enum Reply {
+    /// A line connection's shared write half: the worker writes.
+    Line(Arc<ConnWriter>),
+    /// The HTTP connection thread waiting for this response: it writes.
+    Http(Sender<Response>),
+}
+
+impl Reply {
+    fn deliver(self, shared: &Shared, response: Response) {
+        // A failed write or a departed receiver means the client is
+        // gone; the job's work (and any cache fills) remains valid.
+        match self {
+            Reply::Line(conn) => {
+                let _ = shared.write_counted(|| conn.write_line(&response.envelope));
+            }
+            Reply::Http(waiting) => {
+                let _ = waiting.send(response);
+            }
+        }
+    }
+}
+
+/// One admitted heavy op: the parsed request, its echo id, and where
+/// to answer.
 pub(crate) struct Job {
     pub(crate) id: Value,
     pub(crate) op: HeavyOp,
-    pub(crate) conn: Arc<ConnWriter>,
+    pub(crate) reply: Reply,
 }
 
 /// The bounded MPMC admission queue feeding the worker pool.
@@ -139,10 +166,8 @@ pub(crate) fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
                 };
                 while let Some(job) = shared.shards.get(shard).queue.pop(&shared.shutdown) {
                     let outcome = server.execute_heavy(job.op);
-                    let line = server.render_outcome(job.id, outcome);
-                    // A failed write means the client is gone; the job's
-                    // work (and any cache fills) remains valid.
-                    let _ = shared.write_response(&job.conn, &line);
+                    job.reply
+                        .deliver(&shared, server.render_outcome(job.id, outcome));
                 }
             }));
         }
@@ -158,7 +183,7 @@ mod tests {
         Job {
             id: Value::Null,
             op: HeavyOp::noop_for_tests(),
-            conn: Arc::new(ConnWriter::new(Box::new(std::io::sink()))),
+            reply: Reply::Line(Arc::new(ConnWriter::new(Box::new(std::io::sink())))),
         }
     }
 
@@ -184,6 +209,6 @@ mod tests {
     #[test]
     fn conn_writer_serializes_whole_lines() {
         let w = ConnWriter::new(Box::new(std::io::sink()));
-        assert!(w.write_line("hello"));
+        assert!(w.write_line("hello").is_ok());
     }
 }

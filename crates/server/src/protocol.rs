@@ -1,14 +1,110 @@
-//! Pure request/response machinery of the wire protocol: typed error
-//! kinds, the response envelope, field extraction from parsed frames,
-//! and the canonical rendering of a [`RunResult`].
+//! The wire protocol, and the pure machinery behind it: typed error
+//! kinds, the response envelope, the op table, field extraction from
+//! parsed frames, and the canonical renderings of a [`RunResult`] and
+//! of a `check` report.
 //!
 //! Everything here is a function from values to values — no sockets —
 //! so the whole protocol surface is unit-testable without a listener,
 //! and the determinism harness (`tests/serve_api.rs`) can render its
 //! *expected* responses through the very same code path the server uses.
+//!
+//! # Framing
+//!
+//! * One request per line: a UTF-8 JSON **object** terminated by `\n`
+//!   (a trailing `\r` is tolerated and stripped). Blank lines are
+//!   ignored.
+//! * One response per line, **in completion order** — *not* request
+//!   order. Clients may pipeline: send many requests without waiting,
+//!   and correlate responses by the echoed `id`. Control ops and
+//!   errors answer immediately; heavy ops answer whenever a worker
+//!   finishes them, so a fast request overtakes a slow one on the same
+//!   connection. Clients that never pipeline still see request order.
+//! * Frames larger than the server's `max_frame_bytes` (default 1 MiB)
+//!   get an `oversized` error response and the connection is then
+//!   closed — framing cannot resync past an unread tail.
+//! * A line that is not valid JSON (or not an object, or not UTF-8, or
+//!   nested more than 128 levels deep) gets a `bad-frame` error; the
+//!   connection stays open.
+//! * EOF before a newline discards the partial frame and closes the
+//!   connection quietly — a mid-request disconnect is never executed as
+//!   a request and never poisons the shared engine.
+//!
+//! # Envelope
+//!
+//! Requests carry an operation (one of [`OPS`]) and an optional
+//! correlation id (any JSON value, echoed verbatim; `null` when absent
+//! or unparsable):
+//!
+//! ```text
+//! → {"id": 1, "op": "<name>", ...op fields...}
+//! ← {"id": 1, "ok": {...}}
+//! ← {"id": 1, "err": {"kind": "<kind>", "message": "..."}}
+//! ```
+//!
+//! The error kinds are the variants of [`ErrKind`], whose docs say when
+//! each is sent. Errors are responses like any other — the engine and
+//! the connection remain fully usable afterwards (except `oversized`,
+//! which closes).
+//!
+//! # Operations
+//!
+//! `ping` answers `{"pong":true}`.
+//!
+//! `intern` parses and stores a page, returning its handle:
+//!
+//! ```text
+//! → {"op":"intern","html":"<h1>A</h1>...","lenient":false}
+//! ← {"id":null,"ok":{"page":0,"nodes":7,"digest":"91c5a6d2e03b7f14"}}
+//! ```
+//!
+//! Interning is content-addressed (the store deduplicates): the same
+//! HTML always yields the same handle, however many clients send it.
+//! Damaged HTML is rejected with `kind:"page"`. The optional `"lenient"`
+//! flag (default `false`) parses with browser-style recovery instead —
+//! the same opt-out `webqa-cli import --lenient` uses. `"digest"` is the
+//! interned tree's content digest as a 16-hex-digit string (a u64 does
+//! not survive JSON numbers); it equals the digest `import` prints for
+//! the same page.
+//!
+//! `run` synthesizes and answers one task; its `ok` body is
+//! [`render_run_result`]:
+//!
+//! ```text
+//! → {"op":"run",
+//!    "question": "Who are the PhD students?",
+//!    "keywords": ["Students"],
+//!    "labeled":  [{"page": 0, "gold": ["Jane Doe"]},
+//!                 {"html": "<h1>B</h1>...", "gold": ["Mary"]}],
+//!    "targets":  [1, {"html": "<h1>C</h1>..."}]}
+//! ```
+//!
+//! Pages are referenced by handle (from `intern`, or a previous inline
+//! use) or supplied inline as `{"html": ...}`; inline pages are interned
+//! first, strictly. Unknown handles yield `kind:"unknown-page"`. An
+//! optional `"deadline_ms": N` bounds the request's latency from frame
+//! arrival (queue wait included); when the server also has a default
+//! deadline, the smaller budget wins.
+//!
+//! `run_batch` takes `"tasks": [{...run fields...}, ...]` and one
+//! optional `deadline_ms`, and answers `{"results":[...]}` aligned with
+//! `tasks`, every entry byte-identical to what a separate `run` would
+//! have produced. The batch occupies **one** worker slot and fans its
+//! tasks out over the engine's batch runner internally. It is
+//! all-or-nothing: a malformed task fails the whole batch before
+//! anything executes.
+//!
+//! `stats` answers a serialized [`StatsSnapshot`](crate::StatsSnapshot),
+//! whose field docs are the schema.
+//!
+//! `check` takes a `"program"` and an optional `"question"` and
+//! `"keywords"`, and answers [`render_check`]: pure static analysis
+//! against the query context, answered inline without an engine lock or
+//! a worker slot. An unparsable program (including one nesting
+//! parentheses more than 256 levels deep) is a `bad-request`; findings
+//! are the op's *output* (`"clean": false`), not a protocol failure.
 
 use serde_json::{Map, Value};
-use webqa::RunResult;
+use webqa::{lint, Analyzer, Program, QueryContext, RunResult};
 
 /// The typed error kinds of the wire protocol (the `err.kind` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +137,8 @@ pub enum ErrKind {
     /// cancelled run caches nothing and poisons nothing.
     DeadlineExceeded,
     /// Anything else — the engine failed in a way the protocol does not
-    /// classify.
+    /// classify, or the operation panicked (the panic is contained to
+    /// its request; the server keeps serving).
     Internal,
 }
 
@@ -60,6 +157,79 @@ impl ErrKind {
             ErrKind::Internal => "internal",
         }
     }
+
+    /// The HTTP status of a response carrying this kind; an `ok`
+    /// response is 200. The HTTP facade adds only two statuses of its
+    /// own: 405 for a known path with the wrong method, and 411 for a
+    /// request framed by `Transfer-Encoding`.
+    pub fn http_status(self) -> u16 {
+        match self {
+            ErrKind::BadFrame | ErrKind::BadRequest => 400,
+            ErrKind::UnknownOp | ErrKind::UnknownPage => 404,
+            ErrKind::Oversized => 413,
+            ErrKind::Page => 422,
+            ErrKind::Overloaded => 503,
+            ErrKind::DeadlineExceeded => 504,
+            ErrKind::Internal => 500,
+        }
+    }
+}
+
+/// One operation of the wire protocol and its HTTP/1.1 route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Op {
+    /// The request's `op` field.
+    pub name: &'static str,
+    /// The method of the op's HTTP route.
+    pub method: &'static str,
+    /// The path of the op's HTTP route.
+    pub path: &'static str,
+}
+
+/// Every operation the server implements, with its HTTP route. The
+/// line protocol's unknown-op error, the HTTP facade's router and the
+/// CLI's `client --http` all read this table.
+pub const OPS: [Op; 6] = [
+    Op {
+        name: "ping",
+        method: "GET",
+        path: "/v1/ping",
+    },
+    Op {
+        name: "intern",
+        method: "POST",
+        path: "/v1/intern",
+    },
+    Op {
+        name: "run",
+        method: "POST",
+        path: "/v1/run",
+    },
+    Op {
+        name: "run_batch",
+        method: "POST",
+        path: "/v1/run_batch",
+    },
+    Op {
+        name: "check",
+        method: "POST",
+        path: "/v1/check",
+    },
+    Op {
+        name: "stats",
+        method: "GET",
+        path: "/v1/stats",
+    },
+];
+
+/// The [`OPS`] entry named `name`.
+pub fn op_named(name: &str) -> Option<Op> {
+    OPS.iter().copied().find(|op| op.name == name)
+}
+
+/// The op names as error messages list them: `ping|intern|...`.
+pub fn op_names() -> String {
+    OPS.map(|op| op.name).join("|")
 }
 
 /// A typed protocol error: kind plus a human-readable message.
@@ -84,6 +254,29 @@ impl ProtoError {
 /// Shorthand for `Err(ProtoError::new(..))` in extraction helpers.
 pub(crate) fn bad_request<T>(message: impl Into<String>) -> Result<T, ProtoError> {
     Err(ProtoError::new(ErrKind::BadRequest, message))
+}
+
+/// A rendered response: the one-line envelope plus the kind of the
+/// error it carries (`None` for `ok`), so a transport can pick its
+/// status without re-reading the envelope.
+#[derive(Debug, Clone)]
+pub(crate) struct Response {
+    pub(crate) envelope: String,
+    pub(crate) kind: Option<ErrKind>,
+}
+
+impl Response {
+    pub(crate) fn new(id: Value, outcome: Result<Value, ProtoError>) -> Response {
+        Response {
+            kind: outcome.as_ref().err().map(|e| e.kind),
+            envelope: envelope(id, outcome),
+        }
+    }
+
+    /// The HTTP status: 200 for `ok`, else [`ErrKind::http_status`].
+    pub(crate) fn http_status(&self) -> u16 {
+        self.kind.map_or(200, ErrKind::http_status)
+    }
 }
 
 /// Renders the one-line response envelope: `{"id":…,"ok":…}` on success,
@@ -117,7 +310,17 @@ pub fn envelope(id: Value, outcome: Result<Value, ProtoError>) -> String {
 }
 
 /// The canonical rendering of a completed run — the `ok` body of a `run`
-/// response. Public so test harnesses can render the *expected* body
+/// response:
+///
+/// ```text
+/// {"program": "sat(...) -> ...",        // null when nothing found
+///  "train_f1": 1.0,
+///  "counts": {"matched":3,"predicted":3,"gold":3},
+///  "total_optimal": 12,
+///  "answers": [["Wei Chen"], ["..."]]}  // aligned with targets
+/// ```
+///
+/// Public so test harnesses can render the *expected* body
 /// from a reference engine's [`RunResult`] through the identical code
 /// path and compare responses byte for byte.
 pub fn render_run_result(result: &RunResult) -> Value {
@@ -153,6 +356,36 @@ pub fn render_run_result(result: &RunResult) -> Value {
     );
     map.insert("answers".to_string(), serde_json::json!(result.answers));
     Value::Object(map)
+}
+
+/// The `ok` body of a `check`: the program's canonical text, size and
+/// branch count, its [`lint`] issues, the [`Analyzer`]'s verdicts, its
+/// canonical key, and `clean` (no issue and no verdict). Public so
+/// `webqa-cli check --json` prints the very same object.
+pub fn render_check(program: &Program, ctx: &QueryContext) -> Map<String, Value> {
+    let report = lint(program, ctx);
+    let analysis = Analyzer::new(ctx).analyze(program);
+    let verdicts = analysis.verdicts();
+    let clean = report.is_clean() && verdicts.is_empty();
+    let strings = |items: Vec<String>| Value::Array(items.into_iter().map(Value::String).collect());
+    let mut map = Map::new();
+    map.insert("program".to_string(), Value::String(program.to_string()));
+    map.insert("size".to_string(), serde_json::json!(program.size()));
+    map.insert(
+        "branches".to_string(),
+        serde_json::json!(program.branches.len()),
+    );
+    map.insert(
+        "lint".to_string(),
+        strings(report.issues.iter().map(|i| i.to_string()).collect()),
+    );
+    map.insert("verdicts".to_string(), strings(verdicts));
+    map.insert(
+        "canonical_key".to_string(),
+        Value::String(analysis.canonical_key),
+    );
+    map.insert("clean".to_string(), Value::Bool(clean));
+    map
 }
 
 /// Extracts a required string field.
@@ -269,5 +502,40 @@ mod tests {
         ] {
             assert_eq!(k.as_str(), s);
         }
+    }
+
+    #[test]
+    fn error_kinds_map_to_http_statuses() {
+        for (k, status) in [
+            (ErrKind::BadFrame, 400),
+            (ErrKind::Oversized, 413),
+            (ErrKind::BadRequest, 400),
+            (ErrKind::UnknownOp, 404),
+            (ErrKind::Page, 422),
+            (ErrKind::UnknownPage, 404),
+            (ErrKind::Overloaded, 503),
+            (ErrKind::DeadlineExceeded, 504),
+            (ErrKind::Internal, 500),
+        ] {
+            assert_eq!(k.http_status(), status, "{k:?}");
+            let err = Response::new(Value::Null, Err(ProtoError::new(k, "x")));
+            assert_eq!(err.http_status(), status, "{k:?}");
+        }
+        assert_eq!(
+            Response::new(Value::Null, Ok(Value::Bool(true))).http_status(),
+            200
+        );
+    }
+
+    #[test]
+    fn op_table_names_each_op_and_route_once() {
+        assert_eq!(op_names(), "ping|intern|run|run_batch|check|stats");
+        for op in OPS {
+            assert_eq!(op.path, format!("/v1/{}", op.name), "{op:?}");
+            assert_eq!(op_named(op.name), Some(op));
+            let heavy_or_bodied = !matches!(op.name, "ping" | "stats");
+            assert_eq!(op.method, if heavy_or_bodied { "POST" } else { "GET" });
+        }
+        assert_eq!(op_named("launch-missiles"), None);
     }
 }

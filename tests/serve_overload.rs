@@ -22,7 +22,9 @@ use std::time::{Duration, Instant};
 
 use webqa::{CacheConfig, Config, Engine, SynthConfig, Task};
 use webqa_corpus::{task_by_id, Corpus};
-use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server, StatsSnapshot};
+use webqa_server::{
+    render_run_result, Client, HttpClient, Listening, ServeOptions, Server, StatsSnapshot,
+};
 
 /// Paper-scale synthesis: heavy enough that a three-label corpus task
 /// occupies a worker for about a second (the "slow request"), while tiny
@@ -217,10 +219,11 @@ fn stats(addr: std::net::SocketAddr) -> StatsSnapshot {
 }
 
 /// The headline test: saturate a 2-worker server, fill its backlog of
-/// 2, and hammer it with probes. The probes shed promptly with typed
-/// `overloaded` errors; the four admitted requests complete
-/// byte-identical to the cold reference; the drained server then
-/// serves a fresh request normally and shuts down cleanly.
+/// 2, and hammer it with probes, on the line protocol and on the HTTP
+/// facade. The probes shed promptly with typed `overloaded` errors (503
+/// over HTTP); the four admitted requests complete byte-identical to
+/// the cold reference; the drained server then serves a fresh request
+/// normally and shuts down cleanly.
 #[test]
 fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
     // The first two seeds feed the workers and must keep them busy
@@ -231,12 +234,14 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
     let drain_probe = probe_spec(0);
     let drain_cold = drain_probe.cold_body();
 
-    let listening = spawn_server(ServeOptions {
+    let listening = Server::new(ServeOptions {
         engine: engine_config(),
         workers: 2,
         backlog: 2,
         ..ServeOptions::default()
-    });
+    })
+    .listen_all(Some("127.0.0.1:0"), None, Some("127.0.0.1:0"))
+    .expect("bind loopback");
     let addr = listening.tcp_addr().expect("tcp endpoint");
 
     // Pre-intern every page while the server is idle, so the
@@ -251,6 +256,7 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
     let probe_requests: Vec<String> = (0..6u64)
         .map(|i| probe_spec(100 + i).wired_request(&mut setup, 100 + i))
         .collect();
+    let http_probe = probe_spec(106).wired_request(&mut setup, 106);
 
     // Saturate in two deterministic steps (sent without reading, so
     // nothing blocks). First occupy both workers and *watch them start*
@@ -316,6 +322,17 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
         burst.elapsed()
     );
 
+    // One more probe over HTTP sheds the same way: 503 and the same
+    // envelope.
+    let mut http =
+        HttpClient::connect(listening.http_addr().expect("http endpoint")).expect("connect http");
+    let (status, body) = http.post("/v1/run", &http_probe).expect("http shed");
+    assert_eq!(status, 503, "{body}");
+    assert!(
+        body.starts_with(r#"{"id":106,"err":{"kind":"overloaded","#),
+        "expected a shed, got: {body}"
+    );
+
     // Every admitted request completes byte-identical to the cold,
     // never-cached reference — overload changed nothing about them.
     for (i, mut conn) in slow_conns.into_iter().enumerate() {
@@ -325,14 +342,14 @@ fn saturated_server_sheds_promptly_and_admitted_requests_stay_exact() {
     }
 
     // Drained: a fresh request is served normally, and the counters
-    // show exactly the 6 sheds (which also count as errors).
+    // show exactly the 7 sheds (which also count as errors).
     let mut fresh = Client::connect_tcp(addr).expect("connect");
     let resp = fresh
         .request_line(&drain_probe.request(200))
         .expect("drained response");
     assert_eq!(resp, format!("{{\"id\":200,\"ok\":{drain_cold}}}"));
     let s = stats(addr);
-    assert_eq!(s.shed, 6, "{s:?}");
+    assert_eq!(s.shed, 7, "{s:?}");
     assert_eq!(s.deadline_exceeded, 0, "{s:?}");
     assert_eq!(s.queue_depth, 0, "{s:?}");
     assert!(s.errors >= 6, "{s:?}");
