@@ -6,9 +6,8 @@
 //! typed accessors and unknown-option rejection.
 //!
 //! Numeric value options parse through [`ParsedArgs::get_parsed`] with a
-//! per-command default — e.g. `eval --jobs N` (worker threads for
-//! `webqa::Engine::run_batch`, default `1` = sequential; any `N` produces
-//! identical output, `N > 1` just produces it faster).
+//! per-command default — e.g. `eval --pages N` (pages per domain,
+//! default `8`).
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -2,10 +2,7 @@
 
 use std::fmt::Write as _;
 
-use webqa::{
-    score_answers, CancelToken, Config, Engine, Modality, PersistStats, Selection,
-    Task as EngineTask,
-};
+use webqa::{score_answers, Config, Engine, Modality, PersistStats, Selection, Task as EngineTask};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{
     domain_stats, generate_pages, task_by_id, Corpus, Domain, Task, TaskDataset, TASKS,
@@ -40,12 +37,9 @@ COMMANDS:
                   --task ID [--train N] [--pages N] [--seed S] [--paper]
                   [--strategy transductive|random|shortest]
                   [--modality both|nl|kw] [--baselines] [--show N] [--json]
-    eval      Evaluate many corpus tasks through the batch engine
+    eval      Evaluate many corpus tasks over one shared page store
                   [--tasks A,B,C] [--domain D] [--pages N] [--train N]
-                  [--seed S] [--jobs N] [--paper]
-                  --jobs N runs independent tasks on N worker threads
-                  (default 1 = sequential; results are identical either
-                  way)
+                  [--seed S] [--paper]
     export    Write generated pages (HTML + gold labels) to a directory
                   --domain D --out DIR [--count N] [--seed S]
     run       Run a DSL program on a page
@@ -370,16 +364,14 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `eval`: batch evaluation of many corpus tasks through
-/// [`Engine::run_batch`]. All selected tasks share one interned page
-/// store; `--jobs N` (default 1) fans independent tasks out over `N`
-/// worker threads with deterministic, input-ordered results.
+/// `eval`: evaluation of many corpus tasks, each through
+/// [`Engine::run`] in order. All selected tasks share one interned page
+/// store.
 pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
-    a.expect_only(&["tasks", "domain", "pages", "train", "seed", "jobs", "paper"])?;
+    a.expect_only(&["tasks", "domain", "pages", "train", "seed", "paper"])?;
     let n_pages: usize = a.get_parsed("pages", 8, "a positive integer")?;
     let n_train: usize = a.get_parsed("train", 3, "a positive integer")?;
     let seed: u64 = a.get_parsed("seed", 0, "an integer")?;
-    let jobs: usize = a.get_parsed("jobs", 1, "a positive integer")?;
     if n_train >= n_pages {
         return Err(CliError::Command(format!(
             "--train {n_train} must be smaller than --pages {n_pages}"
@@ -445,17 +437,19 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
         })
         .collect();
 
-    let results = engine.run_batch(&etasks, jobs, &CancelToken::never())?;
+    let results = etasks
+        .iter()
+        .map(|t| engine.run(t))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# eval: {} tasks | {} pages/domain ({} labeled) | seed {} | jobs {} | {} interned pages",
+        "# eval: {} tasks | {} pages/domain ({} labeled) | seed {} | {} interned pages",
         tasks.len(),
         n_pages,
         n_train,
         seed,
-        jobs.max(1),
         engine.store().len(),
     );
     let _ = writeln!(
@@ -1088,34 +1082,40 @@ mod tests {
     }
 
     #[test]
-    fn eval_batches_tasks_and_jobs_do_not_change_output() {
-        let args = |jobs: &'static str| {
-            vec![
-                "eval",
-                "--tasks",
-                "fac_t1,clinic_t1",
-                "--pages",
-                "5",
-                "--train",
-                "2",
-                "--seed",
-                "3",
-                "--jobs",
-                jobs,
-            ]
-        };
-        let sequential = dispatch(&args("1")).unwrap();
-        assert!(sequential.contains("fac_t1"), "{sequential}");
-        assert!(sequential.contains("clinic_t1"), "{sequential}");
-        assert!(sequential.contains("mean F1"), "{sequential}");
+    fn eval_runs_every_task_over_one_store() {
+        let out = dispatch(&[
+            "eval",
+            "--tasks",
+            "fac_t1,clinic_t1",
+            "--pages",
+            "5",
+            "--train",
+            "2",
+            "--seed",
+            "3",
+        ])
+        .unwrap();
+        assert!(out.contains("fac_t1"), "{out}");
+        assert!(out.contains("clinic_t1"), "{out}");
+        assert!(out.contains("mean F1"), "{out}");
         // 5 faculty + 5 clinic pages interned once across both tasks.
-        assert!(sequential.contains("10 interned pages"), "{sequential}");
+        assert!(
+            out.starts_with(
+                "# eval: 2 tasks | 5 pages/domain (2 labeled) | seed 3 | 10 interned pages\n"
+            ),
+            "{out}"
+        );
+    }
 
-        let parallel = dispatch(&args("4")).unwrap();
-        // Byte-identical apart from the jobs count echoed in the header.
-        assert_eq!(
-            sequential.replace("jobs 1", "jobs N"),
-            parallel.replace("jobs 4", "jobs N")
+    #[test]
+    fn eval_jobs_is_an_unknown_option() {
+        // Tasks run in order on the calling thread; there is no
+        // parallelism knob to set.
+        let argv = ["eval", "--tasks", "fac_t1", "--jobs", "2"];
+        let err = dispatch(&argv).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Args(ArgError::UnknownOption(k)) if format!("--{k}") == argv[3]),
+            "{err:?}"
         );
     }
 
@@ -1445,19 +1445,17 @@ mod tests {
         }
         // Connect all three clients before any request is sent, so all
         // three requests genuinely race for the two permits.
-        let mut clients: Vec<webqa_server::Client> = (0..3)
+        let clients: Vec<webqa_server::Client> = (0..3)
             .map(|_| webqa_server::Client::connect_unix(&path).expect("connect"))
             .collect();
-        let outcomes: Vec<bool> = std::thread::scope(|s| {
-            let handles: Vec<_> = clients
-                .iter_mut()
-                .map(|c| s.spawn(move || c.request_line(r#"{"op":"ping"}"#).is_ok()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect()
-        });
+        let handles: Vec<_> = clients
+            .into_iter()
+            .map(|mut c| std::thread::spawn(move || c.request_line(r#"{"op":"ping"}"#).is_ok()))
+            .collect();
+        let outcomes: Vec<bool> = handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect();
         let successes = outcomes.iter().filter(|&&ok| ok).count();
         assert_eq!(successes, 2, "exactly N responses, whatever the timing");
         let out = server.join().expect("server thread").unwrap();

@@ -11,7 +11,7 @@
 //! webqa-cli synth --task fac_t1 [--train N] [--pages N] [--seed S] [--paper]
 //!                 [--strategy transductive|random|shortest] [--modality both|nl|kw]
 //!                 [--baselines] [--show N]
-//! webqa-cli eval [--tasks A,B,C] [--domain D] [--pages N] [--train N] [--seed S] [--jobs N]
+//! webqa-cli eval [--tasks A,B,C] [--domain D] [--pages N] [--train N] [--seed S]
 //! webqa-cli run --program SRC --question Q --keywords A,B (--html SRC | --html-file PATH)
 //! webqa-cli import DIR [--lenient] [--program SRC [--question Q] [--keywords A,B]]
 //! webqa-cli check --program SRC [--question Q] [--keywords A,B] [--normalize] [--json]
@@ -22,10 +22,8 @@
 //! webqa-cli help
 //! ```
 //!
-//! `eval` drives `webqa::Engine::run_batch`: every page is parsed and
-//! interned once in a shared page store, and `--jobs N` (default 1) runs
-//! independent tasks on `N` worker threads — output is byte-identical to
-//! sequential execution.
+//! `eval` runs each task through `webqa::Engine::run`, in order: every
+//! page is parsed and interned once in a shared page store.
 
 #![warn(missing_docs)]
 
@@ -125,15 +123,15 @@ mod tests {
         ] {
             assert!(out.contains(c), "help is missing {c}");
         }
-        assert!(out.contains("--jobs"), "help is missing --jobs");
     }
 
     #[test]
     fn help_has_no_synth_jobs_option() {
-        // Branch-level parallel synthesis is gone; its flag must not be
-        // advertised anywhere in the usage text.
+        // Branch-level parallel synthesis and `eval --jobs` are gone;
+        // neither flag may be advertised anywhere in the usage text.
         let out = dispatch(&["help"]).unwrap();
         assert!(!out.contains("synth-jobs"), "{out}");
+        assert!(!out.contains("--jobs"), "{out}");
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   [`Selected::answers`] — so callers can inspect or loop on any stage
 //!   (add a label and re-synthesize without re-doing anything else);
 //! * errors are values ([`Error`]), not panics;
-//! * independent tasks batch through
-//!   [`Engine::run_batch`](crate::Engine::run_batch) (see
-//!   [`crate::batch`]).
+//! * a run executes on the calling thread: the engine spawns no
+//!   threads, so its caller (the daemon's worker pool) is the one bound
+//!   on concurrency.
 
 use std::sync::Arc;
 

@@ -37,9 +37,10 @@
 //! # Ok::<(), webqa::Error>(())
 //! ```
 //!
-//! Independent tasks batch through [`Engine::run_batch`], which fans them
-//! out over a scoped threadpool with deterministic, input-ordered
-//! results.
+//! [`Engine::run`] runs one task on the calling thread; the engine
+//! spawns no threads. Independent tasks run one after another, or on
+//! threads the caller owns: the engine is `Sync`, and results depend
+//! only on the task and the config.
 //!
 //! The crate also provides the paper's *interactive labeling* helper
 //! ([`suggest_labels`], Section 7), which clusters the target pages and
@@ -48,7 +49,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod cache;
 mod engine;
 mod error;

@@ -20,9 +20,7 @@
 
 use proptest::prelude::*;
 
-use webqa::{
-    CacheConfig, CancelToken, Config, Engine, PageStore, PersistSink, RunResult, SynthConfig, Task,
-};
+use webqa::{CacheConfig, Config, Engine, PageStore, PersistSink, RunResult, SynthConfig, Task};
 
 /// The task pool: overlapping page/question combinations so feature keys
 /// are shared across tasks (hits), and 10 *distinct* (page, query) keys,
@@ -331,54 +329,6 @@ fn reordered_requests_hit_the_result_cache() {
         stats.result_misses, 2,
         "example order is significant; the flip must miss: {stats:?}"
     );
-}
-
-/// `run` and `run_batch` key the result cache the same way: whichever
-/// entry point fills an entry, the other one is served from it and
-/// returns an equal result.
-#[test]
-fn run_and_run_batch_share_result_cache_entries() {
-    let mut store = PageStore::new();
-    let tasks = task_pool(&mut store);
-    let never = CancelToken::never();
-    let run_all = |engine: &Engine| -> Vec<RunResult> {
-        tasks
-            .iter()
-            .map(|t| engine.run(t).expect("store-issued ids resolve"))
-            .collect()
-    };
-    let run_batch = |engine: &Engine| {
-        engine
-            .run_batch(&tasks, 2, &never)
-            .expect("store-issued ids resolve")
-    };
-    for batch_first in [true, false] {
-        let order = if batch_first {
-            "batch then run"
-        } else {
-            "run then batch"
-        };
-        let engine = engine_with(CacheConfig::default(), store.clone());
-        let first = if batch_first {
-            run_batch(&engine)
-        } else {
-            run_all(&engine)
-        };
-        let hits = engine.cache_stats().result_hits;
-        let second = if batch_first {
-            run_all(&engine)
-        } else {
-            run_batch(&engine)
-        };
-        assert_eq!(
-            engine.cache_stats().result_hits,
-            hits + tasks.len() as u64,
-            "{order}: every task must hit the entry the first pass filled"
-        );
-        for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-            assert_results_equal(b, a, &format!("{order}, task {i}"));
-        }
-    }
 }
 
 /// A fresh, collision-free snapshot directory under the system temp

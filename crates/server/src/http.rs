@@ -4,15 +4,14 @@
 //! keep-alive) is in the crate docs; what a request means is the line
 //! protocol's business — each request goes through the same
 //! [`Server::submit`] as a line frame, and a heavy op's worker hands its
-//! response back over this connection's channel.
+//! response back over a channel made for that one request.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use serde_json::Value;
 
@@ -236,19 +235,6 @@ fn write_http(stream: &mut TcpStream, status: u16, body: &str, close: bool) -> i
     stream.flush()
 }
 
-/// Waits for a worker's response; `None` on shutdown (queued jobs are
-/// abandoned then, so the periodic timeout exists only to observe the
-/// flag).
-fn await_reply(replies: &Receiver<Response>, shared: &Shared) -> Option<Response> {
-    loop {
-        match replies.recv_timeout(Duration::from_millis(100)) {
-            Ok(response) => return Some(response),
-            Err(RecvTimeoutError::Timeout) if !shared.shutdown.load(Ordering::SeqCst) => {}
-            Err(_) => return None,
-        }
-    }
-}
-
 /// Serves one HTTP connection until close, EOF, a framing error, or
 /// shutdown — one request at a time, keep-alive between them.
 pub(crate) fn serve_http_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -259,8 +245,6 @@ pub(crate) fn serve_http_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
-    let (reply_to, replies) = mpsc::channel();
-    let reply = Reply::Http(reply_to);
     let mut write = |status: Option<u16>, response: &Response, close: bool| {
         let status = status.unwrap_or_else(|| response.http_status());
         shared.write_counted(|| write_http(&mut stream, status, &response.envelope, close))
@@ -316,13 +300,17 @@ pub(crate) fn serve_http_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                             obj.insert("op".to_string(), Value::String(op.to_string()));
                         }
                         let (id, classified) = server.classify_value(v);
-                        match server.submit(id, classified, &reply) {
+                        // One channel per request, its only sender moved
+                        // into the job: shutdown drops a queued job, and
+                        // with it the sender, which ends this `recv`.
+                        let (reply_to, reply) = mpsc::channel();
+                        match server.submit(id, classified, Reply::Http(reply_to)) {
                             Some(response) => (None, response),
-                            None => match await_reply(&replies, shared) {
-                                Some(response) => (None, response),
-                                // Shutdown before the response landed:
+                            None => match reply.recv() {
+                                Ok(response) => (None, response),
+                                // Shut down before the response landed:
                                 // close without one.
-                                None => return,
+                                Err(_) => return,
                             },
                         }
                     }

@@ -21,7 +21,10 @@
 //! **fixed worker pool** ([`ServeOptions::workers`]):
 //!
 //! * Engine concurrency is exactly `workers`, however many sockets are
-//!   open — a connection flood cannot fork a thousand syntheses.
+//!   open — a connection flood cannot fork a thousand syntheses. A
+//!   worker runs one task at a time (a `run_batch` runs its tasks one
+//!   after another on its worker), and nothing else in the daemon runs
+//!   the engine.
 //! * When the backlog is full the request is **shed immediately** with
 //!   a typed `overloaded` error; load shedding never queues behind the
 //!   work it refuses. The connection stays open.
@@ -46,8 +49,8 @@
 //! coordination — and interning on one shard never takes another
 //! shard's write lock. Within a shard, heavy ops share the read lock
 //! (synthesis runs concurrently across that shard's workers) and
-//! interning takes a brief write lock; stores are append-only, so
-//! handles stay valid forever after.
+//! interning takes a brief write lock; stores are append-only, so a
+//! handle stays valid for the life of the daemon process.
 //!
 //! Wire handles interleave the shard id into the low bits
 //! (`handle = local_index * shards + shard`), which keeps handles dense
@@ -89,6 +92,12 @@
 //! reload → re-run equal to the never-cached reference. An unusable
 //! cache dir degrades to a cold start with a warning — persistence is
 //! an optimization, never a liveness requirement.
+//!
+//! Wire handles do **not** persist: a warm start reloads pages in
+//! digest order, so a handle issued before a restart can name a
+//! different page after it. A handle is valid only within one daemon
+//! process; clients re-`intern` after a restart to get one (same
+//! content, same digest, same page — and no new page in the store).
 //!
 //! # Wire protocol
 //!
@@ -205,8 +214,9 @@ pub struct ServeOptions {
     /// Worker threads executing heavy ops (`run` / `run_batch`), divided
     /// as evenly as possible across the shards (every shard gets at
     /// least one). `0` (the default) means auto: the machine's available
-    /// parallelism. This — not the connection count — bounds engine
-    /// concurrency.
+    /// parallelism. This is exactly the engine concurrency: a worker
+    /// runs one task at a time (a `run_batch` runs its tasks one after
+    /// another), and nothing else in the daemon runs the engine.
     pub workers: usize,
     /// Admission-queue capacity (default 64), divided across the shards
     /// like `workers`: heavy ops waiting for a worker beyond a shard's
@@ -299,9 +309,6 @@ pub(crate) struct Shared {
     /// Heavy ops whose execution panicked (also in `errors`).
     pub(crate) panics: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    /// Per-task parallelism handed to `Engine::run_batch` by the
-    /// `run_batch` op: the machine budget divided across workers.
-    pub(crate) batch_jobs: usize,
     /// Server-side default latency budget (see
     /// [`ServeOptions::default_deadline`]).
     pub(crate) default_deadline: Option<Duration>,
@@ -380,8 +387,9 @@ pub(crate) struct HeavyOp {
     deadline: Option<Instant>,
     /// The shard whose queue admits (and whose worker slice executes)
     /// this op: the task's home shard; for a batch, the first task's
-    /// home shard (a cross-shard batch still occupies one worker slot —
-    /// its sub-batches execute from there, shard by shard).
+    /// home shard (a cross-shard batch occupies one worker slot, and
+    /// runs each of its tasks from there under that task's own home
+    /// shard's read lock).
     pub(crate) shard: usize,
 }
 
@@ -397,9 +405,8 @@ struct ResolvedPage {
 
 enum HeavyKind {
     Run(Task),
-    /// Batch entries keep their home shard alongside the task so a
-    /// cross-shard batch can split per shard and reassemble in input
-    /// order.
+    /// Batch entries keep their home shard alongside the task: each
+    /// runs on its own shard, in input order.
     Batch(Vec<(usize, Task)>),
     /// Panics when executed: the planted fault of the containment tests.
     #[cfg(test)]
@@ -502,7 +509,6 @@ impl Server {
     /// start with a stderr warning — persistence is an optimization,
     /// never a liveness requirement).
     pub fn new(opts: ServeOptions) -> Server {
-        let machine = machine_parallelism();
         let persist = opts.cache_dir.as_ref().and_then(|dir| {
             webqa::PersistSink::open(dir)
                 .map_err(|e| {
@@ -520,10 +526,6 @@ impl Server {
             opts.backlog,
             persist,
         );
-        // Post-clamp: the shard set may have reduced the shard count to
-        // honor the global budgets, so derive per-op parallelism from
-        // what was actually built, not from what was requested.
-        let workers = shards.total_workers();
         Server {
             shared: Arc::new(Shared {
                 shards,
@@ -535,9 +537,6 @@ impl Server {
                 deadline_hits: AtomicU64::new(0),
                 panics: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
-                // Split the machine budget across workers so a full pool
-                // of run_batch ops cannot oversubscribe the cores.
-                batch_jobs: (machine / workers).max(1),
                 default_deadline: opts.default_deadline,
                 max_responses: opts.max_responses,
                 write_permits: AtomicU64::new(0),
@@ -649,12 +648,13 @@ impl Server {
     /// `overloaded` shed when its shard's backlog is full — refused in
     /// constant time on the connection thread, never queued behind the
     /// backlog it refuses) or a job admitted to its home shard's queue,
-    /// whose worker answers through `reply` (`None`).
+    /// whose worker answers through `reply` (`None`). A response
+    /// returned here drops `reply` unused.
     pub(crate) fn submit(
         &self,
         id: Value,
         classified: Result<Action, ProtoError>,
-        reply: &Reply,
+        reply: Reply,
     ) -> Option<Response> {
         let op = match classified {
             Ok(Action::Heavy(op)) => op,
@@ -665,7 +665,7 @@ impl Server {
         let job = Job {
             id: id.clone(),
             op,
-            reply: reply.clone(),
+            reply,
         };
         if queue.try_push(job) {
             return None;
@@ -768,50 +768,16 @@ impl Server {
         token: &CancelToken,
     ) -> Result<Value, ProtoError> {
         match kind {
-            HeavyKind::Run(task) => {
-                // The long-running part shares the home shard's read
-                // lock: concurrent workers proceed in parallel, and only
-                // *this shard's* interns serialize against them.
-                let engine = relock(self.shared.shards.get(home).engine.read());
-                let result = engine
-                    .run_with_cancel(&task, token)
-                    .map_err(|e| self.engine_err(e))?;
-                Ok(render_run_result(&result))
-            }
+            HeavyKind::Run(task) => self.run_task(home, &task, token),
             HeavyKind::Batch(tasks) => {
-                // Split by home shard, execute the sub-batches shard by
-                // shard (each under that shard's read lock), and
-                // reassemble in input order — every entry byte-identical
-                // to what a separate `run` would have produced.
-                let mut order: Vec<usize> = Vec::new();
-                let mut groups: std::collections::HashMap<usize, (Vec<usize>, Vec<Task>)> =
-                    std::collections::HashMap::new();
-                for (i, (shard, task)) in tasks.into_iter().enumerate() {
-                    let (indices, group) = groups.entry(shard).or_insert_with(|| {
-                        order.push(shard);
-                        (Vec::new(), Vec::new())
-                    });
-                    indices.push(i);
-                    group.push(task);
-                }
-                let mut rendered: Vec<Value> =
-                    vec![Value::Null; groups.values().map(|(i, _)| i.len()).sum()];
-                for shard in order {
-                    // Grouped above: every key in `order` was inserted
-                    // exactly once and is removed exactly once here.
-                    let Some((indices, group)) = groups.remove(&shard) else {
-                        continue;
-                    };
-                    let engine = relock(self.shared.shards.get(shard).engine.read());
-                    let results = engine
-                        .run_batch(&group, self.shared.batch_jobs, token)
-                        .map_err(|e| self.engine_err(e))?;
-                    for (slot, result) in indices.into_iter().zip(results.iter()) {
-                        rendered[slot] = render_run_result(result);
-                    }
-                }
+                // In input order, each task exactly as a separate `run`;
+                // the first error ends the batch.
+                let results = tasks
+                    .iter()
+                    .map(|(shard, task)| self.run_task(*shard, task, token))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let mut map = Map::new();
-                map.insert("results".to_string(), Value::Array(rendered));
+                map.insert("results".to_string(), Value::Array(results));
                 Ok(Value::Object(map))
             }
             #[cfg(test)]
@@ -826,6 +792,17 @@ impl Server {
                 Ok(Value::Bool(true))
             }
         }
+    }
+
+    /// Runs one task on its home shard and renders its `ok` body. The
+    /// run shares that shard's read lock: concurrent workers proceed in
+    /// parallel, and only *this shard's* interns serialize against them.
+    fn run_task(&self, home: usize, task: &Task, token: &CancelToken) -> Result<Value, ProtoError> {
+        let engine = relock(self.shared.shards.get(home).engine.read());
+        let result = engine
+            .run_with_cancel(task, token)
+            .map_err(|e| self.engine_err(e))?;
+        Ok(render_run_result(&result))
     }
 
     /// Maps engine failures onto the wire vocabulary (and counts
@@ -1303,6 +1280,107 @@ mod tests {
         assert!(not_array.contains(r#""kind":"bad-request""#), "{not_array}");
     }
 
+    /// `run` fields whose labeled page lives on shard `shard` of a
+    /// two-shard server (digest mod 2), found by varying its heading,
+    /// and whose one target lists `person`.
+    fn fields_homed_on(shard: u64, person: &str) -> String {
+        let labeled = (0..)
+            .map(|i| format!("<h1>Lab {i}</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>"))
+            .find(|html| content_digest(&PageTree::parse(html)) % 2 == shard)
+            .expect("some heading lands on each shard");
+        format!(
+            r#""question":"Who are the PhD students?","keywords":["Students"],"labeled":[{{"html":"{labeled}","gold":["Jane Doe"]}}],"targets":[{{"html":"<h1>T</h1><h2>Advisees</h2><ul><li>{person}</li></ul>"}}]"#
+        )
+    }
+
+    /// The `ok` body of a response line.
+    fn ok_body(line: &str) -> Value {
+        let v: Value = serde_json::from_str(line).expect("valid JSON");
+        v["ok"].clone()
+    }
+
+    #[test]
+    fn an_empty_run_batch_answers_no_results() {
+        assert_eq!(
+            server().handle_line(r#"{"id":4,"op":"run_batch","tasks":[]}"#),
+            r#"{"id":4,"ok":{"results":[]}}"#
+        );
+    }
+
+    #[test]
+    fn a_batch_alternating_between_two_shards_answers_in_input_order() {
+        let s = Server::new(ServeOptions {
+            workers: 2,
+            shards: 2,
+            ..options()
+        });
+        let tasks = [
+            fields_homed_on(0, "Wei Chen"),
+            fields_homed_on(1, "Elena Petrov"),
+        ];
+        let order = [0, 1, 0, 1];
+        let specs: Vec<String> = order.iter().map(|&i| format!("{{{}}}", tasks[i])).collect();
+        let batch = ok_body(&s.handle_line(&format!(
+            r#"{{"op":"run_batch","tasks":[{}]}}"#,
+            specs.join(",")
+        )));
+        // Each task ran on its own home shard: one miss, then one hit.
+        for shard in &stats(&s).shards {
+            let c = shard.cache;
+            assert_eq!((c.result_misses, c.result_hits), (1, 1), "{shard:?}");
+        }
+        let runs: Vec<Value> = tasks
+            .iter()
+            .map(|f| ok_body(&s.handle_line(&format!(r#"{{"op":"run",{f}}}"#))))
+            .collect();
+        assert_ne!(runs[0], runs[1], "the two tasks must be told apart");
+        let results = batch["results"].as_array().expect("results array");
+        assert_eq!(results.len(), order.len());
+        for (entry, &i) in results.iter().zip(&order) {
+            assert_eq!(entry, &runs[i]);
+        }
+    }
+
+    #[test]
+    fn a_run_after_a_run_batch_of_the_same_task_is_a_result_hit() {
+        let s = server();
+        let fields = fields_homed_on(0, "Wei Chen");
+        let batch =
+            ok_body(&s.handle_line(&format!(r#"{{"op":"run_batch","tasks":[{{{fields}}}]}}"#)));
+        let before = stats(&s).cache;
+        let run = ok_body(&s.handle_line(&format!(r#"{{"op":"run",{fields}}}"#)));
+        let after = stats(&s).cache;
+        assert_eq!(
+            (after.result_hits, after.result_misses),
+            (before.result_hits + 1, before.result_misses)
+        );
+        assert_eq!(batch["results"][0], run);
+    }
+
+    #[test]
+    fn an_expired_batch_ends_with_one_deadline_error() {
+        let s = server();
+        let tasks = [
+            fields_homed_on(0, "Wei Chen"),
+            fields_homed_on(0, "Elena Petrov"),
+        ];
+        let specs = format!("{{{}}},{{{}}}", tasks[0], tasks[1]);
+        let dead = s.handle_line(&format!(
+            r#"{{"id":5,"op":"run_batch","deadline_ms":0,"tasks":[{specs}]}}"#
+        ));
+        assert!(
+            dead.starts_with(r#"{"id":5,"err":{"kind":"deadline-exceeded","#),
+            "{dead}"
+        );
+        // One trip for the whole batch, and the expired token let no
+        // task reach the engine's caches.
+        let st = stats(&s);
+        assert_eq!(st.deadline_exceeded, 1);
+        assert_eq!(st.cache.result_misses, 0, "{st:?}");
+        let ok = ok_body(&s.handle_line(&format!(r#"{{"op":"run_batch","tasks":[{specs}]}}"#)));
+        assert_eq!(ok["results"].as_array().map(Vec::len), Some(2));
+    }
+
     #[test]
     fn deadline_ms_must_be_a_nonnegative_integer() {
         let s = server();
@@ -1410,16 +1488,10 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(client.get("/v1/ping").expect("ping").0, 200);
         }
-        // `wait_for_responses` blocks until the count is reached; wait
-        // on a helper thread so a miscount fails instead of hanging.
-        let (done, waited) = std::sync::mpsc::channel();
-        let listening = Arc::new(listening);
-        let waiter = Arc::clone(&listening);
-        let waiting = std::thread::spawn(move || {
-            let _ = done.send(waiter.wait_for_responses(2));
-        });
-        assert_eq!(waited.recv_timeout(Duration::from_secs(10)), Ok(2));
-        waiting.join().expect("the waiter returned");
+        // `wait_for_responses` blocks until the count is reached, so
+        // check the count first: a miscount fails instead of hanging.
+        assert_eq!(sent_after(&listening, 2), 2);
+        assert_eq!(listening.wait_for_responses(2), 2);
         // The cap is spent: a third request gets no response.
         assert!(client.get("/v1/ping").is_err());
     }

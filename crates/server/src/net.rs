@@ -95,7 +95,6 @@ pub(crate) fn serve_conn<S: AcceptedStream>(shared: &Arc<Shared>, stream: S) {
         Ok(w) => Arc::new(ConnWriter::new(w)),
         Err(_) => return,
     };
-    let reply = Reply::Line(Arc::clone(&conn));
     let write = |response: Response| shared.write_counted(|| conn.write_line(&response.envelope));
     let mut reader = BufReader::new(stream);
     loop {
@@ -106,7 +105,7 @@ pub(crate) fn serve_conn<S: AcceptedStream>(shared: &Arc<Shared>, stream: S) {
             Frame::Line(line) if line.trim().is_empty() => continue,
             Frame::Line(line) => {
                 let (id, classified) = server.classify_line(&line);
-                match server.submit(id, classified, &reply) {
+                match server.submit(id, classified, Reply::Line(Arc::clone(&conn))) {
                     Some(response) => response,
                     None => continue,
                 }
@@ -212,10 +211,11 @@ impl Drop for Listening {
         for (_, token) in crate::relock(self.shared.inflight.lock()).iter() {
             token.cancel();
         }
-        // Wake workers parked on the empty admission queues so they
-        // observe the flag (queued-but-unstarted jobs are abandoned —
-        // their connections are closing below anyway).
-        self.shared.shards.wake_all();
+        // Close the admission queues: queued-but-unstarted jobs are
+        // dropped (an HTTP thread waiting on one sees its reply channel
+        // disconnect), later pushes are refused, and parked workers wake
+        // and exit.
+        self.shared.shards.close();
         // Poke each endpoint so a blocked `accept` returns and observes
         // the flag.
         if let Some(addr) = self.tcp_addr {

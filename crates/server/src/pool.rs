@@ -7,8 +7,10 @@
 //! pushed through a **bounded** [`Admission`] queue and executed by one
 //! of a **fixed** number of worker threads. Two consequences:
 //!
-//! * engine concurrency is `workers`, not "number of open sockets" — a
-//!   connection flood cannot fork a thousand syntheses;
+//! * engine concurrency is exactly `workers`, not "number of open
+//!   sockets" — a connection flood cannot fork a thousand syntheses,
+//!   and a worker runs one task at a time (a `run_batch` runs its tasks
+//!   one after another on its worker, never on threads of its own);
 //! * when the backlog cap is hit, [`Admission::try_push`] fails and the
 //!   connection thread sheds the request with a typed `overloaded`
 //!   response *immediately* — load shedding is constant-time, never
@@ -22,10 +24,14 @@
 //! response is the client's correlation key. On the HTTP facade it is a
 //! channel to the connection thread, which waits for its one request's
 //! response and writes it.
+//!
+//! Shutdown closes the queues: [`Admission::close`] drops every queued
+//! job — and with it the job's reply sender, so a waiting HTTP thread's
+//! `recv` ends at once — refuses every later push, and wakes the
+//! workers, whose [`Admission::pop`] then returns `None`.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -60,7 +66,6 @@ impl ConnWriter {
 }
 
 /// Where an admitted job's response goes.
-#[derive(Clone)]
 pub(crate) enum Reply {
     /// A line connection's shared write half: the worker writes.
     Line(Arc<ConnWriter>),
@@ -93,15 +98,24 @@ pub(crate) struct Job {
 
 /// The bounded MPMC admission queue feeding the worker pool.
 pub(crate) struct Admission {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     capacity: usize,
     ready: Condvar,
+}
+
+/// The queued jobs, and whether [`Admission::close`] has run.
+struct Queue {
+    jobs: VecDeque<Job>,
+    closed: bool,
 }
 
 impl Admission {
     pub(crate) fn new(capacity: usize) -> Self {
         Admission {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
             capacity: capacity.max(1),
             ready: Condvar::new(),
         }
@@ -112,48 +126,51 @@ impl Admission {
         self.capacity
     }
 
-    /// Admits a job unless the backlog is full; `false` = shed it.
+    /// Admits a job unless the backlog is full or the queue is closed;
+    /// `false` = shed it.
     pub(crate) fn try_push(&self, job: Job) -> bool {
         let mut q = relock(self.queue.lock());
-        if q.len() >= self.capacity {
+        if q.closed || q.jobs.len() >= self.capacity {
             return false;
         }
-        q.push_back(job);
+        q.jobs.push_back(job);
         self.ready.notify_one();
         true
     }
 
-    /// Blocks until a job is available or `shutdown` is set; `None`
-    /// means the pool is winding down (queued jobs are abandoned — their
-    /// connections are being closed anyway).
-    pub(crate) fn pop(&self, shutdown: &AtomicBool) -> Option<Job> {
+    /// Blocks until a job is available; `None` once the queue is closed.
+    pub(crate) fn pop(&self) -> Option<Job> {
         let mut q = relock(self.queue.lock());
         loop {
-            if shutdown.load(Ordering::SeqCst) {
+            if q.closed {
                 return None;
             }
-            if let Some(job) = q.pop_front() {
+            if let Some(job) = q.jobs.pop_front() {
                 return Some(job);
             }
             q = relock(self.ready.wait(q));
         }
     }
 
-    /// Wakes every blocked worker (shutdown path).
-    pub(crate) fn wake_all(&self) {
-        let _guard = relock(self.queue.lock());
+    /// Closes the queue (shutdown path): drops the queued jobs and their
+    /// reply senders, refuses every later push, and wakes every blocked
+    /// worker.
+    pub(crate) fn close(&self) {
+        let mut q = relock(self.queue.lock());
+        q.closed = true;
+        q.jobs.clear();
         self.ready.notify_all();
     }
 
     /// Current queue depth (diagnostics).
     pub(crate) fn depth(&self) -> usize {
-        relock(self.queue.lock()).len()
+        relock(self.queue.lock()).jobs.len()
     }
 }
 
 /// Spawns the fixed worker pool: each shard gets its own worker slice,
 /// every worker looping pop → execute → respond on *its shard's* queue
-/// until shutdown — a backed-up shard never steals another shard's
+/// until the queue closes — a backed-up shard never steals another shard's
 /// workers, so one hot page set cannot starve the rest of the fleet.
 pub(crate) fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
     let mut handles = Vec::new();
@@ -164,7 +181,7 @@ pub(crate) fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
                 let server = Server {
                     shared: Arc::clone(&shared),
                 };
-                while let Some(job) = shared.shards.get(shard).queue.pop(&shared.shutdown) {
+                while let Some(job) = shared.shards.get(shard).queue.pop() {
                     let outcome = server.execute_heavy(job.op);
                     job.reply
                         .deliver(&shared, server.render_outcome(job.id, outcome));
@@ -178,13 +195,20 @@ pub(crate) fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    fn dummy_job() -> Job {
+    fn job(reply: Reply) -> Job {
         Job {
             id: Value::Null,
             op: HeavyOp::noop_for_tests(),
-            reply: Reply::Line(Arc::new(ConnWriter::new(Box::new(std::io::sink())))),
+            reply,
         }
+    }
+
+    fn dummy_job() -> Job {
+        job(Reply::Line(Arc::new(ConnWriter::new(Box::new(
+            std::io::sink(),
+        )))))
     }
 
     #[test]
@@ -194,16 +218,42 @@ mod tests {
         assert!(a.try_push(dummy_job()));
         assert!(!a.try_push(dummy_job()), "third push must shed");
         assert_eq!(a.depth(), 2);
-        let stop = AtomicBool::new(false);
-        assert!(a.pop(&stop).is_some());
+        assert!(a.pop().is_some());
         assert!(a.try_push(dummy_job()), "pop frees a slot");
     }
 
     #[test]
-    fn pop_returns_none_on_shutdown() {
-        let a = Admission::new(1);
-        let stop = AtomicBool::new(true);
-        assert!(a.pop(&stop).is_none());
+    fn close_drops_queued_jobs_and_refuses_new_ones() {
+        let a = Admission::new(2);
+        let (reply_to, replies) = mpsc::channel();
+        assert!(a.try_push(job(Reply::Http(reply_to))));
+        a.close();
+        assert!(a.pop().is_none());
+        assert!(!a.try_push(dummy_job()), "a closed queue admits nothing");
+        assert_eq!(a.depth(), 0);
+        // The queued HTTP job's sender went with it: its waiting
+        // connection thread gets an error at once, with no timeout.
+        assert!(matches!(
+            replies.try_recv(),
+            Err(mpsc::TryRecvError::Disconnected)
+        ));
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_pop() {
+        let a = Arc::new(Admission::new(1));
+        let (popped_tx, popped) = mpsc::channel();
+        let waiter = {
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || {
+                let _ = popped_tx.send(a.pop().is_none());
+            })
+        };
+        // Whether the worker is already parked or not, close ends its
+        // wait: `pop` re-checks `closed` under the lock it waits on.
+        a.close();
+        assert_eq!(popped.recv(), Ok(true));
+        waiter.join().expect("the waiting worker returned");
     }
 
     #[test]

@@ -59,6 +59,11 @@
 //!
 //! Interning is content-addressed (the store deduplicates): the same
 //! HTML always yields the same handle, however many clients send it.
+//! A handle is valid only within one daemon process: a restarted
+//! daemon — even one warm-started from a snapshot, which reloads pages
+//! in digest order — may give the same handle to a different page.
+//! Clients re-intern after a restart to get a handle; the page and its
+//! `"digest"` are the same as before.
 //! Damaged HTML is rejected with `kind:"page"`. The optional `"lenient"`
 //! flag (default `false`) parses with browser-style recovery instead —
 //! the same opt-out `webqa-cli import --lenient` uses. `"digest"` is the
@@ -78,20 +83,22 @@
 //!    "targets":  [1, {"html": "<h1>C</h1>..."}]}
 //! ```
 //!
-//! Pages are referenced by handle (from `intern`, or a previous inline
-//! use) or supplied inline as `{"html": ...}`; inline pages are interned
-//! first, strictly. Unknown handles yield `kind:"unknown-page"`. An
-//! optional `"deadline_ms": N` bounds the request's latency from frame
-//! arrival (queue wait included); when the server also has a default
-//! deadline, the smaller budget wins.
+//! Pages are referenced by handle (from `intern` on this daemon process
+//! — handles do not survive a restart) or supplied inline as
+//! `{"html": ...}`; inline pages are interned first, strictly. Unknown
+//! handles yield `kind:"unknown-page"`. An optional `"deadline_ms": N`
+//! bounds the request's latency from frame arrival (queue wait
+//! included); when the server also has a default deadline, the smaller
+//! budget wins.
 //!
 //! `run_batch` takes `"tasks": [{...run fields...}, ...]` and one
 //! optional `deadline_ms`, and answers `{"results":[...]}` aligned with
 //! `tasks`, every entry byte-identical to what a separate `run` would
-//! have produced. The batch occupies **one** worker slot and fans its
-//! tasks out over the engine's batch runner internally. It is
-//! all-or-nothing: a malformed task fails the whole batch before
-//! anything executes.
+//! have produced. The batch occupies **one** worker slot and runs its
+//! tasks there one after another, in input order, each on its own home
+//! shard. It is all-or-nothing: a malformed task fails the whole batch
+//! before anything executes, and the first task that fails to run (a
+//! deadline trip) ends the batch with that task's error.
 //!
 //! `stats` answers a serialized [`StatsSnapshot`](crate::StatsSnapshot),
 //! whose field docs are the schema.

@@ -156,15 +156,11 @@ impl ShardSet {
         ((handle % n) as usize, handle / n)
     }
 
-    /// Sum of per-shard worker counts.
-    pub(crate) fn total_workers(&self) -> usize {
-        self.shards.iter().map(|s| s.workers).sum()
-    }
-
-    /// Wakes every shard's parked workers (shutdown path).
-    pub(crate) fn wake_all(&self) {
+    /// Closes every shard's admission queue (shutdown path): queued
+    /// jobs are dropped and parked workers wake and exit.
+    pub(crate) fn close(&self) {
         for s in &self.shards {
-            s.queue.wake_all();
+            s.queue.close();
         }
     }
 
@@ -192,6 +188,10 @@ mod tests {
 
     fn set(n: usize) -> ShardSet {
         ShardSet::new(&webqa::Config::default(), n, 8, 64, None)
+    }
+
+    fn total_workers(s: &ShardSet) -> usize {
+        s.iter().map(|x| x.workers).sum()
     }
 
     fn total_backlog(s: &ShardSet) -> usize {
@@ -233,7 +233,7 @@ mod tests {
             s.iter().map(|x| x.workers).collect::<Vec<_>>(),
             vec![3, 3, 2]
         );
-        assert_eq!(s.total_workers(), 8);
+        assert_eq!(total_workers(&s), 8);
         assert_eq!(total_backlog(&s), 64);
         // More shards than workers: the shard count clamps to the
         // worker budget, so every shard gets exactly one worker and
@@ -251,20 +251,20 @@ mod tests {
         // effective shard count must honor the global budget instead.
         let s = ShardSet::new(&webqa::Config::default(), 8, 2, 64, None);
         assert_eq!(s.count(), 2);
-        assert_eq!(s.total_workers(), 2, "worker budget must not inflate");
+        assert_eq!(total_workers(&s), 2, "worker budget must not inflate");
         assert_eq!(total_backlog(&s), 64);
 
         // The backlog budget clamps too: a shard with a 0-capacity
         // queue could never admit its digest-routed requests.
         let s = ShardSet::new(&webqa::Config::default(), 8, 16, 3, None);
         assert_eq!(s.count(), 3);
-        assert_eq!(s.total_workers(), 16);
+        assert_eq!(total_workers(&s), 16);
         assert_eq!(total_backlog(&s), 3);
 
         // Degenerate budgets still yield a working single shard.
         let s = ShardSet::new(&webqa::Config::default(), 4, 0, 0, None);
         assert_eq!(s.count(), 1);
-        assert_eq!(s.total_workers(), 1);
+        assert_eq!(total_workers(&s), 1);
         assert_eq!(total_backlog(&s), 1);
     }
 

@@ -37,7 +37,7 @@ use crate::scorer::{behaviour_key, FxBuild, Scorer, StepOp, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Result of extractor synthesis: all extractors achieving the optimal F₁
-/// (that is ≥ the incoming lower bound), plus that score and its counts.
+/// (that is ≥ the incoming lower bound), plus that score.
 ///
 /// Extractors are *grouped by their token-count vector*: two extractors can
 /// have the same F₁ on a branch's examples but different `(matched,
@@ -53,9 +53,6 @@ pub(crate) struct ExtractorSynthesis {
     pub groups: Vec<(Counts, Vec<Extractor>)>,
     /// The optimal F₁ achieved.
     pub f1: f64,
-    /// Token counts of a representative optimal extractor (used to combine
-    /// branch scores into a partition score).
-    pub counts: Counts,
 }
 
 impl ExtractorSynthesis {
@@ -120,7 +117,6 @@ pub(crate) fn synthesize_extractors(
     debug_assert_eq!(scorer.len(), nodes.len());
     let mut best: Vec<(Counts, Vec<Extractor>)> = Vec::new();
     let mut best_f1 = opt;
-    let mut best_counts = Counts::default();
 
     // Seed: ExtractContent(x) and its outputs.
     let seed_outputs = scorer.seed_outputs(nodes);
@@ -162,11 +158,7 @@ pub(crate) fn synthesize_extractors(
         if s > best_f1 + F1_EPS {
             best = vec![(counts, vec![cand.ast.clone()])];
             best_f1 = s;
-            best_counts = counts;
         } else if (s - best_f1).abs() <= F1_EPS && s > 0.0 {
-            if best.is_empty() {
-                best_counts = counts;
-            }
             push_group(&mut best, counts, cand.ast.clone());
         }
         if cand.depth >= task.cfg.extractor_depth {
@@ -226,7 +218,6 @@ pub(crate) fn synthesize_extractors(
     ExtractorSynthesis {
         groups: best,
         f1: best_f1,
-        counts: best_counts,
     }
 }
 
@@ -369,7 +360,6 @@ mod tests {
             &mut s_ref,
         );
         assert_eq!(fast.f1, slow.f1);
-        assert_eq!(fast.counts, slow.counts);
         assert_eq!(fast.groups.len(), slow.groups.len());
         for ((ca, ea), (cb, eb)) in fast.groups.iter().zip(&slow.groups) {
             assert_eq!(ca, cb);

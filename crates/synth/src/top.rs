@@ -708,12 +708,11 @@ mod tests {
             (None, None) => return,
             _ => panic!("{what}: one solve found a separating guard, the other did not"),
         };
-        assert_eq!(a.f1, b.f1, "{what}: optimal F1");
-        assert_eq!(a.counts, b.counts, "{what}: counts");
         let guards =
             |s: &BranchSynthesis| s.options.iter().map(|(g, _)| g.clone()).collect::<Vec<_>>();
         assert_eq!(guards(a), guards(b), "{what}: guards");
         for ((g, x), (_, y)) in a.options.iter().zip(&b.options) {
+            assert_eq!(x.f1, y.f1, "{what}: optimal F1 of {g}");
             assert_eq!(x.groups, y.groups, "{what}: extractor groups of {g}");
         }
     }

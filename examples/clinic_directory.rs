@@ -1,13 +1,13 @@
 //! Building a provider directory: extract doctors, accepted insurance
 //! plans, and locations from heterogeneous clinic websites — three tasks
-//! over the same page set, interned once and executed as a batch on a
-//! worker pool ([`Engine::run_batch`]).
+//! over the same page set, interned once and run one after another
+//! ([`Engine::run`]) against the shared handles.
 //!
 //! ```text
 //! cargo run --example clinic_directory
 //! ```
 
-use webqa::{score_answers, CancelToken, Config, Engine, Task};
+use webqa::{score_answers, Config, Engine, Task};
 use webqa_corpus::{task_by_id, Corpus, Domain};
 
 /// One directory row: clinic name, phones, hours, services.
@@ -45,10 +45,10 @@ fn main() {
         })
         .collect();
 
-    // One batch, one thread per task; results come back in input order.
-    let results = engine
-        .run_batch(&specs, specs.len(), &CancelToken::never())
-        .expect("ids from this store");
+    let results: Vec<_> = specs
+        .iter()
+        .map(|spec| engine.run(spec).expect("ids from this store"))
+        .collect();
 
     let mut directory: Vec<DirectoryRow> = clinic_pages[TRAIN..]
         .iter()

@@ -5,7 +5,7 @@
 //! crates, re-exported here for convenience:
 //!
 //! * [`webqa`] — the session-oriented engine (staged pipeline, shared
-//!   page store, batch execution);
+//!   page store, result caches);
 //! * [`webqa_dsl`] — the neurosymbolic DSL;
 //! * [`webqa_synth`] — optimal synthesis;
 //! * [`webqa_select`] — transductive program selection;
@@ -68,9 +68,8 @@
 //!   deep-clones on the run path), the pipeline runs as inspectable
 //!   stages (`prepare` → `synthesize` → `select` → `answers`) so the
 //!   interactive-labeling loop and the ablations can drive any stage
-//!   alone, errors are a typed `webqa::Error`, and independent tasks
-//!   batch through `Engine::run_batch` on a scoped threadpool with
-//!   deterministic input-ordered results.
+//!   alone, errors are a typed `webqa::Error`, and a run executes on
+//!   the calling thread (the engine spawns no threads).
 //!   The engine additionally owns the cross-request caches, three tiers
 //!   of one exact-keyed LRU: a query-*independent* base tier (NER spans,
 //!   leaf/element masks, keyed by page alone, so different questions

@@ -654,6 +654,96 @@ fn warm_restart_is_byte_identical_and_hits_the_base_tier() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A wire handle lives only as long as its daemon process: a warm
+/// restart reloads pages in digest order, so a client re-interns to get
+/// handles. Re-interning the first daemon's pages gives back the same
+/// digests and adds no page to the loaded store, and a `run` by the new
+/// handles is byte-identical to the cold reference.
+#[test]
+fn warm_restart_reinterned_handles_run_like_a_cold_engine() {
+    let spec = workload().swap_remove(1);
+    let pages: Vec<&str> = spec
+        .labeled
+        .iter()
+        .map(|(html, _)| html.as_str())
+        .chain(spec.targets.iter().map(String::as_str))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("webqa-serve-reintern-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serve_opts = || ServeOptions {
+        engine: engine_config(),
+        cache_dir: Some(dir.clone()),
+        ..ServeOptions::default()
+    };
+    let intern = |client: &mut Client, html: &str| -> (u64, String) {
+        let mut m = serde_json::Map::new();
+        m.insert("op".to_string(), serde_json::json!("intern"));
+        m.insert("html".to_string(), serde_json::json!(html));
+        let resp = client
+            .request(&serde_json::Value::Object(m))
+            .expect("intern");
+        let digest = resp["ok"]["digest"].as_str().expect("digest");
+        (
+            resp["ok"]["page"].as_u64().expect("handle"),
+            digest.to_string(),
+        )
+    };
+
+    // First daemon: intern the pages; shutdown spills them.
+    let first: Vec<String> = {
+        let listening = spawn_server(serve_opts());
+        let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+        let digests = pages
+            .iter()
+            .map(|html| intern(&mut client, html).1)
+            .collect();
+        listening.shutdown();
+        digests
+    };
+
+    // Second daemon, warm from the snapshot: re-intern to get handles.
+    let listening = spawn_server(serve_opts());
+    let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+    let loaded = stats(&mut client).pages;
+    assert_eq!(loaded, pages.len(), "the warm start loads every page");
+    let again: Vec<(u64, String)> = pages.iter().map(|html| intern(&mut client, html)).collect();
+    let digests: Vec<String> = again.iter().map(|(_, d)| d.clone()).collect();
+    assert_eq!(digests, first, "same page, same digest across the restart");
+    assert_eq!(
+        stats(&mut client).pages,
+        loaded,
+        "re-interning a loaded page adds none"
+    );
+
+    // The spec's `run` request, every page referenced by its new handle.
+    let (labeled, targets) = again.split_at(spec.labeled.len());
+    let labeled: Vec<serde_json::Value> = labeled
+        .iter()
+        .zip(&spec.labeled)
+        .map(|((handle, _), (_, gold))| {
+            let mut e = serde_json::Map::new();
+            e.insert("page".to_string(), serde_json::json!(handle));
+            e.insert("gold".to_string(), serde_json::json!(gold.clone()));
+            serde_json::Value::Object(e)
+        })
+        .collect();
+    let targets: Vec<u64> = targets.iter().map(|(handle, _)| *handle).collect();
+    let mut request = serde_json::Map::new();
+    request.insert("id".to_string(), serde_json::json!(5));
+    request.insert("op".to_string(), serde_json::json!("run"));
+    request.insert("question".to_string(), serde_json::json!(spec.question));
+    request.insert("keywords".to_string(), serde_json::json!(spec.keywords));
+    request.insert("labeled".to_string(), serde_json::Value::Array(labeled));
+    request.insert("targets".to_string(), serde_json::json!(targets));
+    let request = serde_json::Value::Object(request);
+    let resp = client
+        .request_line(&serde_json::to_string(&request).expect("serializable"))
+        .expect("run by handle");
+    assert_eq!(resp, format!("{{\"id\":5,\"ok\":{}}}", spec.cold_body()));
+    listening.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Shard routing is a pure function of page *content*: whatever order
 /// pages are interned in, on whatever server, a page's shard (the wire
 /// handle mod the shard count) depends only on its bytes.

@@ -1,18 +1,18 @@
 //! Corpus-level tests of the session-oriented engine API: one shared
-//! `PageStore` across many tasks, batch-vs-sequential determinism, and
-//! the staged interactive-labeling loop.
+//! `PageStore` across many tasks and the staged interactive-labeling
+//! loop.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webqa::{CancelToken, Config, Engine, SynthConfig};
+use webqa::{Config, Engine, SynthConfig};
 use webqa_corpus::{task_by_id, Corpus};
 use webqa_dsl::{PageTree, Program, QueryContext};
 use webqa_metrics::{tokenize_all, Token};
 use webqa_select::Ensemble;
 
-/// Two tasks per domain — the batch workload of the determinism test.
+/// Two tasks per domain, sharing their domain's pages.
 const TASK_IDS: [&str; 8] = [
     "fac_t1",
     "fac_t2",
@@ -55,24 +55,6 @@ fn engine_and_corpus_tasks() -> (Engine, Vec<webqa::Task>) {
 }
 
 #[test]
-fn batch_matches_sequential_on_corpus_tasks() {
-    let (engine, tasks) = engine_and_corpus_tasks();
-
-    let sequential: Vec<_> = tasks
-        .iter()
-        .map(|t| engine.run(t).expect("ids from this store"))
-        .collect();
-    let never = CancelToken::never();
-    let batched = engine.run_batch(&tasks, 4, &never).expect("same ids");
-
-    assert_eq!(batched.len(), sequential.len());
-    for (id, (b, s)) in TASK_IDS.iter().zip(batched.iter().zip(&sequential)) {
-        assert_eq!(b.program, s.program, "{id}: selected program diverged");
-        assert_eq!(b.answers, s.answers, "{id}: answers diverged");
-    }
-}
-
-#[test]
 fn corpus_pages_intern_once_across_tasks() {
     let (engine, tasks) = engine_and_corpus_tasks();
 
@@ -86,43 +68,6 @@ fn corpus_pages_intern_once_across_tasks() {
     let t1 = engine.store().get(fac1.labeled[0].0).unwrap();
     let t2 = engine.store().get(fac2.labeled[0].0).unwrap();
     assert!(Arc::ptr_eq(t1, t2), "interning must share one allocation");
-}
-
-/// Regression: a batch on an engine with cold caches, so every task is
-/// synthesized on a batch worker, matches the sequential runs for any
-/// worker count — programs, answers, F₁ and counts.
-#[test]
-fn cold_batch_workers_match_sequential_runs() {
-    let (engine, tasks) = engine_and_corpus_tasks();
-    let sequential: Vec<_> = tasks
-        .iter()
-        .map(|t| engine.run(t).expect("ids from this store"))
-        .collect();
-
-    for jobs in [2, 4] {
-        let cold = Engine::with_store(fast_config(), engine.store().clone());
-        let batched = cold
-            .run_batch(&tasks, jobs, &CancelToken::never())
-            .expect("same ids");
-        for (id, (b, s)) in TASK_IDS.iter().zip(batched.iter().zip(&sequential)) {
-            assert_eq!(
-                b.program, s.program,
-                "{id}: program diverged at jobs={jobs}"
-            );
-            assert_eq!(
-                b.answers, s.answers,
-                "{id}: answers diverged at jobs={jobs}"
-            );
-            assert_eq!(
-                b.synthesis.f1, s.synthesis.f1,
-                "{id}: F1 diverged at jobs={jobs}"
-            );
-            assert_eq!(
-                b.synthesis.counts, s.synthesis.counts,
-                "{id}: counts diverged at jobs={jobs}"
-            );
-        }
-    }
 }
 
 /// The definitional ensemble: each sampled member run through
