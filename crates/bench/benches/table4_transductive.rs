@@ -76,7 +76,6 @@ fn main() {
             let sel_cfg = SelectionConfig {
                 ensemble_size: 300,
                 seed,
-                ..Default::default()
             };
             per_run[0].push(score_of(select_transductive(
                 &sel_cfg,

@@ -28,8 +28,6 @@ pub struct Setup {
     store: PageStore,
     /// Per-domain page handles, aligned with `corpus.pages(domain)`.
     page_ids: Vec<(Domain, Vec<PageId>)>,
-    pages_per_domain: usize,
-    seed: u64,
 }
 
 impl Setup {
@@ -48,7 +46,7 @@ impl Setup {
     ///
     /// When `train_pages >= pages_per_domain`: the test split would be
     /// empty, and every tool would score a perfect F1 on zero pages.
-    pub fn new(pages_per_domain: usize, train_pages: usize, seed: u64) -> Setup {
+    pub(crate) fn new(pages_per_domain: usize, train_pages: usize, seed: u64) -> Setup {
         assert!(
             train_pages < pages_per_domain,
             "WEBQA_TRAIN ({train_pages}) must be below WEBQA_PAGES ({pages_per_domain}): \
@@ -74,19 +72,7 @@ impl Setup {
             train_pages,
             store,
             page_ids,
-            pages_per_domain,
-            seed,
         }
-    }
-
-    /// Pages generated per domain (`WEBQA_PAGES`).
-    pub fn pages_per_domain(&self) -> usize {
-        self.pages_per_domain
-    }
-
-    /// The corpus seed (`WEBQA_SEED`).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The dataset split for one task (raw HTML + parsed trees; the
@@ -119,7 +105,7 @@ impl Setup {
     /// [`Setup::engine_task`] with only the first `n_train` labels; the
     /// unlabeled (test) split is unchanged so scores stay comparable
     /// across `n_train` (the Figure 14 sweep).
-    pub fn engine_task_with_train(&self, task: &Task, n_train: usize) -> webqa::Task {
+    pub(crate) fn engine_task_with_train(&self, task: &Task, n_train: usize) -> webqa::Task {
         let pages = self.corpus.pages(task.domain);
         let mut t = webqa::Task::from_id_split(
             task.question,
@@ -203,7 +189,7 @@ pub fn run_webqa_with_train(setup: &Setup, task: &Task, config: Config, n_train:
 
 /// Runs all four tools on one task (the computation behind Figure 12,
 /// Table 2, and Table 6).
-pub fn run_all_tools(setup: &Setup, task: &'static Task, config: Config) -> TaskRow {
+pub(crate) fn run_all_tools(setup: &Setup, task: &'static Task, config: Config) -> TaskRow {
     let data = setup.dataset(task);
     let gold: Vec<_> = data.test.iter().map(|p| p.gold.clone()).collect();
 

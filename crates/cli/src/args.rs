@@ -14,7 +14,7 @@ use std::fmt;
 
 /// A parsed command line: the subcommand plus its options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParsedArgs {
+pub(crate) struct ParsedArgs {
     /// The subcommand name (first positional argument).
     pub command: String,
     /// `--key value` options, in insertion order.
@@ -76,7 +76,7 @@ impl std::error::Error for ArgError {}
 ///
 /// Every `--name` token consumes the following token as its value unless
 /// `name` is in `switches`, in which case it is a boolean flag.
-pub fn parse<S: AsRef<str>>(raw: &[S], switches: &[&str]) -> Result<ParsedArgs, ArgError> {
+pub(crate) fn parse<S: AsRef<str>>(raw: &[S], switches: &[&str]) -> Result<ParsedArgs, ArgError> {
     let mut it = raw.iter().map(|s| s.as_ref());
     let command = it.next().ok_or(ArgError::MissingCommand)?.to_string();
     let mut out = ParsedArgs {
@@ -104,18 +104,18 @@ pub fn parse<S: AsRef<str>>(raw: &[S], switches: &[&str]) -> Result<ParsedArgs, 
 
 impl ParsedArgs {
     /// The value of `--name`, if given.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.options.get(name).map(String::as_str)
     }
 
     /// The value of a required option.
-    pub fn require(&self, name: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, name: &str) -> Result<&str, ArgError> {
         self.get(name)
             .ok_or_else(|| ArgError::MissingOption(name.to_string()))
     }
 
     /// The value of `--name` parsed as `T`, or `default` when absent.
-    pub fn get_parsed<T: std::str::FromStr>(
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
         &self,
         name: &str,
         default: T,
@@ -132,7 +132,7 @@ impl ParsedArgs {
     }
 
     /// Whether `--name` was given as a switch.
-    pub fn switch(&self, name: &str) -> bool {
+    pub(crate) fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
 
@@ -140,7 +140,7 @@ impl ParsedArgs {
     /// argument (commands that take positionals use
     /// [`ParsedArgs::expect_options`] and read them with
     /// [`ParsedArgs::positionals`]).
-    pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
         self.expect_options(allowed)?;
         if let Some(first) = self.positionals.first() {
             return Err(ArgError::UnexpectedArgument(first.clone()));
@@ -150,7 +150,7 @@ impl ParsedArgs {
 
     /// Rejects any option or switch outside `allowed`; positional
     /// arguments are permitted.
-    pub fn expect_options(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn expect_options(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for k in self.options.keys() {
             if !allowed.contains(&k.as_str()) {
                 return Err(ArgError::UnknownOption(k.clone()));
@@ -165,12 +165,12 @@ impl ParsedArgs {
     }
 
     /// The bare (non-option) arguments after the subcommand, in order.
-    pub fn positionals(&self) -> &[String] {
+    pub(crate) fn positionals(&self) -> &[String] {
         &self.positionals
     }
 
     /// Splits a comma-separated option into trimmed non-empty parts.
-    pub fn get_list(&self, name: &str) -> Vec<String> {
+    pub(crate) fn get_list(&self, name: &str) -> Vec<String> {
         self.get(name)
             .map(|v| {
                 v.split(',')

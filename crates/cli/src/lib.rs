@@ -27,10 +27,10 @@
 
 #![warn(missing_docs)]
 
-pub mod args;
+mod args;
 mod commands;
 
-pub use args::{ArgError, ParsedArgs};
+pub use args::ArgError;
 
 use std::fmt;
 

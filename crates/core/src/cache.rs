@@ -218,7 +218,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// The resident value for `key`, now the most recently used. Counts
     /// one hit or one miss; a disabled tier counts nothing (a cache that
     /// is off has no hit rate — see [`CacheStats`]).
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         if !self.enabled() {
             return None;
         }
@@ -242,7 +242,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// their keys, so which of two equal values survives is unobservable.
     /// Counts no lookup — this is also how a snapshot seeds the base
     /// tier.
-    pub fn insert(&self, key: K, value: V) -> V {
+    pub(crate) fn insert(&self, key: K, value: V) -> V {
         if !self.enabled() {
             return value;
         }
@@ -266,7 +266,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// runs outside the lock, so a slow build never blocks lookups of
     /// other keys; two concurrent misses on one key may both compute, and
     /// the first insert wins.
-    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+    pub(crate) fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
         match self.get(&key) {
             Some(value) => value,
             None => self.insert(key, compute()),
@@ -275,7 +275,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 
     /// Every resident `(key, value)`, in unspecified order — the spill
     /// surface of [`crate::Engine::spill_snapshot`].
-    pub fn entries(&self) -> Vec<(K, V)> {
+    pub(crate) fn entries(&self) -> Vec<(K, V)> {
         self.map()
             .iter()
             .map(|(k, (v, _))| (k.clone(), v.clone()))
@@ -318,9 +318,9 @@ pub(crate) fn normalize_task(task: &Task) -> Task {
     t
 }
 
-/// The caches an [`Engine`](crate::Engine) owns; clones of an engine
-/// share them through an `Arc`, so a server handing out per-request
-/// engine views accumulates hits in one place.
+/// The caches an [`Engine`](crate::Engine) owns. The engine holds them
+/// by value: a daemon shard owns one engine behind a lock, so every
+/// request that shard serves reads and fills the same caches.
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
     pub query: Lru<QueryKey, Arc<PageFeatures>>,
@@ -329,7 +329,7 @@ pub(crate) struct EngineCaches {
 }
 
 impl EngineCaches {
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         EngineCaches {
             query: Lru::new(config.feature_capacity),
             base: Lru::new(config.feature_capacity),
@@ -338,7 +338,7 @@ impl EngineCaches {
     }
 
     /// A point-in-time snapshot of all counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let [feature_hits, feature_misses, feature_evictions] = self.query.counts();
         let [base_hits, base_misses, base_evictions] = self.base.counts();
         let [result_hits, result_misses, result_evictions] = self.results.counts();

@@ -138,13 +138,12 @@ impl Task {
 /// assert_eq!(selected.answers(), vec![vec!["Wei Chen".to_string()]]);
 /// # Ok::<(), webqa::Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Engine {
     config: Config,
     store: PageStore,
-    /// Cross-request caches ([`crate::cache`]); shared by clones of this
-    /// engine, so per-request engine views accumulate hits in one place.
-    caches: Arc<EngineCaches>,
+    /// Cross-request caches ([`crate::cache`]), owned by this engine.
+    caches: EngineCaches,
     /// Optional on-disk snapshot sink ([`crate::persist`]). Deliberately
     /// *not* part of [`Config`]: persistence is observationally invisible
     /// (`persist + reload ≡ never-cached`).
@@ -169,7 +168,7 @@ impl Engine {
     /// stay valid. The caches start empty (they are per-engine, not
     /// per-store).
     pub fn with_store(config: Config, store: PageStore) -> Self {
-        let caches = Arc::new(EngineCaches::new(config.cache));
+        let caches = EngineCaches::new(config.cache);
         Engine {
             config,
             store,
@@ -405,7 +404,7 @@ impl<'e> Prepared<'e> {
         })
     }
     /// The query context (modality already applied).
-    pub fn context(&self) -> &QueryContext {
+    pub(crate) fn context(&self) -> &QueryContext {
         &self.ctx
     }
 
@@ -415,12 +414,12 @@ impl<'e> Prepared<'e> {
     }
 
     /// The unlabeled target pages (shared handles).
-    pub fn unlabeled(&self) -> &[Arc<PageTree>] {
+    pub(crate) fn unlabeled(&self) -> &[Arc<PageTree>] {
         &self.unlabeled
     }
 
     /// Section 7: suggests up to `k` (≤ 5) diverse *unlabeled* pages to
-    /// label next, returning indices into [`unlabeled`](Prepared::unlabeled).
+    /// label next, returning indices into the unlabeled pages.
     pub fn suggest_labels(&self, k: usize) -> Vec<usize> {
         crate::labeling::suggest_labels(&self.ctx, &self.unlabeled, k)
     }
@@ -458,7 +457,10 @@ impl<'e> Prepared<'e> {
     ///
     /// [`Error::Cancelled`] when the token trips mid-search; no partial
     /// outcome is exposed.
-    pub fn synthesize_cancellable(self, cancel: &CancelToken) -> Result<Synthesized<'e>, Error> {
+    pub(crate) fn synthesize_cancellable(
+        self,
+        cancel: &CancelToken,
+    ) -> Result<Synthesized<'e>, Error> {
         let outcome = synthesize_cancellable(
             &self.engine.config.synth,
             &self.ctx,
@@ -525,8 +527,7 @@ impl<'e> Synthesized<'e> {
                     cfg.selection.seed,
                 );
                 let program = ensemble.as_ref().and_then(|e| {
-                    select_from_ensemble(e, cfg.selection.loss)
-                        .map(|i| self.outcome.programs[i].clone())
+                    select_from_ensemble(e).map(|i| self.outcome.programs[i].clone())
                 });
                 (program, ensemble)
             }
@@ -568,8 +569,8 @@ impl Selected<'_> {
         &self.outcome
     }
 
-    /// The transductive ensemble, for diagnostics
-    /// ([`Ensemble::agreement`], soft labels, majority vote). `None`
+    /// The transductive ensemble, for diagnostics (its behaviour groups,
+    /// [`Ensemble::agreement`], [`Ensemble::distinct_behaviours`]). `None`
     /// under the `Random`/`Shortest` strategies or when synthesis found
     /// nothing.
     pub fn ensemble(&self) -> Option<&Ensemble> {
@@ -592,7 +593,7 @@ impl Selected<'_> {
     }
 
     /// Collapses the staged run into the one-shot [`RunResult`].
-    pub fn finish(self) -> RunResult {
+    pub(crate) fn finish(self) -> RunResult {
         let answers = self.answers();
         RunResult {
             program: self.program,
@@ -836,17 +837,6 @@ mod tests {
         assert_eq!(warm.synthesis.stats, reference.synthesis.stats);
         assert_eq!(cold.cache_stats().result_hits, 0);
         assert_eq!(cold.cache_stats().feature_hits, 0);
-    }
-
-    #[test]
-    fn engine_clones_share_the_caches() {
-        let (engine, a, b, c) = engine_with_pages();
-        let t = task(a, b, c);
-        let clone = engine.clone();
-        let _ = clone.run(&t).unwrap();
-        assert_eq!(engine.cache_stats().result_misses, 1);
-        let _ = engine.run(&t).unwrap();
-        assert_eq!(engine.cache_stats().result_hits, 1);
     }
 
     #[test]

@@ -60,9 +60,8 @@ const SNAPSHOT_DIR: &str = "snapshot-v1";
 const PAGE_MAGIC: &str = "webqa-page-v1";
 const BASE_MAGIC: &str = "webqa-base-v1";
 
-/// Counters of one sink's disk traffic, snapshotted by
-/// [`PersistSink::stats`] and served through `webqa_server`'s `stats`
-/// op.
+/// Counters of one sink's disk traffic, served through `webqa_server`'s
+/// `stats` op.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PersistStats {
     /// Pages loaded from the snapshot into a store.
@@ -120,7 +119,7 @@ impl PersistSink {
     }
 
     /// A point-in-time snapshot of the sink's counters.
-    pub fn stats(&self) -> PersistStats {
+    pub(crate) fn stats(&self) -> PersistStats {
         PersistStats {
             pages_loaded: self.pages_loaded.load(Ordering::Relaxed),
             base_loaded: self.base_loaded.load(Ordering::Relaxed),
@@ -143,7 +142,7 @@ impl PersistSink {
     /// file already present under the digest is left alone (its bytes
     /// are identical by content-addressing). IO failures are swallowed —
     /// spilling is an optimization, never a correctness requirement.
-    pub fn spill_page(&self, digest: u64, tree: &PageTree) {
+    pub(crate) fn spill_page(&self, digest: u64, tree: &PageTree) {
         let path = self.page_path(digest);
         if path.exists() {
             return;
@@ -155,7 +154,7 @@ impl PersistSink {
 
     /// Spills one base-feature table under its page's content digest.
     /// Same idempotence/IO discipline as [`PersistSink::spill_page`].
-    pub fn spill_base(&self, digest: u64, base: &PageBaseFeatures) {
+    pub(crate) fn spill_base(&self, digest: u64, base: &PageBaseFeatures) {
         let path = self.base_path(digest);
         if path.exists() {
             return;
@@ -173,7 +172,7 @@ impl PersistSink {
     /// The digest filter runs on the *filename* digest, before any file
     /// is read, so an N-shard warm start reads each entry exactly once
     /// fleet-wide.
-    pub fn load_filtered(
+    pub(crate) fn load_filtered(
         &self,
         keep: impl Fn(u64) -> bool,
         mut sink: impl FnMut(u64, PageTree, Option<PageBaseFeatures>),

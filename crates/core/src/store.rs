@@ -172,11 +172,6 @@ impl PageStore {
         Ok(tree)
     }
 
-    /// The shared trees of every interned page, in insertion order.
-    pub fn pages(&self) -> &[Arc<PageTree>] {
-        &self.pages
-    }
-
     /// The handle of the page at dense index `index`, if one is interned
     /// there — how a front end holding raw indices (e.g. `webqa_server`'s
     /// wire-level page handles) recovers full, digest-checked [`PageId`]s.
@@ -187,19 +182,6 @@ impl PageStore {
             index: u32::try_from(index).ok()?,
             digest,
         })
-    }
-
-    /// The handle of an already-interned tree, without inserting — the
-    /// read-only half of [`PageStore::insert_shared`]'s dedup. Lets a
-    /// caller that only holds a shared reference (e.g. a server resolving
-    /// a request under a read lock) discover whether a page is resident
-    /// before committing to a write lock.
-    pub fn lookup(&self, tree: &PageTree) -> Option<PageId> {
-        let bucket = self.by_digest.get(&content_digest(tree))?;
-        bucket
-            .iter()
-            .copied()
-            .find(|&id| *self.pages[id.index()] == *tree)
     }
 }
 
@@ -228,6 +210,8 @@ mod tests {
         assert_eq!(store.len(), 1);
         let (pa, pb) = (store.get(a).unwrap(), store.get(b).unwrap());
         assert!(Arc::ptr_eq(pa, pb));
+        // The handle carries the page's content digest.
+        assert_eq!(a.digest(), content_digest(pa));
     }
 
     #[test]
@@ -304,19 +288,6 @@ mod tests {
             store.get(PageId::forged(3)).unwrap_err(),
             Error::UnknownPage(PageId::forged(3))
         );
-    }
-
-    #[test]
-    fn lookup_finds_resident_pages_without_inserting() {
-        let mut store = PageStore::new();
-        let id = store.insert_html("<h1>A</h1>").unwrap();
-        let same = PageTree::parse("<h1>A</h1>");
-        let other = PageTree::parse("<h1>B</h1>");
-        assert_eq!(store.lookup(&same), Some(id));
-        assert_eq!(store.lookup(&other), None);
-        assert_eq!(store.len(), 1, "lookup never inserts");
-        // The digest a lookup routes by is the one the id carries.
-        assert_eq!(id.digest(), content_digest(&same));
     }
 
     #[test]

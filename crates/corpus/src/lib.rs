@@ -30,9 +30,7 @@ mod gen;
 pub mod stats;
 mod tasks;
 
-pub use dataset::{
-    Corpus, LabeledPage, TaskDataset, DEFAULT_PAGES_PER_DOMAIN, DEFAULT_TRAIN_PAGES,
-};
+pub use dataset::{Corpus, LabeledPage, TaskDataset};
 pub use gen::{generate_pages, GeneratedPage};
-pub use stats::{domain_stats, schema_signature, DomainStats, MinMeanMax};
+pub use stats::{domain_stats, DomainStats, MinMeanMax};
 pub use tasks::{task_by_id, tasks_in_domain, Domain, Task, TASKS};

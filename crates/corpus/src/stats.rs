@@ -31,9 +31,9 @@ pub struct DomainStats {
     pub depth: MinMeanMax,
     /// Number of distinct top-level section titles across all pages.
     pub distinct_section_titles: usize,
-    /// Number of distinct *schema signatures* (see
-    /// [`schema_signature`]) across all pages. A schemaless corpus has
-    /// many; a rigid one (what wrapper induction wants) has one.
+    /// Number of distinct *schema signatures* (a page's top-level
+    /// section titles, in order) across all pages. A schemaless corpus
+    /// has many; a rigid one (what wrapper induction wants) has one.
     pub distinct_schemas: usize,
     /// Fraction of pages containing at least one list or table node.
     pub structured_fraction: f64,
@@ -65,7 +65,7 @@ impl MinMeanMax {
 /// order, joined with `|`. Pages sharing a signature have the same
 /// section layout — the "global schema" that wrapper induction exploits
 /// and that this corpus deliberately lacks.
-pub fn schema_signature(tree: &PageTree) -> String {
+pub(crate) fn schema_signature(tree: &PageTree) -> String {
     let root = tree.root();
     tree.children(root)
         .iter()

@@ -8,15 +8,15 @@
 //!
 //! * **Output emptiness** — an extractor or a whole branch provably
 //!   returns `∅` for every page under the context
-//!   ([`Analyzer::extractor_empty`], [`AnalysisReport::always_empty`]):
+//!   (`Analyzer::extractor_empty`, [`AnalysisReport::always_empty`]):
 //!   `matchKeyword` with no keywords, a `Substring` over a negation, a
 //!   `Filter` under a predicate that is `⊥`.
 //! * **Guard subsumption** — branch *i*'s guard semantically implies an
-//!   earlier branch *j*'s guard ([`Analyzer::guard_implies`]), so branch
+//!   earlier branch *j*'s guard (`Analyzer::guard_implies`), so branch
 //!   *i* can never fire. The implication is decided over a lattice of
 //!   [`NlpPred`] / [`NodeFilter`] / [`Locator`] relations
-//!   ([`Analyzer::pred_implies`], [`Analyzer::filter_implies`],
-//!   [`Analyzer::locator_subset`]), not by byte equality.
+//!   (`Analyzer::pred_implies`, [`Analyzer::filter_implies`],
+//!   `Analyzer::locator_subset`), not by byte equality.
 //! * **Equivalence up to normalization** — [`Analyzer::canonical_key`]
 //!   extends [`crate::normalize`] with the analysis-proven rewrites
 //!   (drop `⊥`-guard branches, drop subsumed branches, truncate after a
@@ -95,7 +95,7 @@ impl fmt::Display for Truth {
 
 /// Abstract cardinality of a locator's node set on an arbitrary page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocatorCard {
+pub(crate) enum LocatorCard {
     /// Exactly one node on every page (only `GetRoot`).
     ExactlyOne,
     /// No nodes on any page.
@@ -177,7 +177,7 @@ impl Analyzer {
     }
 
     /// Truth of `f.eval(ctx, page, n)` over all pages and nodes.
-    pub fn filter_truth(&self, f: &NodeFilter) -> Truth {
+    pub(crate) fn filter_truth(&self, f: &NodeFilter) -> Truth {
         match f {
             NodeFilter::IsLeaf | NodeFilter::IsElem => Truth::Unknown,
             NodeFilter::MatchText { pred, .. } => self.pred_truth(pred),
@@ -189,7 +189,7 @@ impl Analyzer {
     }
 
     /// Abstract cardinality of `l.eval(ctx, page)` over all pages.
-    pub fn locator_card(&self, l: &Locator) -> LocatorCard {
+    pub(crate) fn locator_card(&self, l: &Locator) -> LocatorCard {
         match l {
             Locator::Root => LocatorCard::ExactlyOne,
             Locator::Children(inner, f) | Locator::Descendants(inner, f) => {
@@ -205,7 +205,7 @@ impl Analyzer {
     }
 
     /// Truth of `g.eval(ctx, page)` over all pages.
-    pub fn guard_truth(&self, g: &Guard) -> Truth {
+    pub(crate) fn guard_truth(&self, g: &Guard) -> Truth {
         match g {
             Guard::Sat(l, p) => {
                 let card = self.locator_card(l);
@@ -230,7 +230,7 @@ impl Analyzer {
 
     /// Whether `e.eval(ctx, page, nodes)` is provably `∅` for every page
     /// and node set.
-    pub fn extractor_empty(&self, e: &Extractor) -> bool {
+    pub(crate) fn extractor_empty(&self, e: &Extractor) -> bool {
         match e {
             Extractor::Content => false,
             Extractor::Substring(inner, p, k) => {
@@ -245,7 +245,7 @@ impl Analyzer {
 
     /// Pointwise implication of boolean predicate semantics:
     /// `∀z. p(z) ⇒ q(z)`. Conservative — `false` means "not proved".
-    pub fn pred_implies(&self, p: &NlpPred, q: &NlpPred) -> bool {
+    pub(crate) fn pred_implies(&self, p: &NlpPred, q: &NlpPred) -> bool {
         if p == q || self.pred_truth(q) == Truth::True || self.pred_truth(p) == Truth::False {
             return true;
         }
@@ -305,7 +305,7 @@ impl Analyzer {
     }
 
     /// Whether `a`'s node set is a subset of `b`'s on every page.
-    pub fn locator_subset(&self, a: &Locator, b: &Locator) -> bool {
+    pub(crate) fn locator_subset(&self, a: &Locator, b: &Locator) -> bool {
         if a == b || self.locator_card(a) == LocatorCard::Empty {
             return true;
         }
@@ -336,7 +336,7 @@ impl Analyzer {
     /// Whether guard `a` implies guard `b` on every page — the engine of
     /// semantic dead-branch detection: in `{…, b → e, …, a → e', …}` the
     /// later branch can never fire.
-    pub fn guard_implies(&self, a: &Guard, b: &Guard) -> bool {
+    pub(crate) fn guard_implies(&self, a: &Guard, b: &Guard) -> bool {
         if a == b || self.guard_truth(b) == Truth::True {
             return true;
         }
@@ -461,7 +461,8 @@ impl AnalysisReport {
     /// provably-*true* guard is not a problem by itself (a final
     /// `sat(root, true)` catch-all is idiomatic); branches it shadows
     /// are reported through `subsumed_by`.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
         !self.always_empty
             && self
                 .branches
@@ -469,8 +470,7 @@ impl AnalysisReport {
                 .all(|b| b.guard != Truth::False && b.subsumed_by.is_none() && !b.extractor_empty)
     }
 
-    /// The verdict lines, one string per definite finding (empty when
-    /// [`AnalysisReport::is_clean`]).
+    /// The verdict lines, one string per definite finding.
     pub fn verdicts(&self) -> Vec<String> {
         let mut out = Vec::new();
         for (i, b) in self.branches.iter().enumerate() {

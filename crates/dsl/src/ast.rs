@@ -64,7 +64,7 @@ pub enum NlpPred {
 
 impl NlpPred {
     /// AST size (number of constructors).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             NlpPred::MatchKeyword(_)
             | NlpPred::HasAnswer
@@ -75,20 +75,8 @@ impl NlpPred {
         }
     }
 
-    /// AST depth.
-    pub fn depth(&self) -> usize {
-        match self {
-            NlpPred::MatchKeyword(_)
-            | NlpPred::HasAnswer
-            | NlpPred::HasEntity(_)
-            | NlpPred::True => 1,
-            NlpPred::And(a, b) | NlpPred::Or(a, b) => 1 + a.depth().max(b.depth()),
-            NlpPred::Not(a) => 1 + a.depth(),
-        }
-    }
-
     /// Whether the predicate mentions `matchKeyword` (keyword modality).
-    pub fn uses_keywords(&self) -> bool {
+    pub(crate) fn uses_keywords(&self) -> bool {
         match self {
             NlpPred::MatchKeyword(_) => true,
             NlpPred::HasAnswer | NlpPred::HasEntity(_) | NlpPred::True => false,
@@ -98,7 +86,7 @@ impl NlpPred {
     }
 
     /// Whether the predicate mentions `hasAnswer` (question modality).
-    pub fn uses_question(&self) -> bool {
+    pub(crate) fn uses_question(&self) -> bool {
         match self {
             NlpPred::HasAnswer => true,
             NlpPred::MatchKeyword(_) | NlpPred::HasEntity(_) | NlpPred::True => false,
@@ -135,7 +123,7 @@ pub enum NodeFilter {
 
 impl NodeFilter {
     /// AST size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             NodeFilter::IsLeaf | NodeFilter::IsElem | NodeFilter::True => 1,
             NodeFilter::MatchText { pred, .. } => 1 + pred.size(),
@@ -144,18 +132,8 @@ impl NodeFilter {
         }
     }
 
-    /// AST depth.
-    pub fn depth(&self) -> usize {
-        match self {
-            NodeFilter::IsLeaf | NodeFilter::IsElem | NodeFilter::True => 1,
-            NodeFilter::MatchText { pred, .. } => 1 + pred.depth(),
-            NodeFilter::And(a, b) | NodeFilter::Or(a, b) => 1 + a.depth().max(b.depth()),
-            NodeFilter::Not(a) => 1 + a.depth(),
-        }
-    }
-
     /// Whether any nested predicate uses keywords.
-    pub fn uses_keywords(&self) -> bool {
+    pub(crate) fn uses_keywords(&self) -> bool {
         match self {
             NodeFilter::MatchText { pred, .. } => pred.uses_keywords(),
             NodeFilter::IsLeaf | NodeFilter::IsElem | NodeFilter::True => false,
@@ -165,7 +143,7 @@ impl NodeFilter {
     }
 
     /// Whether any nested predicate uses the question.
-    pub fn uses_question(&self) -> bool {
+    pub(crate) fn uses_question(&self) -> bool {
         match self {
             NodeFilter::MatchText { pred, .. } => pred.uses_question(),
             NodeFilter::IsLeaf | NodeFilter::IsElem | NodeFilter::True => false,
@@ -194,7 +172,7 @@ impl Locator {
     }
 
     /// AST size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             Locator::Root => 1,
             Locator::Children(l, f) | Locator::Descendants(l, f) => 1 + l.size() + f.size(),
@@ -210,7 +188,7 @@ impl Locator {
     }
 
     /// Whether any nested filter uses keywords.
-    pub fn uses_keywords(&self) -> bool {
+    pub(crate) fn uses_keywords(&self) -> bool {
         match self {
             Locator::Root => false,
             Locator::Children(l, f) | Locator::Descendants(l, f) => {
@@ -220,7 +198,7 @@ impl Locator {
     }
 
     /// Whether any nested filter uses the question.
-    pub fn uses_question(&self) -> bool {
+    pub(crate) fn uses_question(&self) -> bool {
         match self {
             Locator::Root => false,
             Locator::Children(l, f) | Locator::Descendants(l, f) => {
@@ -248,7 +226,7 @@ impl Guard {
     }
 
     /// AST size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             Guard::Sat(l, p) => 1 + l.size() + p.size(),
             Guard::IsSingleton(l) => 1 + l.size(),
@@ -256,7 +234,7 @@ impl Guard {
     }
 
     /// Whether the guard uses keywords anywhere.
-    pub fn uses_keywords(&self) -> bool {
+    pub(crate) fn uses_keywords(&self) -> bool {
         match self {
             Guard::Sat(l, p) => l.uses_keywords() || p.uses_keywords(),
             Guard::IsSingleton(l) => l.uses_keywords(),
@@ -264,7 +242,7 @@ impl Guard {
     }
 
     /// Whether the guard uses the question anywhere.
-    pub fn uses_question(&self) -> bool {
+    pub(crate) fn uses_question(&self) -> bool {
         match self {
             Guard::Sat(l, p) => l.uses_question() || p.uses_question(),
             Guard::IsSingleton(l) => l.uses_question(),
@@ -289,12 +267,24 @@ pub enum Extractor {
 impl Extractor {
     /// `GetEntity(e, l)` sugar from the paper (footnote 3):
     /// `Substring(e, λz. hasEntity(z, l), 1)`.
-    pub fn entity(inner: Extractor, kind: EntityKind) -> Extractor {
+    #[cfg(test)]
+    pub(crate) fn entity(inner: Extractor, kind: EntityKind) -> Extractor {
         Extractor::Substring(Box::new(inner), NlpPred::HasEntity(kind), 1)
     }
 
+    /// The immediate sub-extractor, if any.
+    #[cfg(test)]
+    fn inner(&self) -> Option<&Extractor> {
+        match self {
+            Extractor::Content => None,
+            Extractor::Substring(e, _, _) | Extractor::Filter(e, _) | Extractor::Split(e, _) => {
+                Some(e)
+            }
+        }
+    }
+
     /// AST size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             Extractor::Content => 1,
             Extractor::Substring(e, p, _) => 1 + e.size() + p.size(),
@@ -313,18 +303,8 @@ impl Extractor {
         }
     }
 
-    /// The immediate sub-extractor, if any.
-    pub fn inner(&self) -> Option<&Extractor> {
-        match self {
-            Extractor::Content => None,
-            Extractor::Substring(e, _, _) | Extractor::Filter(e, _) | Extractor::Split(e, _) => {
-                Some(e)
-            }
-        }
-    }
-
     /// Whether the extractor uses keywords anywhere.
-    pub fn uses_keywords(&self) -> bool {
+    pub(crate) fn uses_keywords(&self) -> bool {
         match self {
             Extractor::Content => false,
             Extractor::Substring(e, p, _) | Extractor::Filter(e, p) => {
@@ -335,7 +315,7 @@ impl Extractor {
     }
 
     /// Whether the extractor uses the question anywhere.
-    pub fn uses_question(&self) -> bool {
+    pub(crate) fn uses_question(&self) -> bool {
         match self {
             Extractor::Content => false,
             Extractor::Substring(e, p, _) | Extractor::Filter(e, p) => {
@@ -362,7 +342,7 @@ impl Branch {
     }
 
     /// AST size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.guard.size() + self.extractor.size()
     }
 }
@@ -393,14 +373,14 @@ impl Program {
     }
 
     /// Whether any component uses keywords.
-    pub fn uses_keywords(&self) -> bool {
+    pub(crate) fn uses_keywords(&self) -> bool {
         self.branches
             .iter()
             .any(|b| b.guard.uses_keywords() || b.extractor.uses_keywords())
     }
 
     /// Whether any component uses the question.
-    pub fn uses_question(&self) -> bool {
+    pub(crate) fn uses_question(&self) -> bool {
         self.branches
             .iter()
             .any(|b| b.guard.uses_question() || b.extractor.uses_question())

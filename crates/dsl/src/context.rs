@@ -120,22 +120,15 @@ impl QueryContext {
     }
 
     /// Whether the QA model finds an answer to `Q` in `text` (cached via
-    /// [`QueryContext::answer_span`]). `false` when the context has no
+    /// `QueryContext::answer_span`). `false` when the context has no
     /// question.
     pub fn has_answer(&self, text: &str) -> bool {
         self.answer_span(text).is_some()
     }
 
-    /// The QA model's best answer in `text`, if any (cached via
-    /// [`QueryContext::answer_span`]).
-    pub fn answer(&self, text: &str) -> Option<String> {
-        self.answer_span(text)
-            .map(|(start, end)| text[start..end].trim().to_string())
-    }
-
     /// Byte span of the QA model's best answer in `text`, if any (cached).
     /// `None` when the context has no question.
-    pub fn answer_span(&self, text: &str) -> Option<(usize, usize)> {
+    pub(crate) fn answer_span(&self, text: &str) -> Option<(usize, usize)> {
         if self.question.is_empty() {
             return None;
         }
@@ -178,8 +171,17 @@ impl QueryContext {
         self.with_entities(text, |es| es.iter().any(|e| e.kind == kind))
     }
 
+    /// The QA model's best answer in `text`, if any (cached via
+    /// `QueryContext::answer_span`).
+    #[cfg(test)]
+    fn answer(&self, text: &str) -> Option<String> {
+        self.answer_span(text)
+            .map(|(start, end)| text[start..end].trim().to_string())
+    }
+
     /// Entity surface strings of `kind` in `text`, in order (cached).
-    pub fn entity_strings(&self, text: &str, kind: EntityKind) -> Vec<String> {
+    #[cfg(test)]
+    fn entity_strings(&self, text: &str, kind: EntityKind) -> Vec<String> {
         self.with_entities(text, |es| {
             es.iter()
                 .filter(|e| e.kind == kind)
@@ -188,8 +190,9 @@ impl QueryContext {
         })
     }
 
-    /// Number of distinct strings cached so far (diagnostics).
-    pub fn cache_size(&self) -> usize {
+    /// Number of distinct strings cached so far.
+    #[cfg(test)]
+    fn cache_size(&self) -> usize {
         self.kw_cache.lock().expect("cache lock").len()
             + self.qa_cache.lock().expect("cache lock").len()
             + self.ent_cache.lock().expect("cache lock").len()

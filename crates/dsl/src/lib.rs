@@ -65,7 +65,7 @@ mod normalize;
 mod parse;
 mod print;
 
-pub use analysis::{AnalysisReport, Analyzer, BranchAnalysis, LocatorCard, Truth};
+pub use analysis::{AnalysisReport, Analyzer, BranchAnalysis, Truth};
 pub use ast::{Branch, Extractor, Guard, Locator, NlpPred, NodeFilter, Program, Threshold};
 pub use context::QueryContext;
 pub use eval::PageMemo;

@@ -24,7 +24,7 @@ pub enum LintIssue {
     QuestionUnavailable,
     /// Branch `later` can never fire: its guard is subsumed by branch
     /// `earlier`'s guard, which takes precedence. Subsumption is decided
-    /// semantically ([`crate::analysis::Analyzer::guard_implies`]) —
+    /// semantically (`Analyzer::guard_implies`) —
     /// byte-identical guards are the simplest case and are attributed
     /// first when both kinds of shadow exist.
     DeadBranch {
@@ -156,9 +156,9 @@ impl fmt::Display for LintReport {
 
 /// Default locator-depth bound, matching the synthesizer's guard depth
 /// hyper-parameter (Section 7 of the paper).
-pub const DEFAULT_LOCATOR_DEPTH: usize = 7;
+pub(crate) const DEFAULT_LOCATOR_DEPTH: usize = 7;
 /// Default extractor-depth bound (Section 7 of the paper).
-pub const DEFAULT_EXTRACTOR_DEPTH: usize = 5;
+pub(crate) const DEFAULT_EXTRACTOR_DEPTH: usize = 5;
 
 /// Checks a program against a query context; see [`LintIssue`] for the
 /// catalogue of diagnostics.

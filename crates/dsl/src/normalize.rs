@@ -64,13 +64,6 @@ pub fn normalize(program: &Program) -> Program {
     Program::new(branches)
 }
 
-impl Program {
-    /// Returns the [`normalize`]d form of this program.
-    pub fn normalized(&self) -> Program {
-        normalize(self)
-    }
-}
-
 fn normalize_guard(g: &Guard) -> Guard {
     match g {
         Guard::Sat(l, p) => Guard::Sat(normalize_locator(l), normalize_bool_pred(p)),

@@ -11,13 +11,6 @@ use crate::tokenizer::Attribute;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) usize);
 
-impl NodeId {
-    /// The raw index. Exposed for diagnostics and stable ordering.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Payload of a DOM node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeData {
@@ -53,7 +46,7 @@ pub struct Document {
 
 impl Document {
     /// Creates a document containing only the synthetic root.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Document {
             nodes: vec![Node {
                 data: NodeData::Document,
@@ -77,19 +70,14 @@ impl Document {
         &self.nodes[id.0]
     }
 
-    /// Number of nodes including the synthetic root.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the document contains only the synthetic root.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    /// Appends a new node under `parent` and returns its id.
     /// Appends an element node under `parent` and returns its id.
-    pub fn append_element(&mut self, parent: NodeId, tag: &str, attrs: Vec<Attribute>) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn append_element(
+        &mut self,
+        parent: NodeId,
+        tag: &str,
+        attrs: Vec<Attribute>,
+    ) -> NodeId {
         self.append(
             parent,
             NodeData::Element {
@@ -100,7 +88,8 @@ impl Document {
     }
 
     /// Appends a text node under `parent` and returns its id.
-    pub fn append_text(&mut self, parent: NodeId, text: &str) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn append_text(&mut self, parent: NodeId, text: &str) -> NodeId {
         self.append(parent, NodeData::Text(text.to_string()))
     }
 
@@ -153,8 +142,20 @@ impl Document {
         }
     }
 
+    /// Number of nodes including the synthetic root.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the document contains only the synthetic root.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.nodes.len() == 1
+    }
+
     /// The value of attribute `name` on element `id`, if present.
-    pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
         match &self.node(id).data {
             NodeData::Element { attrs, .. } => attrs
                 .iter()
@@ -208,7 +209,7 @@ impl Document {
 
     /// Position of `id` among its parent's children with the same tag
     /// (1-based, as in XPath `tag[n]`). `None` for non-elements or root.
-    pub fn sibling_position(&self, id: NodeId) -> Option<usize> {
+    pub(crate) fn sibling_position(&self, id: NodeId) -> Option<usize> {
         let tag = self.tag(id)?;
         let parent = self.node(id).parent?;
         let mut pos = 0;

@@ -63,4 +63,4 @@ pub use error::{HtmlError, ParseDiagnostics, MAX_OPEN_DEPTH};
 pub use pagetree::{NodeKind, PageNode, PageNodeId, PageTree, PageTreeBuilder};
 pub use parse::{parse_html, parse_html_report, try_parse_html};
 pub use serialize::serialize;
-pub use tokenizer::{tokenize_html, Attribute, HtmlToken};
+pub use tokenizer::Attribute;

@@ -141,7 +141,7 @@ impl PageTree {
     }
 
     /// Converts a parsed [`Document`] into a page tree.
-    pub fn from_document(doc: &Document) -> Self {
+    pub(crate) fn from_document(doc: &Document) -> Self {
         Builder::new(doc).build()
     }
 

@@ -64,7 +64,7 @@ impl PathExpr {
     ///
     /// Returns [`ParsePathError`] on empty input, empty steps, or a
     /// malformed predicate.
-    pub fn parse(s: &str) -> Result<Self, ParsePathError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, ParsePathError> {
         if s.is_empty() {
             return Err(ParsePathError {
                 message: "empty expression".into(),

@@ -28,7 +28,7 @@ pub struct Attribute {
 
 /// A lexical token of the HTML input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HtmlToken {
+pub(crate) enum HtmlToken {
     /// `<tag attr="v">`; `self_closing` is true for `<br/>`-style tags.
     StartTag {
         /// Tag name, lowercased.
@@ -51,17 +51,9 @@ pub enum HtmlToken {
     Doctype(String),
 }
 
-/// Tokenizes an HTML document.
-///
-/// # Examples
-///
-/// ```
-/// use webqa_html::{tokenize_html, HtmlToken};
-/// let toks = tokenize_html("<p class=\"x\">hi</p>");
-/// assert_eq!(toks.len(), 3);
-/// assert!(matches!(&toks[1], HtmlToken::Text(t) if t == "hi"));
-/// ```
-pub fn tokenize_html(input: &str) -> Vec<HtmlToken> {
+/// Tokenizes an HTML document (the unit tests' view of [`tokenize_stream`]).
+#[cfg(test)]
+fn tokenize_html(input: &str) -> Vec<HtmlToken> {
     tokenize_stream(input).tokens
 }
 
@@ -85,7 +77,7 @@ pub(crate) struct TokenStream {
     pub(crate) unknown_entities: usize,
 }
 
-/// Tokenizes like [`tokenize_html`], returning the full [`TokenStream`].
+/// Tokenizes an HTML document into its full [`TokenStream`].
 pub(crate) fn tokenize_stream(input: &str) -> TokenStream {
     // A leading byte-order mark is an encoding artifact, not content; it
     // must not become a text node (or an offset skew).

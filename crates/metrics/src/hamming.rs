@@ -57,22 +57,6 @@ pub fn hamming_sorted_tokens(a: &[Token], b: &[Token]) -> usize {
     a.len() + b.len() - 2 * common
 }
 
-/// Hamming distance between two *sequences* of per-page outputs
-/// (the transductive loss `L(π; I, O) = Σₖ Hamming(π(iₖ), oₖ)`).
-///
-/// # Panics
-///
-/// Panics if the two sequences have different lengths — outputs must be
-/// aligned page-by-page.
-pub fn hamming_outputs(a: &[Vec<String>], b: &[Vec<String>]) -> usize {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "per-page output sequences must be aligned"
-    );
-    a.iter().zip(b).map(|(x, y)| hamming_strings(x, y)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,21 +85,6 @@ mod tests {
         let a = tokenize("a a a");
         let b = tokenize("a");
         assert_eq!(hamming_tokens(&a, &b), 0);
-    }
-
-    #[test]
-    fn outputs_sum_per_page() {
-        let a = vec![vec!["jane".to_string()], vec!["x".to_string()]];
-        let b = vec![vec!["jane".to_string()], vec!["y".to_string()]];
-        assert_eq!(hamming_outputs(&a, &b), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "aligned")]
-    fn misaligned_outputs_panic() {
-        let a = vec![vec![]];
-        let b: Vec<Vec<String>> = vec![];
-        hamming_outputs(&a, &b);
     }
 
     #[test]

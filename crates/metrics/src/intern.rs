@@ -20,7 +20,7 @@ use crate::smallvec::SmallVec;
 use crate::tokens::{for_each_token_range, Token};
 
 /// Interned token-id list for one string; inline up to 8 tokens.
-pub type IdVec = SmallVec<u32, 8>;
+pub(crate) type IdVec = SmallVec<u32, 8>;
 
 /// Interns token strings to dense `u32` ids.
 ///
@@ -52,13 +52,9 @@ impl TokenInterner {
     }
 
     /// Number of distinct tokens interned so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether no token has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Interns one already-canonical token (as produced by
@@ -120,6 +116,12 @@ pub struct IdBag {
 }
 
 impl IdBag {
+    /// Number of distinct tokens.
+    #[cfg(test)]
+    fn distinct(&self) -> usize {
+        self.ids.len()
+    }
+
     /// Builds a bag from an unsorted id list.
     pub fn from_ids(mut ids: Vec<u32>) -> Self {
         ids.sort_unstable();
@@ -144,11 +146,6 @@ impl IdBag {
     pub fn total(&self) -> usize {
         self.total
     }
-
-    /// Number of distinct tokens.
-    pub fn distinct(&self) -> usize {
-        self.ids.len()
-    }
 }
 
 /// Reusable scratch state for multiset-overlap runs against an [`IdBag`].
@@ -158,7 +155,7 @@ impl IdBag {
 /// ```
 /// use webqa_metrics::{BagOverlap, IdBag};
 /// let gold = IdBag::from_ids(vec![3, 7, 7]);
-/// let mut ov = BagOverlap::new();
+/// let mut ov = BagOverlap::default();
 /// ov.begin(&gold);
 /// assert!(ov.consume(&gold, 7));
 /// assert!(ov.consume(&gold, 7));
@@ -171,11 +168,6 @@ pub struct BagOverlap {
 }
 
 impl BagOverlap {
-    /// Fresh scratch state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Starts a new overlap run against `bag`: all multiplicities reset.
     pub fn begin(&mut self, bag: &IdBag) {
         self.remaining.clear();
@@ -212,7 +204,7 @@ mod tests {
             .collect();
         let gold = IdBag::from_ids(gold_ids);
         let pred = interner.tokenize_ids(pred_text);
-        let mut ov = BagOverlap::new();
+        let mut ov = BagOverlap::default();
         ov.begin(&gold);
         let matched = pred.iter().filter(|&&id| ov.consume(&gold, id)).count();
         Counts {
@@ -275,7 +267,7 @@ mod tests {
     #[test]
     fn empty_bag_consumes_nothing() {
         let bag = IdBag::from_ids(Vec::new());
-        let mut ov = BagOverlap::new();
+        let mut ov = BagOverlap::default();
         ov.begin(&bag);
         assert!(!ov.consume(&bag, 0));
         assert_eq!(bag.total(), 0);

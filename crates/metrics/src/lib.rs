@@ -12,7 +12,9 @@
 //! * [`Counts`] / [`Score`] / [`score_strings`] — additive token-overlap
 //!   counts and derived precision / recall / F₁, including the pruning
 //!   upper bound `UB = 2R/(1+R)` (Eq. 3);
-//! * [`hamming_strings`] / [`hamming_outputs`] — the transductive loss;
+//! * [`hamming_sorted_tokens`] — the selector's transductive loss on one
+//!   page's sorted token sets, with [`hamming_strings`] /
+//!   [`hamming_tokens`] its definitional forms;
 //! * [`TokenInterner`] / [`IdBag`] / [`BagOverlap`] — interned token ids
 //!   and the allocation-free multiset-overlap kernels the synthesizer's
 //!   hot path scores with (plus [`SmallVec`], their inline-capacity bag
@@ -35,8 +37,8 @@ mod smallvec;
 pub mod stats;
 mod tokens;
 
-pub use hamming::{hamming_outputs, hamming_sorted_tokens, hamming_strings, hamming_tokens};
-pub use intern::{BagOverlap, IdBag, IdVec, TokenInterner};
+pub use hamming::{hamming_sorted_tokens, hamming_strings, hamming_tokens};
+pub use intern::{BagOverlap, IdBag, TokenInterner};
 pub use score::{score_strings, Counts, Score};
 pub use smallvec::SmallVec;
 pub use tokens::{tokenize, tokenize_all, Token};

@@ -23,11 +23,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Result of a Welch two-sample t-test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TTest {
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(variance(&[1.0]), 0.0);
         // variance of {1,2,3,4} = 5/3
         assert!((variance(&[1.0, 2.0, 3.0, 4.0]) - 5.0 / 3.0).abs() < 1e-12);
-        assert!((std_dev(&[1.0, 2.0, 3.0, 4.0]) - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

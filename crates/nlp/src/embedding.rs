@@ -25,7 +25,7 @@ pub struct Embedding {
 
 impl Embedding {
     /// The zero vector (embedding of empty text).
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Embedding { v: [0.0; DIM] }
     }
 

@@ -254,7 +254,7 @@ pub const PLACES: &[&str] = &[
 /// University name suffixes/patterns: `"{place} University"`,
 /// `"University of {place}"`, `"{place} Institute of Technology"`,
 /// `"{place} College"`.
-pub const ORG_SUFFIXES: &[&str] = &[
+pub(crate) const ORG_SUFFIXES: &[&str] = &[
     "University",
     "Institute",
     "College",
@@ -375,7 +375,7 @@ pub const MONTHS: &[&str] = &[
 ];
 
 /// Weekday names.
-pub const WEEKDAYS: &[&str] = &[
+pub(crate) const WEEKDAYS: &[&str] = &[
     "Monday",
     "Tuesday",
     "Wednesday",
@@ -448,32 +448,32 @@ pub const RESEARCH_TOPICS: &[&str] = &[
 ];
 
 /// Whether `w` (case-sensitive) appears in the given-name lexicon.
-pub fn is_first_name(w: &str) -> bool {
+pub(crate) fn is_first_name(w: &str) -> bool {
     FIRST_NAMES.contains(&w)
 }
 
 /// Whether `w` (case-sensitive) appears in the family-name lexicon.
-pub fn is_last_name(w: &str) -> bool {
+pub(crate) fn is_last_name(w: &str) -> bool {
     LAST_NAMES.contains(&w)
 }
 
 /// Whether `w` is a month name.
-pub fn is_month(w: &str) -> bool {
+pub(crate) fn is_month(w: &str) -> bool {
     MONTHS.iter().any(|m| m.eq_ignore_ascii_case(w))
 }
 
 /// Whether `w` is a weekday name.
-pub fn is_weekday(w: &str) -> bool {
+pub(crate) fn is_weekday(w: &str) -> bool {
     WEEKDAYS.iter().any(|m| m.eq_ignore_ascii_case(w))
 }
 
 /// Whether `w` is a known conference acronym.
-pub fn is_conference(w: &str) -> bool {
+pub(crate) fn is_conference(w: &str) -> bool {
     CONFERENCES.contains(&w)
 }
 
 /// Whether `w` is an organization suffix word ("University", "Institute"…).
-pub fn is_org_suffix(w: &str) -> bool {
+pub(crate) fn is_org_suffix(w: &str) -> bool {
     ORG_SUFFIXES
         .iter()
         .any(|s| s.split_whitespace().next() == Some(w))

@@ -26,7 +26,7 @@
 //! assert!(ner.has_entity("Jane Doe is here", EntityKind::Person));
 //!
 //! let qa = QaModel::pretrained();
-//! assert!(qa.has_answer("Instructor: Jane Doe.", "Who is the instructor?"));
+//! assert!(qa.answer("Instructor: Jane Doe.", "Who is the instructor?").is_some());
 //! ```
 
 #![warn(missing_docs)]

@@ -119,7 +119,8 @@ impl EntityRecognizer {
     }
 
     /// The surface strings of all entities of `kind` in `text`, in order.
-    pub fn entity_strings(&self, text: &str, kind: EntityKind) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn entity_strings(&self, text: &str, kind: EntityKind) -> Vec<String> {
         self.entities(text)
             .into_iter()
             .filter(|e| e.kind == kind)

@@ -61,17 +61,13 @@ impl QaModel {
         }
     }
 
-    /// Overrides the answerability threshold (used by ablations).
-    pub fn with_threshold(threshold: f32) -> Self {
+    /// The pretrained model with another answerability threshold.
+    #[cfg(test)]
+    fn with_threshold(threshold: f32) -> Self {
         QaModel {
             ner: EntityRecognizer::pretrained(),
             threshold,
         }
-    }
-
-    /// The model's answerability threshold.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
     }
 
     /// Infers the expected answer type of a question.
@@ -107,7 +103,8 @@ impl QaModel {
     }
 
     /// The DSL predicate `hasAnswer(z, Q)`.
-    pub fn has_answer(&self, passage: &str, question: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_answer(&self, passage: &str, question: &str) -> bool {
         self.answer(passage, question).is_some()
     }
 

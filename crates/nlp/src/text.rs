@@ -18,17 +18,17 @@ pub struct Word<'a> {
 
 impl Word<'_> {
     /// Whether the word starts with an uppercase letter.
-    pub fn is_capitalized(&self) -> bool {
+    pub(crate) fn is_capitalized(&self) -> bool {
         self.text.chars().next().is_some_and(|c| c.is_uppercase())
     }
 
     /// Whether the word is entirely alphabetic.
-    pub fn is_alpha(&self) -> bool {
+    pub(crate) fn is_alpha(&self) -> bool {
         !self.text.is_empty() && self.text.chars().all(|c| c.is_alphabetic())
     }
 
     /// Whether the word is entirely numeric.
-    pub fn is_numeric(&self) -> bool {
+    pub(crate) fn is_numeric(&self) -> bool {
         !self.text.is_empty() && self.text.chars().all(|c| c.is_ascii_digit())
     }
 }
@@ -182,7 +182,7 @@ pub fn lower_words(text: &str) -> Vec<String> {
 }
 
 /// English stopwords used by the QA overlap scorer and keyword matcher.
-pub fn is_stopword(w: &str) -> bool {
+pub(crate) fn is_stopword(w: &str) -> bool {
     matches!(
         w,
         "a" | "an"

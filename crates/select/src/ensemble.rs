@@ -1,11 +1,10 @@
 //! Ensemble construction and diagnostics.
 //!
 //! The transductive selector is built on an ensemble `Π_E` of optimal
-//! programs (Section 6). This module exposes the ensemble itself —
-//! member outputs, per-page soft labels `p(O | I, E)` (Eq. 6), the
-//! majority-vote aggregate, and agreement statistics — so that callers
-//! can inspect *why* a program was selected, and so the Table 4 benches
-//! can report the variance the selector is reducing.
+//! programs (Section 6). This module exposes the ensemble itself — its
+//! behaviour groups with their per-page outputs and weights, and
+//! agreement statistics — so that callers can inspect *why* a program
+//! was selected.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -26,8 +25,6 @@ pub struct Ensemble {
     groups: Vec<BehaviourGroup>,
     /// Total sampled weight (= the requested ensemble size).
     total_weight: u64,
-    /// Number of unlabeled pages.
-    pages: usize,
 }
 
 /// One behaviourally-distinct group of ensemble members.
@@ -118,48 +115,12 @@ impl Ensemble {
         Some(Ensemble {
             groups,
             total_weight: size as u64,
-            pages: unlabeled.len(),
         })
     }
 
     /// The behaviourally-distinct groups.
     pub fn groups(&self) -> &[BehaviourGroup] {
         &self.groups
-    }
-
-    /// Total sampled weight (the requested ensemble size).
-    pub fn total_weight(&self) -> u64 {
-        self.total_weight
-    }
-
-    /// The soft label for page `k`: each token with the fraction of
-    /// ensemble weight that extracted it (the marginal of `p(O | I, E)`,
-    /// Eq. 6). Tokens are in lexicographic order.
-    pub fn soft_label(&self, page: usize) -> Vec<(Token, f64)> {
-        assert!(page < self.pages, "page index out of range");
-        let mut weights: std::collections::BTreeMap<&Token, u64> =
-            std::collections::BTreeMap::new();
-        for g in &self.groups {
-            for t in &g.outputs[page] {
-                *weights.entry(t).or_insert(0) += g.weight;
-            }
-        }
-        weights
-            .into_iter()
-            .map(|(t, w)| (t.clone(), w as f64 / self.total_weight as f64))
-            .collect()
-    }
-
-    /// The majority-vote aggregate output for page `k`: tokens extracted
-    /// by more than half the ensemble weight. This is the "use the
-    /// ensemble directly" alternative that Section 6 rejects for
-    /// interpretability and cost — exposed here for comparison.
-    pub fn majority_vote(&self, page: usize) -> Vec<Token> {
-        self.soft_label(page)
-            .into_iter()
-            .filter(|&(_, w)| w > 0.5)
-            .map(|(t, _)| t)
-            .collect()
     }
 
     /// Agreement rate: the weight fraction of the single most common
@@ -588,7 +549,6 @@ mod tests {
         ];
         let e = Ensemble::sample(&ctx(), &programs, &pages(), 250, 11).unwrap();
         assert_eq!(e.groups().iter().map(|g| g.weight).sum::<u64>(), 250);
-        assert_eq!(e.total_weight(), 250);
     }
 
     #[test]
@@ -605,49 +565,57 @@ mod tests {
     }
 
     #[test]
-    fn soft_labels_are_weight_fractions() {
+    fn agreement_is_the_heaviest_groups_weight_fraction() {
         let programs = vec![
-            prog("sat(descendants(root, leaf), true) -> content"), // extracts the names
-            prog("sat(descendants(root, true), true) -> content"), // every node's text
+            prog("sat(descendants(root, text(kw(0.80))), true) -> content"),
+            prog("sat(root, true) -> content"),
         ];
-        let e = Ensemble::sample(&ctx(), &programs, &pages(), 1000, 5).unwrap();
-        let soft = e.soft_label(0);
-        assert!(!soft.is_empty());
-        for (_, w) in &soft {
-            assert!(*w > 0.0 && *w <= 1.0);
-        }
-        // "jane" is extracted by both behaviours → weight 1.0.
-        let jane = soft.iter().find(|(t, _)| t.as_str() == "jane");
-        assert!(
-            matches!(jane, Some((_, w)) if (w - 1.0).abs() < 1e-12),
-            "{soft:?}"
+        let e = Ensemble::sample(&ctx(), &programs, &pages(), 200, 9).unwrap();
+        let max = e.groups().iter().map(|g| g.weight).max().unwrap();
+        assert_eq!(e.agreement(), max as f64 / 200.0);
+        assert!(e.agreement() < 1.0);
+    }
+
+    #[test]
+    fn distinct_behaviours_counts_the_groups() {
+        let programs = vec![
+            prog("sat(descendants(root, text(kw(0.80))), true) -> content"),
+            prog("sat(root, true) -> content"),
+            prog("singleton(root) -> content"),
+        ];
+        let e = Ensemble::sample(&ctx(), &programs, &pages(), 300, 9).unwrap();
+        assert_eq!(e.distinct_behaviours(), e.groups().len());
+        assert_eq!(
+            e.distinct_behaviours(),
+            2,
+            "both root programs extract the page"
         );
     }
 
     #[test]
-    fn majority_vote_keeps_consensus_tokens() {
-        let programs = vec![
-            prog("sat(descendants(root, leaf), true) -> content"),
-            prog("sat(descendants(root, elem), true) -> content"),
-            prog("singleton(root) -> content"), // outlier: root text only
-        ];
-        let e = Ensemble::sample(&ctx(), &programs, &pages(), 999, 5).unwrap();
-        let vote = e.majority_vote(0);
-        assert!(vote.iter().any(|t| t.as_str() == "jane"), "{vote:?}");
-        assert!(vote.iter().any(|t| t.as_str() == "doe"), "{vote:?}");
+    fn empty_ensemble_selects_nothing() {
+        let empty = Ensemble {
+            groups: Vec::new(),
+            total_weight: 0,
+        };
+        assert_eq!(crate::select_from_ensemble(&empty), None);
     }
 
+    /// Equal expected losses pick the earlier group's representative.
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn soft_label_checks_page_index() {
-        let e = Ensemble::sample(
-            &ctx(),
-            &[prog("sat(root, true) -> content")],
-            &pages(),
-            10,
-            0,
-        )
-        .unwrap();
-        let _ = e.soft_label(2);
+    fn selection_ties_break_toward_the_earlier_group() {
+        let group = |word: &str, representative| BehaviourGroup {
+            outputs: vec![vec![Token::from(word)]],
+            weight: 5,
+            representative,
+        };
+        let ensemble = |groups| Ensemble {
+            groups,
+            total_weight: 10,
+        };
+        let forward = ensemble(vec![group("jane", 3), group("bob", 8)]);
+        assert_eq!(crate::select_from_ensemble(&forward), Some(3));
+        let reversed = ensemble(vec![group("bob", 8), group("jane", 3)]);
+        assert_eq!(crate::select_from_ensemble(&reversed), Some(8));
     }
 }

@@ -11,9 +11,8 @@
 //! 2. computes each member's outputs `O_j = (π_j(i₁)…π_j(i_K))` on the
 //!    *unlabeled* pages (Eq. 8);
 //! 3. returns `π* = argmin_π Σ_j L(π; I, O_j)` (Eq. 11) with `L` the
-//!    Hamming distance between extracted word sets (Section 7) by
-//!    default; [`TokenLoss`] provides the negative-F₁ and Jaccard
-//!    alternatives.
+//!    Hamming distance between extracted word sets, the paper's
+//!    implementation choice (Section 7).
 //!
 //! Step 2 is the cost of selection: up to `N` programs run on every
 //! unlabeled page. The members are evaluated together, page by page.
@@ -44,14 +43,12 @@
 #![warn(missing_docs)]
 
 mod ensemble;
-mod loss;
 
 pub use ensemble::{BehaviourGroup, Ensemble};
-pub use loss::TokenLoss;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webqa_dsl::{PageTree, Program, QueryContext};
+use webqa_metrics::hamming_sorted_tokens;
 
 /// Configuration of the transductive selector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +57,6 @@ pub struct SelectionConfig {
     pub ensemble_size: usize,
     /// RNG seed for the i.i.d. ensemble draw.
     pub seed: u64,
-    /// The supervised loss `L` of Eq. 4 (default: Hamming, Section 7).
-    pub loss: TokenLoss,
 }
 
 impl Default for SelectionConfig {
@@ -69,7 +64,6 @@ impl Default for SelectionConfig {
         SelectionConfig {
             ensemble_size: 1000,
             seed: 0x5EEDED,
-            loss: TokenLoss::Hamming,
         }
     }
 }
@@ -89,16 +83,17 @@ pub fn select_transductive<P: std::borrow::Borrow<PageTree>>(
     unlabeled: &[P],
 ) -> Option<Program> {
     let ensemble = Ensemble::sample(ctx, programs, unlabeled, cfg.ensemble_size, cfg.seed)?;
-    let winner = select_from_ensemble(&ensemble, cfg.loss)?;
+    let winner = select_from_ensemble(&ensemble)?;
     Some(programs[winner].clone())
 }
 
 /// Eq. 11 over a prebuilt ensemble: the representative program index of
-/// the behaviour group minimizing `Σ_j w_j · L(π; I, O_j)`.
+/// the behaviour group minimizing `Σ_j w_j · L(π; I, O_j)`, where `L` sums
+/// the per-page Hamming distances between the groups' sorted token sets.
 ///
 /// Ties break toward the earlier group (deterministic given the sampling
 /// seed). Returns `None` for an empty ensemble.
-pub fn select_from_ensemble(ensemble: &Ensemble, loss: TokenLoss) -> Option<usize> {
+pub fn select_from_ensemble(ensemble: &Ensemble) -> Option<usize> {
     let groups = ensemble.groups();
     let mut best: Option<(usize, u64)> = None;
     for (a, ga) in groups.iter().enumerate() {
@@ -108,7 +103,7 @@ pub fn select_from_ensemble(ensemble: &Ensemble, loss: TokenLoss) -> Option<usiz
                 .outputs
                 .iter()
                 .zip(&gb.outputs)
-                .map(|(x, y)| loss.page_loss(x, y))
+                .map(|(x, y)| hamming_sorted_tokens(x, y) as u64)
                 .sum();
             total = total.saturating_add(gb.weight.saturating_mul(d));
         }
@@ -192,7 +187,6 @@ mod tests {
         let cfg = SelectionConfig {
             ensemble_size: 400,
             seed: 7,
-            ..Default::default()
         };
         let sel = select_transductive(&cfg, &ctx(), &programs, &pages()).unwrap();
         assert_ne!(
@@ -201,23 +195,56 @@ mod tests {
         );
     }
 
+    fn toks(s: &str) -> Vec<webqa_metrics::Token> {
+        let mut t = webqa_metrics::tokenize(s);
+        t.sort();
+        t.dedup();
+        t
+    }
+
     #[test]
-    fn all_losses_reject_the_outlier() {
+    fn identical_outputs_have_zero_loss() {
+        let a = toks("jane doe bob smith");
+        assert_eq!(hamming_sorted_tokens(&a, &a), 0);
+    }
+
+    #[test]
+    fn empty_vs_empty_is_zero() {
+        assert_eq!(hamming_sorted_tokens(&[], &[]), 0);
+    }
+
+    #[test]
+    fn hamming_counts_symmetric_difference() {
+        let a = toks("jane doe");
+        let b = toks("jane smith");
+        // symmetric difference {doe, smith} = 2
+        assert_eq!(hamming_sorted_tokens(&a, &b), 2);
+        assert_eq!(hamming_sorted_tokens(&b, &a), 2);
+    }
+
+    #[test]
+    fn losses_order_outliers_consistently() {
+        // A prediction close to the label loses less than a distant one.
+        let label = toks("jane doe bob smith");
+        let near = toks("jane doe bob");
+        let far = toks("unrelated words entirely");
+        assert!(hamming_sorted_tokens(&near, &label) < hamming_sorted_tokens(&far, &label));
+    }
+
+    #[test]
+    fn hamming_loss_rejects_the_outlier() {
         let programs = vec![
             prog("sat(descendants(root, leaf), true) -> content"),
             prog("sat(descendants(root, elem), true) -> content"),
             prog("singleton(root) -> content"),
         ];
         let outlier = programs[2].clone();
-        for loss in [TokenLoss::Hamming, TokenLoss::NegF1, TokenLoss::Jaccard] {
-            let cfg = SelectionConfig {
-                ensemble_size: 600,
-                seed: 13,
-                loss,
-            };
-            let sel = select_transductive(&cfg, &ctx(), &programs, &pages()).unwrap();
-            assert_ne!(sel, outlier, "loss {loss:?} chose the outlier");
-        }
+        let cfg = SelectionConfig {
+            ensemble_size: 600,
+            seed: 13,
+        };
+        let sel = select_transductive(&cfg, &ctx(), &programs, &pages()).unwrap();
+        assert_ne!(sel, outlier, "the Hamming loss chose the outlier");
     }
 
     #[test]
@@ -230,7 +257,6 @@ mod tests {
         let cfg = SelectionConfig {
             ensemble_size: 50,
             seed: 3,
-            ..Default::default()
         };
         let a = select_transductive(&cfg, &ctx(), &programs, &pages());
         let b = select_transductive(&cfg, &ctx(), &programs, &pages());

@@ -17,8 +17,8 @@ use serde_json::Value;
 
 use crate::net::{accept_loop, read_frame, Frame};
 use crate::pool::Reply;
-use crate::protocol::{Response, OPS};
-use crate::{ErrKind, Server, Shared};
+use crate::protocol::{ErrKind, Response, OPS};
+use crate::{Server, Shared};
 
 /// Maximum header lines per request — far above any legitimate client,
 /// low enough that a drip-feed of garbage headers cannot pin a thread.

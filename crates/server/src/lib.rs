@@ -102,7 +102,7 @@
 //! # Wire protocol
 //!
 //! The line protocol's framing, envelope and operations are documented
-//! on the [`protocol`] module; [`protocol::OPS`] lists the operations.
+//! on the [`protocol`] module; its `OPS` table lists the operations.
 //! Every response, on either surface, leaves through one request path:
 //! a parsed frame is answered at once (control ops, errors, sheds) or
 //! admitted as a job whose worker hands the response back to the
@@ -112,13 +112,13 @@
 //!
 //! With an HTTP endpoint bound ([`Server::listen_all`], or
 //! `webqa-cli serve --http HOST:PORT`), every operation is also served
-//! at its route in [`protocol::OPS`]. The request body is the line
+//! at its route in the `OPS` table. The request body is the line
 //! protocol's request object without `"op"` (the path supplies it; an
 //! empty body is `{}`), and the response **body is the line-protocol
 //! envelope byte for byte** (without the trailing newline), so
 //! everything about envelopes, error kinds, and byte-identical
 //! semantics carries over verbatim. The status is
-//! [`ErrKind::http_status`] of the envelope's kind, 200 for `ok`.
+//! `ErrKind::http_status` of the envelope's kind, 200 for `ok`.
 //!
 //! * **Framing**: requests must carry exactly one `Content-Length` —
 //!   the facade never parses chunked bodies, so any
@@ -167,7 +167,7 @@ mod shard;
 
 pub use http::HttpClient;
 pub use net::{Client, Listening};
-pub use protocol::{render_check, render_run_result, ErrKind};
+pub use protocol::{render_check, render_run_result};
 
 use std::io;
 use std::net::TcpListener;
@@ -187,8 +187,8 @@ use webqa::{
 
 use pool::{Job, Reply};
 use protocol::{
-    bad_request, bool_field, op_names, page_ref, str_field, string_list, PageRef, ProtoError,
-    Response,
+    bad_request, bool_field, op_names, page_ref, str_field, string_list, ErrKind, PageRef,
+    ProtoError, Response,
 };
 use shard::ShardSet;
 

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::pool::{ConnWriter, Reply};
-use crate::protocol::Response;
-use crate::{ErrKind, Server, Shared};
+use crate::protocol::{ErrKind, Response};
+use crate::{Server, Shared};
 
 /// One read attempt's outcome.
 #[derive(Debug, PartialEq, Eq)]

@@ -31,7 +31,7 @@
 //!
 //! # Envelope
 //!
-//! Requests carry an operation (one of [`OPS`]) and an optional
+//! Requests carry an operation (one of the `OPS` table) and an optional
 //! correlation id (any JSON value, echoed verbatim; `null` when absent
 //! or unparsable):
 //!
@@ -41,7 +41,7 @@
 //! ← {"id": 1, "err": {"kind": "<kind>", "message": "..."}}
 //! ```
 //!
-//! The error kinds are the variants of [`ErrKind`], whose docs say when
+//! The error kinds are the variants of `ErrKind`, whose docs say when
 //! each is sent. Errors are responses like any other — the engine and
 //! the connection remain fully usable afterwards (except `oversized`,
 //! which closes).
@@ -115,7 +115,7 @@ use webqa::{lint, Analyzer, Program, QueryContext, RunResult};
 
 /// The typed error kinds of the wire protocol (the `err.kind` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrKind {
+pub(crate) enum ErrKind {
     /// The frame was not a valid JSON object (unparsable bytes, non-UTF-8
     /// content, or a non-object top level). The connection stays open.
     BadFrame,
@@ -151,7 +151,7 @@ pub enum ErrKind {
 
 impl ErrKind {
     /// The wire spelling of the kind.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrKind::BadFrame => "bad-frame",
             ErrKind::Oversized => "oversized",
@@ -169,7 +169,7 @@ impl ErrKind {
     /// response is 200. The HTTP facade adds only two statuses of its
     /// own: 405 for a known path with the wrong method, and 411 for a
     /// request framed by `Transfer-Encoding`.
-    pub fn http_status(self) -> u16 {
+    pub(crate) fn http_status(self) -> u16 {
         match self {
             ErrKind::BadFrame | ErrKind::BadRequest => 400,
             ErrKind::UnknownOp | ErrKind::UnknownPage => 404,
@@ -196,7 +196,7 @@ pub struct Op {
 /// Every operation the server implements, with its HTTP route. The
 /// line protocol's unknown-op error, the HTTP facade's router and the
 /// CLI's `client --http` all read this table.
-pub const OPS: [Op; 6] = [
+pub(crate) const OPS: [Op; 6] = [
     Op {
         name: "ping",
         method: "GET",
@@ -229,7 +229,7 @@ pub const OPS: [Op; 6] = [
     },
 ];
 
-/// The [`OPS`] entry named `name`.
+/// The `OPS` entry named `name`.
 pub fn op_named(name: &str) -> Option<Op> {
     OPS.iter().copied().find(|op| op.name == name)
 }
@@ -241,7 +241,7 @@ pub fn op_names() -> String {
 
 /// A typed protocol error: kind plus a human-readable message.
 #[derive(Debug, Clone)]
-pub struct ProtoError {
+pub(crate) struct ProtoError {
     /// The typed kind (stable wire vocabulary).
     pub kind: ErrKind,
     /// Human-readable detail, not part of the stable surface.
@@ -250,7 +250,7 @@ pub struct ProtoError {
 
 impl ProtoError {
     /// Builds an error.
-    pub fn new(kind: ErrKind, message: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: ErrKind, message: impl Into<String>) -> Self {
         ProtoError {
             kind,
             message: message.into(),
@@ -290,7 +290,7 @@ impl Response {
 /// `{"id":…,"err":{"kind":…,"message":…}}` on failure. `id` is the
 /// request's `id` field echoed verbatim (JSON `null` when absent or when
 /// the frame never parsed).
-pub fn envelope(id: Value, outcome: Result<Value, ProtoError>) -> String {
+pub(crate) fn envelope(id: Value, outcome: Result<Value, ProtoError>) -> String {
     let mut map = Map::new();
     map.insert("id".to_string(), id);
     match outcome {

@@ -1,6 +1,8 @@
-//! `SynthesizeBranch` (Figure 8 of the paper) and its `NoDecomp` ablation.
+//! `SynthesizeBranch` (Figure 8 of the paper) and its `NoDecomp` and
+//! `NoLazy` ablations.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use webqa_dsl::{Guard, PageNodeId};
@@ -45,7 +47,7 @@ pub(crate) struct BranchSynthesis {
 impl BranchSynthesis {
     /// The distinct token-count vectors achievable by this branch's
     /// optimal programs.
-    pub fn distinct_counts(&self) -> Vec<Counts> {
+    pub(crate) fn distinct_counts(&self) -> Vec<Counts> {
         let mut out: Vec<Counts> = Vec::new();
         for (_, gs) in &self.options {
             for (c, _) in &gs.groups {
@@ -58,11 +60,17 @@ impl BranchSynthesis {
     }
 }
 
-/// Figure 8: synthesizes all optimal branch programs, decomposing guard
-/// from extractor synthesis (or jointly, for the `NoDecomp` ablation).
-/// `pos` / `neg` are indices into the task's example list; `table` is the
-/// task's string table and `memo` its extractor memo (the joint ablation,
-/// which shares no extractor search, leaves `memo` alone).
+/// Figure 8: synthesizes all optimal branch programs. `pos` / `neg` are
+/// indices into the task's example list; `table` is the task's string
+/// table and `memo` its extractor memo.
+///
+/// One loop serves every mode. `cfg.decompose` turns on the two memos
+/// and the UB gate (off, it is the `NoDecomp` ablation of Section 8.2:
+/// every guard gets its own extractor search, and `memo` is left alone).
+/// `cfg.decompose && cfg.lazy_guards` turns on laziness, where the
+/// rising optimum feeds the guard enumerator's locator pruning; without
+/// it the enumerator is drained up front with a bound of 0. The result
+/// set is identical in every mode; only the work differs.
 ///
 /// Returns `None` when no guard in the bounded space separates E⁺ from E⁻.
 pub(crate) fn synthesize_branch(
@@ -74,29 +82,13 @@ pub(crate) fn synthesize_branch(
     stats: &mut SynthStats,
 ) -> Option<BranchSynthesis> {
     stats.branch_calls += 1;
-    if task.cfg.decompose {
-        synthesize_branch_decomposed(task, table, memo, pos, neg, stats)
-    } else {
-        synthesize_branch_joint(task, table, pos, neg, stats)
-    }
-}
-
-fn synthesize_branch_decomposed(
-    task: &TaskCtx,
-    table: &mut StringTable,
-    memo: &mut ExtractorMemo,
-    pos: &[usize],
-    neg: &[usize],
-    stats: &mut SynthStats,
-) -> Option<BranchSynthesis> {
+    let decompose = task.cfg.decompose;
     let mut enumerator = GuardEnumerator::new(task, pos, neg);
     let mut scorer = Scorer::new(task, table, pos);
-    // The NoLazy ablation: drain the enumerator up-front with a bound of
-    // 0, so the rising optimum never strengthens locator pruning.
-    let mut eager: Option<std::collections::VecDeque<(Guard, usize)>> = if task.cfg.lazy_guards {
+    let mut eager: Option<VecDeque<(Guard, usize)>> = if decompose && task.cfg.lazy_guards {
         None
     } else {
-        let mut q = std::collections::VecDeque::new();
+        let mut q = VecDeque::new();
         while let Some(g) = enumerator.next(0.0, stats) {
             if task.cancel.checkpoint() {
                 // The whole search is being abandoned; the top level
@@ -109,8 +101,8 @@ fn synthesize_branch_decomposed(
     };
     let mut opt = 0.0f64;
     let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
-    // Footnote 6: guards whose locators agree share one extractor
-    // synthesis, through two memos. `by_entry` is indexed by the
+    // Footnote 6 (with `cfg.decompose`): guards whose locators agree
+    // share one extractor synthesis, through two memos. `by_entry` is indexed by the
     // enumerator's entry id (each entry *is* one locator), so a repeated
     // locator costs one index and is never cloned or hashed. `Some(None)`
     // records a locator whose UB was below `opt` (Figure 8 line 6) —
@@ -120,7 +112,7 @@ fn synthesize_branch_decomposed(
     // same E⁺, that selected the same nodes has already been solved.
     // Only a miss in both runs the search.
     let mut by_entry: Vec<Option<Option<GuardOptions>>> = Vec::new();
-    let by_nodes = memo.entry(pos.to_vec()).or_default();
+    let mut by_nodes = decompose.then(|| memo.entry(pos.to_vec()).or_default());
 
     while let Some((guard, eid)) = match eager.as_mut() {
         Some(q) => q.pop_front(),
@@ -141,48 +133,52 @@ fn synthesize_branch_decomposed(
                 s.clone()
             }
             None => {
-                let s = if task.cfg.reference_kernels {
-                    // Reference path: re-propagate the locator from the
-                    // root and recompute the ceiling definitionally, as
-                    // the pre-overhaul code did.
+                // Reference path: re-propagate the locator from the root
+                // and recompute the ceiling definitionally, as the
+                // pre-overhaul code did. Optimized path: the enumerator
+                // already propagated the nodes and computed the ceiling
+                // when it created the entry (Figure 8 line 6 is a
+                // comparison, not a recomputation).
+                let nodes = if task.cfg.reference_kernels {
                     let pos_examples = pos.iter().map(|&i| &task.examples[i]);
-                    let nodes =
-                        propagate_examples(task.ctx, enumerator.entry_locator(eid), pos_examples);
-                    let ub: Counts = pos
-                        .iter()
-                        .zip(&nodes)
-                        .map(|(&i, ns)| task.examples[i].ceiling_counts_reference(ns))
-                        .sum();
-                    if task.cfg.prune && ub.upper_bound() + F1_EPS < opt {
-                        None
-                    } else {
-                        Some(memoized_extractors(
-                            task,
-                            &mut scorer,
-                            by_nodes,
-                            &nodes,
-                            stats,
-                        ))
-                    }
+                    Cow::Owned(propagate_examples(
+                        task.ctx,
+                        enumerator.entry_locator(eid),
+                        pos_examples,
+                    ))
                 } else {
-                    // Optimized path: the enumerator already propagated
-                    // the nodes and computed the ceiling when it created
-                    // the entry (Figure 8 line 6 is a comparison, not a
-                    // recomputation).
-                    let ub = enumerator.entry_ub(eid);
-                    if task.cfg.prune && ub.upper_bound() + F1_EPS < opt {
-                        None
+                    Cow::Borrowed(enumerator.entry_nodes(eid))
+                };
+                let ub = || -> Counts {
+                    if task.cfg.reference_kernels {
+                        pos.iter()
+                            .zip(nodes.iter())
+                            .map(|(&i, ns)| task.examples[i].ceiling_counts_reference(ns))
+                            .sum()
                     } else {
-                        Some(memoized_extractors(
-                            task,
-                            &mut scorer,
-                            by_nodes,
-                            enumerator.entry_nodes(eid),
-                            stats,
-                        ))
+                        enumerator.entry_ub(eid)
                     }
                 };
-                by_entry[eid] = Some(s.clone());
+                let s = match by_nodes.as_deref_mut() {
+                    None => Some(Arc::new(synthesize_extractors(
+                        task,
+                        &mut scorer,
+                        &nodes,
+                        0.0,
+                        stats,
+                    ))),
+                    Some(_) if task.cfg.prune && ub().upper_bound() + F1_EPS < opt => None,
+                    Some(by_nodes) => Some(memoized_extractors(
+                        task,
+                        &mut scorer,
+                        by_nodes,
+                        &nodes,
+                        stats,
+                    )),
+                };
+                if decompose {
+                    by_entry[eid] = Some(s.clone());
+                }
                 s
             }
         };
@@ -224,58 +220,6 @@ fn memoized_extractors(
     let s = Arc::new(synthesize_extractors(task, scorer, nodes, 0.0, stats));
     by_nodes.insert(nodes.to_vec(), s.clone());
     s
-}
-
-/// The `WebQA-NoDecomp` ablation (Section 8.2): guards and extractors are
-/// enumerated *jointly* — no lazy `opt` feedback into the guard
-/// enumerator and no extractor sharing across guards with the same
-/// locator. The result set is identical; only the work differs.
-fn synthesize_branch_joint(
-    task: &TaskCtx,
-    table: &mut StringTable,
-    pos: &[usize],
-    neg: &[usize],
-    stats: &mut SynthStats,
-) -> Option<BranchSynthesis> {
-    // Eagerly enumerate every classifying guard (opt = 0: no feedback).
-    let mut enumerator = GuardEnumerator::new(task, pos, neg);
-    let mut guards = Vec::new();
-    while let Some(g) = enumerator.next(0.0, stats) {
-        if task.cancel.checkpoint() {
-            return None;
-        }
-        guards.push(g);
-    }
-    let mut scorer = Scorer::new(task, table, pos);
-    let mut opt = 0.0f64;
-    let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
-    for (guard, eid) in guards {
-        if task.cancel.checkpoint() {
-            return None;
-        }
-        let synth = if task.cfg.reference_kernels {
-            let pos_examples = pos.iter().map(|&i| &task.examples[i]);
-            let nodes = propagate_examples(task.ctx, guard.locator(), pos_examples);
-            synthesize_extractors(task, &mut scorer, &nodes, 0.0, stats)
-        } else {
-            synthesize_extractors(task, &mut scorer, enumerator.entry_nodes(eid), 0.0, stats)
-        };
-        if synth.is_empty() {
-            continue;
-        }
-        let synth = Arc::new(synth);
-        if synth.f1 > opt + F1_EPS {
-            opt = synth.f1;
-            options = vec![(guard, synth)];
-        } else if (synth.f1 - opt).abs() <= F1_EPS {
-            options.push((guard, synth));
-        }
-    }
-    if options.is_empty() {
-        None
-    } else {
-        Some(BranchSynthesis { options })
-    }
 }
 
 /// Convenience used by tests: solve one branch over a self-contained
@@ -371,6 +315,27 @@ mod tests {
         // Decomposition shares extractor synthesis across guards: less work.
         assert!(s1.extractors_enumerated <= s2.extractors_enumerated);
         assert!(s1.locator_memo_hits > 0);
+    }
+
+    /// Only decomposed synthesis shares extractor searches through the
+    /// task memo; the joint ablation neither reads nor fills it.
+    #[test]
+    fn only_decomposed_synthesis_fills_the_task_memo() {
+        let c = ctx();
+        let examples = students_examples();
+        for (cfg, fills) in [
+            (SynthConfig::fast(), true),
+            (SynthConfig::fast().without_lazy_guards(), true),
+            (SynthConfig::fast().without_decomposition(), false),
+        ] {
+            let task = TaskCtx::new(&cfg, &c, &examples);
+            let mut table = StringTable::new(&task);
+            let mut memo = ExtractorMemo::new();
+            let mut stats = SynthStats::default();
+            synthesize_branch(&task, &mut table, &mut memo, &[0, 1], &[], &mut stats)
+                .expect("branch");
+            assert_eq!(!memo.is_empty(), fills, "decompose = {}", cfg.decompose);
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl CancelToken {
     /// budget and deadline, and returns whether the caller should
     /// abandon the search. The synthesis loops call this once per guard
     /// step.
-    pub fn checkpoint(&self) -> bool {
+    pub(crate) fn checkpoint(&self) -> bool {
         let n = self.inner.checks.fetch_add(1, Ordering::Relaxed);
         if let Some(budget) = self.inner.step_budget {
             if n >= budget {

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use webqa_dsl::{Extractor, Locator, PageNodeId, PageTree, Program, QueryContext};
+use webqa_dsl::{PageNodeId, PageTree, Program, QueryContext};
 use webqa_metrics::{tokenize, tokenize_all, Counts, SmallVec, Token};
 
 /// One labeled webpage: the parsed page plus the gold extraction strings.
@@ -121,13 +121,13 @@ impl Example {
     }
 
     /// The gold token bag.
-    pub fn gold_tokens(&self) -> &[Token] {
+    pub(crate) fn gold_tokens(&self) -> &[Token] {
         &self.gold_tokens
     }
 
     /// Token-overlap counts of a predicted string set against this
     /// example's gold.
-    pub fn counts_for(&self, predicted: &[String]) -> Counts {
+    pub(crate) fn counts_for(&self, predicted: &[String]) -> Counts {
         Counts::from_bags(&tokenize_all(predicted), &self.gold_tokens)
     }
 
@@ -216,7 +216,8 @@ impl Example {
     }
 
     /// [`Example::ceiling_counts`] for the nodes a locator selects.
-    pub fn locator_ceiling(&self, ctx: &QueryContext, locator: &Locator) -> Counts {
+    #[cfg(test)]
+    fn locator_ceiling(&self, ctx: &QueryContext, locator: &webqa_dsl::Locator) -> Counts {
         self.ceiling_counts(&locator.eval(ctx, &self.page))
     }
 
@@ -248,15 +249,11 @@ fn covering_set(page: &PageTree, nodes: &[PageNodeId]) -> Vec<PageNodeId> {
         .collect()
 }
 
-/// Micro-averaged F₁ of an extractor over propagated examples (the
-/// `F1(e, E)` of Figure 9). `outputs[i]` is the extractor output on
-/// example `i`.
-pub fn f1_of_outputs(examples: &[Example], outputs: &[Vec<String>]) -> f64 {
-    counts_of_outputs(examples, outputs).f1()
-}
-
-/// Summed token-overlap counts of per-example outputs.
-pub fn counts_of_outputs(examples: &[Example], outputs: &[Vec<String>]) -> Counts {
+/// Summed token-overlap counts of per-example outputs: `outputs[i]` is
+/// the extractor output on example `i`, and the counts' F₁ is the
+/// micro-averaged `F1(e, E)` of Figure 9.
+#[cfg(test)]
+pub(crate) fn counts_of_outputs(examples: &[Example], outputs: &[Vec<String>]) -> Counts {
     examples
         .iter()
         .zip(outputs)
@@ -300,24 +297,10 @@ pub fn program_counts(ctx: &QueryContext, examples: &[Example], program: &Progra
         .sum()
 }
 
-/// Evaluates an extractor on the nodes located per example.
-pub fn extractor_outputs(
-    ctx: &QueryContext,
-    examples: &[Example],
-    nodes_per_example: &[Vec<PageNodeId>],
-    extractor: &Extractor,
-) -> Vec<Vec<String>> {
-    examples
-        .iter()
-        .zip(nodes_per_example)
-        .map(|(ex, nodes)| extractor.eval(ctx, &ex.page, nodes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webqa_dsl::NodeFilter;
+    use webqa_dsl::{Locator, NodeFilter};
 
     fn page() -> PageTree {
         PageTree::parse(
@@ -459,7 +442,7 @@ mod tests {
         let ex1 = Example::new(page(), vec!["Jane Doe".into()]);
         let ex2 = Example::new(page(), vec!["Bob Smith".into()]);
         let outs = vec![vec!["Jane Doe".to_string()], vec!["wrong".to_string()]];
-        let f1 = f1_of_outputs(&[ex1, ex2], &outs);
+        let f1 = counts_of_outputs(&[ex1, ex2], &outs).f1();
         assert!(f1 > 0.0 && f1 < 1.0);
     }
 }

@@ -57,7 +57,7 @@ pub(crate) struct ExtractorSynthesis {
 
 impl ExtractorSynthesis {
     /// True when no extractor met the lower bound.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
 

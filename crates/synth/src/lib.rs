@@ -99,7 +99,7 @@ mod top;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use config::SynthConfig;
-pub use example::{counts_of_outputs, extractor_outputs, f1_of_outputs, program_counts, Example};
+pub use example::{program_counts, Example};
 pub use scorer::{PageBaseFeatures, PageFeatures};
 pub use stats::SynthStats;
 pub use top::{synthesize, synthesize_cancellable, SynthesisOutcome};

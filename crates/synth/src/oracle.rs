@@ -78,7 +78,7 @@ pub fn enumerate_optimal(
 }
 
 /// Every guard within the config's locator-depth bound.
-pub fn all_guards(cfg: &SynthConfig, ctx: &QueryContext) -> Vec<Guard> {
+pub(crate) fn all_guards(cfg: &SynthConfig, ctx: &QueryContext) -> Vec<Guard> {
     let mut out = Vec::new();
     let mut queue: VecDeque<Locator> = VecDeque::new();
     queue.push_back(Locator::Root);
@@ -92,7 +92,7 @@ pub fn all_guards(cfg: &SynthConfig, ctx: &QueryContext) -> Vec<Guard> {
 }
 
 /// Every extractor within the config's extractor-depth bound.
-pub fn all_extractors(cfg: &SynthConfig, ctx: &QueryContext) -> Vec<Extractor> {
+pub(crate) fn all_extractors(cfg: &SynthConfig, ctx: &QueryContext) -> Vec<Extractor> {
     let mut out = Vec::new();
     let mut queue: VecDeque<Extractor> = VecDeque::new();
     queue.push_back(Extractor::Content);

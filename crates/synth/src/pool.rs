@@ -74,8 +74,7 @@ pub(crate) fn node_filters(config: &SynthConfig, ctx: &QueryContext) -> Vec<Node
 /// `ApplyProduction` for section locators (Figure 10, line 7): all
 /// single-step extensions of `ν`. The guard enumerator applies the same
 /// productions through precomputed filter masks; this reference version
-/// backs the tests.
-#[cfg_attr(not(test), allow(dead_code))]
+/// backs the exhaustive oracle ([`crate::oracle`]) and the tests.
 pub(crate) fn extend_locator(
     config: &SynthConfig,
     ctx: &QueryContext,

@@ -171,7 +171,7 @@ fn filter_holds(
 /// computing it once and reusing it across `synthesize` calls (what
 /// `webqa::Engine`'s cross-request query tier does) is observationally
 /// invisible — the search reads identical bytes either way. Tables are
-/// *shape*-checked on use ([`PageFeatures::fits`]): a table whose node or
+/// *shape*-checked on use: a table whose node or
 /// filter counts don't match falls back to a fresh computation. The
 /// shape check cannot detect a table built for a *different page of the
 /// same size* under the same config — callers are responsible for keying
@@ -188,10 +188,9 @@ pub struct PageFeatures {
 
 impl PageFeatures {
     /// Computes the table for one page under one `(config, context)`
-    /// pool. The pool is derived internally exactly as the search
-    /// derives it, so a stored table can be handed back to any later
-    /// `synthesize` call with the same config and context.
-    pub fn compute(
+    /// pool, derived exactly as the search derives it.
+    #[cfg(test)]
+    pub(crate) fn compute(
         cfg: &crate::config::SynthConfig,
         ctx: &QueryContext,
         page: &webqa_dsl::PageTree,
@@ -199,10 +198,11 @@ impl PageFeatures {
         Self::compute_over(&node_filters(cfg, ctx), ctx, page)
     }
 
-    /// [`PageFeatures::compute`] reusing a precomputed query-independent
-    /// [`PageBaseFeatures`] table — only the keyword/answerability layer
-    /// is recomputed; the NER entity bits and leaf/elem masks come from
-    /// `base`. Byte-identical to [`PageFeatures::compute`] whenever
+    /// The page's table under one `(config, context)` pool, reusing a
+    /// precomputed query-independent [`PageBaseFeatures`] table — only the
+    /// keyword/answerability layer is recomputed; the NER entity bits and
+    /// leaf/elem masks come from `base`. Byte-identical to a fresh
+    /// computation whenever
     /// `base` was computed for the same page under the same neural
     /// modules ([`PageBaseFeatures::compute`] documents that contract);
     /// a `base` whose node count doesn't match the page falls back to a
@@ -286,7 +286,7 @@ impl PageFeatures {
 
     /// Whether this table was built over a pool of `filters` filters and
     /// a page of `nodes` nodes — the shape check guarding reuse.
-    pub fn fits(&self, filters: usize, nodes: usize) -> bool {
+    pub(crate) fn fits(&self, filters: usize, nodes: usize) -> bool {
         self.own.len() == nodes
             && self.masks.len() == filters
             && self.masks.iter().all(|m| m.len() == nodes)
@@ -348,7 +348,7 @@ impl PageBaseFeatures {
     }
 
     /// Whether this table was built over a page of `nodes` nodes.
-    pub fn fits(&self, nodes: usize) -> bool {
+    pub(crate) fn fits(&self, nodes: usize) -> bool {
         self.own_entities.len() == nodes
             && self.sub_entities.len() == nodes
             && self.leaf.len() == nodes
@@ -497,7 +497,7 @@ impl<'a> TaskCtx<'a> {
     /// reads the same bytes whether the table was borrowed or rebuilt.
     /// The branch synthesizer checkpoints `cancel` once per guard step; a
     /// never-token makes those checkpoints free-ish atomic increments.
-    pub fn with_features_cancel(
+    pub(crate) fn with_features_cancel(
         cfg: &'a SynthConfig,
         ctx: &'a QueryContext,
         examples: &'a [Example],
@@ -551,12 +551,12 @@ impl<'a> TaskCtx<'a> {
 
     /// The precomputed mask of `filter` over `example`'s nodes
     /// (optimized mode only).
-    pub fn mask(&self, example: usize, filter: usize) -> &[bool] {
+    pub(crate) fn mask(&self, example: usize, filter: usize) -> &[bool] {
         &self.tables[example].masks[filter]
     }
 
     /// The own-text features of `example`'s nodes (optimized mode only).
-    pub fn feats(&self, example: usize) -> &[TextFeatures] {
+    pub(crate) fn feats(&self, example: usize) -> &[TextFeatures] {
         &self.tables[example].own
     }
 }
@@ -620,7 +620,7 @@ pub(crate) struct StringTable {
 
 impl StringTable {
     /// An empty table for `task`'s pools and examples.
-    pub fn new(task: &TaskCtx) -> Self {
+    pub(crate) fn new(task: &TaskCtx) -> Self {
         StringTable {
             ids: HashMap::default(),
             text: Vec::new(),
@@ -638,7 +638,7 @@ impl StringTable {
     }
 
     /// The id of `s`, assigned (and tokenized) on first sight.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
@@ -655,7 +655,7 @@ impl StringTable {
     }
 
     /// The content of string `id`.
-    pub fn text(&self, id: u32) -> &str {
+    pub(crate) fn text(&self, id: u32) -> &str {
         &self.text[id as usize]
     }
 
@@ -746,7 +746,7 @@ pub(crate) struct Scorer<'s> {
 }
 
 impl<'s> Scorer<'s> {
-    pub fn new(task: &'s TaskCtx<'s>, table: &'s mut StringTable, pos: &[usize]) -> Self {
+    pub(crate) fn new(task: &'s TaskCtx<'s>, table: &'s mut StringTable, pos: &[usize]) -> Self {
         let gold = pos
             .iter()
             .map(|&i| {
@@ -769,7 +769,7 @@ impl<'s> Scorer<'s> {
     }
 
     /// Number of positive examples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pos.len()
     }
 
@@ -777,13 +777,13 @@ impl<'s> Scorer<'s> {
     /// emptiness prune is gated on this being positive: with no gold
     /// tokens an empty output scores a (vacuous) perfect F₁ and must stay
     /// enumerable.
-    pub fn gold_total(&self) -> usize {
+    pub(crate) fn gold_total(&self) -> usize {
         self.gold.iter().map(IdBag::total).sum()
     }
 
     /// The outputs of `ExtractContent(x)` on each positive example's
     /// located `nodes`: the search's seed candidate.
-    pub fn seed_outputs(&mut self, nodes: &[Vec<PageNodeId>]) -> Vec<Vec<u32>> {
+    pub(crate) fn seed_outputs(&mut self, nodes: &[Vec<PageNodeId>]) -> Vec<Vec<u32>> {
         let task = self.task;
         self.pos
             .iter()
@@ -806,13 +806,13 @@ impl<'s> Scorer<'s> {
 
     /// Micro-averaged counts of the raw per-example output multisets —
     /// the `UB` input of Eq. 3.
-    pub fn counts_raw(&mut self, outputs: &[Vec<u32>]) -> Counts {
+    pub(crate) fn counts_raw(&mut self, outputs: &[Vec<u32>]) -> Counts {
         self.counts(outputs, false)
     }
 
     /// Micro-averaged counts under the program-level set semantics:
     /// per-example duplicate strings are counted once (Figure 6).
-    pub fn counts_dedup(&mut self, outputs: &[Vec<u32>]) -> Counts {
+    pub(crate) fn counts_dedup(&mut self, outputs: &[Vec<u32>]) -> Counts {
         self.counts(outputs, true)
     }
 
@@ -862,7 +862,7 @@ impl<'s> Scorer<'s> {
     /// outputs. In optimized mode each (step, string) result comes from
     /// the table, computed once per task; reference mode applies the
     /// step definitionally to every string.
-    pub fn apply_step(&mut self, si: usize, parent_outputs: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    pub(crate) fn apply_step(&mut self, si: usize, parent_outputs: &[Vec<u32>]) -> Vec<Vec<u32>> {
         let task = self.task;
         let step = &task.steps[si];
         parent_outputs

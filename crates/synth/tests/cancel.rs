@@ -136,3 +136,30 @@ fn completed_run_under_a_token_is_byte_identical() {
     assert_eq!(under.total_optimal, plain.total_optimal);
     assert_eq!(under.stats, plain.stats);
 }
+
+/// The `NoDecomp` and `NoLazy` ablations drain the guard stream before
+/// any extractor search. A cancel that lands in that drain, or in the
+/// extractor loop after it, is as exact as in the default mode.
+fn assert_cancels_mid_run_exactly(ablation: &SynthConfig) {
+    let free = CancelToken::never();
+    synthesize_cancellable(ablation, &ctx(), &examples(), &[], &free)
+        .expect("never-token run completes");
+    let total_steps = free.checks();
+    assert!(total_steps > 10, "{total_steps} steps");
+    for budget in [1, total_steps / 2, total_steps - 2] {
+        let token = CancelToken::with_step_budget(budget);
+        let r = synthesize_cancellable(ablation, &ctx(), &examples(), &[], &token);
+        assert_eq!(r.unwrap_err(), Cancelled);
+        assert_eq!(token.checks(), budget + 1, "cancel is exact");
+    }
+}
+
+#[test]
+fn nodecomp_cancels_mid_run_exactly() {
+    assert_cancels_mid_run_exactly(&cfg().without_decomposition());
+}
+
+#[test]
+fn nolazy_cancels_mid_run_exactly() {
+    assert_cancels_mid_run_exactly(&cfg().without_lazy_guards());
+}

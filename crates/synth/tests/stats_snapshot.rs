@@ -121,6 +121,118 @@ fn service_fixture_stats_snapshot() {
     );
 }
 
+/// The `NoDecomp` ablation of fixture 1: guards and extractors searched
+/// jointly, with no memo and no UB gate.
+#[test]
+fn students_fixture_nodecomp_stats_snapshot() {
+    let (ctx, examples) = students_fixture();
+    let out = synthesize(&cfg().without_decomposition(), &ctx, &examples);
+    assert!(out.f1 > 0.99, "fixture must stay perfectly solvable");
+    assert_eq!(
+        out.stats,
+        SynthStats {
+            guards_yielded: 1550,
+            locators_expanded: 3724,
+            locators_pruned: 0,
+            extractors_enumerated: 13997,
+            extractors_pruned: 1956,
+            branch_calls: 4,
+            memo_hits: 0,
+            locator_memo_hits: 0,
+            extractor_memo_hits: 0,
+            analysis_pruned_guards: 4,
+            analysis_pruned_locators: 4466,
+            analysis_pruned_extractors: 53112,
+        },
+        "search-shape regression: pruning/memoization/dedup changed \
+         (re-pin deliberately, checking each delta's direction)"
+    );
+}
+
+/// The `NoLazy` ablation of fixture 1: the guard stream is drained up
+/// front, so the rising optimum never strengthens locator pruning.
+#[test]
+fn students_fixture_nolazy_stats_snapshot() {
+    let (ctx, examples) = students_fixture();
+    let out = synthesize(&cfg().without_lazy_guards(), &ctx, &examples);
+    assert!(out.f1 > 0.99, "fixture must stay perfectly solvable");
+    assert_eq!(
+        out.stats,
+        SynthStats {
+            guards_yielded: 1550,
+            locators_expanded: 3724,
+            locators_pruned: 0,
+            extractors_enumerated: 242,
+            extractors_pruned: 81,
+            branch_calls: 4,
+            memo_hits: 0,
+            locator_memo_hits: 896,
+            extractor_memo_hits: 432,
+            analysis_pruned_guards: 4,
+            analysis_pruned_locators: 4466,
+            analysis_pruned_extractors: 744,
+        },
+        "search-shape regression: pruning/memoization/dedup changed \
+         (re-pin deliberately, checking each delta's direction)"
+    );
+}
+
+/// The `NoDecomp` ablation of fixture 2, where the optimum is below 1
+/// and the joint search enumerates every guard's extractors in full.
+#[test]
+fn service_fixture_nodecomp_stats_snapshot() {
+    let (ctx, examples) = service_fixture();
+    let out = synthesize(&cfg().without_decomposition(), &ctx, &examples);
+    assert!(out.f1 > 0.5, "fixture must stay mostly solvable");
+    assert_eq!(
+        out.stats,
+        SynthStats {
+            guards_yielded: 2649,
+            locators_expanded: 4224,
+            locators_pruned: 0,
+            extractors_enumerated: 49568,
+            extractors_pruned: 77588,
+            branch_calls: 4,
+            memo_hits: 0,
+            locator_memo_hits: 0,
+            extractor_memo_hits: 0,
+            analysis_pruned_guards: 4,
+            analysis_pruned_locators: 2686,
+            analysis_pruned_extractors: 138177,
+        },
+        "search-shape regression: pruning/memoization/dedup changed \
+         (re-pin deliberately, checking each delta's direction)"
+    );
+}
+
+/// The `NoLazy` ablation of fixture 2: with an imperfect optimum the
+/// eager guard stream costs locator pruning the lazy search keeps.
+#[test]
+fn service_fixture_nolazy_stats_snapshot() {
+    let (ctx, examples) = service_fixture();
+    let out = synthesize(&cfg().without_lazy_guards(), &ctx, &examples);
+    assert!(out.f1 > 0.5, "fixture must stay mostly solvable");
+    assert_eq!(
+        out.stats,
+        SynthStats {
+            guards_yielded: 2649,
+            locators_expanded: 4224,
+            locators_pruned: 0,
+            extractors_enumerated: 615,
+            extractors_pruned: 1137,
+            branch_calls: 4,
+            memo_hits: 0,
+            locator_memo_hits: 1861,
+            extractor_memo_hits: 753,
+            analysis_pruned_guards: 4,
+            analysis_pruned_locators: 2686,
+            analysis_pruned_extractors: 2025,
+        },
+        "search-shape regression: pruning/memoization/dedup changed \
+         (re-pin deliberately, checking each delta's direction)"
+    );
+}
+
 /// The counters the snapshots pin must actually move in the direction
 /// each mechanism promises — this guards the *meaning* of the counters
 /// themselves, so the snapshots above stay interpretable.

@@ -2,7 +2,7 @@
 //!
 //! Hosts the runnable examples (`examples/`) and the cross-crate
 //! integration tests (`tests/`); the functionality lives in the member
-//! crates, re-exported here for convenience:
+//! crates:
 //!
 //! * [`webqa`] — the session-oriented engine (staged pipeline, shared
 //!   page store, result caches);
@@ -102,21 +102,11 @@
 //!   (its own Cargo workspace, see `BENCHMARK.json`); the
 //!   `webqa_bench` targets regenerate the paper's tables and figures.
 //!
-//! This umbrella crate (`webqa-repro`) re-exports everything so the
-//! integration tests and examples can `use` one coherent surface.
+//! This umbrella crate (`webqa-repro`) exports nothing: it is the host of
+//! the integration tests and examples, which `use` the member crates
+//! directly.
 //!
 //! Third-party dependencies (`rand`, `proptest`, `serde`, `serde_json`)
 //! resolve to minimal offline stand-ins vendored under `compat/` — see
 //! `compat/README.md` for exactly what subset each implements and how to
 //! swap the real crates back in.
-
-pub use webqa;
-pub use webqa_baselines;
-pub use webqa_corpus;
-pub use webqa_dsl;
-pub use webqa_html;
-pub use webqa_metrics;
-pub use webqa_nlp;
-pub use webqa_select;
-pub use webqa_server;
-pub use webqa_synth;
