@@ -55,3 +55,37 @@ impl Arbitrary for char {
         char::from_u32(rng.in_range_u32(0x20, 0x7E)).unwrap()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::any;
+    use crate::strategy::Strategy;
+    use crate::test_runner::TestRng;
+
+    #[test]
+    fn any_char_is_printable_ascii() {
+        let mut rng = TestRng::deterministic("any_char");
+        for _ in 0..1_000 {
+            let c = any::<char>().generate(&mut rng);
+            assert!((' '..='~').contains(&c), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn any_f64_is_finite_and_bounded() {
+        let mut rng = TestRng::deterministic("any_f64");
+        for _ in 0..1_000 {
+            let x = any::<f64>().generate(&mut rng);
+            assert!(x.is_finite() && x.abs() <= 1e6, "{x}");
+        }
+    }
+
+    #[test]
+    fn any_bool_and_integers_take_every_value_class() {
+        let mut rng = TestRng::deterministic("any_ints");
+        let bools: Vec<bool> = (0..64).map(|_| any::<bool>().generate(&mut rng)).collect();
+        assert!(bools.contains(&true) && bools.contains(&false));
+        let ints: Vec<i8> = (0..256).map(|_| any::<i8>().generate(&mut rng)).collect();
+        assert!(ints.iter().any(|&x| x < 0) && ints.iter().any(|&x| x > 0));
+    }
+}

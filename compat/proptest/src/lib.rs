@@ -36,6 +36,8 @@ pub mod prelude {
 }
 
 /// Defines property tests. See the crate docs for the supported subset.
+/// As upstream, each fn in the block writes its own `#[test]`; the macro
+/// adds none, so a fn without one is not registered as a test.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -54,7 +56,6 @@ macro_rules! __proptest_fns {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config: $crate::test_runner::Config = $cfg;
                 let __test_name = concat!(module_path!(), "::", stringify!($name));

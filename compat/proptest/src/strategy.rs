@@ -217,3 +217,94 @@ impl Strategy for String {
         Pattern::compile(self).generate(rng)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Clone, Debug)]
+    enum Tree {
+        Leaf,
+        Node(Vec<Tree>),
+    }
+
+    fn depth(t: &Tree) -> u32 {
+        match t {
+            Tree::Leaf => 0,
+            Tree::Node(kids) => 1 + kids.iter().map(depth).max().unwrap_or(0),
+        }
+    }
+
+    #[test]
+    fn just_and_prop_map_are_deterministic_functions_of_the_input() {
+        let mut rng = TestRng::deterministic("just_map");
+        assert_eq!(Just("x").generate(&mut rng), "x");
+        let doubled = (0u32..100).prop_map(|x| x * 2);
+        for _ in 0..200 {
+            let v = doubled.generate(&mut rng);
+            assert!(v % 2 == 0 && v < 200, "{v}");
+        }
+    }
+
+    #[test]
+    fn prop_oneof_reaches_every_arm() {
+        let mut rng = TestRng::deterministic("oneof");
+        let s = crate::prop_oneof![Just(0), Just(1), Just(2), 3..4];
+        let mut seen = [false; 4];
+        for _ in 0..200 {
+            seen[s.generate(&mut rng) as usize] = true;
+        }
+        assert_eq!(seen, [true; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one arm")]
+    fn an_empty_union_panics() {
+        Union::<u8>::new(Vec::new());
+    }
+
+    #[test]
+    fn prop_recursive_nests_up_to_its_depth_and_no_deeper() {
+        let mut rng = TestRng::deterministic("recursive");
+        let tree = Just(Tree::Leaf).prop_recursive(3, 16, 4, |inner| {
+            crate::collection::vec(inner, 1..3).prop_map(Tree::Node)
+        });
+        let depths: Vec<u32> = (0..500).map(|_| depth(&tree.generate(&mut rng))).collect();
+        assert!(depths.iter().all(|&d| d <= 3), "{depths:?}");
+        assert!(depths.contains(&0) && depths.contains(&3), "{depths:?}");
+    }
+
+    #[test]
+    fn range_strategies_stay_in_range() {
+        let mut rng = TestRng::deterministic("ranges");
+        for _ in 0..1_000 {
+            assert!((-4i64..4).generate(&mut rng) < 4);
+            assert!((1u16..=3).generate(&mut rng) >= 1);
+            let x = (-2.0f64..-1.0).generate(&mut rng);
+            assert!((-2.0..-1.0).contains(&x), "{x}");
+            let y = (0.0f32..1.0).generate(&mut rng);
+            assert!((0.0..=1.0).contains(&y), "{y}");
+        }
+    }
+
+    #[test]
+    fn tuples_generate_each_component_from_its_own_strategy() {
+        let mut rng = TestRng::deterministic("tuples");
+        let s = (Just('a'), 0u8..2, "[xy]", Just(()));
+        for _ in 0..100 {
+            let (a, b, c, ()) = s.generate(&mut rng);
+            assert_eq!(a, 'a');
+            assert!(b < 2);
+            assert!(c == "x" || c == "y", "{c:?}");
+        }
+    }
+
+    #[test]
+    fn boxed_clones_share_one_strategy() {
+        let mut rng = TestRng::deterministic("boxed");
+        let a = (5u8..6).boxed();
+        let b = a.clone();
+        assert_eq!(a.generate(&mut rng), 5);
+        assert_eq!(b.generate(&mut rng), 5);
+    }
+}

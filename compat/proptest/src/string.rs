@@ -262,3 +262,99 @@ fn parse_quantifier(atom: Ast, chars: &[char], pos: &mut usize) -> Ast {
         _ => atom,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::Pattern;
+    use crate::test_runner::TestRng;
+
+    fn samples(pattern: &str, n: usize) -> Vec<String> {
+        let compiled = Pattern::compile(pattern);
+        let mut rng = TestRng::deterministic(pattern);
+        (0..n).map(|_| compiled.generate(&mut rng)).collect()
+    }
+
+    fn char_counts(pattern: &str) -> Vec<usize> {
+        samples(pattern, 300)
+            .iter()
+            .map(|s| s.chars().count())
+            .collect()
+    }
+
+    #[test]
+    fn literals_are_copied_and_escapes_decoded() {
+        for s in samples(r"ab\.c\n\t\r\\", 3) {
+            assert_eq!(s, "ab.c\n\t\r\\");
+        }
+    }
+
+    #[test]
+    fn quantifiers_bound_the_repetition_count() {
+        assert!(char_counts("a{3}").iter().all(|&n| n == 3));
+        let ranged = char_counts("a{2,4}");
+        assert!(ranged.iter().all(|&n| (2..=4).contains(&n)));
+        assert!(ranged.contains(&2) && ranged.contains(&4));
+        let optional = char_counts("a?");
+        assert!(optional.contains(&0) && optional.contains(&1));
+        assert!(optional.iter().all(|&n| n <= 1));
+        assert!(char_counts("a*").iter().all(|&n| n <= 8));
+        let plus = char_counts("a+");
+        assert!(plus.iter().all(|&n| (1..=8).contains(&n)));
+    }
+
+    #[test]
+    fn classes_draw_from_their_ranges_and_negations_avoid_them() {
+        for s in samples("[a-c0-1_]{1,6}", 300) {
+            assert!(
+                s.chars().all(|c| matches!(c, 'a'..='c' | '0' | '1' | '_')),
+                "{s:?}"
+            );
+        }
+        for s in samples(r"[\n\]x-]", 100) {
+            assert!(matches!(s.as_str(), "\n" | "]" | "x" | "-"), "{s:?}");
+        }
+        for s in samples("[^a-z]{8}", 300) {
+            assert!(
+                s.chars()
+                    .all(|c| !c.is_ascii_lowercase() && !c.is_control()),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn alternation_picks_each_branch_of_a_group() {
+        let got = samples("x(ab|cd|)y", 300);
+        for want in ["xaby", "xcdy", "xy"] {
+            assert!(got.iter().any(|s| s == want), "{want} never generated");
+        }
+        assert!(got
+            .iter()
+            .all(|s| ["xaby", "xcdy", "xy"].contains(&s.as_str())));
+    }
+
+    #[test]
+    fn printable_atoms_never_emit_control_characters() {
+        for pattern in [".{0,16}", r"\PC{0,16}", r"\P{C}{0,16}"] {
+            let got = samples(pattern, 300);
+            assert!(
+                got.iter().all(|s| !s.chars().any(char::is_control)),
+                "{pattern}"
+            );
+            // The pool includes multi-byte characters.
+            assert!(got.iter().any(|s| !s.is_ascii()), "{pattern}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unclosed group")]
+    fn an_unclosed_group_is_refused() {
+        Pattern::compile("(ab");
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing")]
+    fn an_unmatched_close_paren_is_refused() {
+        Pattern::compile("ab)");
+    }
+}

@@ -83,3 +83,31 @@ impl TestRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::TestRng;
+
+    fn words(rng: &mut TestRng) -> Vec<u64> {
+        (0..16).map(|_| rng.next_u64()).collect()
+    }
+
+    #[test]
+    fn the_stream_depends_only_on_the_test_name() {
+        let a = words(&mut TestRng::deterministic("mod::prop_a"));
+        assert_eq!(a, words(&mut TestRng::deterministic("mod::prop_a")));
+        assert_ne!(a, words(&mut TestRng::deterministic("mod::prop_b")));
+    }
+
+    #[test]
+    fn bounded_draws_stay_in_range() {
+        let mut rng = TestRng::deterministic("bounded");
+        for _ in 0..2_000 {
+            assert!(rng.below(3) < 3);
+            assert_eq!(rng.below(1), 0);
+            assert!((10..=12).contains(&rng.in_range_u32(10, 12)));
+            let u = rng.unit_f64();
+            assert!((0.0..1.0).contains(&u), "{u}");
+        }
+    }
+}

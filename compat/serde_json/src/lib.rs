@@ -371,3 +371,175 @@ macro_rules! json {
         $crate::to_value(&$e).expect("json!: infallible serialization")
     };
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{from_str, from_value, to_string, to_value, Map, Number, Value};
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+    struct Report {
+        name: String,
+        hits: u32,
+        score: Option<f64>,
+        tags: Vec<String>,
+        mode: Mode,
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+    enum Mode {
+        Batch,
+        Serve,
+    }
+
+    fn report() -> Report {
+        Report {
+            name: "a \"b\"".to_string(),
+            hits: 3,
+            score: None,
+            tags: vec!["x".to_string(), String::new()],
+            mode: Mode::Serve,
+        }
+    }
+
+    #[test]
+    fn map_insert_replaces_in_place_and_keeps_insertion_order() {
+        let mut m = Map::new();
+        assert!(m.is_empty());
+        assert_eq!(m.insert("b".to_string(), Value::Bool(true)), None);
+        assert_eq!(m.insert("a".to_string(), Value::Null), None);
+        assert_eq!(
+            m.insert("b".to_string(), Value::Bool(false)),
+            Some(Value::Bool(true))
+        );
+        assert_eq!(m.len(), 2);
+        assert!(m.contains_key("a") && !m.contains_key("c"));
+        assert_eq!(m.keys().collect::<Vec<_>>(), ["b", "a"]);
+        assert_eq!(
+            m.values().cloned().collect::<Vec<_>>(),
+            [Value::Bool(false), Value::Null]
+        );
+        let rebuilt: Map<String, Value> = m.clone().into_iter().collect();
+        assert_eq!(rebuilt, m);
+    }
+
+    #[test]
+    fn indexing_a_missing_member_or_element_yields_null() {
+        let v: Value = from_str(r#"{"a":[10,"s"]}"#).unwrap();
+        assert_eq!(v["a"][0].as_u64(), Some(10));
+        assert_eq!(v["a"][1], "s");
+        assert!(v["a"][2].is_null());
+        assert!(v["b"].is_null());
+        assert!(v["a"]["not an object"].is_null());
+        assert!(v[0].is_null());
+        assert_eq!(v.get("b"), None);
+        assert_eq!(Value::Null.get("a"), None);
+    }
+
+    #[test]
+    fn accessors_match_only_their_own_variant() {
+        let s = Value::from("text");
+        assert!(s.is_string() && !s.is_null());
+        assert_eq!(s, "text");
+        assert_eq!(s, "text".to_string());
+        assert_eq!(s.as_bool(), None);
+        assert_eq!(s.as_f64(), None);
+        assert_eq!(Value::Bool(true).as_str(), None);
+        assert_eq!(Value::Null.as_array(), None);
+        assert_eq!(Value::Array(Vec::new()).as_object(), None);
+        assert_eq!(Value::default(), Value::Null);
+    }
+
+    #[test]
+    fn numbers_convert_only_when_exact() {
+        assert_eq!(Number::U64(7).as_u64(), Some(7));
+        assert_eq!(Number::I64(7).as_u64(), Some(7));
+        assert_eq!(Number::I64(-7).as_u64(), None);
+        assert_eq!(Number::F64(7.0).as_u64(), None);
+        assert_eq!(Number::I64(-7).as_f64(), -7.0);
+        assert_eq!(Value::Number(Number::F64(0.5)).as_f64(), Some(0.5));
+    }
+
+    #[test]
+    fn json_macro_serializes_its_expression() {
+        assert_eq!(json!(null), Value::Null);
+        assert_eq!(json!(3u8), Value::Number(Number::U64(3)));
+        assert_eq!(json!(-3i32), Value::Number(Number::I64(-3)));
+        assert_eq!(json!("s"), "s");
+        assert_eq!(json!(vec![Some(1u32), None]).to_string(), "[1,null]");
+        assert_eq!(json!(report())["mode"], "Serve");
+    }
+
+    #[test]
+    fn derived_structs_and_enums_round_trip() {
+        let text = to_string(&report()).unwrap();
+        assert_eq!(
+            text,
+            r#"{"name":"a \"b\"","hits":3,"score":null,"tags":["x",""],"mode":"Serve"}"#
+        );
+        assert_eq!(from_str::<Report>(&text).unwrap(), report());
+        let scored = Report {
+            score: Some(0.25),
+            mode: Mode::Batch,
+            ..report()
+        };
+        assert_eq!(
+            from_value::<Report>(to_value(&scored).unwrap()).unwrap(),
+            scored
+        );
+    }
+
+    #[test]
+    fn derived_structs_read_fields_in_any_order_and_ignore_unknown_ones() {
+        let text = r#"{"mode":"Batch","extra":[1],"tags":[],"score":1,"hits":0,"name":""}"#;
+        let r: Report = from_str(text).unwrap();
+        assert_eq!(r.mode, Mode::Batch);
+        assert_eq!(r.score, Some(1.0));
+        assert!(r.tags.is_empty());
+    }
+
+    #[test]
+    fn derived_impls_refuse_missing_fields_wrong_shapes_and_unknown_variants() {
+        let missing = from_str::<Report>(r#"{"name":"n","hits":1,"score":null,"tags":[]}"#);
+        assert!(missing
+            .unwrap_err()
+            .to_string()
+            .contains("missing field `mode`"));
+        let not_a_map = from_str::<Report>("[]").unwrap_err().to_string();
+        assert!(
+            not_a_map.contains("expected a map for struct Report"),
+            "{not_a_map}"
+        );
+        let variant = from_str::<Mode>(r#""Stream""#).unwrap_err().to_string();
+        assert!(variant.contains("unknown Mode variant"), "{variant}");
+        let not_a_string = from_str::<Mode>("0").unwrap_err().to_string();
+        assert!(not_a_string.contains("expected a string for enum Mode"));
+    }
+
+    #[test]
+    fn primitive_reads_check_kind_and_range() {
+        assert_eq!(from_str::<u8>("255").unwrap(), 255);
+        assert!(from_str::<u8>("256")
+            .unwrap_err()
+            .to_string()
+            .contains("out of range"));
+        assert!(from_str::<u32>("-1").is_err());
+        assert_eq!(from_str::<i8>("-128").unwrap(), -128);
+        assert!(from_str::<i64>("9223372036854775808").is_err());
+        assert!(from_str::<u64>("1.0").is_err());
+        assert_eq!(from_str::<f64>("2").unwrap(), 2.0);
+        assert!(from_str::<bool>("1")
+            .unwrap_err()
+            .to_string()
+            .contains("expected a boolean"));
+        assert!(from_str::<String>("1").is_err());
+        assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
+        assert_eq!(
+            from_str::<Vec<Option<u8>>>("[null,1]").unwrap(),
+            [None, Some(1)]
+        );
+        assert!(from_str::<Vec<u8>>("{}")
+            .unwrap_err()
+            .to_string()
+            .contains("sequence"));
+    }
+}

@@ -278,7 +278,7 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{from_str, Value};
+    use crate::{from_str, Map, Number, Value};
 
     #[test]
     fn nesting_is_capped_at_the_recursion_limit() {
@@ -291,5 +291,112 @@ mod tests {
         let object = |depth: usize| r#"{"a":"#.repeat(depth) + "1" + &"}".repeat(depth);
         assert!(from_str::<Value>(&object(127)).is_ok());
         assert!(from_str::<Value>(&object(128)).is_err());
+    }
+
+    fn number(text: &str) -> Number {
+        match from_str::<Value>(text) {
+            Ok(Value::Number(n)) => n,
+            other => panic!("{text}: {other:?}"),
+        }
+    }
+
+    fn refused(text: &str) -> String {
+        from_str::<Value>(text).expect_err(text).to_string()
+    }
+
+    #[test]
+    fn whitespace_around_tokens_is_skipped() {
+        let v: Value = from_str(" \t\r\n[ 1 ,\n{ \"a\" : true } ] \n").unwrap();
+        assert_eq!(v[0].as_u64(), Some(1));
+        assert_eq!(v[1]["a"].as_bool(), Some(true));
+    }
+
+    #[test]
+    fn trailing_characters_are_refused() {
+        for text in ["1 2", "{} {}", "null,", "[1]]", "\"a\"x"] {
+            assert!(refused(text).contains("trailing characters"), "{text}");
+        }
+    }
+
+    #[test]
+    fn literals_must_be_spelled_out() {
+        assert_eq!(from_str::<Value>("null").unwrap(), Value::Null);
+        assert_eq!(from_str::<Value>("false").unwrap(), Value::Bool(false));
+        for text in ["nul", "tru", "f", "True", "NULL", "", "   "] {
+            refused(text);
+        }
+    }
+
+    #[test]
+    fn every_short_escape_decodes() {
+        let s: String = from_str(r#""\"\\\/\b\f\n\r\t\u0041\u00e9""#).unwrap();
+        assert_eq!(s, "\"\\/\u{8}\u{c}\n\r\tA\u{e9}");
+    }
+
+    #[test]
+    fn bad_escapes_are_refused() {
+        assert!(refused(r#""\x""#).contains("invalid escape"));
+        assert!(refused(r#""\u12""#).contains("truncated"));
+        assert!(refused(r#""\u12g4""#).contains("invalid \\u escape"));
+        assert!(refused(r#""\"#).contains("unterminated escape"));
+    }
+
+    #[test]
+    fn raw_control_characters_and_open_strings_are_refused() {
+        for text in ["\"a\nb\"", "\"\u{1}\"", "\"abc", "\""] {
+            assert!(refused(text).contains("unterminated string"), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn integers_keep_their_sign_and_width() {
+        assert_eq!(number("0"), Number::U64(0));
+        assert_eq!(number("18446744073709551615"), Number::U64(u64::MAX));
+        assert_eq!(number("-1"), Number::I64(-1));
+        assert_eq!(number("-9223372036854775808"), Number::I64(i64::MIN));
+        // Past both integer widths the value is read as a float.
+        assert_eq!(
+            number("18446744073709551616"),
+            Number::F64(18446744073709551616.0)
+        );
+        assert_eq!(
+            number("-9223372036854775809"),
+            Number::F64(-9223372036854775809.0)
+        );
+    }
+
+    #[test]
+    fn fractions_and_exponents_are_floats() {
+        assert_eq!(number("1.5"), Number::F64(1.5));
+        assert_eq!(number("1e3"), Number::F64(1000.0));
+        assert_eq!(number("2E+2"), Number::F64(200.0));
+        assert_eq!(number("-25e-2"), Number::F64(-0.25));
+        let zero = number("-0.0");
+        assert!(matches!(zero, Number::F64(x) if x == 0.0 && x.is_sign_negative()));
+        for text in ["-", "1e", "1e+", "-x", "+1", ".5"] {
+            refused(text);
+        }
+    }
+
+    #[test]
+    fn unclosed_and_malformed_containers_are_refused() {
+        assert!(refused("[1 2]").contains("expected ',' or ']'"));
+        assert!(refused(r#"{"a":1 "b":2}"#).contains("expected ',' or '}'"));
+        assert!(refused(r#"{"a" 1}"#).contains("expected ':'"));
+        assert!(refused("{1:2}").contains("expected '\"'"));
+        for text in ["[", "[1,", "[1,]", "{", r#"{"a":"#, r#"{"a":1,}"#, "]", "}"] {
+            refused(text);
+        }
+    }
+
+    #[test]
+    fn empty_containers_and_repeated_keys() {
+        assert_eq!(from_str::<Value>("[ ]").unwrap(), Value::Array(Vec::new()));
+        assert_eq!(from_str::<Value>("{ }").unwrap(), Value::Object(Map::new()));
+        // A repeated key keeps its first position and its last value.
+        let v: Value = from_str(r#"{"a":1,"b":2,"a":3}"#).unwrap();
+        let keys: Vec<&String> = v.as_object().unwrap().keys().collect();
+        assert_eq!(keys, ["a", "b"]);
+        assert_eq!(v["a"].as_u64(), Some(3));
     }
 }

@@ -86,11 +86,13 @@ fn write_number(n: Number, out: &mut String) {
         Number::U64(v) => out.push_str(&v.to_string()),
         Number::I64(v) => out.push_str(&v.to_string()),
         Number::F64(v) if v.is_finite() => {
-            // Like real serde_json, integral floats keep a ".0".
-            if v == v.trunc() && v.abs() < 1e15 {
-                out.push_str(&format!("{v:.1}"));
-            } else {
-                out.push_str(&v.to_string());
+            // Like real serde_json, integral floats keep a ".0", so they
+            // read back as floats, not integers. `Display` never writes
+            // an exponent, so a float without '.' is integral.
+            let text = v.to_string();
+            out.push_str(&text);
+            if !text.contains('.') {
+                out.push_str(".0");
             }
         }
         // Real serde_json refuses non-finite floats; emitting null keeps
@@ -230,5 +232,81 @@ impl SerializeStruct for MapBuilder {
     }
     fn end(self) -> Result<Value, Error> {
         Ok(Value::Object(self.map))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{from_str, to_string, to_string_pretty, Map, Number, Value};
+
+    fn nested() -> Value {
+        let mut inner = Map::new();
+        inner.insert(
+            "k".to_string(),
+            Value::Array(vec![Value::Null, Value::Bool(true)]),
+        );
+        inner.insert("e".to_string(), Value::Array(Vec::new()));
+        inner.insert("o".to_string(), Value::Object(Map::new()));
+        Value::Array(vec![Value::Object(inner), Value::from("s")])
+    }
+
+    #[test]
+    fn compact_output_has_no_whitespace() {
+        assert_eq!(
+            to_string(&nested()).unwrap(),
+            r#"[{"k":[null,true],"e":[],"o":{}},"s"]"#
+        );
+        assert_eq!(nested().to_string(), to_string(&nested()).unwrap());
+    }
+
+    #[test]
+    fn pretty_output_indents_two_spaces_per_level() {
+        let want = "[\n  {\n    \"k\": [\n      null,\n      true\n    ],\n    \"e\": [],\n    \"o\": {}\n  },\n  \"s\"\n]";
+        let text = to_string_pretty(&nested()).unwrap();
+        assert_eq!(text, want);
+        assert_eq!(from_str::<Value>(&text).unwrap(), nested());
+        assert_eq!(to_string_pretty(&Value::Null).unwrap(), "null");
+    }
+
+    #[test]
+    fn floats_keep_a_fraction_and_non_finite_ones_become_null() {
+        let write = |x: f64| to_string(&Value::Number(Number::F64(x))).unwrap();
+        assert_eq!(write(1.0), "1.0");
+        assert_eq!(write(-0.0), "-0.0");
+        assert_eq!(write(0.1), "0.1");
+        assert_eq!(write(1e20), "100000000000000000000.0");
+        assert_eq!(write(f64::NAN), "null");
+        assert_eq!(write(f64::INFINITY), "null");
+        assert_eq!(write(f64::NEG_INFINITY), "null");
+        assert_eq!(
+            to_string(&f32::MAX).unwrap(),
+            to_string(&f64::from(f32::MAX)).unwrap()
+        );
+    }
+
+    #[test]
+    fn object_keys_are_escaped_like_strings() {
+        let mut m = Map::new();
+        m.insert("a\"b\\c\n\u{7}".to_string(), Value::Null);
+        let text = to_string(&Value::Object(m.clone())).unwrap();
+        assert_eq!(text, r#"{"a\"b\\c\n\u0007":null}"#);
+        assert_eq!(from_str::<Value>(&text).unwrap(), Value::Object(m));
+    }
+
+    #[test]
+    fn non_negative_signed_integers_are_written_as_unsigned() {
+        assert_eq!(
+            crate::to_value(&5i64).unwrap(),
+            Value::Number(Number::U64(5))
+        );
+        assert_eq!(
+            crate::to_value(&-5i64).unwrap(),
+            Value::Number(Number::I64(-5))
+        );
+        assert_eq!(
+            to_string(&[i64::MIN, 0, i64::MAX]).unwrap(),
+            "[-9223372036854775808,0,9223372036854775807]"
+        );
+        assert_eq!(to_string(&()).unwrap(), "null");
     }
 }

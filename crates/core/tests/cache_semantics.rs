@@ -159,6 +159,7 @@ proptest! {
     /// Any interleaving of tasks through a thrashing cached engine
     /// (capacity 1 — every insert is an eviction somewhere) equals the
     /// never-cached reference, result for result.
+    #[test]
     fn cached_engine_equals_never_cached_reference(
         seq in proptest::collection::vec(0usize..7, 1..16),
     ) {
@@ -180,6 +181,7 @@ proptest! {
     /// keywords, rotated gold) — where a respelled repeat may be served
     /// from an entry its differently-spelled predecessor filled — still
     /// equals the never-cached reference run of each exact request.
+    #[test]
     fn normalized_keys_equal_never_cached_reference(
         seq in proptest::collection::vec((0usize..7, 0usize..5), 1..12),
     ) {
@@ -372,6 +374,7 @@ proptest! {
     /// brand-new engine, and the re-run equals the never-cached
     /// reference result for result — while the reload demonstrably
     /// serves the base-feature tier from disk (hits, zero corruption).
+    #[test]
     fn persisted_reload_equals_never_cached_reference(
         seq in proptest::collection::vec(0usize..7, 1..12),
     ) {

@@ -16,11 +16,7 @@
 
 use std::collections::HashMap;
 
-use crate::smallvec::SmallVec;
 use crate::tokens::{for_each_token_range, Token};
-
-/// Interned token-id list for one string; inline up to 8 tokens.
-pub(crate) type IdVec = SmallVec<u32, 8>;
 
 /// Interns token strings to dense `u32` ids.
 ///
@@ -29,10 +25,10 @@ pub(crate) type IdVec = SmallVec<u32, 8>;
 /// ```
 /// use webqa_metrics::{tokenize, TokenInterner};
 /// let mut interner = TokenInterner::new();
-/// let a = interner.tokenize_ids("Jane Doe");
-/// let b = interner.tokenize_ids("doe, jane!");
-/// assert_eq!(a.as_slice(), &[0, 1]);
-/// assert_eq!(b.as_slice(), &[1, 0]);
+/// let mut ids = Vec::new();
+/// interner.tokenize_ids("Jane Doe", &mut ids);
+/// interner.tokenize_ids("doe, jane!", &mut ids);
+/// assert_eq!(ids, vec![0, 1, 1, 0]);
 /// // Same ids as interning the Token values produced by `tokenize`.
 /// let toks = tokenize("JANE doe");
 /// let ids: Vec<u32> = toks.iter().map(|t| interner.intern(t)).collect();
@@ -68,11 +64,10 @@ impl TokenInterner {
         id
     }
 
-    /// Tokenizes `text` with the scoring tokenizer and returns the
-    /// interned id of each token, in order. Allocation-free for ASCII
-    /// text whose tokens are already interned.
-    pub fn tokenize_ids(&mut self, text: &str) -> IdVec {
-        let mut out = IdVec::new();
+    /// Tokenizes `text` with the scoring tokenizer and appends the
+    /// interned id of each token to `out`, in order. Allocation-free for
+    /// ASCII text whose tokens are already interned, once `out` has room.
+    pub fn tokenize_ids(&mut self, text: &str, out: &mut Vec<u32>) {
         self.chars.clear();
         self.chars.extend(text.chars());
         // `for_each_token_range` borrows the scratch chars; move them out
@@ -102,7 +97,6 @@ impl TokenInterner {
             out.push(id);
         });
         self.chars = chars;
-        out
     }
 }
 
@@ -203,7 +197,8 @@ mod tests {
             .map(|t| interner.intern(t))
             .collect();
         let gold = IdBag::from_ids(gold_ids);
-        let pred = interner.tokenize_ids(pred_text);
+        let mut pred = Vec::new();
+        interner.tokenize_ids(pred_text, &mut pred);
         let mut ov = BagOverlap::default();
         ov.begin(&gold);
         let matched = pred.iter().filter(|&&id| ov.consume(&gold, id)).count();
@@ -240,20 +235,22 @@ mod tests {
             "  (),;:!?  ",
             "",
         ] {
-            let ids = interner.tokenize_ids(text);
+            let mut ids = Vec::new();
+            interner.tokenize_ids(text, &mut ids);
             let toks = tokenize(text);
             assert_eq!(ids.len(), toks.len(), "{text:?}");
             let expect: Vec<u32> = toks.iter().map(|t| interner.intern(t)).collect();
-            assert_eq!(ids.as_slice(), expect.as_slice(), "{text:?}");
+            assert_eq!(ids, expect, "{text:?}");
         }
     }
 
     #[test]
     fn interner_is_stable_across_calls() {
         let mut interner = TokenInterner::new();
-        let a = interner.tokenize_ids("students");
-        let b = interner.tokenize_ids("STUDENTS students");
-        assert_eq!(b.as_slice(), &[a[0], a[0]]);
+        let mut ids = Vec::new();
+        interner.tokenize_ids("students", &mut ids);
+        interner.tokenize_ids("STUDENTS students", &mut ids);
+        assert_eq!(ids, [ids[0]; 3]);
         assert_eq!(interner.len(), 1);
     }
 

@@ -17,8 +17,7 @@
 //!   [`hamming_tokens`] its definitional forms;
 //! * [`TokenInterner`] / [`IdBag`] / [`BagOverlap`] — interned token ids
 //!   and the allocation-free multiset-overlap kernels the synthesizer's
-//!   hot path scores with (plus [`SmallVec`], their inline-capacity bag
-//!   storage);
+//!   hot path scores with;
 //! * [`stats`] — mean / variance / Welch t-test.
 //!
 //! ```
@@ -33,12 +32,10 @@
 mod hamming;
 mod intern;
 mod score;
-mod smallvec;
 pub mod stats;
 mod tokens;
 
 pub use hamming::{hamming_sorted_tokens, hamming_strings, hamming_tokens};
 pub use intern::{BagOverlap, IdBag, TokenInterner};
 pub use score::{score_strings, Counts, Score};
-pub use smallvec::SmallVec;
 pub use tokens::{tokenize, tokenize_all, Token};

@@ -44,9 +44,31 @@
 //! The error kinds are the variants of `ErrKind`, whose docs say when
 //! each is sent. Errors are responses like any other — the engine and
 //! the connection remain fully usable afterwards (except `oversized`,
-//! which closes).
+//! which closes). Over HTTP, an `ok` response is 200 and an error
+//! carries its kind's status:
+//!
+//! | Error kind | HTTP status |
+//! |---|---|
+//! | `bad-frame` | 400 |
+//! | `oversized` | 413 |
+//! | `bad-request` | 400 |
+//! | `unknown-op` | 404 |
+//! | `page` | 422 |
+//! | `unknown-page` | 404 |
+//! | `overloaded` | 503 |
+//! | `deadline-exceeded` | 504 |
+//! | `internal` | 500 |
 //!
 //! # Operations
+//!
+//! | Op | HTTP method | HTTP route |
+//! |---|---|---|
+//! | `ping` | `GET` | `/v1/ping` |
+//! | `intern` | `POST` | `/v1/intern` |
+//! | `run` | `POST` | `/v1/run` |
+//! | `run_batch` | `POST` | `/v1/run_batch` |
+//! | `check` | `POST` | `/v1/check` |
+//! | `stats` | `GET` | `/v1/stats` |
 //!
 //! `ping` answers `{"pong":true}`.
 //!
@@ -532,6 +554,39 @@ mod tests {
             Response::new(Value::Null, Ok(Value::Bool(true))).http_status(),
             200
         );
+    }
+
+    /// The module doc's two tables spell out exactly what `ErrKind` and
+    /// `OPS` define, row for row.
+    #[test]
+    fn module_doc_tables_match_the_wire_vocabulary() {
+        let doc: String = include_str!("protocol.rs")
+            .lines()
+            .take_while(|line| line.starts_with("//!"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let kinds = [
+            ErrKind::BadFrame,
+            ErrKind::Oversized,
+            ErrKind::BadRequest,
+            ErrKind::UnknownOp,
+            ErrKind::Page,
+            ErrKind::UnknownPage,
+            ErrKind::Overloaded,
+            ErrKind::DeadlineExceeded,
+            ErrKind::Internal,
+        ];
+        let kind_rows = kinds.map(|k| format!("| `{}` | {} |", k.as_str(), k.http_status()));
+        let op_rows = OPS.map(|op| format!("| `{}` | `{}` | `{}` |", op.name, op.method, op.path));
+        for row in kind_rows.iter().chain(&op_rows) {
+            assert!(
+                doc.contains(&format!("//! {row}\n")),
+                "module doc lacks {row}"
+            );
+        }
+        // One row per kind and per op, and no stale extras.
+        let rows = doc.lines().filter(|l| l.starts_with("//! | `")).count();
+        assert_eq!(rows, kind_rows.len() + op_rows.len());
     }
 
     #[test]

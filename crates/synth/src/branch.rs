@@ -22,10 +22,10 @@ pub(crate) type GuardOptions = Arc<ExtractorSynthesis>;
 /// The task-level extractor memo: every `SynthesizeExtractors` result of
 /// one task, keyed by E⁺ (the positive example indices) and then by the
 /// node sets the guard's locator propagates to on each positive. That
-/// pair is the whole input of [`synthesize_extractors`] at bound `0.0`,
-/// so a hit is exactly the result a fresh search would return. E⁺ must
-/// be part of the key: node ids are per page, so the same node sets
-/// over different examples are different problems.
+/// pair is the whole input of [`synthesize_extractors`], so a hit is
+/// exactly the result a fresh search would return. E⁺ must be part of
+/// the key: node ids are per page, so the same node sets over different
+/// examples are different problems.
 pub(crate) type ExtractorMemo = HashMap<Vec<usize>, HashMap<Vec<Vec<PageNodeId>>, GuardOptions>>;
 
 /// All optimal branch programs for one (E⁺, E⁻) problem, represented as
@@ -164,7 +164,6 @@ pub(crate) fn synthesize_branch(
                         task,
                         &mut scorer,
                         &nodes,
-                        0.0,
                         stats,
                     ))),
                     Some(_) if task.cfg.prune && ub().upper_bound() + F1_EPS < opt => None,
@@ -217,7 +216,7 @@ fn memoized_extractors(
         stats.extractor_memo_hits += 1;
         return s.clone();
     }
-    let s = Arc::new(synthesize_extractors(task, scorer, nodes, 0.0, stats));
+    let s = Arc::new(synthesize_extractors(task, scorer, nodes, stats));
     by_nodes.insert(nodes.to_vec(), s.clone());
     s
 }

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use webqa_dsl::{PageNodeId, PageTree, Program, QueryContext};
-use webqa_metrics::{tokenize, tokenize_all, Counts, SmallVec, Token};
+use webqa_metrics::{tokenize, tokenize_all, Counts, Token};
 
 /// One labeled webpage: the parsed page plus the gold extraction strings.
 ///
@@ -137,19 +137,21 @@ impl Example {
     /// extractor running below the locator because extractors only ever
     /// see located-node text.
     ///
-    /// Runs on the dense-id kernel; agrees with
-    /// [`ceiling_counts_reference`](Example::ceiling_counts_reference) on
-    /// every input (tested, and proven end-to-end by the parity suite).
-    pub fn ceiling_counts(&self, nodes: &[PageNodeId]) -> Counts {
-        let mut remaining: SmallVec<u32, 32> = self.gold_distinct.iter().copied().collect();
+    /// Runs on the dense-id kernel, counting gold multiplicities down in
+    /// `remaining` (a caller-owned scratch buffer, overwritten); agrees
+    /// with [`ceiling_counts_reference`](Example::ceiling_counts_reference)
+    /// on every input (tested, and proven end-to-end by the parity suite).
+    pub fn ceiling_counts(&self, nodes: &[PageNodeId], remaining: &mut Vec<u32>) -> Counts {
+        remaining.clear();
+        remaining.extend_from_slice(&self.gold_distinct);
         if nodes.windows(2).all(|w| w[0] <= w[1]) {
             // Hot path: locator evaluation always yields sorted, deduped
             // node lists; read them in place.
-            self.ceiling_sorted(nodes.iter().map(|n| n.index()), remaining.as_mut_slice())
+            self.ceiling_sorted(nodes.iter().map(|n| n.index()), remaining)
         } else {
             let mut sorted: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
             sorted.sort_unstable();
-            self.ceiling_sorted(sorted.into_iter(), remaining.as_mut_slice())
+            self.ceiling_sorted(sorted.into_iter(), remaining)
         }
     }
 
@@ -218,7 +220,7 @@ impl Example {
     /// [`Example::ceiling_counts`] for the nodes a locator selects.
     #[cfg(test)]
     fn locator_ceiling(&self, ctx: &QueryContext, locator: &webqa_dsl::Locator) -> Counts {
-        self.ceiling_counts(&locator.eval(ctx, &self.page))
+        self.ceiling_counts(&locator.eval(ctx, &self.page), &mut Vec::new())
     }
 
     /// Exclusive end of node `n`'s pre-order subtree range: the ids
@@ -376,7 +378,7 @@ mod tests {
             Locator::Children(Box::new(Locator::Root), NodeFilter::True),
         ] {
             let nodes = loc.eval(&ctx, &ex.page);
-            let fast = ex.ceiling_counts(&nodes);
+            let fast = ex.ceiling_counts(&nodes, &mut Vec::new());
             // Slow path: re-tokenize subtree text of the covering set.
             let cover = covering_set(&ex.page, &nodes);
             let mut toks = Vec::new();
@@ -396,6 +398,7 @@ mod tests {
             vec!["Jane Doe".into(), "Bob Smith".into(), "noise".into()],
         );
         let n = ex.page.len();
+        let mut scratch = Vec::new();
         // Every subset of a small page — unsorted and duplicated too.
         for mask in 0u32..(1 << n) {
             let mut nodes: Vec<PageNodeId> = (0..n)
@@ -403,13 +406,13 @@ mod tests {
                 .map(PageNodeId)
                 .collect();
             assert_eq!(
-                ex.ceiling_counts(&nodes),
+                ex.ceiling_counts(&nodes, &mut scratch),
                 ex.ceiling_counts_reference(&nodes),
                 "sorted mask {mask:b}"
             );
             nodes.reverse();
             assert_eq!(
-                ex.ceiling_counts(&nodes),
+                ex.ceiling_counts(&nodes, &mut scratch),
                 ex.ceiling_counts_reference(&nodes),
                 "reversed mask {mask:b}"
             );
@@ -417,11 +420,35 @@ mod tests {
             // surviving node, so both kernels must double count them.
             let doubled: Vec<PageNodeId> = nodes.iter().flat_map(|&n| [n, n]).collect();
             assert_eq!(
-                ex.ceiling_counts(&doubled),
+                ex.ceiling_counts(&doubled, &mut scratch),
                 ex.ceiling_counts_reference(&doubled),
                 "duplicated mask {mask:b}"
             );
         }
+    }
+
+    #[test]
+    fn one_scratch_buffer_serves_examples_of_any_gold_size() {
+        // The guard enumerator reuses one buffer across examples; what an
+        // earlier call left in it, longer or shorter, must not leak.
+        let big = Example::new(
+            page(),
+            vec!["Jane Doe".into(), "Bob Smith".into(), "noise text".into()],
+        );
+        let small = Example::new(page(), vec!["Bob".into()]);
+        let none = Example::new(page(), vec![]);
+        let all: Vec<PageNodeId> = big.page.iter().collect();
+        let mut scratch = vec![u32::MAX; 64];
+        for _ in 0..2 {
+            for ex in [&big, &small, &none, &big] {
+                assert_eq!(
+                    ex.ceiling_counts(&all, &mut scratch),
+                    ex.ceiling_counts_reference(&all)
+                );
+                assert_eq!(scratch.len(), ex.gold_distinct.len());
+            }
+        }
+        assert_eq!(none.ceiling_counts(&all, &mut scratch).matched, 0);
     }
 
     #[test]

@@ -36,8 +36,8 @@ use webqa_metrics::Counts;
 use crate::scorer::{behaviour_key, FxBuild, Scorer, StepOp, TaskCtx};
 use crate::stats::SynthStats;
 
-/// Result of extractor synthesis: all extractors achieving the optimal F₁
-/// (that is ≥ the incoming lower bound), plus that score.
+/// Result of extractor synthesis: all extractors achieving the optimal
+/// positive F₁, plus that score.
 ///
 /// Extractors are *grouped by their token-count vector*: two extractors can
 /// have the same F₁ on a branch's examples but different `(matched,
@@ -48,15 +48,15 @@ use crate::stats::SynthStats;
 /// reported optimum.
 #[derive(Debug, Clone)]
 pub(crate) struct ExtractorSynthesis {
-    /// Optimal extractors grouped by their counts (empty when nothing
-    /// beats the lower bound). Every group's `counts.f1()` equals `f1`.
+    /// Optimal extractors grouped by their counts (empty when no
+    /// extractor scores above 0). Every group's `counts.f1()` equals `f1`.
     pub groups: Vec<(Counts, Vec<Extractor>)>,
     /// The optimal F₁ achieved.
     pub f1: f64,
 }
 
 impl ExtractorSynthesis {
-    /// True when no extractor met the lower bound.
+    /// True when no extractor scored above 0.
     pub(crate) fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
@@ -95,28 +95,18 @@ struct Cand {
 }
 
 /// Figure 9: returns all extractors (up to the configured depth) whose F₁
-/// on the propagated examples is maximal and at least `opt`.
-///
-/// The result is a function of E⁺ (through the scorer's gold) and
-/// `nodes` only at `opt = 0.0`, which is what every caller passes and
-/// what the task-level extractor memo relies on. At a higher `opt` the
-/// optimal set can differ: the behavioural-duplicate branch below only
-/// accepts ties with the running best, so a duplicate scored before its
-/// queued representative, while it beats the running best, is dropped —
-/// yet at a bound equal to the final optimum the same duplicate ties and
-/// is kept. On the 25 corpus tasks, passing each branch's running optimum
-/// as the bound grows the optimal program sets (and the selection's
-/// input with them), so the two are not interchangeable.
+/// on the propagated examples is maximal and positive. The result is a
+/// function of E⁺ (through the scorer's gold) and `nodes` only, which the
+/// task-level extractor memo relies on.
 pub(crate) fn synthesize_extractors(
     task: &TaskCtx,
     scorer: &mut Scorer,
     nodes: &[Vec<PageNodeId>],
-    opt: f64,
     stats: &mut SynthStats,
 ) -> ExtractorSynthesis {
     debug_assert_eq!(scorer.len(), nodes.len());
     let mut best: Vec<(Counts, Vec<Extractor>)> = Vec::new();
-    let mut best_f1 = opt;
+    let mut best_f1 = 0.0;
 
     // Seed: ExtractContent(x) and its outputs.
     let seed_outputs = scorer.seed_outputs(nodes);
@@ -144,9 +134,8 @@ pub(crate) fn synthesize_extractors(
     // transformers — scores F₁ = 0 and can never join the optimal set
     // (ties require a positive score). Gated on `gold_total > 0`: with
     // no gold tokens the empty output scores a vacuous perfect F₁ and
-    // must stay enumerable. Also gated on `opt ≥ 0` so a zero score can
-    // never beat the running optimum.
-    let analyze = task.analysis.enabled && opt >= 0.0 && scorer.gold_total() > 0;
+    // must stay enumerable.
+    let analyze = task.analysis.enabled && scorer.gold_total() > 0;
 
     while let Some(cand) = worklist.pop_front() {
         stats.extractors_enumerated += 1;
@@ -193,7 +182,9 @@ pub(crate) fn synthesize_extractors(
                 continue;
             }
             if !seen_outputs.insert(behaviour_key(&child_outputs)) {
-                // Score the behavioral duplicate, but do not expand it.
+                // Score the behavioral duplicate, but do not expand it. Only
+                // a tie is kept: see ROADMAP "Extractor search drops optimal
+                // behavioural duplicates".
                 let dup_counts = scorer.counts_dedup(&child_outputs);
                 let s = dup_counts.f1();
                 stats.extractors_enumerated += 1;
@@ -259,14 +250,13 @@ mod tests {
         ctx: &QueryContext,
         examples: &[Example],
         nodes: &[Vec<PageNodeId>],
-        opt: f64,
         stats: &mut SynthStats,
     ) -> ExtractorSynthesis {
         let task = TaskCtx::new(cfg, ctx, examples);
         let pos: Vec<usize> = (0..examples.len()).collect();
         let mut table = StringTable::new(&task);
         let mut scorer = Scorer::new(&task, &mut table, &pos);
-        synthesize_extractors(&task, &mut scorer, nodes, opt, stats)
+        synthesize_extractors(&task, &mut scorer, nodes, stats)
     }
 
     /// Order-preserving per-example deduplication — the set semantics a
@@ -290,7 +280,7 @@ mod tests {
         let (ctx, examples, nodes) = setup();
         let cfg = SynthConfig::fast();
         let mut stats = SynthStats::default();
-        let res = run(&cfg, &ctx, &examples, &nodes, 0.0, &mut stats);
+        let res = run(&cfg, &ctx, &examples, &nodes, &mut stats);
         assert!(res.f1 > 0.99, "expected perfect extraction, got {}", res.f1);
         // The optimal set must contain a split-then-filter program.
         let extractors = res.extractors();
@@ -309,20 +299,12 @@ mod tests {
         let (ctx, examples, nodes) = setup();
         let mut s_on = SynthStats::default();
         let mut s_off = SynthStats::default();
-        let on = run(
-            &SynthConfig::fast(),
-            &ctx,
-            &examples,
-            &nodes,
-            0.0,
-            &mut s_on,
-        );
+        let on = run(&SynthConfig::fast(), &ctx, &examples, &nodes, &mut s_on);
         let off = run(
             &SynthConfig::fast().without_pruning(),
             &ctx,
             &examples,
             &nodes,
-            0.0,
             &mut s_off,
         );
         assert!((on.f1 - off.f1).abs() < 1e-9);
@@ -343,20 +325,12 @@ mod tests {
         let (ctx, examples, nodes) = setup();
         let mut s_fast = SynthStats::default();
         let mut s_ref = SynthStats::default();
-        let fast = run(
-            &SynthConfig::fast(),
-            &ctx,
-            &examples,
-            &nodes,
-            0.0,
-            &mut s_fast,
-        );
+        let fast = run(&SynthConfig::fast(), &ctx, &examples, &nodes, &mut s_fast);
         let slow = run(
             &SynthConfig::reference(),
             &ctx,
             &examples,
             &nodes,
-            0.0,
             &mut s_ref,
         );
         assert_eq!(fast.f1, slow.f1);
@@ -369,27 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn respects_lower_bound() {
-        let (ctx, examples, nodes) = setup();
-        let mut stats = SynthStats::default();
-        // A lower bound of 1.1 is unbeatable: nothing is returned.
-        let res = run(
-            &SynthConfig::fast(),
-            &ctx,
-            &examples,
-            &nodes,
-            1.1,
-            &mut stats,
-        );
-        assert!(res.is_empty());
-    }
-
-    #[test]
     fn incremental_outputs_match_direct_evaluation() {
         let (ctx, examples, nodes) = setup();
         let cfg = SynthConfig::fast();
         let mut stats = SynthStats::default();
-        let res = run(&cfg, &ctx, &examples, &nodes, 0.0, &mut stats);
+        let res = run(&cfg, &ctx, &examples, &nodes, &mut stats);
         for e in res.extractors().iter().take(10) {
             let direct: Vec<Vec<String>> = examples
                 .iter()
@@ -408,7 +366,7 @@ mod tests {
     fn empty_examples_degenerate() {
         let ctx = QueryContext::new("q?", ["k"]);
         let mut stats = SynthStats::default();
-        let res = run(&SynthConfig::fast(), &ctx, &[], &[], 0.0, &mut stats);
+        let res = run(&SynthConfig::fast(), &ctx, &[], &[], &mut stats);
         // No examples: Content scores F1=1.0 on the empty set (vacuous).
         assert!(res.f1 >= 0.0);
     }

@@ -73,10 +73,14 @@ pub(crate) struct GuardEnumerator<'a> {
     pending: VecDeque<GuardSpec>,
     current: Option<usize>,
     yielded: usize,
+    /// The ceiling kernel's gold-multiplicity buffer, reused by every
+    /// entry's recall ceiling.
+    scratch: Vec<u32>,
 }
 
 impl<'a> GuardEnumerator<'a> {
     pub(crate) fn new(task: &'a TaskCtx<'a>, pos: &'a [usize], neg: &'a [usize]) -> Self {
+        let mut scratch = Vec::new();
         let root = Entry {
             locator: Locator::Root,
             pos_nodes: pos
@@ -94,7 +98,7 @@ impl<'a> GuardEnumerator<'a> {
                 pos.iter()
                     .map(|&i| {
                         let ex = &task.examples[i];
-                        ceiling(task, ex, &[ex.page.root()])
+                        ceiling(task, ex, &[ex.page.root()], &mut scratch)
                     })
                     .sum()
             } else {
@@ -130,6 +134,7 @@ impl<'a> GuardEnumerator<'a> {
             pending: VecDeque::new(),
             current: None,
             yielded: 0,
+            scratch,
         }
     }
 
@@ -281,7 +286,9 @@ impl<'a> GuardEnumerator<'a> {
                     self.pos
                         .iter()
                         .zip(&pos_nodes)
-                        .map(|(&i, nodes)| ceiling(self.task, &self.task.examples[i], nodes))
+                        .map(|(&i, nodes)| {
+                            ceiling(self.task, &self.task.examples[i], nodes, &mut self.scratch)
+                        })
                         .sum()
                 } else {
                     Counts::default()
@@ -366,12 +373,13 @@ impl<'a> GuardEnumerator<'a> {
     }
 }
 
-/// The ceiling kernel selected by the config's kernel mode.
-fn ceiling(task: &TaskCtx, ex: &Example, nodes: &[PageNodeId]) -> Counts {
+/// The ceiling kernel selected by the config's kernel mode; the dense
+/// kernel counts down in `scratch`.
+fn ceiling(task: &TaskCtx, ex: &Example, nodes: &[PageNodeId], scratch: &mut Vec<u32>) -> Counts {
     if task.cfg.reference_kernels {
         ex.ceiling_counts_reference(nodes)
     } else {
-        ex.ceiling_counts(nodes)
+        ex.ceiling_counts(nodes, scratch)
     }
 }
 
@@ -660,7 +668,7 @@ mod tests {
             let recomputed: Counts = en
                 .entry_nodes(eid)
                 .iter()
-                .map(|nodes| examples[0].ceiling_counts(nodes))
+                .map(|nodes| examples[0].ceiling_counts(nodes, &mut Vec::new()))
                 .sum();
             assert_eq!(en.entry_ub(eid), recomputed);
             // The stored nodes equal a fresh propagation of the locator.

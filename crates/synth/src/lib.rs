@@ -20,47 +20,23 @@
 //!
 //! ## Hot-path architecture
 //!
-//! The enumerative search scores hundreds of thousands of candidate
-//! terms per task; the implementation keeps that affordable with five
-//! semantics-free layers ([`SynthConfig::reference`] swaps in the
-//! original definitional kernels, and keeps only the memos so that both
-//! paths make the same decisions — `tests/synth_parity.rs` proves the two
-//! paths observationally identical, statistics included, on the full
-//! corpus):
+//! Five semantics-free layers keep the enumerative search affordable;
+//! [`SynthConfig::reference`] swaps in the definitional kernels, and
+//! `tests/synth_parity.rs` proves both paths observationally identical,
+//! statistics included, on the full corpus. One line each, with the
+//! detail in the module named:
 //!
-//! * **String table** (`scorer` module): every string the extractor
-//!   search sees gets a dense `u32` id, once per task. Equal content is an
-//!   equal id, so candidate outputs are id lists, set-semantics dedup
-//!   and behavioural equivalence compare integers, and the search keys
-//!   behaviours on the exact id sequence. The table also holds each
-//!   string's token ids, the output ids of every (production step,
-//!   string) pair in one flat arena, and the `Content` seed id of every
-//!   (example, node) — each computed once however many branches reach it.
-//! * **Interned scoring**: gold bags are interned into the table's
-//!   token space (`webqa_metrics::TokenInterner`), and F₁ counts are
-//!   multiset overlaps over small integer bags indexed by string id — no
-//!   tokenization or string hashing per candidate. The `UB = 2R/(1+R)`
-//!   ceiling (Eq. 3) runs on per-node dense gold-id bags precomputed in
-//!   [`Example`].
-//! * **Task-level mask tables**: every `NodeFilter` in the pool is
-//!   evaluated once per (example, node) — via a single neural-feature
-//!   pass per node text — and the `[example][filter][node]` mask table
-//!   is shared by every branch problem of the task, instead of being
-//!   recomputed per `SynthesizeBranch` call.
-//! * **Two-level extractor memo**: the guard enumerator keeps its
-//!   locator entries (with their propagated node sets and recall
-//!   ceilings) in an arena and yields `(guard, entry id)`. The footnote 6
-//!   memo is a dense vector over those ids, so a repeated locator costs
-//!   one index — no locator cloning/hashing, no node re-propagation. Its
-//!   misses go to a task-level memo keyed by (E⁺, propagated node sets),
-//!   shared by every branch problem of the task: different locators
-//!   often select the same nodes, and different partition blocks share
-//!   E⁺, so each distinct extractor problem is searched once per task.
-//!   Both hold `Arc`-shared results — no group deep-copies.
-//! * **Step-wise extractor enumeration**: children are generated as
-//!   production steps applied to the parent's output ids; the UB prune
-//!   fires *before* the child AST is built, so dominated candidates
-//!   never materialize.
+//! * **String table** (`scorer`): every string the extractor search
+//!   sees gets a dense `u32` id once per task, with its token ids and
+//!   its production-step outputs.
+//! * **Interned scoring** (`scorer`, [`Example`]): F₁ counts and the
+//!   `UB = 2R/(1+R)` ceiling (Eq. 3) are overlaps of small integer bags.
+//! * **Feature and mask tables** (`scorer`): one `[filter][node]` table
+//!   per example, borrowed from the caller or built once per task.
+//! * **Two-level extractor memo** (`branch`, `guards`): per locator entry,
+//!   then per (E⁺, propagated node sets) across the task.
+//! * **Step-wise extractor enumeration** (`extractors`): the UB prune
+//!   fires before a child AST is built.
 //!
 //! The search can be abandoned cooperatively: [`synthesize_cancellable`]
 //! threads a [`CancelToken`] (explicit cancel, wall-clock deadline, or

@@ -102,7 +102,7 @@ fn kind_bit(kind: EntityKind) -> u8 {
 
 /// Computes the features of one string. `want_answer` mirrors
 /// `QueryContext::has_answer`'s empty-question short-circuit. The
-/// production path builds rows via [`PageFeatures::compute_over_base`]
+/// production path builds rows via [`PageFeatures::compute_with_base`]
 /// (query layer over a [`PageBaseFeatures`] base); this definitional
 /// one-shot form remains as the test oracle for feature↔pred agreement.
 #[cfg(test)]
@@ -170,14 +170,9 @@ fn filter_holds(
 /// A table is a pure function of `(config, query context, page)`:
 /// computing it once and reusing it across `synthesize` calls (what
 /// `webqa::Engine`'s cross-request query tier does) is observationally
-/// invisible — the search reads identical bytes either way. Tables are
-/// *shape*-checked on use: a table whose node or
-/// filter counts don't match falls back to a fresh computation. The
-/// shape check cannot detect a table built for a *different page of the
-/// same size* under the same config — callers are responsible for keying
-/// stored tables by page content and query identity under one fixed
-/// config, as `webqa::Engine`'s query tier does (its caches belong to one
-/// engine, whose config never changes).
+/// invisible — the search reads identical bytes either way. Callers that
+/// store tables key them by page content and query under one fixed
+/// config, as the engine's query tier does.
 #[derive(Debug)]
 pub struct PageFeatures {
     /// Per-node own-text features (guard classification reads these).
@@ -195,53 +190,27 @@ impl PageFeatures {
         ctx: &QueryContext,
         page: &webqa_dsl::PageTree,
     ) -> PageFeatures {
-        Self::compute_over(&node_filters(cfg, ctx), ctx, page)
+        Self::compute_with_base(cfg, ctx, page, &PageBaseFeatures::compute(ctx, page))
     }
 
     /// The page's table under one `(config, context)` pool, reusing a
     /// precomputed query-independent [`PageBaseFeatures`] table — only the
     /// keyword/answerability layer is recomputed; the NER entity bits and
     /// leaf/elem masks come from `base`. Byte-identical to a fresh
-    /// computation whenever
-    /// `base` was computed for the same page under the same neural
-    /// modules ([`PageBaseFeatures::compute`] documents that contract);
-    /// a `base` whose node count doesn't match the page falls back to a
-    /// fresh computation.
+    /// computation whenever `base` was computed for the same page under
+    /// the same neural modules ([`PageBaseFeatures::compute`] documents
+    /// that contract).
+    ///
+    /// # Panics
+    ///
+    /// If `base` does not cover exactly the page's nodes.
     pub fn compute_with_base(
         cfg: &crate::config::SynthConfig,
         ctx: &QueryContext,
         page: &webqa_dsl::PageTree,
         base: &PageBaseFeatures,
     ) -> PageFeatures {
-        Self::compute_over_base(&node_filters(cfg, ctx), ctx, page, base)
-    }
-
-    /// [`PageFeatures::compute`] against an already-built filter pool
-    /// (the internal path — avoids re-deriving the pool per example).
-    pub(crate) fn compute_over(
-        filters: &[NodeFilter],
-        ctx: &QueryContext,
-        page: &webqa_dsl::PageTree,
-    ) -> PageFeatures {
-        Self::compute_over_base(filters, ctx, page, &PageBaseFeatures::compute(ctx, page))
-    }
-
-    /// The shared lower half of `compute_over` / `compute_with_base`:
-    /// layers the query-dependent features (keyword scores, QA
-    /// answerability) over a query-independent base, then evaluates the
-    /// filter pool against the combined per-node features.
-    pub(crate) fn compute_over_base(
-        filters: &[NodeFilter],
-        ctx: &QueryContext,
-        page: &webqa_dsl::PageTree,
-        base: &PageBaseFeatures,
-    ) -> PageFeatures {
-        if !base.fits(page.len()) {
-            // A stale/foreign base table: recompute rather than risk
-            // mismatched rows (mirrors the `fits` guard on full tables).
-            let fresh = PageBaseFeatures::compute(ctx, page);
-            return Self::compute_over_base(filters, ctx, page, &fresh);
-        }
+        assert_eq!(base.nodes(), page.len(), "base table is for another page");
         let want_answer = !ctx.question().is_empty();
         let own: Vec<TextFeatures> = page
             .iter()
@@ -265,7 +234,7 @@ impl PageFeatures {
                 }
             })
             .collect();
-        let masks: Vec<Vec<bool>> = filters
+        let masks: Vec<Vec<bool>> = node_filters(cfg, ctx)
             .iter()
             .map(|f| {
                 page.iter()
@@ -282,14 +251,6 @@ impl PageFeatures {
             })
             .collect();
         PageFeatures { own, masks }
-    }
-
-    /// Whether this table was built over a pool of `filters` filters and
-    /// a page of `nodes` nodes — the shape check guarding reuse.
-    pub(crate) fn fits(&self, filters: usize, nodes: usize) -> bool {
-        self.own.len() == nodes
-            && self.masks.len() == filters
-            && self.masks.iter().all(|m| m.len() == nodes)
     }
 }
 
@@ -345,14 +306,6 @@ impl PageBaseFeatures {
     /// Number of nodes this table covers.
     pub fn nodes(&self) -> usize {
         self.own_entities.len()
-    }
-
-    /// Whether this table was built over a page of `nodes` nodes.
-    pub(crate) fn fits(&self, nodes: usize) -> bool {
-        self.own_entities.len() == nodes
-            && self.sub_entities.len() == nodes
-            && self.leaf.len() == nodes
-            && self.elem.len() == nodes
     }
 
     /// The raw per-node columns `(own_entities, sub_entities, leaf,
@@ -478,8 +431,8 @@ pub(crate) struct TaskCtx<'a> {
     /// by the branch synthesizer.
     pub cancel: CancelToken,
     /// Optimized mode: one feature/mask table per example, either
-    /// borrowed from the caller (the engine's cross-request store) or
-    /// computed here. Empty in reference mode.
+    /// borrowed from the caller (the engine's query and base tiers) or
+    /// all computed here. Empty in reference mode.
     tables: Vec<Arc<PageFeatures>>,
 }
 
@@ -491,12 +444,11 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// The task context over `examples`, with caller-supplied feature
-    /// tables aligned with them (missing or shape-mismatched entries are
-    /// computed fresh). Reused tables are observationally invisible: the
-    /// table is a pure function of `(cfg, ctx, page)`, so the search
-    /// reads the same bytes whether the table was borrowed or rebuilt.
-    /// The branch synthesizer checkpoints `cancel` once per guard step; a
-    /// never-token makes those checkpoints free-ish atomic increments.
+    /// tables aligned with them, or `&[]` to compute every table here.
+    /// Borrowed tables are observationally invisible: a table is a pure
+    /// function of `(cfg, ctx, page)`. The branch synthesizer checkpoints
+    /// `cancel` once per guard step; a never-token makes those
+    /// checkpoints free-ish atomic increments.
     pub(crate) fn with_features_cancel(
         cfg: &'a SynthConfig,
         ctx: &'a QueryContext,
@@ -520,21 +472,24 @@ impl<'a> TaskCtx<'a> {
         }
         let analysis = AnalysisFacts::compute(cfg, ctx, &filters, &guard_preds, &steps);
 
+        assert!(
+            features.is_empty() || features.len() == examples.len(),
+            "{} feature tables for {} examples",
+            features.len(),
+            examples.len()
+        );
         let tables = if cfg.reference_kernels {
             Vec::new()
-        } else {
+        } else if features.is_empty() {
             examples
                 .iter()
-                .enumerate()
-                .map(|(i, ex)| {
-                    match features.get(i) {
-                        Some(t) if t.fits(filters.len(), ex.page.len()) => Arc::clone(t),
-                        // Absent or built under a different pool/page:
-                        // compute fresh rather than read wrong masks.
-                        _ => Arc::new(PageFeatures::compute_over(&filters, ctx, &ex.page)),
-                    }
+                .map(|ex| {
+                    let base = PageBaseFeatures::compute(ctx, &ex.page);
+                    Arc::new(PageFeatures::compute_with_base(cfg, ctx, &ex.page, &base))
                 })
                 .collect()
+        } else {
+            features.to_vec()
         };
         TaskCtx {
             cfg,
@@ -646,8 +601,7 @@ impl StringTable {
         let rc: Rc<str> = Rc::from(s);
         self.text.push(Rc::clone(&rc));
         self.ids.insert(rc, id);
-        let tokens = self.interner.tokenize_ids(s);
-        self.tokens.extend_from_slice(tokens.as_slice());
+        self.interner.tokenize_ids(s, &mut self.tokens);
         self.token_start.push(id_of(self.tokens.len()));
         self.row_of.push(NONE);
         self.stamp.push(0);
@@ -978,7 +932,6 @@ mod tests {
 
         let c = ctx();
         let base = PageBaseFeatures::compute(&c, &page);
-        assert!(base.fits(page.len()));
         assert_tables_equal(
             &PageFeatures::compute(&cfg, &c, &page),
             &PageFeatures::compute_with_base(&cfg, &c, &page, &base),
@@ -992,15 +945,6 @@ mod tests {
             &PageFeatures::compute_with_base(&cfg, &c2, &page, &base),
         );
 
-        // A base of the wrong shape falls back to a fresh computation
-        // instead of producing mismatched rows.
-        let stale = PageBaseFeatures::from_parts(vec![0], vec![0], vec![true], vec![true]).unwrap();
-        assert!(!stale.fits(page.len()));
-        assert_tables_equal(
-            &PageFeatures::compute(&cfg, &c, &page),
-            &PageFeatures::compute_with_base(&cfg, &c, &page, &stale),
-        );
-
         // parts/from_parts round-trips; ragged columns are rejected.
         let (own, sub, leaf, elem) = base.parts();
         let rebuilt =
@@ -1008,6 +952,14 @@ mod tests {
                 .unwrap();
         assert_eq!(rebuilt, base);
         assert!(PageBaseFeatures::from_parts(vec![0], vec![], vec![], vec![]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "base table is for another page")]
+    fn a_base_table_of_another_page_is_refused() {
+        let page = PageTree::parse("<h2>Students</h2><ul><li>Jane Doe</li></ul>");
+        let stale = PageBaseFeatures::from_parts(vec![0], vec![0], vec![true], vec![true]).unwrap();
+        PageFeatures::compute_with_base(&SynthConfig::fast(), &ctx(), &page, &stale);
     }
 
     #[test]

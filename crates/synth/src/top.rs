@@ -50,19 +50,15 @@ pub fn synthesize(cfg: &SynthConfig, ctx: &QueryContext, examples: &[Example]) -
 }
 
 /// [`synthesize`] with caller-supplied per-example feature tables
-/// ([`PageFeatures`], aligned with `examples`; pass `&[]` — or tables
-/// that fail the shape check — to have them computed here), under a
-/// cooperative [`CancelToken`] ([`CancelToken::never`] for none).
+/// ([`PageFeatures`], one per example, in order; pass `&[]` to have them
+/// computed here), under a cooperative [`CancelToken`]
+/// ([`CancelToken::never`] for none).
 ///
 /// This is the table-build/search split behind cross-request
 /// memoization: a long-lived `webqa::Engine` computes each page's table
 /// once per `(page, query, config)` and hands it back for every repeat
 /// query. The outcome is byte-identical either way — a table is a pure
 /// function of its key, so borrowing one changes *work*, never results.
-/// The shape check is the only internal validation: handing in a table
-/// built for a different same-sized page or query is the caller's bug
-/// (key stored tables by page content and query/config, as the engine
-/// does).
 ///
 /// The token is checkpointed once on entry and once per guard step of
 /// every branch problem, so a trip — explicit cancel, deadline, or step
@@ -564,17 +560,22 @@ mod tests {
         assert_eq!(borrowed.f1, fresh.f1);
         assert_eq!(borrowed.counts, fresh.counts);
         assert_eq!(borrowed.stats, fresh.stats);
+    }
 
-        // A table with the wrong shape is rejected and recomputed, not
-        // read: same outcome even when handed garbage-shaped tables.
-        let wrong = vec![Arc::new(PageFeatures::compute(
-            &cfg,
-            &c,
-            &PageTree::parse("<p>unrelated</p>"),
-        ))];
-        let recovered = synthesize_cancellable(&cfg, &c, &examples, &wrong, &never).unwrap();
-        assert_eq!(recovered.programs, fresh.programs);
-        assert_eq!(recovered.stats, fresh.stats);
+    #[test]
+    #[should_panic(expected = "1 feature tables for 2 examples")]
+    fn feature_tables_must_match_the_examples() {
+        let cfg = SynthConfig::fast();
+        let c = ctx();
+        let examples = vec![
+            example("<h2>Students</h2><ul><li>Jane Doe</li></ul>", &["Jane Doe"]),
+            example(
+                "<h2>Students</h2><ul><li>Bob Smith</li></ul>",
+                &["Bob Smith"],
+            ),
+        ];
+        let one = vec![Arc::new(PageFeatures::compute(&cfg, &c, &examples[0].page))];
+        let _ = synthesize_cancellable(&cfg, &c, &examples, &one, &CancelToken::never());
     }
 
     #[test]

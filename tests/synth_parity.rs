@@ -165,7 +165,7 @@ proptest! {
             .filter(|i| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(*i as u64)) % 3 != 0)
             .map(webqa_dsl::PageNodeId)
             .collect();
-        let fast: Counts = ex.ceiling_counts(&nodes);
+        let fast: Counts = ex.ceiling_counts(&nodes, &mut Vec::new());
         let slow: Counts = ex.ceiling_counts_reference(&nodes);
         prop_assert_eq!(fast, slow);
     }
