@@ -6,11 +6,17 @@
 //! string and context:
 //!
 //! * `matchKeyword` scores come from one [`KeywordSet`], which embeds `K`
-//!   when the context is built, and are cached per string;
+//!   when the context is built, and are cached per string; on a miss the
+//!   set embeds only the words it has not met before, since it memoizes
+//!   every text word's embedding (by stem) for the context's lifetime;
 //! * the QA model runs once per string: one cache of answer spans serves
 //!   both `hasAnswer` (a span exists) and `Substring(…, hasAnswer, k)`;
 //! * recognized entities are cached per string, and the predicates read
 //!   them under the lock instead of cloning the list.
+//!
+//! Every cache, the word memo included, lives and dies with its context,
+//! i.e. one run: nothing derived from page text is kept process-wide, so
+//! a long-lived daemon's memory stays bounded by its live runs.
 //!
 //! This is what makes enumerative search tractable (the real system relies
 //! on the same trick — neural-module calls dominate its synthesis time,

@@ -15,6 +15,9 @@
 //!
 //! Everything is deterministic — no model files, no RNG at query time.
 
+use std::collections::HashMap;
+use std::sync::Mutex;
+
 const DIM: usize = 64;
 
 /// A dense embedding vector.
@@ -113,9 +116,14 @@ pub(crate) fn stem(word: &str) -> String {
 /// Synonym canonicalization: maps domain abbreviations and near-synonyms
 /// to a shared canonical phrase, the stand-in for learned semantics.
 pub(crate) fn canonicalize(word: &str) -> &'static str {
+    canonical_of_stem(&stem(word))
+}
+
+/// [`canonicalize`] of a word whose [`stem`] is `stem`.
+fn canonical_of_stem(stem: &str) -> &'static str {
     // Returned strings may be multi-word; they are re-tokenized by the
     // phrase embedder.
-    match stem(word).as_str() {
+    match stem {
         "pc" => "program committee",
         "committee" => "committee",
         "advisee" | "student" | "mentee" => "student",
@@ -150,19 +158,17 @@ pub(crate) fn canonicalize(word: &str) -> &'static str {
     }
 }
 
-/// Embeds a single word: trigram vectors + whole-word vector, with synonym
-/// canonicalization applied first.
-fn embed_word(word: &str) -> Embedding {
-    let canon = canonicalize(word);
+/// Embeds a single word, given its [`stem`]: trigram vectors + whole-word
+/// vector, with synonym canonicalization applied first. A word's
+/// embedding depends on its stem alone, which is what lets [`KeywordSet`]
+/// memoize it by stem.
+fn embed_stem(stem: &str) -> Embedding {
+    let canon = canonical_of_stem(stem);
     if !canon.is_empty() && canon.contains(' ') {
         // Multi-word canonical form ("program committee"): embed as phrase.
         return embed_phrase_words(&canon.split(' ').collect::<Vec<_>>());
     }
-    let surface = if canon.is_empty() {
-        stem(word)
-    } else {
-        canon.to_string()
-    };
+    let surface = if canon.is_empty() { stem } else { canon };
     let mut e = Embedding::zero();
     let padded = format!("^{surface}$");
     let chars: Vec<char> = padded.chars().collect();
@@ -174,12 +180,12 @@ fn embed_word(word: &str) -> Embedding {
     }
     // The whole-word direction dominates so different words with shared
     // trigrams stay distinguishable.
-    e.add(&feature_vector(&surface, 0xB00F_ABCD), 2.0);
+    e.add(&feature_vector(surface, 0xB00F_ABCD), 2.0);
     e.normalize()
 }
 
 fn embed_phrase_words(words: &[&str]) -> Embedding {
-    normalized_sum(words.iter().map(|w| embed_word(w)))
+    normalized_sum(words.iter().map(|w| embed_stem(&stem(w))))
 }
 
 /// The normalized sum of `vectors`, added in order. Every phrase, window
@@ -234,16 +240,23 @@ pub fn best_keyword_similarity<S: AsRef<str>>(text: &str, keywords: &[S]) -> f32
 /// A keyword list `K` embedded once, to be scored against many texts.
 ///
 /// [`KeywordSet::best_similarity`] is [`keyword_similarity`] maximized over
-/// the keywords, bit for bit: each text word is embedded once per call and
-/// every window (and the whole text) is the sum of those word vectors in
-/// text order, the same sum the per-keyword scorer would build.
-#[derive(Debug, Clone)]
+/// the keywords, bit for bit: every window (and the whole text) is the sum
+/// of the text's word vectors in text order, the same sum the per-keyword
+/// scorer would build. A word's vector depends on its stem alone, so the
+/// set memoizes it by stem: each distinct word is embedded once over the
+/// set's lifetime, however many texts repeat it. The memo grows with the
+/// vocabulary the set has scored and is dropped with the set; a
+/// `QueryContext` owns one set, so it lasts one run.
+#[derive(Debug)]
 pub struct KeywordSet {
     /// The keywords with at least one word; an empty keyword scores 0.
     keywords: Vec<PreparedKeyword>,
+    /// Stem → word embedding of every text word scored so far. Behind a
+    /// lock so a shared set stays `Sync`; one call holds it throughout.
+    word_memo: Mutex<HashMap<String, Embedding>>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PreparedKeyword {
     stems: Vec<String>,
     embedding: Embedding,
@@ -263,7 +276,10 @@ impl KeywordSet {
                 })
             })
             .collect();
-        KeywordSet { keywords }
+        KeywordSet {
+            keywords,
+            word_memo: Mutex::default(),
+        }
     }
 
     /// Similarity of `text` against its best-matching keyword, in
@@ -282,8 +298,14 @@ impl KeywordSet {
         }) {
             return 1.0;
         }
-        let word_vectors: Vec<Embedding> = text_words.iter().map(|w| embed_word(w)).collect();
-        let whole = normalized_sum(&word_vectors);
+        let mut memo = self.word_memo.lock().expect("word memo lock poisoned");
+        for s in &text_stems {
+            if !memo.contains_key(s) {
+                memo.insert(s.clone(), embed_stem(s));
+            }
+        }
+        let word_vectors: Vec<&Embedding> = text_stems.iter().map(|s| &memo[s]).collect();
+        let whole = normalized_sum(word_vectors.iter().copied());
         // Window vectors by width, built the first time a keyword asks.
         let mut windows: Vec<(usize, Vec<Embedding>)> = Vec::new();
         let mut best_overall: f32 = 0.0;
@@ -300,7 +322,10 @@ impl KeywordSet {
                 let at = match windows.iter().position(|(width, _)| *width == w) {
                     Some(at) => at,
                     None => {
-                        windows.push((w, word_vectors.windows(w).map(normalized_sum).collect()));
+                        let sums = word_vectors
+                            .windows(w)
+                            .map(|v| normalized_sum(v.iter().copied()));
+                        windows.push((w, sums.collect()));
                         windows.len() - 1
                     }
                 };

@@ -8,6 +8,8 @@
 //! imperfect (Key Idea #2 of the
 //! paper relies on imperfect neural primitives).
 
+use std::sync::LazyLock;
+
 /// Common given names recognized (and generated) as person names.
 pub const FIRST_NAMES: &[&str] = &[
     "James",
@@ -474,9 +476,28 @@ pub(crate) fn is_conference(w: &str) -> bool {
 
 /// Whether `w` is an organization suffix word ("University", "Institute"…).
 pub(crate) fn is_org_suffix(w: &str) -> bool {
-    ORG_SUFFIXES
+    ORG_SUFFIX_WORDS.iter().any(|s| s[0] == w)
+}
+
+/// [`PLACES`], each entry split into its words.
+pub(crate) static PLACE_WORDS: LazyLock<Vec<Vec<&str>>> = LazyLock::new(|| split_words(PLACES));
+
+/// [`INSURANCES`], each entry split into its words.
+pub(crate) static INSURANCE_WORDS: LazyLock<Vec<Vec<&str>>> =
+    LazyLock::new(|| split_words(INSURANCES));
+
+/// [`ORG_SUFFIXES`], each entry split into its words.
+static ORG_SUFFIX_WORDS: LazyLock<Vec<Vec<&str>>> = LazyLock::new(|| split_words(ORG_SUFFIXES));
+
+/// Splits each lexicon entry into words, once per process, so the entity
+/// recognizer matches multi-word entries without splitting or allocating
+/// at every word of every text. Only the fixed lexicons above are split,
+/// never input text, so these lists cannot grow.
+fn split_words(entries: &[&'static str]) -> Vec<Vec<&'static str>> {
+    entries
         .iter()
-        .any(|s| s.split_whitespace().next() == Some(w))
+        .map(|e| e.split_whitespace().collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,16 +6,21 @@
 //! * **Keyword matching** (`matchKeyword(z, K, t)`):
 //!   [`keyword_similarity`] / [`best_keyword_similarity`], built on hashed
 //!   character-trigram embeddings plus a synonym table — the stand-in for
-//!   Sentence-BERT. [`KeywordSet`] embeds `K` once for scoring many texts.
+//!   Sentence-BERT. [`KeywordSet`] embeds `K` once for scoring many texts,
+//!   and memoizes each distinct text word's embedding (by stem) for its
+//!   own lifetime, so a word repeated across texts is embedded once.
 //! * **Question answering** (`hasAnswer(z, Q)`): [`QaModel`], a
 //!   deterministic extractive span scorer — the stand-in for BERT-SQuAD.
 //! * **Entity extraction** (`hasEntity(z, l)`): [`EntityRecognizer`], a
 //!   rule/lexicon tagger — the stand-in for spaCy. It is *deliberately
 //!   imperfect* (conference acronyms are not ORGs), which is the exact
 //!   scenario motivating the paper's optimal-F₁ synthesis (Key Idea #2).
+//!   Its multi-word lexicons are split into words once per process.
 //!
 //! All three are pure functions of their inputs: no model files, no RNG at
-//! inference time, bit-reproducible everywhere.
+//! inference time, bit-reproducible everywhere. The keyword memo only
+//! skips recomputation; it holds no process-wide state and never changes
+//! a score bit.
 //!
 //! ```
 //! use webqa_nlp::{keyword_similarity, EntityKind, EntityRecognizer, QaModel};

@@ -217,19 +217,8 @@ impl EntityRecognizer {
             }
         }
         // Insurance plan names (multi-word lexicon lookup).
-        for plan in lexicon::INSURANCES {
-            let plan_words: Vec<&str> = plan.split_whitespace().collect();
-            if i + plan_words.len() <= ws.len()
-                && plan_words
-                    .iter()
-                    .enumerate()
-                    .all(|(d, pw)| ws[i + d].text == *pw)
-            {
-                return Some((
-                    self.org_entity(text, ws, i, i + plan_words.len()),
-                    plan_words.len(),
-                ));
-            }
+        if let Some(n) = phrase_at(&lexicon::INSURANCE_WORDS, ws, i) {
+            return Some((self.org_entity(text, ws, i, i + n), n));
         }
         // Conference acronyms — only the non-default model sees these.
         if self.conference_orgs && lexicon::is_conference(ws[i].text) {
@@ -330,17 +319,8 @@ impl EntityRecognizer {
             }
         }
         // Known place names (possibly multi-word, e.g. "Ann Arbor").
-        for place in lexicon::PLACES {
-            let pw: Vec<&str> = place.split_whitespace().collect();
-            if i + pw.len() <= ws.len() && pw.iter().enumerate().all(|(d, p)| ws[i + d].text == *p)
-            {
-                return Some((
-                    span_entity(EntityKind::Location, text, ws, i, i + pw.len()),
-                    pw.len(),
-                ));
-            }
-        }
-        None
+        let n = phrase_at(&lexicon::PLACE_WORDS, ws, i)?;
+        Some((span_entity(EntityKind::Location, text, ws, i, i + n), n))
     }
 
     // ----- money --------------------------------------------------------------
@@ -389,6 +369,18 @@ fn span_entity(kind: EntityKind, text: &str, ws: &[Word<'_>], i: usize, end: usi
         end: stop,
         text: text[start..stop].to_string(),
     }
+}
+
+/// The word count of the first of `phrases`, in list order, that the
+/// words from `ws[i]` on spell exactly.
+fn phrase_at(phrases: &[Vec<&str>], ws: &[Word<'_>], i: usize) -> Option<usize> {
+    phrases.iter().find_map(|p| {
+        let span = ws.get(i..i + p.len())?;
+        span.iter()
+            .zip(p)
+            .all(|(w, p)| w.text == *p)
+            .then_some(p.len())
+    })
 }
 
 fn is_title_word(w: &str) -> bool {
@@ -459,22 +451,24 @@ fn is_day_number(w: &str) -> bool {
 fn is_numeric_date(w: &str) -> bool {
     // 12/01/2026 tokenizes as three words ("12", "01", "2026") because '/'
     // is not word-internal — but 2026-01-12 stays whole via '-'.
-    let parts: Vec<&str> = w.split('-').collect();
-    parts.len() == 3
-        && parts
-            .iter()
-            .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
+    let mut parts = 0;
+    w.split('-').all(|p| {
+        parts += 1;
+        is_digits(p)
+    }) && parts == 3
+}
+
+/// Whether `w` is one or more ASCII digits.
+fn is_digits(w: &str) -> bool {
+    !w.is_empty() && w.bytes().all(|b| b.is_ascii_digit())
 }
 
 fn looks_like_clock(w: &str) -> bool {
     // "10:30" or "10:30-11:45"
     w.split('-').all(|part| {
-        let pieces: Vec<&str> = part.split(':').collect();
-        pieces.len() == 2
-            && pieces
-                .iter()
-                .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
-    }) && w.contains(':')
+        part.split_once(':')
+            .is_some_and(|(h, m)| is_digits(h) && is_digits(m))
+    })
 }
 
 #[cfg(test)]
@@ -608,6 +602,72 @@ mod tests {
         assert!(es
             .iter()
             .any(|(k, t)| *k == EntityKind::Location && t == "Ann Arbor"));
+    }
+
+    #[test]
+    fn multiword_lexicon_shapes_under_both_models() {
+        use EntityKind::{Date, Location, Organization};
+        let cases: [(&str, &[(EntityKind, &str)]); 10] = [
+            (
+                "Moved to Salt Lake City in 2019.",
+                &[(Location, "Salt Lake City"), (Date, "2019")],
+            ),
+            ("Salt Lake is a lake.", &[]),
+            (
+                "We take Blue Cross Blue Shield and Oscar Health.",
+                &[
+                    (Organization, "Blue Cross Blue Shield"),
+                    (Organization, "Oscar Health"),
+                ],
+            ),
+            ("We take Blue Cross Blue", &[]),
+            ("She moved to Ann Arbor", &[(Location, "Ann Arbor")]),
+            (
+                "Ann Arbor University",
+                &[(Organization, "Ann Arbor University")],
+            ),
+            (
+                "He joined Somewhere Institute of Technology.",
+                &[(Organization, "Somewhere Institute of Technology")],
+            ),
+            ("Institute of Technology", &[]),
+            (
+                "Offices in New Haven, Palo Alto and San Diego.",
+                &[
+                    (Location, "New Haven"),
+                    (Location, "Palo Alto"),
+                    (Location, "San Diego"),
+                ],
+            ),
+            ("Salt Lake City", &[(Location, "Salt Lake City")]),
+        ];
+        for ner in [
+            EntityRecognizer::pretrained(),
+            EntityRecognizer::with_conference_orgs(),
+        ] {
+            for (text, want) in cases {
+                let got: Vec<(EntityKind, &str)> = ner
+                    .entities(text)
+                    .iter()
+                    .map(|e| (e.kind, &text[e.start..e.end]))
+                    .collect();
+                assert_eq!(got, want, "{text:?} under {ner:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn numeric_dates_and_clocks() {
+        let es =
+            kinds("On 2026-01-12 and 2026-01 or 1-2-3-4, from 9:30-10:45 to 10:3:0 or 9-10:30.");
+        let got: Vec<(EntityKind, &str)> = es.iter().map(|(k, t)| (*k, t.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                (EntityKind::Date, "2026-01-12"),
+                (EntityKind::Time, "9:30-10:45")
+            ]
+        );
     }
 
     #[test]

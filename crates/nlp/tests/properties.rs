@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use webqa_nlp::{
-    best_keyword_similarity, embed, keyword_similarity, text, EntityKind, EntityRecognizer, QaModel,
+    best_keyword_similarity, embed, keyword_similarity, text, EntityKind, EntityRecognizer,
+    KeywordSet, QaModel,
 };
 
 /// Reference scorer: the original per-keyword `keyword_similarity` body,
@@ -79,8 +80,36 @@ Ph\\.D Students||Études|naïve 中文|[a-zA-Zéü]{1,10}|[a-z]{1,8} [a-z]{1,8}"
 const TEXT: &str = "((PC|program|committee|Advisees|students|service|Études|naïve|中文|\
 Ph\\.D|'21|[a-zA-Zéüß]{1,8})[ ,.:()]{1,2}){0,12}";
 
+/// Texts over a small vocabulary, so a sequence of them repeats words:
+/// inflections and case variants of one stem, stems that share a prefix
+/// ("studio"/"students", "serve"/"service"), a multi-word synonym ("PC"),
+/// stopwords and non-ASCII words.
+const VOCAB_TEXT: &str = "((PC|pc|program|Programs|committee|Committees|students|Student|\
+studio|studies|advisee|Advisees|service|Services|serve|server|Ph\\.D|naïve|Études|中文|a|the)\
+[ ,.:]{1,2}){0,8}";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn warm_keyword_set_is_bit_identical_to_fresh_sets(
+        keywords in proptest::collection::vec(KEYWORD, 0..4),
+        texts in proptest::collection::vec(VOCAB_TEXT, 1..12),
+    ) {
+        // One set scores the whole sequence, so later texts read word
+        // vectors memoized by earlier ones.
+        let warm = KeywordSet::new(&keywords);
+        for text in &texts {
+            let got = warm.best_similarity(text);
+            let fresh = KeywordSet::new(&keywords).best_similarity(text);
+            let want = keywords
+                .iter()
+                .map(|k| reference_keyword_similarity(text, k))
+                .fold(0.0, f32::max);
+            prop_assert_eq!(got.to_bits(), fresh.to_bits(), "text {:?} keywords {:?}", text, keywords);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "text {:?} keywords {:?}", text, keywords);
+        }
+    }
 
     #[test]
     fn keyword_similarity_bounded(a in "\\PC{0,40}", b in "\\PC{0,20}") {

@@ -11,8 +11,9 @@
 //!   ids at construction; every node stores only the dense ids of its
 //!   subtree tokens that occur in the gold (plus a total token count),
 //!   and the pre-order subtree ranges turn covering-set computation into
-//!   a single scan of the sorted node list. A ceiling is then a handful
-//!   of array decrements — no hashing, no `HashMap` clone.
+//!   a single scan of the node list (sorted and deduplicated, as locator
+//!   evaluation yields it). A ceiling is then a handful of array
+//!   decrements — no hashing, no `HashMap` clone.
 //! * [`Example::ceiling_counts_reference`] — the original definitional
 //!   computation (explicit covering set + token-keyed `HashMap`), kept as
 //!   the `SynthConfig::reference()` slow path and as the test oracle for
@@ -140,40 +141,29 @@ impl Example {
     /// Runs on the dense-id kernel, counting gold multiplicities down in
     /// `remaining` (a caller-owned scratch buffer, overwritten); agrees
     /// with [`ceiling_counts_reference`](Example::ceiling_counts_reference)
-    /// on every input (tested, and proven end-to-end by the parity suite).
+    /// (tested, and proven end-to-end by the parity suite).
+    ///
+    /// `nodes` must be in document order without repeats, as locator
+    /// evaluation yields them; debug builds check it.
     pub fn ceiling_counts(&self, nodes: &[PageNodeId], remaining: &mut Vec<u32>) -> Counts {
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "ceiling_counts needs sorted, deduplicated nodes"
+        );
         remaining.clear();
         remaining.extend_from_slice(&self.gold_distinct);
-        if nodes.windows(2).all(|w| w[0] <= w[1]) {
-            // Hot path: locator evaluation always yields sorted, deduped
-            // node lists; read them in place.
-            self.ceiling_sorted(nodes.iter().map(|n| n.index()), remaining)
-        } else {
-            let mut sorted: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
-            sorted.sort_unstable();
-            self.ceiling_sorted(sorted.into_iter(), remaining)
-        }
-    }
-
-    fn ceiling_sorted(&self, nodes: impl Iterator<Item = usize>, remaining: &mut [u32]) -> Counts {
         let mut matched = 0usize;
         let mut predicted = 0usize;
         let mut cover_end = 0usize;
-        let mut last_kept = usize::MAX;
-        for i in nodes {
-            if i < cover_end && i != last_kept {
-                // Inside the subtree of an already-kept *other* node: the
+        for n in nodes {
+            let i = n.index();
+            if i < cover_end {
+                // Inside the subtree of an already-kept node: the
                 // covering-set rule drops it so its text is not counted
-                // twice. A repeat of the kept node itself is NOT dropped —
-                // the covering set only removes strict descendants, so
-                // duplicates of a surviving node count again (matching
-                // the reference kernel exactly).
+                // twice.
                 continue;
             }
-            if i != last_kept {
-                cover_end = self.subtree_end[i];
-                last_kept = i;
-            }
+            cover_end = self.subtree_end[i];
             predicted += self.node_token_count[i] as usize;
             for &d in &self.node_gold_hits[i] {
                 let slot = d as usize;
@@ -399,30 +389,16 @@ mod tests {
         );
         let n = ex.page.len();
         let mut scratch = Vec::new();
-        // Every subset of a small page — unsorted and duplicated too.
+        // Every subset of a small page, in document order.
         for mask in 0u32..(1 << n) {
-            let mut nodes: Vec<PageNodeId> = (0..n)
+            let nodes: Vec<PageNodeId> = (0..n)
                 .filter(|i| mask & (1 << i) != 0)
                 .map(PageNodeId)
                 .collect();
             assert_eq!(
                 ex.ceiling_counts(&nodes, &mut scratch),
                 ex.ceiling_counts_reference(&nodes),
-                "sorted mask {mask:b}"
-            );
-            nodes.reverse();
-            assert_eq!(
-                ex.ceiling_counts(&nodes, &mut scratch),
-                ex.ceiling_counts_reference(&nodes),
-                "reversed mask {mask:b}"
-            );
-            // Duplicate entries: the covering set keeps every copy of a
-            // surviving node, so both kernels must double count them.
-            let doubled: Vec<PageNodeId> = nodes.iter().flat_map(|&n| [n, n]).collect();
-            assert_eq!(
-                ex.ceiling_counts(&doubled, &mut scratch),
-                ex.ceiling_counts_reference(&doubled),
-                "duplicated mask {mask:b}"
+                "mask {mask:b}"
             );
         }
     }

@@ -160,7 +160,8 @@ proptest! {
         let page = generate_pages(task.domain, 1, seed).remove(0);
         let ex = Example::new(page.tree(), page.gold(task.id).to_vec());
         let len = ex.page.len();
-        // A deterministic pseudo-random subset keyed by the seed.
+        // A deterministic pseudo-random subset keyed by the seed, in
+        // document order without repeats (the fast kernel's precondition).
         let nodes: Vec<webqa_dsl::PageNodeId> = (0..len)
             .filter(|i| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(*i as u64)) % 3 != 0)
             .map(webqa_dsl::PageNodeId)
