@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use webqa::{score_answers, Config, Engine, Modality, PersistStats, Selection, Task as EngineTask};
+use webqa::{score_answers, Config, Engine, Modality, Selection, Task as EngineTask};
 use webqa_baselines::{BertQa, EntExtract, Hyb};
 use webqa_corpus::{
     domain_stats, generate_pages, task_by_id, Corpus, Domain, Task, TaskDataset, TASKS,
@@ -69,7 +69,7 @@ COMMANDS:
                   any mix) [--paper] [--shards N]
                   [--feature-cache N] [--result-cache N]
                   [--max-frame BYTES] [--max-requests N] [--workers N]
-                  [--backlog N] [--deadline-ms MS] [--cache-dir DIR]
+                  [--backlog N] [--deadline-ms MS]
                   --shards N splits the engine into N digest-routed
                   shards, each with its own store, caches, and worker
                   slice (0 = one per core; responses are byte-identical
@@ -83,11 +83,7 @@ COMMANDS:
                   --deadline-ms MS bounds every request's latency (0 =
                   none); --feature-cache N caps each feature tier (query,
                   base) at N tables, --result-cache N the result LRU at
-                  N runs (0 disables);
-                  --cache-dir DIR persists interned pages and the
-                  query-independent base-feature tier across restarts
-                  (loaded on startup, spilled on clean shutdown;
-                  responses are byte-identical with or without it)
+                  N runs (0 disables)
     client    Send one request line to a running server, print the reply
                   (--tcp HOST:PORT | --unix PATH | --http HOST:PORT)
                   [--deadline-ms MS]
@@ -706,7 +702,6 @@ pub(crate) fn serve(a: &ParsedArgs) -> Result<String, CliError> {
         "backlog",
         "shards",
         "deadline-ms",
-        "cache-dir",
     ])?;
     let tcp = a.get("tcp");
     let unix = a.get("unix").map(std::path::PathBuf::from);
@@ -747,7 +742,6 @@ pub(crate) fn serve(a: &ParsedArgs) -> Result<String, CliError> {
         shards,
         default_deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
         max_responses: (max_requests > 0).then_some(max_requests),
-        cache_dir: a.get("cache-dir").map(std::path::PathBuf::from),
     })
     .listen_all(tcp, unix.as_deref(), http)
     .map_err(|e| CliError::Command(format!("cannot bind: {e}")))?;
@@ -888,20 +882,15 @@ pub(crate) fn client(a: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// Renders the `stats` response's per-shard breakdown as one line per
-/// shard (empty when the response is not a stats body), plus a
-/// `persist:` line when the daemon has a snapshot directory with
-/// traffic.
+/// shard (empty when the response is not a stats body).
 fn render_shard_stats(response: &str) -> String {
-    // Only the two fields rendered are read, so a daemon whose stats
-    // body has more (or fewer) top-level counters still renders.
-    let ok = serde_json::from_str::<serde_json::Value>(response)
+    // Only the field rendered is read, so a daemon whose stats body has
+    // more (or fewer) top-level counters still renders.
+    let shards = serde_json::from_str::<serde_json::Value>(response)
         .ok()
-        .and_then(|v| v.get("ok").cloned());
-    let field = |name: &str| ok.as_ref()?.get(name).cloned();
-    let (Some(Ok(shards)), Some(Ok(p))) = (
-        field("shards").map(serde_json::from_value::<Vec<ShardStats>>),
-        field("persist").map(serde_json::from_value::<PersistStats>),
-    ) else {
+        .and_then(|v| v.get("ok")?.get("shards").cloned())
+        .and_then(|v| serde_json::from_value::<Vec<ShardStats>>(v).ok());
+    let Some(shards) = shards else {
         return String::new();
     };
     let mut out = String::new();
@@ -939,19 +928,6 @@ fn render_shard_stats(response: &str) -> String {
             "shard {}: workers {}, backlog {}, queue {}, inflight {}, pages {}, \
              feature {feature}, base {base}, result {result}",
             s.shard, s.workers, s.backlog, s.queue_depth, s.inflight, s.pages,
-        );
-    }
-    if p.pages_loaded + p.base_loaded + p.pages_spilled + p.base_spilled + p.corrupt_skipped > 0 {
-        let _ = writeln!(
-            out,
-            "persist: loaded {} pages + {} base tables in {} ms, \
-             spilled {} pages + {} base tables, {} corrupt entries skipped",
-            p.pages_loaded,
-            p.base_loaded,
-            p.load_ms,
-            p.pages_spilled,
-            p.base_spilled,
-            p.corrupt_skipped,
         );
     }
     out
@@ -1008,7 +984,7 @@ pub(crate) fn check(a: &ParsedArgs) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
-    use super::render_shard_stats;
+    use super::{help, render_shard_stats};
     use crate::{dispatch, ArgError, CliError};
 
     #[test]
@@ -1115,6 +1091,18 @@ mod tests {
         let err = dispatch(&argv).unwrap_err();
         assert!(
             matches!(&err, CliError::Args(ArgError::UnknownOption(k)) if format!("--{k}") == argv[3]),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn serve_cache_dir_is_an_unknown_option() {
+        // The daemon keeps no disk state. No endpoint: the option check
+        // comes first, so nothing binds and no directory is touched.
+        let argv = ["serve", "--cache-dir", "snapshots"];
+        let err = dispatch(&argv).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Args(ArgError::UnknownOption(k)) if k == "cache-dir"),
             "{err:?}"
         );
     }
@@ -1408,21 +1396,63 @@ mod tests {
 
     #[test]
     fn stats_rendering_is_pinned() {
-        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"workers":2,"backlog":4,"queue_depth":1,"inflight":2,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"workers":1,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
+        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"shards":[{"shard":0,"workers":2,"backlog":4,"queue_depth":1,"inflight":2,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"workers":1,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
         assert_eq!(
             render_shard_stats(response),
             "shard 0: workers 2, backlog 4, queue 1, inflight 2, pages 3, \
              feature 3h/1m (75%), base 0h/4m (0%), result off\n\
              shard 1: workers 1, backlog 4, queue 0, inflight 0, pages 2, \
-             feature 0h/0m, base 0h/0m, result off\n\
-             persist: loaded 5 pages + 4 base tables in 7 ms, \
-             spilled 0 pages + 0 base tables, 1 corrupt entries skipped\n"
+             feature 0h/0m, base 0h/0m, result off\n"
         );
         // An error envelope renders nothing after the raw line.
         assert_eq!(
             render_shard_stats(r#"{"id":null,"err":{"kind":"internal","message":"x"}}"#),
             ""
         );
+    }
+
+    #[test]
+    fn stats_rendering_ignores_unknown_top_level_fields() {
+        // Only `shards` is read: a body with counters this client does
+        // not know (here an older daemon's `persist` block) renders the
+        // same per-shard lines and nothing else.
+        let response = r#"{"id":null,"ok":{"requests":1,"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":1,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#;
+        assert_eq!(
+            render_shard_stats(response),
+            "shard 0: workers 1, backlog 2, queue 0, inflight 0, pages 1, \
+             feature 0h/0m, base 0h/0m, result 0h/0m\n"
+        );
+    }
+
+    #[test]
+    fn every_advertised_serve_option_is_accepted() {
+        // The usage text and `serve`'s option list must not drift apart.
+        // Without an endpoint the option check runs and nothing binds, so
+        // an accepted option fails on the missing endpoint instead. The
+        // endpoint options themselves would bind, and are skipped.
+        let usage = help();
+        let start = usage.find("\n    serve ").expect("serve is documented");
+        let end = usage.find("\n    client ").expect("client follows serve");
+        let mut options: Vec<&str> = usage[start..end]
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|o| !["tcp", "unix", "http"].contains(o))
+            .collect();
+        options.sort_unstable();
+        options.dedup();
+        assert!(options.len() >= 9, "{options:?}");
+        for option in options {
+            let flag = format!("--{option}");
+            let mut argv = vec!["serve", &flag];
+            if !crate::SWITCHES.contains(&option) {
+                argv.push("1");
+            }
+            let err = dispatch(&argv).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Command(m) if m.contains("needs an endpoint")),
+                "{flag}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -135,6 +135,14 @@ mod tests {
     }
 
     #[test]
+    fn help_has_no_cache_dir_option() {
+        // The daemon keeps no state across restarts, so there is no
+        // snapshot directory to name.
+        let out = dispatch(&["help"]).unwrap();
+        assert!(!out.contains("cache-dir"), "{out}");
+    }
+
+    #[test]
     fn unknown_command_is_rejected() {
         let err = dispatch(&["frobnicate"]).unwrap_err();
         assert!(matches!(err, CliError::UnknownCommand(_)));

@@ -15,8 +15,7 @@
 //! * the **base tier** holds [`webqa_synth::PageBaseFeatures`] tables
 //!   (NER entity bits, leaf/elem masks — the expensive, query-independent
 //!   half), keyed by the page alone, so different questions over one page
-//!   share it. This tier is what [`crate::Engine::spill_snapshot`]
-//!   persists to disk;
+//!   share it;
 //! * the **result tier** holds completed [`RunResult`]s, keyed by the
 //!   task's canonical form ([`normalize_task`]). It folds together only
 //!   input reorderings the pipeline is provably invariant to —
@@ -240,8 +239,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     /// used entry from a full map, and returns the value now resident.
     /// An entry already resident is kept: values are pure functions of
     /// their keys, so which of two equal values survives is unobservable.
-    /// Counts no lookup — this is also how a snapshot seeds the base
-    /// tier.
+    /// Counts no lookup: the caller has already missed (the result tier
+    /// inserts a run it just computed).
     pub(crate) fn insert(&self, key: K, value: V) -> V {
         if !self.enabled() {
             return value;
@@ -273,9 +272,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         }
     }
 
-    /// Every resident `(key, value)`, in unspecified order — the spill
-    /// surface of [`crate::Engine::spill_snapshot`].
-    pub(crate) fn entries(&self) -> Vec<(K, V)> {
+    /// Every resident `(key, value)`, in unspecified order.
+    #[cfg(test)]
+    fn entries(&self) -> Vec<(K, V)> {
         self.map()
             .iter()
             .map(|(k, (v, _))| (k.clone(), v.clone()))

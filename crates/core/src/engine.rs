@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use crate::cache::{normalize_task, CacheStats, EngineCaches};
 use crate::error::Error;
-use crate::persist::{PersistSink, PersistStats};
 use crate::pipeline::{Config, RunResult, Selection};
 use crate::store::{PageId, PageStore};
 use webqa_dsl::{PageTree, Program, QueryContext};
@@ -144,10 +143,6 @@ pub struct Engine {
     store: PageStore,
     /// Cross-request caches ([`crate::cache`]), owned by this engine.
     caches: EngineCaches,
-    /// Optional on-disk snapshot sink ([`crate::persist`]). Deliberately
-    /// *not* part of [`Config`]: persistence is observationally invisible
-    /// (`persist + reload ≡ never-cached`).
-    persist: Option<Arc<PersistSink>>,
 }
 
 impl Default for Engine {
@@ -173,85 +168,6 @@ impl Engine {
             config,
             store,
             caches,
-            persist: None,
-        }
-    }
-
-    /// Attaches an on-disk snapshot sink: [`Engine::spill_snapshot`]
-    /// writes through it and [`Engine::load_snapshot`] reads from it.
-    /// Attaching a sink changes no observable behavior — it only lets a
-    /// later process start warm instead of cold.
-    #[must_use]
-    pub fn with_persist(mut self, sink: Arc<PersistSink>) -> Engine {
-        self.persist = Some(sink);
-        self
-    }
-
-    /// Counters of the attached sink's disk traffic (zeros when no sink
-    /// is attached).
-    pub fn persist_stats(&self) -> PersistStats {
-        self.persist
-            .as_deref()
-            .map(PersistSink::stats)
-            .unwrap_or_default()
-    }
-
-    /// Loads every snapshot entry from the attached sink: pages are
-    /// re-interned into this engine's store (content-addressing dedups
-    /// against anything already present) and verified base-feature
-    /// tables are seeded into the cache's base tier. No-op without a
-    /// sink. See [`Engine::load_snapshot_filtered`] for sharded loads.
-    pub fn load_snapshot(&mut self) {
-        self.load_snapshot_filtered(|_| true);
-    }
-
-    /// [`Engine::load_snapshot`] restricted to content digests
-    /// satisfying `keep` — a digest-routed shard passes its ownership
-    /// predicate so an N-shard warm start reads each entry exactly once
-    /// fleet-wide. Entries failing verification are skipped (counted in
-    /// [`PersistStats::corrupt_skipped`]): recovery degrades to a cold
-    /// miss, never a wrong answer.
-    pub fn load_snapshot_filtered(&mut self, keep: impl Fn(u64) -> bool) {
-        let Some(sink) = self.persist.clone() else {
-            return;
-        };
-        let (mut pages, mut bases) = (0u64, 0u64);
-        sink.load_filtered(keep, |_, tree, base| {
-            let id = self.store.insert_tree(tree);
-            pages += 1;
-            if let Some(table) = base {
-                self.caches.base.insert(id, Arc::new(table));
-                bases += 1;
-            }
-        });
-        sink.note_pages_loaded(pages);
-        sink.note_base_loaded(bases);
-    }
-
-    /// Spills the warm state — every interned page and every resident
-    /// base-feature table — to the attached sink. Content-addressed and
-    /// idempotent: re-spilling an unchanged state rewrites nothing.
-    /// No-op without a sink; IO failures are swallowed (spilling is an
-    /// optimization, never a correctness requirement).
-    pub fn spill_snapshot(&self) {
-        let Some(sink) = &self.persist else {
-            return;
-        };
-        for index in 0..self.store.len() {
-            let Some(id) = self.store.id_at(index) else {
-                continue;
-            };
-            let Ok(tree) = self.store.get(id) else {
-                continue;
-            };
-            sink.spill_page(id.digest(), tree);
-        }
-        for (id, table) in self.caches.base.entries() {
-            // Guard against a forged/foreign id: only spill a base table
-            // whose page is resolvable here, under its *content* digest.
-            if self.store.get(id).is_ok() {
-                sink.spill_base(id.digest(), &table);
-            }
         }
     }
 
@@ -769,6 +685,23 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!((stats.feature_hits, stats.feature_misses), (0, 4));
         assert_eq!((stats.base_hits, stats.base_misses), (2, 2));
+    }
+
+    #[test]
+    fn an_engine_over_a_shared_store_starts_with_cold_caches() {
+        // The store is shared by clone; the caches are the engine's own
+        // and nothing else carries them over.
+        let (warm, a, b, c) = engine_with_pages();
+        let t = task(a, b, c);
+        let first = warm.run(&t).unwrap();
+        let fresh = Engine::with_store(warm.config().clone(), warm.store().clone());
+        let again = fresh.run(&t).unwrap();
+        let stats = fresh.cache_stats();
+        assert_eq!((stats.result_hits, stats.result_misses), (0, 1));
+        assert_eq!((stats.base_hits, stats.base_misses), (0, 2));
+        assert_eq!(stats.feature_hits, 0);
+        assert_eq!(again.program, first.program);
+        assert_eq!(again.answers, first.answers);
     }
 
     #[test]

@@ -53,7 +53,6 @@ mod cache;
 mod engine;
 mod error;
 mod labeling;
-mod persist;
 mod pipeline;
 mod store;
 
@@ -61,7 +60,6 @@ pub use cache::{CacheConfig, CacheStats};
 pub use engine::{Engine, Prepared, Selected, Synthesized, Task};
 pub use error::Error;
 pub use labeling::{suggest_labels, MAX_LABEL_REQUESTS};
-pub use persist::{PersistSink, PersistStats};
 pub use pipeline::{score_answers, Config, Modality, RunResult, Selection};
 pub use store::{content_digest, PageId, PageStore};
 

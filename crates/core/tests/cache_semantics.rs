@@ -12,15 +12,10 @@
 //! completed-run LRU — and every single result is compared against the
 //! reference engine field by field (programs, `Counts`, F₁, answers,
 //! and the full `SynthStats`).
-//!
-//! The on-disk snapshot tier extends the same obligation across a
-//! process boundary: persist → reload → re-run must equal the
-//! never-cached reference, and a crash-truncated snapshot must degrade
-//! to a cold miss — never a wrong answer.
 
 use proptest::prelude::*;
 
-use webqa::{CacheConfig, Config, Engine, PageStore, PersistSink, RunResult, SynthConfig, Task};
+use webqa::{CacheConfig, Config, Engine, PageStore, RunResult, SynthConfig, Task};
 
 /// The task pool: overlapping page/question combinations so feature keys
 /// are shared across tasks (hits), and 10 *distinct* (page, query) keys,
@@ -331,146 +326,4 @@ fn reordered_requests_hit_the_result_cache() {
         stats.result_misses, 2,
         "example order is significant; the flip must miss: {stats:?}"
     );
-}
-
-/// A fresh, collision-free snapshot directory under the system temp
-/// dir. Any leftover from a previous (crashed) run is removed first so
-/// every test starts from an empty snapshot.
-fn snapshot_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "webqa-cache-semantics-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Runs `seq` through a persisting warm engine and spills its snapshot
-/// into `dir`, returning the task pool's page HTML order implicitly via
-/// `task_pool` (content-addressed, so a reloading store re-issues the
-/// same ids).
-fn spill_after(dir: &std::path::Path, seq: &[usize]) {
-    let mut store = PageStore::new();
-    let tasks = task_pool(&mut store);
-    let warm = engine_with(
-        CacheConfig {
-            feature_capacity: 64,
-            result_capacity: 8,
-        },
-        store,
-    )
-    .with_persist(PersistSink::open(dir).expect("temp snapshot dir is writable"));
-    for &i in seq {
-        warm.run(&tasks[i]).expect("store-issued ids resolve");
-    }
-    warm.spill_snapshot();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Persistence across a process boundary is observationally
-    /// invisible: run a sequence, spill the snapshot, reload it into a
-    /// brand-new engine, and the re-run equals the never-cached
-    /// reference result for result — while the reload demonstrably
-    /// serves the base-feature tier from disk (hits, zero corruption).
-    #[test]
-    fn persisted_reload_equals_never_cached_reference(
-        seq in proptest::collection::vec(0usize..7, 1..12),
-    ) {
-        // Each proptest case needs its own directory: cases run in one
-        // process, and a shared snapshot would leak state across cases.
-        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = snapshot_dir(&format!("reload-{case}"));
-
-        spill_after(&dir, &seq);
-
-        // Second life: empty store, warm disk. `task_pool` re-interns
-        // the same HTML, and content addressing dedups it onto the
-        // snapshot-loaded pages, so the seeded base tables are keyed by
-        // exactly the ids the tasks reference.
-        let mut reloaded = engine_with(
-            CacheConfig { feature_capacity: 64, result_capacity: 8 },
-            PageStore::new(),
-        )
-        .with_persist(PersistSink::open(&dir).expect("temp snapshot dir is writable"));
-        reloaded.load_snapshot();
-        let loaded = reloaded.persist_stats();
-        prop_assert!(loaded.pages_loaded > 0, "spill left no pages: {loaded:?}");
-        prop_assert!(loaded.base_loaded > 0, "spill left no base tables: {loaded:?}");
-        prop_assert_eq!(loaded.corrupt_skipped, 0);
-        let tasks = task_pool(reloaded.store_mut());
-
-        let reference = engine_with(CacheConfig::disabled(), reloaded.store().clone());
-        assert_sequence_equal(&reloaded, &reference, &tasks, &seq);
-
-        // The equality above must have been earned *through* the disk
-        // tier: every task touches labeled pages whose base tables were
-        // spilled in the first life, so the re-run hits the seeded tier.
-        let stats = reloaded.cache_stats();
-        prop_assert!(stats.base_hits > 0, "reload produced no base-tier hits: {stats:?}");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Crash-mid-write recovery: truncate every snapshot entry (as a crash
-/// or torn copy would) and the reload must degrade to a *cold miss* —
-/// nothing loaded, every entry counted corrupt, and the re-run still
-/// byte-equal to the never-cached reference. A corrupt snapshot may
-/// cost time; it must never change an answer.
-#[test]
-fn truncated_snapshot_degrades_to_cold_miss_never_wrong_answer() {
-    let dir = snapshot_dir("truncate");
-    let seq = [0usize, 3, 4, 5, 6, 1, 2];
-    spill_after(&dir, &seq);
-
-    // Halve every file under the snapshot: the `end <checksum>` trailer
-    // (and usually much more) is gone, exactly like a write cut short.
-    let mut clipped = 0u64;
-    for sub in ["pages", "base"] {
-        let d = dir.join("snapshot-v1").join(sub);
-        for entry in std::fs::read_dir(&d).expect("snapshot subdir exists") {
-            let path = entry.expect("readable dir entry").path();
-            let len = std::fs::metadata(&path).expect("entry metadata").len();
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .expect("snapshot entry is writable");
-            file.set_len(len / 2).expect("truncate");
-            clipped += 1;
-        }
-    }
-    assert!(clipped >= 2, "spill must have produced page and base files");
-
-    let mut reloaded = engine_with(
-        CacheConfig {
-            feature_capacity: 64,
-            result_capacity: 8,
-        },
-        PageStore::new(),
-    )
-    .with_persist(PersistSink::open(&dir).expect("temp snapshot dir is writable"));
-    reloaded.load_snapshot();
-    let stats = reloaded.persist_stats();
-    assert_eq!(
-        stats.pages_loaded, 0,
-        "truncated pages must not load: {stats:?}"
-    );
-    assert_eq!(
-        stats.base_loaded, 0,
-        "truncated base tables must not load: {stats:?}"
-    );
-    assert!(
-        stats.corrupt_skipped > 0,
-        "every clipped entry must be counted, not silently dropped: {stats:?}"
-    );
-
-    // Cold start from the surviving (empty) state: answers unchanged.
-    let tasks = task_pool(reloaded.store_mut());
-    let reference = engine_with(CacheConfig::disabled(), reloaded.store().clone());
-    assert_sequence_equal(&reloaded, &reference, &tasks, &seq);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -74,7 +74,5 @@ pub use normalize::normalize;
 pub use parse::ParseProgramError;
 
 // Re-export the neighbouring vocabulary users need to build programs.
-pub use webqa_html::{
-    HtmlError, NodeKind, PageNode, PageNodeId, PageTree, PageTreeBuilder, ParseDiagnostics,
-};
+pub use webqa_html::{HtmlError, NodeKind, PageNode, PageNodeId, PageTree, ParseDiagnostics};
 pub use webqa_nlp::{EntityKind, EntityRecognizer, QaModel};

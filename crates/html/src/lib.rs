@@ -60,7 +60,7 @@ mod tokenizer;
 pub use dom::{Document, Node, NodeData, NodeId};
 pub use entities::decode_entities;
 pub use error::{HtmlError, ParseDiagnostics, MAX_OPEN_DEPTH};
-pub use pagetree::{NodeKind, PageNode, PageNodeId, PageTree, PageTreeBuilder};
+pub use pagetree::{NodeKind, PageNode, PageNodeId, PageTree};
 pub use parse::{parse_html, parse_html_report, try_parse_html};
 pub use serialize::serialize;
 pub use tokenizer::Attribute;

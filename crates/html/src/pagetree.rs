@@ -155,10 +155,10 @@ impl PageTree {
         self.nodes.len()
     }
 
-    /// A page tree is never conceptually empty (the root exists), so this
-    /// reports whether it has *only* the root with no text.
+    /// Whether the tree has no nodes (`len() == 0`). Never true: every
+    /// tree has its root, even one parsed from empty HTML.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1 && self.nodes[0].text.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Borrows a node.
@@ -263,16 +263,15 @@ impl PageTree {
     }
 }
 
-/// Incremental page-tree builder used by the DOM conversion (and by the
-/// corpus generator, which builds trees directly for its gold labels).
+/// Incremental page-tree builder used by the DOM conversion.
 #[derive(Debug)]
-pub struct PageTreeBuilder {
+pub(crate) struct PageTreeBuilder {
     nodes: Vec<PageNode>,
 }
 
 impl PageTreeBuilder {
     /// Starts a tree whose root has the given text.
-    pub fn new(root_text: &str) -> Self {
+    pub(crate) fn new(root_text: &str) -> Self {
         PageTreeBuilder {
             nodes: vec![PageNode {
                 text: normalize_ws(root_text),
@@ -284,12 +283,12 @@ impl PageTreeBuilder {
     }
 
     /// The root id.
-    pub fn root(&self) -> PageNodeId {
+    pub(crate) fn root(&self) -> PageNodeId {
         PageNodeId(0)
     }
 
     /// Adds a child with the given text under `parent`, returning its id.
-    pub fn add_child(&mut self, parent: PageNodeId, text: &str) -> PageNodeId {
+    pub(crate) fn add_child(&mut self, parent: PageNodeId, text: &str) -> PageNodeId {
         let id = PageNodeId(self.nodes.len());
         self.nodes.push(PageNode {
             text: normalize_ws(text),
@@ -302,13 +301,13 @@ impl PageTreeBuilder {
     }
 
     /// Sets the kind of an existing node.
-    pub fn set_kind(&mut self, id: PageNodeId, kind: NodeKind) {
+    pub(crate) fn set_kind(&mut self, id: PageNodeId, kind: NodeKind) {
         self.nodes[id.0].kind = kind;
     }
 
     /// Finishes the tree. Node ids are renumbered to pre-order so that a
     /// built tree is indistinguishable from a parsed one.
-    pub fn finish(self) -> PageTree {
+    pub(crate) fn finish(self) -> PageTree {
         // Renumber to pre-order.
         let mut order = Vec::with_capacity(self.nodes.len());
         let mut stack = vec![0usize];
@@ -868,9 +867,16 @@ mod tests {
     }
 
     #[test]
+    fn a_tree_is_never_empty() {
+        for html in ["", "   ", "<!-- only a comment -->", "<p>x</p>"] {
+            assert!(!PageTree::parse(html).is_empty(), "{html:?} has its root");
+        }
+    }
+
+    #[test]
     fn empty_html() {
         let page = PageTree::parse("");
-        assert!(page.is_empty());
         assert_eq!(page.len(), 1);
+        assert_eq!(page.text(page.root()), "");
     }
 }

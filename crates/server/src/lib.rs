@@ -73,32 +73,6 @@
 //! over shuffled, duplicated task streams, every response compared
 //! byte-for-byte against a never-cached reference engine.
 //!
-//! # Persistence: warm restarts from an on-disk snapshot
-//!
-//! With [`ServeOptions::cache_dir`] set (`webqa-cli serve --cache-dir
-//! DIR`), the daemon spills its content-addressed page store and the
-//! query-independent base-feature tier to a versioned snapshot under
-//! `DIR/snapshot-v1/` at graceful shutdown, and reloads it at startup
-//! — each shard loading only the digests it owns, so a restarted
-//! daemon answers its first requests from a warm base tier instead of
-//! re-running NER and mask extraction. Writes are content-addressed
-//! (digest = filename) and idempotent via atomic tmp-file renames;
-//! loads re-verify the embedded checksum *and* recompute the content
-//! digest, so a truncated or tampered entry is a counted cold miss
-//! (`persist.corrupt_skipped`), never a wrong answer. The same
-//! invisibility contract applies: `tests/serve_api.rs` pins a warm
-//! restart byte-identical to a cold daemon, and the engine-level
-//! proptest (`crates/core/tests/cache_semantics.rs`) pins persist →
-//! reload → re-run equal to the never-cached reference. An unusable
-//! cache dir degrades to a cold start with a warning — persistence is
-//! an optimization, never a liveness requirement.
-//!
-//! Wire handles do **not** persist: a warm start reloads pages in
-//! digest order, so a handle issued before a restart can name a
-//! different page after it. A handle is valid only within one daemon
-//! process; clients re-`intern` after a restart to get one (same
-//! content, same digest, same page — and no new page in the store).
-//!
 //! # Wire protocol
 //!
 //! The line protocol's framing, envelope and operations are documented
@@ -237,13 +211,6 @@ pub struct ServeOptions {
     /// any concurrency; [`Listening::wait_for_responses`] blocks until
     /// the cap (or any count) is reached.
     pub max_responses: Option<u64>,
-    /// Snapshot directory for warm restarts (default `None` = fully
-    /// in-memory). When set, startup loads the versioned snapshot under
-    /// this directory (each shard loads the digests it owns; corrupt
-    /// entries degrade to cold misses) and clean shutdown spills the
-    /// interned pages and resident base-feature tables back. Purely an
-    /// optimization: responses are byte-identical with or without it.
-    pub cache_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -256,7 +223,6 @@ impl Default for ServeOptions {
             shards: 1,
             default_deadline: None,
             max_responses: None,
-            cache_dir: None,
         }
     }
 }
@@ -467,10 +433,6 @@ pub struct StatsSnapshot {
     /// LRU (`result_*`). A disabled tier counts nothing and has its
     /// `*_enabled` flag off.
     pub cache: CacheStats,
-    /// The on-disk snapshot tier ([`ServeOptions::cache_dir`]): entries
-    /// loaded at startup, spilled at shutdown, corrupt entries skipped,
-    /// and the load wall time. All zeros without a cache dir.
-    pub persist: webqa::PersistStats,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStats>,
 }
@@ -503,28 +465,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server owning fresh engine shards built from `opts`. When
-    /// [`ServeOptions::cache_dir`] is set, the shards warm-load the
-    /// on-disk snapshot here (an unopenable directory degrades to a cold
-    /// start with a stderr warning — persistence is an optimization,
-    /// never a liveness requirement).
+    /// A server owning fresh engine shards built from `opts`.
     pub fn new(opts: ServeOptions) -> Server {
-        let persist = opts.cache_dir.as_ref().and_then(|dir| {
-            webqa::PersistSink::open(dir)
-                .map_err(|e| {
-                    eprintln!(
-                        "webqa-server: cache dir {} unusable ({e}); starting cold",
-                        dir.display()
-                    )
-                })
-                .ok()
-        });
         let shards = ShardSet::new(
             &opts.engine,
             opts.effective_shards(),
             opts.effective_workers(),
             opts.backlog,
-            persist,
         );
         Server {
             shared: Arc::new(Shared {
@@ -1133,7 +1080,6 @@ impl Server {
             cache: shards
                 .iter()
                 .fold(CacheStats::default(), |total, s| total.merged(s.cache)),
-            persist: shared.shards.persist_stats(),
             shards,
         };
         serde_json::to_value(&stats).map_err(|e| ProtoError::new(ErrKind::Internal, e.to_string()))
@@ -1599,7 +1545,7 @@ mod tests {
         let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
         assert_eq!(
             format!(r#"{head}"uptime_ms":0{tail}"#),
-            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"persist":{"pages_loaded":0,"base_loaded":0,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":0,"load_ms":0},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
+            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
         );
     }
 }

@@ -240,11 +240,6 @@ impl Drop for Listening {
         for t in self.worker_threads.drain(..) {
             let _ = t.join();
         }
-        // Every worker has joined, so the stores and caches are
-        // quiescent: spill the warm state (pages + base-feature tables)
-        // to the snapshot directory for the next `--cache-dir` start.
-        // No-op when persistence is off.
-        self.shared.shards.spill_all();
         #[cfg(unix)]
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);

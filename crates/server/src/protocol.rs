@@ -82,8 +82,7 @@
 //! Interning is content-addressed (the store deduplicates): the same
 //! HTML always yields the same handle, however many clients send it.
 //! A handle is valid only within one daemon process: a restarted
-//! daemon — even one warm-started from a snapshot, which reloads pages
-//! in digest order — may give the same handle to a different page.
+//! daemon may give the same handle to a different page.
 //! Clients re-intern after a restart to get a handle; the page and its
 //! `"digest"` are the same as before.
 //! Damaged HTML is rejected with `kind:"page"`. The optional `"lenient"`

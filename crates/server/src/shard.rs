@@ -42,9 +42,9 @@
 //! `tests/serve_api.rs` against 1-shard and cold never-cached engines.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
-use webqa::{Engine, PersistSink};
+use webqa::Engine;
 
 use crate::pool::Admission;
 
@@ -93,31 +93,17 @@ impl ShardSet {
         count: usize,
         total_workers: usize,
         total_backlog: usize,
-        persist: Option<Arc<PersistSink>>,
     ) -> ShardSet {
         let total_workers = total_workers.max(1);
         let total_backlog = total_backlog.max(1);
         let count = count.max(1).min(total_workers).min(total_backlog);
         ShardSet {
             shards: (0..count)
-                .map(|i| {
-                    let mut engine = Engine::new(config.clone());
-                    if let Some(sink) = &persist {
-                        engine = engine.with_persist(Arc::clone(sink));
-                        // Warm start: each shard loads exactly the
-                        // digests it owns (owner = digest % count, the
-                        // routing function), so an N-shard fleet reads
-                        // every snapshot entry once and placement agrees
-                        // with live interning.
-                        let n = count as u64;
-                        engine.load_snapshot_filtered(|d| d % n == i as u64);
-                    }
-                    EngineShard {
-                        engine: RwLock::new(engine),
-                        queue: Admission::new(share(total_backlog, count, i)),
-                        workers: share(total_workers, count, i),
-                        inflight: AtomicU64::new(0),
-                    }
+                .map(|i| EngineShard {
+                    engine: RwLock::new(Engine::new(config.clone())),
+                    queue: Admission::new(share(total_backlog, count, i)),
+                    workers: share(total_workers, count, i),
+                    inflight: AtomicU64::new(0),
                 })
                 .collect(),
         }
@@ -163,23 +149,6 @@ impl ShardSet {
             s.queue.close();
         }
     }
-
-    /// Spills every shard's warm state (pages + resident base-feature
-    /// tables) to the attached snapshot sink — a no-op without one.
-    /// Called at shutdown, after the worker threads have joined, so the
-    /// stores and caches are quiescent.
-    pub(crate) fn spill_all(&self) {
-        for s in &self.shards {
-            crate::relock(s.engine.read()).spill_snapshot();
-        }
-    }
-
-    /// The snapshot sink's traffic counters. The sink is one `Arc`
-    /// shared by every shard, so any shard's view is the fleet total
-    /// (zeros when persistence is off).
-    pub(crate) fn persist_stats(&self) -> webqa::PersistStats {
-        crate::relock(self.shards[0].engine.read()).persist_stats()
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +156,7 @@ mod tests {
     use super::*;
 
     fn set(n: usize) -> ShardSet {
-        ShardSet::new(&webqa::Config::default(), n, 8, 64, None)
+        ShardSet::new(&webqa::Config::default(), n, 8, 64)
     }
 
     fn total_workers(s: &ShardSet) -> usize {
@@ -238,7 +207,7 @@ mod tests {
         // More shards than workers: the shard count clamps to the
         // worker budget, so every shard gets exactly one worker and
         // one backlog slot — the totals stay what was configured.
-        let wide = ShardSet::new(&webqa::Config::default(), 4, 2, 2, None);
+        let wide = ShardSet::new(&webqa::Config::default(), 4, 2, 2);
         assert_eq!(wide.count(), 2);
         assert!(wide.iter().all(|x| x.workers == 1));
         assert!(wide.iter().all(|x| x.queue.capacity() == 1));
@@ -249,20 +218,20 @@ mod tests {
         // The PR 9 regression: `--workers 2 --shards 8` used to spawn 8
         // workers because each shard's share was floored at 1. The
         // effective shard count must honor the global budget instead.
-        let s = ShardSet::new(&webqa::Config::default(), 8, 2, 64, None);
+        let s = ShardSet::new(&webqa::Config::default(), 8, 2, 64);
         assert_eq!(s.count(), 2);
         assert_eq!(total_workers(&s), 2, "worker budget must not inflate");
         assert_eq!(total_backlog(&s), 64);
 
         // The backlog budget clamps too: a shard with a 0-capacity
         // queue could never admit its digest-routed requests.
-        let s = ShardSet::new(&webqa::Config::default(), 8, 16, 3, None);
+        let s = ShardSet::new(&webqa::Config::default(), 8, 16, 3);
         assert_eq!(s.count(), 3);
         assert_eq!(total_workers(&s), 16);
         assert_eq!(total_backlog(&s), 3);
 
         // Degenerate budgets still yield a working single shard.
-        let s = ShardSet::new(&webqa::Config::default(), 4, 0, 0, None);
+        let s = ShardSet::new(&webqa::Config::default(), 4, 0, 0);
         assert_eq!(s.count(), 1);
         assert_eq!(total_workers(&s), 1);
         assert_eq!(total_backlog(&s), 1);

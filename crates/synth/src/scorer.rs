@@ -260,7 +260,7 @@ impl PageFeatures {
 /// content* under the pretrained neural modules — no question, keyword,
 /// or synthesis-config input — which is what lets `webqa::Engine`'s
 /// base tier share one base table across *different* questions over
-/// the same page, and persist it to disk keyed by content digest alone.
+/// the same page.
 ///
 /// Contract: [`PageBaseFeatures::compute`] reads only
 /// [`QueryContext::entities`] (the NER module) and the page's structure.
@@ -306,39 +306,6 @@ impl PageBaseFeatures {
     /// Number of nodes this table covers.
     pub fn nodes(&self) -> usize {
         self.own_entities.len()
-    }
-
-    /// The raw per-node columns `(own_entities, sub_entities, leaf,
-    /// elem)` — the serialization surface for `webqa`'s on-disk
-    /// snapshot.
-    pub fn parts(&self) -> (&[u8], &[u8], &[bool], &[bool]) {
-        (
-            &self.own_entities,
-            &self.sub_entities,
-            &self.leaf,
-            &self.elem,
-        )
-    }
-
-    /// Rebuilds a table from its [`parts`](PageBaseFeatures::parts)
-    /// columns (the deserialization surface). `None` unless all four
-    /// columns have equal length.
-    pub fn from_parts(
-        own_entities: Vec<u8>,
-        sub_entities: Vec<u8>,
-        leaf: Vec<bool>,
-        elem: Vec<bool>,
-    ) -> Option<PageBaseFeatures> {
-        let n = own_entities.len();
-        if sub_entities.len() != n || leaf.len() != n || elem.len() != n {
-            return None;
-        }
-        Some(PageBaseFeatures {
-            own_entities,
-            sub_entities,
-            leaf,
-            elem,
-        })
     }
 }
 
@@ -944,21 +911,13 @@ mod tests {
             &PageFeatures::compute(&cfg, &c2, &page),
             &PageFeatures::compute_with_base(&cfg, &c2, &page, &base),
         );
-
-        // parts/from_parts round-trips; ragged columns are rejected.
-        let (own, sub, leaf, elem) = base.parts();
-        let rebuilt =
-            PageBaseFeatures::from_parts(own.to_vec(), sub.to_vec(), leaf.to_vec(), elem.to_vec())
-                .unwrap();
-        assert_eq!(rebuilt, base);
-        assert!(PageBaseFeatures::from_parts(vec![0], vec![], vec![], vec![]).is_none());
     }
 
     #[test]
     #[should_panic(expected = "base table is for another page")]
     fn a_base_table_of_another_page_is_refused() {
         let page = PageTree::parse("<h2>Students</h2><ul><li>Jane Doe</li></ul>");
-        let stale = PageBaseFeatures::from_parts(vec![0], vec![0], vec![true], vec![true]).unwrap();
+        let stale = PageBaseFeatures::compute(&ctx(), &PageTree::parse("<p>Jane Doe</p>"));
         PageFeatures::compute_with_base(&SynthConfig::fast(), &ctx(), &page, &stale);
     }
 

@@ -77,13 +77,8 @@
 //!   tier of keyword scores keyed by (page, question, keywords), and a
 //!   tier of completed runs; all pure values, so hits and evictions change
 //!   latency, never results (`webqa::CacheStats` counts every tier,
-//!   and a disabled tier counts nothing). The page store and base tier
-//!   additionally persist: `webqa::PersistSink` spills them to a
-//!   versioned, content-addressed on-disk snapshot
-//!   (`Engine::spill_snapshot` / `load_snapshot`), checksummed and
-//!   digest-verified on load so corruption degrades to a counted cold
-//!   miss — `crates/core/tests/cache_semantics.rs` pins persist →
-//!   reload → re-run equal to the never-cached reference.
+//!   and a disabled tier counts nothing). The caches live in memory
+//!   only and end with the process.
 //!   **Workloads** (`webqa_corpus`, `webqa_baselines`) provide the 25
 //!   evaluation tasks, the seeded page generators, and the three
 //!   baseline systems.
@@ -92,7 +87,7 @@
 //!   its own engine, bounded admission queue and worker slice, behind a
 //!   line-delimited JSON protocol and an HTTP/1.1 facade. Its crate
 //!   docs are the one wire spec: operations, error kinds, deadlines,
-//!   shedding, persistence, and the [`webqa_server::StatsSnapshot`]
+//!   shedding, and the [`webqa_server::StatsSnapshot`]
 //!   schema. `tests/serve_api.rs` and `tests/serve_overload.rs` prove
 //!   serving observationally invisible and bounded.
 //! * **Apps** (`webqa_cli`, `webqa_bench`) stay thin: argument parsing and

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use webqa::{CacheConfig, CacheStats, Config, Engine, PersistStats, SynthConfig, Task};
+use webqa::{CacheConfig, CacheStats, Config, Engine, SynthConfig, Task};
 use webqa_corpus::{task_by_id, Corpus};
 use webqa_server::{render_run_result, Client, Listening, ServeOptions, Server, StatsSnapshot};
 
@@ -563,8 +563,6 @@ fn shard_stats_breakdown_sums_to_totals() {
         cache: s
             .iter()
             .fold(CacheStats::default(), |t, x| t.merged(x.cache)),
-        // No cache dir: the persist counters are all zero.
-        persist: PersistStats::default(),
         ..stats.clone()
     };
     assert_eq!(stats, totals, "the breakdown must sum to the totals");
@@ -574,93 +572,54 @@ fn shard_stats_breakdown_sums_to_totals() {
     listening.shutdown();
 }
 
-/// The persistence gate, at the serving layer: a daemon serves a stream
-/// with a cache dir, shuts down cleanly (spilling its pages and
-/// base-feature tables), and a *restarted* daemon on the same directory
-/// answers **different questions over the same pages** byte-identically
-/// to the cold never-cached reference — while its stats prove the warm
-/// start engaged (pages and base tables loaded from disk, base-tier
-/// hits on the new questions).
+/// The base tier at the serving layer: a different question over pages
+/// the daemon has already seen misses the query tier and the result LRU
+/// but reuses each labeled page's base table (NER spans, structural
+/// masks) — and the answer is still byte-identical to the cold
+/// never-cached reference.
 #[test]
-fn warm_restart_is_byte_identical_and_hits_the_base_tier() {
+fn new_question_over_known_pages_hits_the_base_tier() {
     let specs = workload();
-    let dir = std::env::temp_dir().join(format!("webqa-serve-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let serve_opts = || ServeOptions {
+    let listening = spawn_server(ServeOptions {
         engine: engine_config(),
-        max_frame_bytes: 1 << 20,
-        cache_dir: Some(dir.clone()),
         ..ServeOptions::default()
-    };
-
-    // First daemon: the cross-query student stream (specs 0..3 share
-    // their labeled pages), already byte-checked against the cold
-    // reference. Shutdown spills the snapshot.
-    {
-        let listening = spawn_server(serve_opts());
-        let addr = listening.tcp_addr().expect("tcp endpoint");
-        let mut client = Client::connect_tcp(addr).expect("connect");
-        for (i, spec) in specs.iter().take(3).enumerate() {
-            let id = i as u64 + 1;
-            let resp = client.request_line(&spec.request(id)).expect("run");
-            assert_eq!(resp, format!("{{\"id\":{id},\"ok\":{}}}", spec.cold_body()));
-        }
-        listening.shutdown();
+    });
+    let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+    for (i, spec) in specs.iter().take(3).enumerate() {
+        let id = i as u64 + 1;
+        let resp = client.request_line(&spec.request(id)).expect("run");
+        assert_eq!(resp, format!("{{\"id\":{id},\"ok\":{}}}", spec.cold_body()));
     }
-    assert!(
-        dir.join("snapshot-v1").is_dir(),
-        "clean shutdown must leave a snapshot directory"
-    );
+    let before = stats(&mut client).cache;
 
-    // A different question over the *same* pages the first daemon saw:
-    // new query context, new query-tier key — only the base tier (NER
-    // spans, structural masks) can carry over.
     let fresh = Spec {
         question: "Which students does the group page list?".to_string(),
         keywords: vec!["Students".to_string()],
         labeled: specs[0].labeled.clone(),
         targets: specs[2].targets.clone(),
     };
+    let resp = client.request_line(&fresh.request(7)).expect("run");
+    assert_eq!(resp, format!("{{\"id\":7,\"ok\":{}}}", fresh.cold_body()));
 
-    // Second daemon, same directory: warm start.
-    let listening = spawn_server(serve_opts());
-    let addr = listening.tcp_addr().expect("tcp endpoint");
-    let mut client = Client::connect_tcp(addr).expect("connect");
-    let resp = client.request_line(&fresh.request(7)).expect("warm run");
+    let after = stats(&mut client).cache;
+    let labeled = fresh.labeled.len() as u64;
     assert_eq!(
-        resp,
-        format!("{{\"id\":7,\"ok\":{}}}", fresh.cold_body()),
-        "a warm restart must be observationally invisible"
+        after.base_hits - before.base_hits,
+        labeled,
+        "every labeled page's base table is reused: {after:?}"
     );
-
-    let stats = stats(&mut client);
-    assert!(
-        stats.persist.pages_loaded > 0,
-        "restart must load pages from the snapshot: {stats:?}"
-    );
-    assert!(
-        stats.persist.base_loaded > 0,
-        "restart must load base-feature tables: {stats:?}"
-    );
-    assert_eq!(
-        stats.persist.corrupt_skipped, 0,
-        "a clean snapshot has nothing to skip: {stats:?}"
-    );
-    assert!(
-        stats.cache.base_hits > 0,
-        "the new question over known pages must hit the base tier: {stats:?}"
-    );
+    assert_eq!(after.feature_misses - before.feature_misses, labeled);
+    assert_eq!(after.result_misses - before.result_misses, 1);
     listening.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A wire handle lives only as long as its daemon process: a warm
-/// restart reloads pages in digest order, so a client re-interns to get
-/// handles. Re-interning the first daemon's pages gives back the same
-/// digests and adds no page to the loaded store, and a `run` by the new
-/// handles is byte-identical to the cold reference.
+/// A wire handle lives only as long as its daemon process: a restarted
+/// daemon starts with an empty store, so a handle from before the
+/// restart is an `unknown-page` error. Re-interning gives back the same
+/// digests, and a `run` by the new handles is byte-identical to the
+/// cold reference.
 #[test]
-fn warm_restart_reinterned_handles_run_like_a_cold_engine() {
+fn restarted_daemon_starts_empty_and_reinterned_handles_run_like_a_cold_engine() {
     let spec = workload().swap_remove(1);
     let pages: Vec<&str> = spec
         .labeled
@@ -668,11 +627,8 @@ fn warm_restart_reinterned_handles_run_like_a_cold_engine() {
         .map(|(html, _)| html.as_str())
         .chain(spec.targets.iter().map(String::as_str))
         .collect();
-    let dir = std::env::temp_dir().join(format!("webqa-serve-reintern-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let serve_opts = || ServeOptions {
         engine: engine_config(),
-        cache_dir: Some(dir.clone()),
         ..ServeOptions::default()
     };
     let intern = |client: &mut Client, html: &str| -> (u64, String) {
@@ -688,59 +644,86 @@ fn warm_restart_reinterned_handles_run_like_a_cold_engine() {
             digest.to_string(),
         )
     };
-
-    // First daemon: intern the pages; shutdown spills them.
-    let first: Vec<String> = {
-        let listening = spawn_server(serve_opts());
-        let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
-        let digests = pages
+    // The spec's `run` request, every page referenced by handle.
+    let run_by = |id: u64, handles: &[u64]| -> String {
+        let (labeled, targets) = handles.split_at(spec.labeled.len());
+        let labeled: Vec<serde_json::Value> = labeled
             .iter()
-            .map(|html| intern(&mut client, html).1)
+            .zip(&spec.labeled)
+            .map(|(handle, (_, gold))| {
+                let mut e = serde_json::Map::new();
+                e.insert("page".to_string(), serde_json::json!(handle));
+                e.insert("gold".to_string(), serde_json::json!(gold.clone()));
+                serde_json::Value::Object(e)
+            })
             .collect();
-        listening.shutdown();
-        digests
+        let mut m = serde_json::Map::new();
+        m.insert("id".to_string(), serde_json::json!(id));
+        m.insert("op".to_string(), serde_json::json!("run"));
+        m.insert("question".to_string(), serde_json::json!(spec.question));
+        m.insert("keywords".to_string(), serde_json::json!(spec.keywords));
+        m.insert("labeled".to_string(), serde_json::Value::Array(labeled));
+        m.insert("targets".to_string(), serde_json::json!(targets));
+        serde_json::to_string(&serde_json::Value::Object(m)).expect("serializable")
     };
 
-    // Second daemon, warm from the snapshot: re-intern to get handles.
+    // First daemon: intern the pages and keep their handles.
+    let first: Vec<(u64, String)> = {
+        let listening = spawn_server(serve_opts());
+        let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+        let interned = pages.iter().map(|html| intern(&mut client, html)).collect();
+        listening.shutdown();
+        interned
+    };
+
+    // Second daemon: nothing carried over.
     let listening = spawn_server(serve_opts());
     let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
-    let loaded = stats(&mut client).pages;
-    assert_eq!(loaded, pages.len(), "the warm start loads every page");
-    let again: Vec<(u64, String)> = pages.iter().map(|html| intern(&mut client, html)).collect();
-    let digests: Vec<String> = again.iter().map(|(_, d)| d.clone()).collect();
-    assert_eq!(digests, first, "same page, same digest across the restart");
-    assert_eq!(
-        stats(&mut client).pages,
-        loaded,
-        "re-interning a loaded page adds none"
-    );
+    assert_eq!(stats(&mut client).pages, 0, "a new daemon holds no pages");
+    let stale: Vec<u64> = first.iter().map(|(handle, _)| *handle).collect();
+    let resp = client.request_line(&run_by(4, &stale)).expect("run");
+    assert!(resp.contains(r#""kind":"unknown-page""#), "{resp}");
 
-    // The spec's `run` request, every page referenced by its new handle.
-    let (labeled, targets) = again.split_at(spec.labeled.len());
-    let labeled: Vec<serde_json::Value> = labeled
-        .iter()
-        .zip(&spec.labeled)
-        .map(|((handle, _), (_, gold))| {
-            let mut e = serde_json::Map::new();
-            e.insert("page".to_string(), serde_json::json!(handle));
-            e.insert("gold".to_string(), serde_json::json!(gold.clone()));
-            serde_json::Value::Object(e)
-        })
-        .collect();
-    let targets: Vec<u64> = targets.iter().map(|(handle, _)| *handle).collect();
-    let mut request = serde_json::Map::new();
-    request.insert("id".to_string(), serde_json::json!(5));
-    request.insert("op".to_string(), serde_json::json!("run"));
-    request.insert("question".to_string(), serde_json::json!(spec.question));
-    request.insert("keywords".to_string(), serde_json::json!(spec.keywords));
-    request.insert("labeled".to_string(), serde_json::Value::Array(labeled));
-    request.insert("targets".to_string(), serde_json::json!(targets));
-    let request = serde_json::Value::Object(request);
-    let resp = client
-        .request_line(&serde_json::to_string(&request).expect("serializable"))
-        .expect("run by handle");
+    let again: Vec<(u64, String)> = pages.iter().map(|html| intern(&mut client, html)).collect();
+    let digests = |v: &[(u64, String)]| v.iter().map(|(_, d)| d.clone()).collect::<Vec<_>>();
+    assert_eq!(digests(&again), digests(&first), "same page, same digest");
+    assert_eq!(stats(&mut client).pages, pages.len());
+
+    let handles: Vec<u64> = again.iter().map(|(handle, _)| *handle).collect();
+    let resp = client.request_line(&run_by(5, &handles)).expect("run");
     assert_eq!(resp, format!("{{\"id\":5,\"ok\":{}}}", spec.cold_body()));
     listening.shutdown();
+}
+
+/// The daemon keeps no disk state: serving a Unix socket in an empty
+/// directory, then shutting down, leaves that directory empty — the
+/// socket is removed and nothing is written beside it.
+#[cfg(unix)]
+#[test]
+fn shutdown_leaves_no_files_behind() {
+    let dir = std::env::temp_dir().join(format!("webqa-serve-nofiles-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).expect("temp dir");
+    let sock = dir.join("webqa.sock");
+    let listening = Server::new(ServeOptions {
+        engine: engine_config(),
+        ..ServeOptions::default()
+    })
+    .listen(None, Some(&sock))
+    .expect("bind unix socket");
+    let mut client = Client::connect_unix(&sock).expect("connect");
+    let spec = &workload()[0];
+    let resp = client.request_line(&spec.request(1)).expect("run");
+    assert_eq!(resp, format!("{{\"id\":1,\"ok\":{}}}", spec.cold_body()));
+    assert!(stats(&mut client).pages > 0);
+    drop(client);
+    listening.shutdown();
+
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir is readable")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "shutdown left {left:?} behind");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
