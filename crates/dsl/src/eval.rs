@@ -53,7 +53,36 @@ impl NlpPred {
     /// makes `Substring` recall-monotone at the token level (Theorem A.3):
     /// the output token bag is a sub-bag of the input's.
     pub fn extract(&self, ctx: &QueryContext, z: &str) -> Vec<String> {
-        self.extract_spans(ctx, z)
+        StringExtractor::new(ctx, z).extract(self)
+    }
+}
+
+/// [`NlpPred::extract`] by several predicates over one string, sharing
+/// the work they have in common: each word window's keyword similarity
+/// is scored once, whatever `matchKeyword` thresholds select from it.
+/// Every result equals `pred.extract(ctx, z)`.
+pub struct StringExtractor<'a> {
+    ctx: &'a QueryContext,
+    z: &'a str,
+    /// Every word window of `z` (by width, then start) with its keyword
+    /// similarity, scored on the first `matchKeyword` extraction.
+    windows: Option<Vec<(f64, usize, usize)>>,
+}
+
+impl<'a> StringExtractor<'a> {
+    /// An extractor over `z` under `ctx`.
+    pub fn new(ctx: &'a QueryContext, z: &'a str) -> Self {
+        StringExtractor {
+            ctx,
+            z,
+            windows: None,
+        }
+    }
+
+    /// `pred.extract(ctx, z)`.
+    pub fn extract(&mut self, pred: &NlpPred) -> Vec<String> {
+        let z = self.z;
+        self.spans(pred)
             .into_iter()
             .map(|(s, e)| z[s..e].trim().to_string())
             .filter(|s| !s.is_empty())
@@ -62,8 +91,9 @@ impl NlpPred {
 
     /// Byte spans of [`NlpPred::extract`], pairwise disjoint and ordered by
     /// position.
-    fn extract_spans(&self, ctx: &QueryContext, z: &str) -> Vec<(usize, usize)> {
-        match self {
+    fn spans(&mut self, pred: &NlpPred) -> Vec<(usize, usize)> {
+        let (ctx, z) = (self.ctx, self.z);
+        match pred {
             NlpPred::HasEntity(kind) => ctx
                 .entities(z)
                 .into_iter()
@@ -71,7 +101,7 @@ impl NlpPred {
                 .map(|e| (e.start, e.end))
                 .collect(),
             NlpPred::HasAnswer => ctx.answer_span(z).into_iter().collect(),
-            NlpPred::MatchKeyword(t) => keyword_windows(ctx, z, t.value()),
+            NlpPred::MatchKeyword(t) => self.keyword_windows(t.value()),
             NlpPred::True => {
                 if z.is_empty() {
                     vec![]
@@ -79,14 +109,14 @@ impl NlpPred {
                     vec![(0, z.len())]
                 }
             }
-            NlpPred::And(a, b) => a
-                .extract_spans(ctx, z)
+            NlpPred::And(a, b) => self
+                .spans(a)
                 .into_iter()
                 .filter(|&(s, e)| b.eval(ctx, &z[s..e]))
                 .collect(),
             NlpPred::Or(a, b) => {
-                let mut out = a.extract_spans(ctx, z);
-                for (s, e) in b.extract_spans(ctx, z) {
+                let mut out = self.spans(a);
+                for (s, e) in self.spans(b) {
                     if out.iter().all(|&(cs, ce)| e <= cs || s >= ce) {
                         out.push((s, e));
                     }
@@ -97,36 +127,39 @@ impl NlpPred {
             NlpPred::Not(_) => vec![],
         }
     }
-}
 
-/// Best-scoring non-overlapping word windows of `z` with keyword
-/// similarity ≥ `threshold`, ordered by position.
-fn keyword_windows(ctx: &QueryContext, z: &str, threshold: f64) -> Vec<(usize, usize)> {
-    let words = webqa_nlp::text::words(z);
-    let n = words.len().min(MAX_WINDOW_WORDS);
-    let mut candidates: Vec<(f64, usize, usize)> = Vec::new();
-    for width in 1..=3usize {
-        if width > n {
-            break;
-        }
-        for start in 0..=(n - width) {
-            let span = &z[words[start].start..words[start + width - 1].end];
-            let score = ctx.keyword_score(span);
-            if score >= threshold {
-                candidates.push((score, words[start].start, words[start + width - 1].end));
+    /// Best-scoring non-overlapping word windows of `z` with keyword
+    /// similarity ≥ `threshold`, ordered by position.
+    fn keyword_windows(&mut self, threshold: f64) -> Vec<(usize, usize)> {
+        let (ctx, z) = (self.ctx, self.z);
+        let windows = self.windows.get_or_insert_with(|| {
+            let words = webqa_nlp::text::words(z);
+            let n = words.len().min(MAX_WINDOW_WORDS);
+            let mut windows = Vec::new();
+            for width in 1..=n.min(3) {
+                for start in 0..=(n - width) {
+                    let (s, e) = (words[start].start, words[start + width - 1].end);
+                    windows.push((ctx.keyword_score(&z[s..e]), s, e));
+                }
+            }
+            windows
+        });
+        let mut candidates: Vec<(f64, usize, usize)> = windows
+            .iter()
+            .copied()
+            .filter(|&(score, _, _)| score >= threshold)
+            .collect();
+        // Greedy best-first selection of non-overlapping spans.
+        candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        let mut chosen: Vec<(usize, usize)> = Vec::new();
+        for (_, s, e) in candidates {
+            if chosen.iter().all(|&(cs, ce)| e <= cs || s >= ce) {
+                chosen.push((s, e));
             }
         }
+        chosen.sort_unstable();
+        chosen
     }
-    // Greedy best-first selection of non-overlapping spans.
-    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut chosen: Vec<(usize, usize)> = Vec::new();
-    for (_, s, e) in candidates {
-        if chosen.iter().all(|&(cs, ce)| e <= cs || s >= ce) {
-            chosen.push((s, e));
-        }
-    }
-    chosen.sort_unstable();
-    chosen
 }
 
 impl NodeFilter {
@@ -597,6 +630,80 @@ mod tests {
             spans.iter().any(|s| s.contains("committee")),
             "spans = {spans:?}"
         );
+    }
+
+    /// One [`StringExtractor`] serving many predicates in turn gives
+    /// each the extraction a fresh one gives, and its keyword windows are
+    /// those of scoring and selecting at each threshold separately.
+    #[test]
+    fn a_shared_string_extractor_equals_fresh_extractions() {
+        let ctx = ctx_service();
+        let texts = [
+            "Service: PLDI '21 Program Committee (PC), CAV '20 PC member",
+            "Program Committee chair Jane Doe, March 3, 2021",
+            "reading group, hiking club",
+            "",
+        ];
+        let preds = [
+            kw(0.95),
+            kw(0.5),
+            kw(0.8),
+            kw(0.5),
+            kw(0.05),
+            NlpPred::HasEntity(EntityKind::Person),
+            NlpPred::HasEntity(EntityKind::Date),
+            NlpPred::HasAnswer,
+            NlpPred::True,
+            NlpPred::And(
+                Box::new(kw(0.5)),
+                Box::new(NlpPred::HasEntity(EntityKind::Person)),
+            ),
+            NlpPred::Or(
+                Box::new(kw(0.9)),
+                Box::new(NlpPred::HasEntity(EntityKind::Date)),
+            ),
+            NlpPred::Not(Box::new(kw(0.5))),
+        ];
+        // Keyword windows as scored and selected at one threshold.
+        let windows_at = |z: &str, t: f64| -> Vec<String> {
+            let words = webqa_nlp::text::words(z);
+            let n = words.len().min(MAX_WINDOW_WORDS);
+            let mut candidates = Vec::new();
+            for width in 1..=n.min(3) {
+                for start in 0..=(n - width) {
+                    let (s, e) = (words[start].start, words[start + width - 1].end);
+                    let score = ctx.keyword_score(&z[s..e]);
+                    if score >= t {
+                        candidates.push((score, s, e));
+                    }
+                }
+            }
+            candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            let mut chosen: Vec<(usize, usize)> = Vec::new();
+            for (_, s, e) in candidates {
+                if chosen.iter().all(|&(cs, ce)| e <= cs || s >= ce) {
+                    chosen.push((s, e));
+                }
+            }
+            chosen.sort_unstable();
+            chosen
+                .iter()
+                .map(|&(s, e)| z[s..e].trim().to_string())
+                .collect()
+        };
+        let mut keyword_spans = 0;
+        for z in texts {
+            let mut shared = StringExtractor::new(&ctx, z);
+            for pred in &preds {
+                let got = shared.extract(pred);
+                assert_eq!(got, pred.extract(&ctx, z), "{pred:?} on {z:?}");
+                if let NlpPred::MatchKeyword(t) = pred {
+                    assert_eq!(got, windows_at(z, t.value()), "{pred:?} on {z:?}");
+                    keyword_spans += got.len();
+                }
+            }
+        }
+        assert!(keyword_spans > 0);
     }
 
     #[test]

@@ -68,7 +68,7 @@ mod print;
 pub use analysis::{AnalysisReport, Analyzer, BranchAnalysis, Truth};
 pub use ast::{Branch, Extractor, Guard, Locator, NlpPred, NodeFilter, Program, Threshold};
 pub use context::QueryContext;
-pub use eval::PageMemo;
+pub use eval::{PageMemo, StringExtractor};
 pub use lint::{lint, LintIssue, LintReport};
 pub use normalize::normalize;
 pub use parse::ParseProgramError;

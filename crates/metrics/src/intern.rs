@@ -5,9 +5,10 @@
 //! strings and rebuilds a `HashMap` per call — fine for reporting, far
 //! too slow for an enumerative search that scores hundreds of thousands
 //! of candidates per task. The fast path interns every token once
-//! ([`TokenInterner`]), represents gold bags as sorted id/count pairs
-//! ([`IdBag`]), and computes multiset overlap with a reusable scratch
-//! buffer ([`BagOverlap`]) — no hashing, no allocation per score.
+//! ([`TokenInterner`]), represents gold bags as counts behind a dense
+//! id → slot table ([`IdBag`]), and computes multiset overlap with a
+//! reusable scratch buffer ([`BagOverlap`]) — no hashing, no search and
+//! no allocation per score.
 //!
 //! Tokenization parity is structural: [`TokenInterner::tokenize_ids`]
 //! runs the *same* boundary scanner as [`tokenize`](crate::tokenize), so
@@ -100,37 +101,45 @@ impl TokenInterner {
     }
 }
 
-/// A token multiset as sorted `(id, count)` pairs — the gold-bag
-/// representation the overlap kernel matches against.
+/// A token multiset: a count per distinct id, found through a dense
+/// id → slot table, so matching a token against the bag is one array
+/// read — the gold-bag representation the overlap kernel matches
+/// against.
 #[derive(Debug, Clone, Default)]
 pub struct IdBag {
-    ids: Vec<u32>,
+    /// Multiplicity of each distinct id, in first-occurrence order.
     counts: Vec<u32>,
     total: usize,
+    /// `slot[id]`: the index of `id` in `counts`, [`ABSENT`] when the
+    /// bag lacks it; ids past the end are absent too.
+    slot: Vec<u32>,
 }
+
+/// An id's slot in an [`IdBag`] that does not hold it.
+const ABSENT: u32 = u32::MAX;
 
 impl IdBag {
     /// Number of distinct tokens.
     #[cfg(test)]
     fn distinct(&self) -> usize {
-        self.ids.len()
+        self.counts.len()
     }
 
-    /// Builds a bag from an unsorted id list.
-    pub fn from_ids(mut ids: Vec<u32>) -> Self {
-        ids.sort_unstable();
+    /// Builds a bag from an id list.
+    pub fn from_ids(ids: Vec<u32>) -> Self {
         let mut out = IdBag {
-            ids: Vec::new(),
             counts: Vec::new(),
             total: ids.len(),
+            slot: vec![ABSENT; ids.iter().max().map_or(0, |&m| m as usize + 1)],
         };
         for id in ids {
-            match out.ids.last() {
-                Some(&last) if last == id => *out.counts.last_mut().expect("aligned") += 1,
-                _ => {
-                    out.ids.push(id);
+            match out.slot[id as usize] {
+                ABSENT => {
+                    out.slot[id as usize] =
+                        u32::try_from(out.counts.len()).expect("distinct ids fit in u32");
                     out.counts.push(1);
                 }
+                i => out.counts[i as usize] += 1,
             }
         }
         out
@@ -173,9 +182,9 @@ impl BagOverlap {
     /// between `begin` calls is exactly the multiset-intersection size of
     /// the consumed ids with the bag.
     pub fn consume(&mut self, bag: &IdBag, id: u32) -> bool {
-        match bag.ids.binary_search(&id) {
-            Ok(i) if self.remaining[i] > 0 => {
-                self.remaining[i] -= 1;
+        match bag.slot.get(id as usize) {
+            Some(&i) if i != ABSENT && self.remaining[i as usize] > 0 => {
+                self.remaining[i as usize] -= 1;
                 true
             }
             _ => false,
@@ -259,6 +268,18 @@ mod tests {
         let bag = IdBag::from_ids(vec![5, 1, 5, 5, 2]);
         assert_eq!(bag.total(), 5);
         assert_eq!(bag.distinct(), 3);
+        // Ids between, below and past the bag's ids are absent; each
+        // present id matches exactly its multiplicity.
+        let mut ov = BagOverlap::default();
+        ov.begin(&bag);
+        let consumed: Vec<bool> = [3, 0, 9, 5, 5, 5, 5, 1, 1]
+            .iter()
+            .map(|&id| ov.consume(&bag, id))
+            .collect();
+        assert_eq!(
+            consumed,
+            [false, false, false, true, true, true, false, true, false]
+        );
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl QaModel {
 
         let mut best: Option<QaAnswer> = None;
         for (si, sent) in sents.iter().enumerate() {
-            let overlap = overlap_score(&q_words, sent.text);
+            let sent_words = SentenceWords::new(sent.text);
+            let overlap = overlap_score(&q_words, &sent_words.norm);
             // Position prior: earlier sentences get a small boost, like the
             // lead bias real QA models learn.
             let position = 0.06 * (1.0 - si as f32 / n_sents);
@@ -134,7 +135,10 @@ impl QaModel {
                 }
                 let type_bonus = if typed { 0.30 } else { 0.0 };
                 // Penalize spans that merely parrot the question.
-                let parrot = overlap_score(&q_words, span_text);
+                let parrot = match sent_words.span(rel_start, rel_end) {
+                    Some(span_words) => overlap_score(&q_words, span_words),
+                    None => overlap_score(&q_words, &SentenceWords::new(span_text).norm),
+                };
                 let noise = hash_noise(passage, question, span_text);
                 let score = (0.55 * overlap + type_bonus + position - 0.15 * parrot + noise)
                     .clamp(0.0, 1.0);
@@ -196,33 +200,63 @@ fn content_words(question: &str) -> Vec<String> {
     lower_words(question)
         .into_iter()
         .filter(|w| !is_stopword(w))
-        .map(|w| {
-            let c = canonicalize(&w);
-            if c.is_empty() {
-                crate::embedding::stem(&w)
-            } else {
-                c.to_string()
-            }
-        })
+        .map(|w| normalize(&w))
         .collect()
 }
 
-/// Fraction of question content words present in `text` (canonicalized).
-fn overlap_score(q_words: &[String], text: &str) -> f32 {
+/// A lowercased word's comparison form: its canonical embedding word,
+/// else its stem.
+fn normalize(lower: &str) -> String {
+    let c = canonicalize(lower);
+    if c.is_empty() {
+        crate::embedding::stem(lower)
+    } else {
+        c.to_string()
+    }
+}
+
+/// A sentence's words, normalized once for the overlap score of the
+/// sentence and of every candidate span in it (or a span's own words,
+/// when it cannot be read off its sentence's).
+struct SentenceWords {
+    /// Byte span of each word in the sentence.
+    spans: Vec<(usize, usize)>,
+    /// Comparison form of each word.
+    norm: Vec<String>,
+}
+
+impl SentenceWords {
+    fn new(sentence: &str) -> Self {
+        let ws = words(sentence);
+        SentenceWords {
+            spans: ws.iter().map(|w| (w.start, w.end)).collect(),
+            norm: ws
+                .iter()
+                .map(|w| normalize(&w.text.to_lowercase()))
+                .collect(),
+        }
+    }
+
+    /// The comparison forms of `sentence[start..end]`'s words: the
+    /// sentence words inside the span. `None` when a sentence word
+    /// straddles either bound, because the span's text then tokenizes
+    /// differently (a colon tail cut through "10:30" starts at "30").
+    fn span(&self, start: usize, end: usize) -> Option<&[String]> {
+        let lo = self.spans.partition_point(|&(_, e)| e <= start);
+        let hi = self.spans.partition_point(|&(_, e)| e <= end);
+        let straddles = |i: usize, bound: usize| self.spans.get(i).is_some_and(|&(s, _)| s < bound);
+        if straddles(lo, start) || straddles(hi, end) {
+            return None;
+        }
+        Some(&self.norm[lo..hi])
+    }
+}
+
+/// Fraction of question content words present among `t_words`.
+fn overlap_score(q_words: &[String], t_words: &[String]) -> f32 {
     if q_words.is_empty() {
         return 0.0;
     }
-    let t_words: Vec<String> = lower_words(text)
-        .into_iter()
-        .map(|w| {
-            let c = canonicalize(&w);
-            if c.is_empty() {
-                crate::embedding::stem(&w)
-            } else {
-                c.to_string()
-            }
-        })
-        .collect();
     let hits = q_words
         .iter()
         .filter(|q| t_words.iter().any(|t| t == *q))
@@ -365,6 +399,63 @@ mod tests {
         assert!(m
             .answer("Completely unrelated text.", "Who is the instructor?")
             .is_some());
+    }
+
+    /// Sentences whose tokenization depends on neighbouring bytes: word-
+    /// internal `:` `.` `@` `-` `'`, year abbreviations, non-ASCII words.
+    const SENTENCES: [&str; 6] = [
+        "Lectures are on Monday at 10:30 in room 5",
+        "Contact: jane@cs.edu or Prof. Wei-Chen O'Brien",
+        "PLDI '21 (PC), CAV '20 (PC): Committees",
+        "Müller café: Zoë Saldaña, 北京大学 students",
+        "Deadline: January 15, 2026 — e.g. papers",
+        "  spaced   out: words ",
+    ];
+
+    proptest::proptest! {
+        /// A span's words read off the sentence's normalized words are
+        /// the words its own text normalizes to, whenever `span` does not
+        /// refuse the bounds; word-aligned bounds are never refused.
+        #[test]
+        fn span_words_equal_the_span_text_words(
+            which in 0usize..SENTENCES.len(),
+            a in 0usize..64,
+            b in 0usize..64,
+        ) {
+            let sentence = SENTENCES[which];
+            let snap = |i: usize| {
+                let mut i = i.min(sentence.len());
+                while !sentence.is_char_boundary(i) {
+                    i -= 1;
+                }
+                i
+            };
+            let (start, end) = (snap(a.min(b)), snap(a.max(b)));
+            let sw = SentenceWords::new(sentence);
+            if let Some(span_words) = sw.span(start, end) {
+                proptest::prop_assert_eq!(span_words, &SentenceWords::new(&sentence[start..end]).norm[..]);
+            }
+            for w in words(sentence) {
+                for v in words(sentence).iter().filter(|v| v.end >= w.start) {
+                    let (lo, hi) = (w.start.min(v.end), w.start.max(v.end));
+                    let span_words = sw.span(lo, hi);
+                    proptest::prop_assert!(span_words.is_some());
+                    proptest::prop_assert_eq!(
+                        span_words.unwrap(),
+                        &SentenceWords::new(&sentence[lo..hi]).norm[..]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_colon_tail_inside_a_word_is_scored_from_its_text() {
+        let sentence = "Lectures at 10:30 today";
+        let colon = sentence.find(':').unwrap();
+        let sw = SentenceWords::new(sentence);
+        assert_eq!(sw.span(colon + 1, sentence.len()), None);
+        assert_eq!(SentenceWords::new(&sentence[colon + 1..]).norm[0], "30");
     }
 
     #[test]

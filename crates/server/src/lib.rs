@@ -272,7 +272,8 @@ pub(crate) struct Shared {
     pub(crate) shed: AtomicU64,
     /// Requests that returned `deadline-exceeded` (also in `errors`).
     pub(crate) deadline_hits: AtomicU64,
-    /// Heavy ops whose execution panicked (also in `errors`).
+    /// Requests whose execution panicked, on a worker or on the
+    /// connection thread (also in `errors`).
     pub(crate) panics: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     /// Server-side default latency budget (see
@@ -412,8 +413,8 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// Runs aborted by an expired latency budget (`deadline-exceeded`).
     pub deadline_exceeded: u64,
-    /// Heavy ops whose execution panicked: each was answered `internal`
-    /// and its worker kept serving.
+    /// Requests whose execution panicked: each was answered `internal`,
+    /// and its worker or connection kept serving.
     pub panics: u64,
     /// Worker threads, summed over the shards.
     pub workers: usize,
@@ -647,7 +648,10 @@ impl Server {
 
     /// [`Server::classify_line`] for an already-parsed frame — the HTTP
     /// facade's entry point (its body arrives pre-parsed, with the op
-    /// injected from the request path). Counts the request.
+    /// injected from the request path). Counts the request. The light
+    /// ops (`intern`, `check`, `stats`, and the parse-and-intern step of
+    /// `run` and `run_batch`) execute here, on the connection thread; a
+    /// panic among them is contained as in [`Server::execute_heavy`].
     pub(crate) fn classify_value(&self, v: Value) -> (Value, Result<Action, ProtoError>) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         if v.as_object().is_none() {
@@ -660,7 +664,18 @@ impl Server {
             );
         }
         let id = v["id"].clone();
-        (id, self.dispatch(&v))
+        let action = catch_unwind(AssertUnwindSafe(|| self.dispatch(&v)))
+            .unwrap_or_else(|_| Err(self.panicked()));
+        (id, action)
+    }
+
+    /// Counts a contained panic and answers it `internal`.
+    fn panicked(&self) -> ProtoError {
+        self.shared.panics.fetch_add(1, Ordering::Relaxed);
+        ProtoError::new(
+            ErrKind::Internal,
+            "the operation panicked; the server recovered",
+        )
     }
 
     /// Renders the response and maintains the error counter — the
@@ -696,13 +711,7 @@ impl Server {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.run_heavy(op.shard, op.kind, &token)
         }))
-        .unwrap_or_else(|_| {
-            self.shared.panics.fetch_add(1, Ordering::Relaxed);
-            Err(ProtoError::new(
-                ErrKind::Internal,
-                "the operation panicked; the server recovered",
-            ))
-        });
+        .unwrap_or_else(|_| Err(self.panicked()));
         shard.inflight.fetch_sub(1, Ordering::Relaxed);
         self.shared.untrack_job(job);
         outcome
@@ -814,6 +823,13 @@ impl Server {
                 deadline: None,
                 shard: 0,
             })),
+            #[cfg(test)]
+            Some("panic_inline") => {
+                // Panics on the connection thread, holding shard 0's
+                // engine lock as an intern would.
+                let _engine = relock(self.shared.shards.get(0).engine.write());
+                panic!("planted inline panic")
+            }
             #[cfg(test)]
             Some("block") => Ok(Action::Heavy(HeavyOp {
                 kind: HeavyKind::Block,
@@ -1525,6 +1541,52 @@ mod tests {
         let s = stats(&listening.server());
         assert_eq!((s.panics, s.errors, s.inflight), (1, 1, 0), "{s:?}");
         assert!(relock(listening.shared.inflight.lock()).is_empty());
+    }
+
+    /// `f`'s result, failing instead of hanging when it has not returned
+    /// after 10 s (a request the server neither answers nor closes).
+    fn within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("no response within 10 s")
+    }
+
+    #[test]
+    fn a_panicking_light_op_is_contained_and_its_connection_keeps_serving() {
+        let run = r#"{"id":2,"op":"run","question":"Who are the PhD students?","keywords":["Students"],"labeled":[{"html":"<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>","gold":["Jane Doe"]}],"targets":[{"html":"<h1>B</h1><h2>Advisees</h2><ul><li>Wei Chen</li></ul>"}]}"#;
+        let want = server().handle_line(run);
+        let listening = Server::new(options())
+            .listen_all(Some("127.0.0.1:0"), None, Some("127.0.0.1:0"))
+            .expect("bind loopback");
+        let internal = r#"{"id":1,"err":{"kind":"internal","#;
+
+        // The planted panic runs on the connection thread, holding a
+        // shard's engine lock; the same connection then serves the same
+        // bytes as a reference server that never panicked.
+        let mut line = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+        let (mut line, resp) = within_10s(move || {
+            let resp = line.request_line(r#"{"id":1,"op":"panic_inline"}"#);
+            (line, resp)
+        });
+        let resp = resp.expect("a response");
+        assert!(resp.starts_with(internal), "{resp}");
+        assert_eq!(line.request_line(run).expect("run"), want);
+
+        let mut http = HttpClient::connect(listening.http_addr().expect("http")).expect("connect");
+        let (mut http, resp) = within_10s(move || {
+            let resp = http.post("/v1/panic_inline", r#"{"id":1}"#);
+            (http, resp)
+        });
+        let (status, body) = resp.expect("a response");
+        assert_eq!(status, 500, "{body}");
+        assert!(body.starts_with(internal), "{body}");
+        assert_eq!(http.post("/v1/run", run).expect("run"), (200, want));
+
+        let s = stats(&listening.server());
+        assert_eq!((s.panics, s.errors, s.inflight), (2, 2, 0), "{s:?}");
     }
 
     #[test]

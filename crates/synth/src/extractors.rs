@@ -9,19 +9,27 @@
 //! search cheap enough to run hundreds of times per task.
 //!
 //! Hot-path structure (all semantics-free; `SynthConfig::reference()`
-//! swaps the kernels back to definitional string scoring):
+//! swaps the kernels back to definitional string scoring and applies
+//! each step to each string in turn):
 //!
 //! * outputs flow as dense string ids from the task's
 //!   [`StringTable`](crate::scorer::StringTable): equal content is an
 //!   equal id, so `Filter`, set-semantics dedup, and behavioural
 //!   equivalence compare integers, never bytes;
 //! * candidates are scored on interned token ids ([`crate::scorer::Scorer`])
-//!   indexed by string id — each distinct string is tokenized, and each
-//!   production step applied to it, once for the whole task;
-//! * child candidates are generated as *production steps* applied to the
-//!   parent's outputs; the `UB = 2R/(1+R)` bound (Eq. 3) is checked
-//!   **before** the child AST exists, so dominated candidates never
-//!   materialize an `Extractor` value at all;
+//!   indexed by string id — each distinct string is tokenized once for
+//!   the whole task;
+//! * a popped candidate's children under *every* production step are
+//!   built in one walk over its strings
+//!   ([`Scorer::apply_steps`](crate::scorer::Scorer::apply_steps)): each
+//!   string's row lists only its non-empty step outputs, computed on its
+//!   first expansion and reused for the rest of the task, so a step no
+//!   string touches yields an all-empty child at no cost;
+//! * children are then decided in pool order exactly as one step at a
+//!   time would decide them: the `UB = 2R/(1+R)` bound (Eq. 3) and the
+//!   behavioural-duplicate check read the shared child buffers, and a
+//!   child's outputs are copied and its AST built only when it joins the
+//!   worklist (or ties the optimum as a duplicate);
 //! * the search runs once per distinct input of a task. `SynthesizeBranch`
 //!   looks a locator up in two memos before calling it: the footnote 6
 //!   memo over the branch's enumerator entries, then the task's memo
@@ -33,7 +41,7 @@ use std::collections::HashSet;
 use webqa_dsl::{Extractor, PageNodeId};
 use webqa_metrics::Counts;
 
-use crate::scorer::{behaviour_key, FxBuild, Scorer, StepOp, TaskCtx};
+use crate::scorer::{behaviour_key, Children, FxBuild, Scorer, StepOp, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Result of extractor synthesis: all extractors achieving the optimal
@@ -112,7 +120,8 @@ pub(crate) fn synthesize_extractors(
     let seed_outputs = scorer.seed_outputs(nodes);
 
     let mut worklist: std::collections::VecDeque<Cand> = std::collections::VecDeque::new();
-    let seed_key = behaviour_key(&seed_outputs);
+    let mut key = Vec::new();
+    behaviour_key(&seed_outputs, &mut key);
     worklist.push_back(Cand {
         ast: Extractor::Content,
         outputs: seed_outputs,
@@ -126,7 +135,7 @@ pub(crate) fn synthesize_extractors(
     // from the representative, so no distinct-behavior optimum is lost.
     // Keyed on the exact output ids, so no two behaviours can collide.
     let mut seen_outputs: HashSet<Box<[u32]>, FxBuild> = HashSet::default();
-    seen_outputs.insert(seed_key);
+    seen_outputs.insert(key.as_slice().into());
 
     // Analysis prune (sound, kernel-mode-invariant): with gold tokens
     // present, a candidate whose outputs are empty on every example —
@@ -136,6 +145,12 @@ pub(crate) fn synthesize_extractors(
     // no gold tokens the empty output scores a vacuous perfect F₁ and
     // must stay enumerable.
     let analyze = task.analysis.enabled && scorer.gold_total() > 0;
+
+    // Optimized mode builds every step's child in one walk over the
+    // candidate's strings; reference mode applies each step in turn.
+    let reference = task.cfg.reference_kernels;
+    let mut kids = Children::new(task.steps.len(), scorer.len());
+    let mut ref_child: Vec<Vec<u32>>;
 
     while let Some(cand) = worklist.pop_front() {
         stats.extractors_enumerated += 1;
@@ -153,6 +168,9 @@ pub(crate) fn synthesize_extractors(
         if cand.depth >= task.cfg.extractor_depth {
             continue;
         }
+        if !reference {
+            scorer.apply_steps(&cand.outputs, &mut kids);
+        }
         for (si, step) in task.steps.iter().enumerate() {
             if let (StepOp::Split(c), Some(prev)) = (step, cand.last_split) {
                 // Splitting twice on the same delimiter is an identity.
@@ -166,8 +184,13 @@ pub(crate) fn synthesize_extractors(
                 stats.analysis_pruned_extractors += 1;
                 continue;
             }
-            let child_outputs = scorer.apply_step(si, &cand.outputs);
-            if analyze && child_outputs.iter().all(Vec::is_empty) {
+            let child: &[Vec<u32>] = if reference {
+                ref_child = scorer.apply_step(si, &cand.outputs);
+                &ref_child
+            } else {
+                kids.get(si)
+            };
+            if analyze && child.iter().all(Vec::is_empty) {
                 stats.analysis_pruned_extractors += 1;
                 continue;
             }
@@ -176,16 +199,17 @@ pub(crate) fn synthesize_extractors(
             // pruning on it is sound for the deduplicated score too. The
             // child AST has not been built yet — pruned candidates never
             // exist as `Extractor` values.
-            let child_raw_counts = scorer.counts_raw(&child_outputs);
+            let child_raw_counts = scorer.counts_raw(child);
             if task.cfg.prune && child_raw_counts.upper_bound() + F1_EPS < best_f1 {
                 stats.extractors_pruned += 1;
                 continue;
             }
-            if !seen_outputs.insert(behaviour_key(&child_outputs)) {
+            behaviour_key(child, &mut key);
+            if seen_outputs.contains(key.as_slice()) {
                 // Score the behavioral duplicate, but do not expand it. Only
                 // a tie is kept: see ROADMAP "Extractor search drops optimal
                 // behavioural duplicates".
-                let dup_counts = scorer.counts_dedup(&child_outputs);
+                let dup_counts = scorer.counts_dedup(child);
                 let s = dup_counts.f1();
                 stats.extractors_enumerated += 1;
                 if (s - best_f1).abs() <= F1_EPS && s > 0.0 {
@@ -193,15 +217,17 @@ pub(crate) fn synthesize_extractors(
                 }
                 continue;
             }
-            let ast = make_ast(&cand.ast, step);
+            seen_outputs.insert(key.as_slice().into());
+            // The child joins the worklist: only now are its outputs
+            // copied out of the shared buffers.
             worklist.push_back(Cand {
                 depth: cand.depth + 1,
                 last_split: match step {
                     StepOp::Split(c) => Some(*c),
                     _ => None,
                 },
-                ast,
-                outputs: child_outputs,
+                ast: make_ast(&cand.ast, step),
+                outputs: child.to_vec(),
             });
         }
     }

@@ -27,16 +27,18 @@
 //! detail in the module named:
 //!
 //! * **String table** (`scorer`): every string the extractor search
-//!   sees gets a dense `u32` id once per task, with its token ids and
-//!   its production-step outputs.
+//!   sees gets a dense `u32` id once per task, with its token ids and,
+//!   once it is expanded, a row of its non-empty production-step outputs.
 //! * **Interned scoring** (`scorer`, [`Example`]): F₁ counts and the
 //!   `UB = 2R/(1+R)` ceiling (Eq. 3) are overlaps of small integer bags.
 //! * **Feature and mask tables** (`scorer`): one `[filter][node]` table
 //!   per example, borrowed from the caller or built once per task.
 //! * **Two-level extractor memo** (`branch`, `guards`): per locator entry,
 //!   then per (E⁺, propagated node sets) across the task.
-//! * **Step-wise extractor enumeration** (`extractors`): the UB prune
-//!   fires before a child AST is built.
+//! * **One-pass extractor enumeration** (`extractors`): one walk over a
+//!   candidate's strings builds its children under every production
+//!   step into reused buffers; all-empty children cost nothing, and the
+//!   UB prune fires before a child is copied or its AST built.
 //!
 //! The search can be abandoned cooperatively: [`synthesize_cancellable`]
 //! threads a [`CancelToken`] (explicit cancel, wall-clock deadline, or

@@ -18,13 +18,15 @@
 //! * [`StringTable`] — one per task, shared by its branch problems:
 //!   every string the extractor search sees gets a dense `u32` id, equal
 //!   content meaning an equal id. For the optimized kernels the table
-//!   also keeps each string's token ids, the output ids of every
-//!   (production step, string) pair in one flat arena, and the `Content`
-//!   seed id of every (example, node) — each computed once per task,
-//!   however many branches reach it.
+//!   also keeps each string's token ids, a row per expanded string of
+//!   its non-empty production-step outputs (step index and span of one
+//!   flat arena), and the `Content` seed id of every (example, node) —
+//!   each computed once per task, however many branches reach it.
 //! * [`Scorer`] — one per branch problem: the positive examples' gold
 //!   bags interned into the table's token space, so scoring a candidate
-//!   is a multiset-overlap run over integer ids indexed by string id.
+//!   is a multiset-overlap run over integer ids indexed by string id. It
+//!   also builds a candidate's children under every production step in
+//!   one walk over the table's rows, into reused [`Children`] buffers.
 //! * [`FxHasher`] — a fast non-cryptographic hasher for the search's
 //!   behaviour keys. Those are id sequences the program builds; the
 //!   table's content map keys on page text, so it keeps the standard
@@ -36,7 +38,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use webqa_dsl::{
-    Analyzer, EntityKind, Extractor, NlpPred, NodeFilter, PageNodeId, QueryContext, Truth,
+    Analyzer, EntityKind, Extractor, NlpPred, NodeFilter, PageNodeId, QueryContext,
+    StringExtractor, Truth,
 };
 use webqa_metrics::{BagOverlap, Counts, IdBag, TokenInterner};
 
@@ -101,11 +104,11 @@ fn kind_bit(kind: EntityKind) -> u8 {
 }
 
 /// Computes the features of one string. `want_answer` mirrors
-/// `QueryContext::has_answer`'s empty-question short-circuit. The
-/// production path builds rows via [`PageFeatures::compute_with_base`]
-/// (query layer over a [`PageBaseFeatures`] base); this definitional
-/// one-shot form remains as the test oracle for feature↔pred agreement.
-#[cfg(test)]
+/// `QueryContext::has_answer`'s empty-question short-circuit. Page rows
+/// are built via [`PageFeatures::compute_with_base`] (query layer over a
+/// [`PageBaseFeatures`] base); the string table's step rows use this
+/// one-shot form, so every `Filter` step on a string reads one set of
+/// features.
 pub(crate) fn features_of(ctx: &QueryContext, text: &str, want_answer: bool) -> TextFeatures {
     let kw = ctx.keyword_score(text);
     let has_answer = want_answer && ctx.has_answer(text);
@@ -498,6 +501,15 @@ fn id_of(n: usize) -> u32 {
         .expect("string table exceeds the u32 id space")
 }
 
+/// One non-empty output of a production step on a string: the step's
+/// index in the pool and the span `outputs[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
+struct StepRun {
+    step: u32,
+    start: u32,
+    len: u32,
+}
+
 /// The string table of one task's extractor searches: every string the
 /// search sees, under a dense `u32` id. Equal content always means an
 /// equal id, so the search compares, deduplicates, and keys candidate
@@ -506,10 +518,15 @@ fn id_of(n: usize) -> u32 {
 /// The table also memoizes, once per task, every string function the
 /// optimized search applies: the token ids of each string (in one
 /// [`TokenInterner`], which each [`Scorer`] also interns its gold bags
-/// into), the output ids of each (production step, string) pair in one
-/// flat arena, and the `Content` seed id of each (example, node). The
-/// reference kernels read only content ↔ id: every score and step output
-/// is recomputed definitionally from the text.
+/// into), the outputs of every production step on each expanded string
+/// (its row, in one flat arena), and the `Content` seed id of each
+/// (example, node). The reference kernels read only content ↔ id: every
+/// score and step output is recomputed definitionally from the text.
+///
+/// A row is filled step by step in pool order when its string is first
+/// expanded, so ids are assigned in a different order than a per-step
+/// walk would assign them. Nothing depends on that order: the search
+/// compares ids only for equality (dedup stamps, behaviour keys).
 ///
 /// The task's synthesis owns the table and passes it down by `&mut`.
 pub(crate) struct StringTable {
@@ -522,14 +539,11 @@ pub(crate) struct StringTable {
     /// token ids.
     token_start: Vec<u32>,
     tokens: Vec<u32>,
-    /// Size of the task's production pool: the width of a step row.
-    steps: usize,
-    /// Per string: its row in `slots`, or `NONE` until a production step
-    /// is first applied to it.
-    row_of: Vec<u32>,
-    /// `steps` slots per row; slot `(start, len)` spans the step's
-    /// output ids in `outputs`, `start == NONE` until computed.
-    slots: Vec<(u32, u32)>,
+    /// Per string: `(first, n)` when its row is `runs[first..first + n]`,
+    /// `first == NONE` until the string is first expanded.
+    row_of: Vec<(u32, u32)>,
+    /// Rows of [`StepRun`]s, one row per expanded string, in pool order.
+    runs: Vec<StepRun>,
     outputs: Vec<u32>,
     /// `[task example][node]` → the node's `Content` seed id, `EMPTY`
     /// for empty text, `NONE` until first asked for. A row is allocated
@@ -538,6 +552,9 @@ pub(crate) struct StringTable {
     /// Per string: the dedup epoch it was last counted in.
     stamp: Vec<u32>,
     epoch: u32,
+    /// Every `(step, string)` pair a row applied, in order.
+    #[cfg(test)]
+    applied: Vec<(u32, u32)>,
 }
 
 impl StringTable {
@@ -549,13 +566,14 @@ impl StringTable {
             interner: TokenInterner::new(),
             token_start: vec![0],
             tokens: Vec::new(),
-            steps: task.steps.len(),
             row_of: Vec::new(),
-            slots: Vec::new(),
+            runs: Vec::new(),
             outputs: Vec::new(),
             seeds: vec![Vec::new(); task.examples.len()],
             stamp: Vec::new(),
             epoch: 0,
+            #[cfg(test)]
+            applied: Vec::new(),
         }
     }
 
@@ -570,7 +588,7 @@ impl StringTable {
         self.ids.insert(rc, id);
         self.interner.tokenize_ids(s, &mut self.tokens);
         self.token_start.push(id_of(self.tokens.len()));
-        self.row_of.push(NONE);
+        self.row_of.push((NONE, 0));
         self.stamp.push(0);
         id
     }
@@ -606,27 +624,64 @@ impl StringTable {
         (id != EMPTY).then_some(id)
     }
 
-    /// The output ids of production step `si` on string `s`, computed on
-    /// the pair's first use (optimized mode).
-    fn step_outputs(&mut self, ctx: &QueryContext, step: &StepOp, si: usize, s: u32) -> &[u32] {
-        let mut row = self.row_of[s as usize];
-        if row == NONE {
-            row = id_of(self.slots.len() / self.steps);
-            self.slots.resize(self.slots.len() + self.steps, (NONE, 0));
-            self.row_of[s as usize] = row;
-        }
-        let slot = row as usize * self.steps + si;
-        if self.slots[slot].0 == NONE {
+    /// String `s`'s row, as a range of `runs`: the non-empty outputs of
+    /// every production step on it, computed together on the string's
+    /// first expansion (optimized mode). The row applies each step as
+    /// [`apply_step_one`] would, sharing work between steps: `Filter`s
+    /// read one [`TextFeatures`] of the string, and every `matchKeyword`
+    /// extraction one scoring of the string's word windows
+    /// ([`StringExtractor`]). A step the analyzer proves dead is not
+    /// applied: its output is `∅` on every string.
+    fn row(&mut self, task: &TaskCtx, s: u32) -> std::ops::Range<usize> {
+        let (mut first, mut n) = self.row_of[s as usize];
+        if first == NONE {
             let text = Rc::clone(&self.text[s as usize]);
-            let start = id_of(self.outputs.len());
-            apply_step_one(ctx, step, &text, |piece| {
-                let id = self.intern(piece);
-                self.outputs.push(id);
-            });
-            self.slots[slot] = (start, id_of(self.outputs.len()) - start);
+            let feats = features_of(task.ctx, &text, !task.ctx.question().is_empty());
+            let mut extractor = StringExtractor::new(task.ctx, &text);
+            first = id_of(self.runs.len());
+            for (si, step) in task.steps.iter().enumerate() {
+                if task.analysis.enabled && task.analysis.step_dead[si] {
+                    continue;
+                }
+                #[cfg(test)]
+                self.applied.push((id_of(si), s));
+                let start = id_of(self.outputs.len());
+                match step {
+                    StepOp::Filter(pred) => {
+                        if pred_holds(pred, &feats) {
+                            self.outputs.push(s);
+                        }
+                    }
+                    StepOp::Substring(pred, k) => {
+                        for piece in extractor.extract(pred).iter().take(*k) {
+                            let id = self.intern(piece);
+                            self.outputs.push(id);
+                        }
+                    }
+                    StepOp::Split(_) => apply_step_one(task.ctx, step, &text, |piece| {
+                        let id = self.intern(piece);
+                        self.outputs.push(id);
+                    }),
+                }
+                let len = id_of(self.outputs.len()) - start;
+                if len > 0 {
+                    self.runs.push(StepRun {
+                        step: id_of(si),
+                        start,
+                        len,
+                    });
+                }
+            }
+            n = id_of(self.runs.len()) - first;
+            self.row_of[s as usize] = (first, n);
         }
-        let (start, len) = self.slots[slot];
-        &self.outputs[start as usize..(start + len) as usize]
+        first as usize..(first + n) as usize
+    }
+
+    /// Every `(step, string)` pair a row applied so far, in order.
+    #[cfg(test)]
+    pub(crate) fn applied(&self) -> &[(u32, u32)] {
+        &self.applied
     }
 
     /// A fresh dedup epoch: no string is marked as seen in it.
@@ -640,16 +695,15 @@ impl StringTable {
     }
 }
 
-/// The exact behaviour key of per-example outputs: each example's output
-/// count followed by its ids. Two candidates share a key iff their
-/// outputs are equal string for string on every example.
-pub(crate) fn behaviour_key(outputs: &[Vec<u32>]) -> Box<[u32]> {
-    let mut key = Vec::with_capacity(outputs.len() + outputs.iter().map(Vec::len).sum::<usize>());
+/// Writes the exact behaviour key of per-example outputs into `key`:
+/// each example's output count followed by its ids. Two candidates share
+/// a key iff their outputs are equal string for string on every example.
+pub(crate) fn behaviour_key(outputs: &[Vec<u32>], key: &mut Vec<u32>) {
+    key.clear();
     for ids in outputs {
         key.push(id_of(ids.len()));
         key.extend_from_slice(ids);
     }
-    key.into_boxed_slice()
 }
 
 /// Per-branch scoring state: the positive examples with their gold bags
@@ -780,29 +834,92 @@ impl<'s> Scorer<'s> {
     }
 
     /// Applies production step `si` of the task's pool to the parent's
-    /// outputs. In optimized mode each (step, string) result comes from
-    /// the table, computed once per task; reference mode applies the
-    /// step definitionally to every string.
+    /// outputs definitionally, string by string: the reference kernels'
+    /// step path and the oracle [`Scorer::apply_steps`] is tested against.
     pub(crate) fn apply_step(&mut self, si: usize, parent_outputs: &[Vec<u32>]) -> Vec<Vec<u32>> {
         let task = self.task;
-        let step = &task.steps[si];
         parent_outputs
             .iter()
             .map(|ids| {
                 let mut out: Vec<u32> = Vec::with_capacity(ids.len());
                 for &s in ids {
-                    if task.cfg.reference_kernels {
-                        let text = Rc::clone(&self.table.text[s as usize]);
-                        apply_step_one(task.ctx, step, &text, |piece| {
-                            out.push(self.table.intern(piece));
-                        });
-                    } else {
-                        out.extend_from_slice(self.table.step_outputs(task.ctx, step, si, s));
-                    }
+                    let text = Rc::clone(&self.table.text[s as usize]);
+                    apply_step_one(task.ctx, &task.steps[si], &text, |piece| {
+                        out.push(self.table.intern(piece));
+                    });
                 }
                 out
             })
             .collect()
+    }
+
+    /// Applies every production step of the pool to the parent's outputs
+    /// in one walk over its strings (optimized mode): each string's row
+    /// holds its non-empty step outputs, computed once per task, and each
+    /// is appended to that step's child in `kids`.
+    pub(crate) fn apply_steps(&mut self, parent_outputs: &[Vec<u32>], kids: &mut Children) {
+        kids.clear();
+        let task = self.task;
+        for (e, ids) in parent_outputs.iter().enumerate() {
+            for &s in ids {
+                let row = self.table.row(task, s);
+                for run in &self.table.runs[row] {
+                    let (start, end) = (run.start as usize, (run.start + run.len) as usize);
+                    kids.out(run.step as usize, e)
+                        .extend_from_slice(&self.table.outputs[start..end]);
+                }
+            }
+        }
+    }
+}
+
+/// The children of one candidate under every production step, filled
+/// by [`Scorer::apply_steps`]. The buffers are reused from candidate to
+/// candidate; only the steps some string produced output under are
+/// cleared, so a step no string touches costs nothing.
+pub(crate) struct Children {
+    /// `[step × examples + example]` output ids.
+    outputs: Vec<Vec<u32>>,
+    examples: usize,
+    /// The steps with output since the last clear.
+    dirty: Vec<usize>,
+    touched: Vec<bool>,
+}
+
+impl Children {
+    /// Empty buffers for `steps` production steps over `examples`
+    /// positive examples.
+    pub(crate) fn new(steps: usize, examples: usize) -> Self {
+        Children {
+            outputs: vec![Vec::new(); steps * examples],
+            examples,
+            dirty: Vec::new(),
+            touched: vec![false; steps],
+        }
+    }
+
+    /// Step `si`'s child: its outputs on every example.
+    pub(crate) fn get(&self, si: usize) -> &[Vec<u32>] {
+        &self.outputs[si * self.examples..(si + 1) * self.examples]
+    }
+
+    /// Example `e`'s outputs under step `si`, marking the step touched.
+    fn out(&mut self, si: usize, e: usize) -> &mut Vec<u32> {
+        if !self.touched[si] {
+            self.touched[si] = true;
+            self.dirty.push(si);
+        }
+        &mut self.outputs[si * self.examples + e]
+    }
+
+    fn clear(&mut self) {
+        for si in self.dirty.drain(..) {
+            self.touched[si] = false;
+            let n = self.examples;
+            self.outputs[si * n..(si + 1) * n]
+                .iter_mut()
+                .for_each(Vec::clear);
+        }
     }
 }
 
@@ -1070,6 +1187,91 @@ mod tests {
                 let text = scorer.table.text(id).to_owned();
                 prop_assert_eq!(scorer.table.intern(&text), id);
             }
+        }
+    }
+
+    /// A corpus task's examples over three generated pages, and every
+    /// distinct non-empty node text of them plus those texts' `,`-split
+    /// pieces (strings a `Split(',')` child carries, so splitting them
+    /// again on `,` is the repeated split the search skips).
+    fn corpus_strings(task: usize) -> (QueryContext, Vec<Example>, Vec<String>) {
+        use webqa_corpus::{generate_pages, TASKS};
+        let t = &TASKS[task];
+        let examples: Vec<Example> = generate_pages(t.domain, 3, 7)
+            .iter()
+            .map(|p| Example::new(p.tree(), p.gold(t.id).to_vec()))
+            .collect();
+        let mut strings: Vec<String> = Vec::new();
+        for ex in &examples {
+            for n in ex.page.iter() {
+                let text = ex.page.text(n);
+                let pieces = text.split(',').map(str::trim).filter(|p| !p.is_empty());
+                for s in std::iter::once(text).chain(pieces) {
+                    if !s.is_empty() && !strings.iter().any(|x| x == s) {
+                        strings.push(s.to_string());
+                    }
+                }
+            }
+        }
+        (
+            QueryContext::new(t.question, t.keywords.to_vec()),
+            examples,
+            strings,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The one-pass kernel is the per-step semantics: on random
+        /// candidates over corpus strings (repeated ids, empty example
+        /// lists), every step's child from `apply_steps` equals
+        /// `apply_step`'s, the buffers of the previous candidate
+        /// included, and the dead steps (`Substring(·, 0)` here) are
+        /// all-empty. The `Split(',')` child of each candidate goes
+        /// through the kernel again, so a repeated split is covered. No
+        /// `(step, string)` pair is applied twice over all the candidates.
+        #[test]
+        fn kernel_parity_children_equal_apply_step(
+            task in 0usize..25,
+            picks in proptest::collection::vec(
+                proptest::collection::vec(any::<usize>(), 0..6), 6),
+        ) {
+            let (c, examples, strings) = corpus_strings(task);
+            let mut cfg = SynthConfig::fast();
+            cfg.substring_ks = vec![0, 1, 2];
+            let tc = TaskCtx::new(&cfg, &c, &examples);
+            prop_assert!(tc.analysis.step_dead.iter().any(|&d| d));
+            let split = tc
+                .steps
+                .iter()
+                .position(|s| matches!(s, StepOp::Split(',')))
+                .expect("a split step");
+            let mut table = StringTable::new(&tc);
+            let mut scorer = Scorer::new(&tc, &mut table, &[0, 1, 2]);
+            let mut kids = Children::new(tc.steps.len(), 3);
+            for cand in picks.chunks(3) {
+                let parent: Vec<Vec<u32>> = cand
+                    .iter()
+                    .map(|ix| ix.iter().map(|&i| scorer.table.intern(&strings[i % strings.len()])).collect())
+                    .collect();
+                let split_child = scorer.apply_step(split, &parent);
+                for outputs in [parent, split_child] {
+                    scorer.apply_steps(&outputs, &mut kids);
+                    for si in 0..tc.steps.len() {
+                        let want = scorer.apply_step(si, &outputs);
+                        prop_assert_eq!(kids.get(si), &want[..], "step {:?}", &tc.steps[si]);
+                        if tc.analysis.step_dead[si] {
+                            prop_assert!(want.iter().all(Vec::is_empty));
+                        }
+                    }
+                }
+            }
+            let mut pairs = scorer.table.applied().to_vec();
+            pairs.sort_unstable();
+            let applied = pairs.len();
+            pairs.dedup();
+            prop_assert_eq!(pairs.len(), applied, "a (step, string) pair was applied twice");
         }
     }
 

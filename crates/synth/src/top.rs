@@ -703,6 +703,48 @@ mod tests {
         }
     }
 
+    /// The one-pass kernel applies each `(step, string)` pair at most
+    /// once per task: solving every branch problem of corpus tasks
+    /// through one string table, as `synthesize` does, applies no pair
+    /// twice, however many candidates and branches meet the string.
+    #[test]
+    fn kernel_parity_each_step_string_pair_is_applied_once_per_task() {
+        use webqa_corpus::{generate_pages, TASKS};
+        for task in [&TASKS[0], &TASKS[7], &TASKS[13], &TASKS[19]] {
+            let c = QueryContext::new(task.question, task.keywords.to_vec());
+            let examples: Vec<Example> = generate_pages(task.domain, 3, 7)
+                .iter()
+                .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
+                .collect();
+            let cfg = SynthConfig::fast();
+            let tc = TaskCtx::new(&cfg, &c, &examples);
+            let mut table = StringTable::new(&tc);
+            let mut memo = ExtractorMemo::new();
+            let mut stats = SynthStats::default();
+            let mut seen = HashSet::new();
+            for partition in ordered_partitions(examples.len(), cfg.max_blocks) {
+                for i in 0..partition.len() {
+                    let key = block_key(&partition, i);
+                    if seen.insert(key.clone()) {
+                        let (pos, neg) = &key;
+                        synthesize_branch(&tc, &mut table, &mut memo, pos, neg, &mut stats);
+                    }
+                }
+            }
+            let mut pairs = table.applied().to_vec();
+            assert!(pairs.len() > 100, "{}: {} pairs", task.id, pairs.len());
+            pairs.sort_unstable();
+            let applied = pairs.len();
+            pairs.dedup();
+            assert_eq!(
+                pairs.len(),
+                applied,
+                "{}: a pair was applied twice",
+                task.id
+            );
+        }
+    }
+
     fn assert_same_branch(what: &str, a: Option<&BranchSynthesis>, b: Option<&BranchSynthesis>) {
         let (a, b) = match (a, b) {
             (Some(a), Some(b)) => (a, b),

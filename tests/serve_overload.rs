@@ -116,15 +116,15 @@ impl Spec {
     }
 }
 
-/// A slow request: a corpus task with three labeled pages at paper scale
-/// (0.6–1.1 s cold over seeds 3, 4, 7, 8 and 9, in the test profile on a
-/// 2-core Xeon; two labels take about a third of that). Distinct seeds
-/// give distinct pages, so no two slow requests share a result-cache
-/// entry.
+/// A slow request: a corpus task with four labeled pages at paper scale
+/// (1.0–1.6 s cold over seeds 3, 4, 7, 8 and 9, in the test profile on a
+/// 2-core Xeon; three labels take about a quarter of that). Distinct
+/// seeds give distinct pages, so no two slow requests share a
+/// result-cache entry.
 fn slow_spec(seed: u64) -> Spec {
     let task = task_by_id("conf_t3").expect("catalogue task");
     let corpus = Corpus::generate(5, seed);
-    let data = corpus.dataset(task, 3);
+    let data = corpus.dataset(task, 4);
     Spec {
         question: task.question.to_string(),
         keywords: task.keywords.iter().map(|k| k.to_string()).collect(),
