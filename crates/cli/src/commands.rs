@@ -71,9 +71,10 @@ COMMANDS:
                   [--max-frame BYTES] [--max-requests N] [--workers N]
                   [--backlog N] [--deadline-ms MS]
                   --shards N splits the engine into N digest-routed
-                  shards, each with its own store, caches, and worker
-                  slice (0 = one per core; responses are byte-identical
-                  whatever N is); --http HOST:PORT serves the same ops
+                  shards, each with its own store and caches, served by
+                  one queue and one worker pool (0 = one per core;
+                  responses are byte-identical whatever N is);
+                  --http HOST:PORT serves the same ops
                   over HTTP/1.1, one route per op (see the crate docs);
                   --max-requests N serves exactly N responses then stops
                   (0 = run until killed, the default); --workers N fixes
@@ -925,9 +926,8 @@ fn render_shard_stats(response: &str) -> String {
         });
         let _ = writeln!(
             out,
-            "shard {}: workers {}, backlog {}, queue {}, inflight {}, pages {}, \
-             feature {feature}, base {base}, result {result}",
-            s.shard, s.workers, s.backlog, s.queue_depth, s.inflight, s.pages,
+            "shard {}: pages {}, feature {feature}, base {base}, result {result}",
+            s.shard, s.pages,
         );
     }
     out
@@ -1388,7 +1388,7 @@ mod tests {
         let stats = dispatch(&["client", "--unix", &path_str, "--op", "stats"]).unwrap();
         assert!(stats.contains("\"cache\""), "{stats}");
         assert!(stats.contains("\"pages\":1"), "{stats}");
-        assert!(stats.contains("\nshard 0: workers "), "{stats}");
+        assert!(stats.contains("\nshard 0: pages 1, "), "{stats}");
         let out = server.join().expect("server thread").unwrap();
         assert!(out.contains("served 3 requests"), "{out}");
         assert!(!path.exists(), "socket file is removed on shutdown");
@@ -1396,13 +1396,11 @@ mod tests {
 
     #[test]
     fn stats_rendering_is_pinned() {
-        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"shards":[{"shard":0,"workers":2,"backlog":4,"queue_depth":1,"inflight":2,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"workers":1,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
+        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"shards":[{"shard":0,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
         assert_eq!(
             render_shard_stats(response),
-            "shard 0: workers 2, backlog 4, queue 1, inflight 2, pages 3, \
-             feature 3h/1m (75%), base 0h/4m (0%), result off\n\
-             shard 1: workers 1, backlog 4, queue 0, inflight 0, pages 2, \
-             feature 0h/0m, base 0h/0m, result off\n"
+            "shard 0: pages 3, feature 3h/1m (75%), base 0h/4m (0%), result off\n\
+             shard 1: pages 2, feature 0h/0m, base 0h/0m, result off\n"
         );
         // An error envelope renders nothing after the raw line.
         assert_eq!(
@@ -1416,11 +1414,10 @@ mod tests {
         // Only `shards` is read: a body with counters this client does
         // not know (here an older daemon's `persist` block) renders the
         // same per-shard lines and nothing else.
-        let response = r#"{"id":null,"ok":{"requests":1,"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":1,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#;
+        let response = r#"{"id":null,"ok":{"requests":1,"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"pages":1,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#;
         assert_eq!(
             render_shard_stats(response),
-            "shard 0: workers 1, backlog 2, queue 0, inflight 0, pages 1, \
-             feature 0h/0m, base 0h/0m, result 0h/0m\n"
+            "shard 0: pages 1, feature 0h/0m, base 0h/0m, result 0h/0m\n"
         );
     }
 

@@ -21,10 +21,11 @@
 //! **fixed worker pool** ([`ServeOptions::workers`]):
 //!
 //! * Engine concurrency is exactly `workers`, however many sockets are
-//!   open — a connection flood cannot fork a thousand syntheses. A
-//!   worker runs one task at a time (a `run_batch` runs its tasks one
-//!   after another on its worker), and nothing else in the daemon runs
-//!   the engine.
+//!   open or shards configured — a connection flood cannot fork a
+//!   thousand syntheses. A worker runs one task at a time (a `run_batch`
+//!   runs its tasks one after another on its worker), and nothing else
+//!   in the daemon runs the engine. The daemon has one queue and one
+//!   pool: any idle worker takes the oldest admitted job.
 //! * When the backlog is full the request is **shed immediately** with
 //!   a typed `overloaded` error; load shedding never queues behind the
 //!   work it refuses. The connection stays open.
@@ -40,15 +41,14 @@
 //!
 //! The engine is split into [`ServeOptions::shards`] independent shards
 //! (default 1; `0` = one per core). Each shard owns its *own* engine —
-//! page store and caches — behind its own `RwLock`,
-//! plus its own admission queue and worker slice (the global
-//! `workers`/`backlog` budgets are split as evenly as possible, floored
-//! at one per shard). A page belongs to exactly one shard, chosen by a
-//! pure function of its content digest (`digest % shards`), so the same
-//! page lands on the same shard on every daemon of a fleet without
-//! coordination — and interning on one shard never takes another
-//! shard's write lock. Within a shard, heavy ops share the read lock
-//! (synthesis runs concurrently across that shard's workers) and
+//! page store and caches — behind its own `RwLock`; the admission queue
+//! and the worker pool are the daemon's, shared by every shard. A page
+//! belongs to exactly one shard, chosen by a pure function of its
+//! content digest (`digest % shards`), so the same page lands on the
+//! same shard on every daemon of a fleet without coordination — and
+//! interning on one shard never takes another shard's write lock.
+//! Within a shard, heavy ops share the read lock (synthesis runs
+//! concurrently across the workers running that shard's tasks) and
 //! interning takes a brief write lock; stores are append-only, so a
 //! handle stays valid for the life of the daemon process.
 //!
@@ -107,8 +107,8 @@
 //!   semantics); `Connection: close` — or an `HTTP/1.0` request line —
 //!   is honored. Requests on one connection are processed in order;
 //!   there is no cross-request pipelining on the facade (use the line
-//!   protocol for that). Heavy ops pass through the same per-shard
-//!   admission queues, deadlines, and shedding as the line protocol.
+//!   protocol for that). Heavy ops pass through the same admission
+//!   queue, deadlines, and shedding as the line protocol.
 //!
 //! # Example
 //!
@@ -159,7 +159,7 @@ use webqa::{
     Program, QueryContext, Task,
 };
 
-use pool::{Job, Reply};
+use pool::{Admission, Job, Reply};
 use protocol::{
     bad_request, bool_field, op_names, page_ref, str_field, string_list, ErrKind, PageRef,
     ProtoError, Response,
@@ -185,21 +185,22 @@ pub struct ServeOptions {
     /// Maximum request-frame size in bytes (default 1 MiB). Larger
     /// frames are refused with an `oversized` error.
     pub max_frame_bytes: usize,
-    /// Worker threads executing heavy ops (`run` / `run_batch`), divided
-    /// as evenly as possible across the shards (every shard gets at
-    /// least one). `0` (the default) means auto: the machine's available
-    /// parallelism. This is exactly the engine concurrency: a worker
-    /// runs one task at a time (a `run_batch` runs its tasks one after
-    /// another), and nothing else in the daemon runs the engine.
+    /// Worker threads executing heavy ops (`run` / `run_batch`), the
+    /// whole pool whatever the shard count. `0` (the default) means
+    /// auto: the machine's available parallelism. This is exactly the
+    /// engine concurrency: a worker runs one task at a time (a
+    /// `run_batch` runs its tasks one after another), and nothing else
+    /// in the daemon runs the engine.
     pub workers: usize,
-    /// Admission-queue capacity (default 64), divided across the shards
-    /// like `workers`: heavy ops waiting for a worker beyond a shard's
-    /// share are shed with an `overloaded` error.
+    /// Admission-queue capacity (default 64; `0` is read as 1), the whole
+    /// queue whatever the shard count: heavy ops waiting for a worker
+    /// beyond it are shed with an `overloaded` error.
     pub backlog: usize,
     /// Engine shards, routed by page content digest (see the module docs
-    /// of `shard.rs`). `1` (the default) reproduces the single-engine
-    /// server exactly — wire handles included; `0` means auto: one shard
-    /// per unit of available parallelism.
+    /// of `shard.rs`); each holds only its engine. `1` (the default)
+    /// reproduces the single-engine server exactly — wire handles
+    /// included; `0` means auto: one shard per unit of available
+    /// parallelism.
     pub shards: usize,
     /// Default per-request latency budget, measured from frame arrival
     /// (queue wait included). `None` (the default) = no deadline unless
@@ -227,47 +228,31 @@ impl Default for ServeOptions {
     }
 }
 
-/// The machine's available parallelism (the `0 = auto` resolution).
-fn machine_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-}
-
-impl ServeOptions {
-    /// The effective worker count (`workers`, with `0` resolved to the
-    /// machine's available parallelism).
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            machine_parallelism()
-        }
+/// `n`, with `0` (auto) resolved to the machine's available
+/// parallelism: the reading of [`ServeOptions::workers`] and
+/// [`ServeOptions::shards`].
+fn or_auto(n: usize) -> usize {
+    if n > 0 {
+        return n;
     }
-
-    /// The effective shard count (`shards`, with `0` resolved to the
-    /// machine's available parallelism).
-    fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            machine_parallelism()
-        }
-    }
+    std::thread::available_parallelism().map_or(4, |p| p.get())
 }
 
 /// State shared by every connection of one daemon.
 pub(crate) struct Shared {
-    /// The engine shards: each owns its engine (store + caches), its
-    /// admission queue, and its worker slice; pages route to shards by
-    /// content digest.
+    /// The engine shards: each owns its engine (store + caches); pages
+    /// route to shards by content digest.
     pub(crate) shards: ShardSet,
+    /// The bounded admission queue feeding the worker pool.
+    pub(crate) queue: Admission,
+    /// Worker threads in the pool.
+    pub(crate) workers: usize,
     pub(crate) max_frame_bytes: usize,
     pub(crate) started: Instant,
     /// Frames received (counted at read time).
     pub(crate) requests: AtomicU64,
     pub(crate) errors: AtomicU64,
-    /// Requests shed by the admission queues (`overloaded` responses;
+    /// Requests shed by the admission queue (`overloaded` responses;
     /// also counted in `errors`).
     pub(crate) shed: AtomicU64,
     /// Requests that returned `deadline-exceeded` (also in `errors`).
@@ -290,7 +275,8 @@ pub(crate) struct Shared {
     pub(crate) completions: Mutex<u64>,
     pub(crate) completion_cv: Condvar,
     /// Cancel tokens of in-flight heavy ops, so shutdown can abort
-    /// long-running syntheses instead of waiting them out.
+    /// long-running syntheses instead of waiting them out; its length is
+    /// the `inflight` of `stats`.
     pub(crate) inflight: Mutex<std::collections::HashMap<u64, CancelToken>>,
     pub(crate) next_job: AtomicU64,
     /// Live-connection close handles, so shutdown can unblock idle
@@ -352,12 +338,6 @@ pub(crate) enum Action {
 pub(crate) struct HeavyOp {
     kind: HeavyKind,
     deadline: Option<Instant>,
-    /// The shard whose queue admits (and whose worker slice executes)
-    /// this op: the task's home shard; for a batch, the first task's
-    /// home shard (a cross-shard batch occupies one worker slot, and
-    /// runs each of its tasks from there under that task's own home
-    /// shard's read lock).
-    pub(crate) shard: usize,
 }
 
 /// A page reference resolved onto its owning shard: the shared parsed
@@ -370,10 +350,11 @@ struct ResolvedPage {
     id_in_owner: PageId,
 }
 
+/// A heavy op's work: each task beside its home shard, under whose read
+/// lock it runs.
 enum HeavyKind {
-    Run(Task),
-    /// Batch entries keep their home shard alongside the task: each
-    /// runs on its own shard, in input order.
+    Run(usize, Task),
+    /// Each entry runs on its own home shard, in input order.
     Batch(Vec<(usize, Task)>),
     /// Panics when executed: the planted fault of the containment tests.
     #[cfg(test)]
@@ -394,15 +375,13 @@ impl HeavyOp {
         HeavyOp {
             kind: HeavyKind::Batch(Vec::new()),
             deadline: None,
-            shard: 0,
         }
     }
 }
 
 /// The `ok` body of the `stats` op: serving counters plus the per-shard
-/// breakdown. Serialized in field order; every total that has a
-/// per-shard counterpart is derived from [`StatsSnapshot::shards`], so
-/// the breakdown sums to it exactly.
+/// breakdown. Serialized in field order; `pages` and `cache` are derived
+/// from [`StatsSnapshot::shards`], so the breakdown sums to them exactly.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct StatsSnapshot {
     /// Frames received, error responses included.
@@ -416,15 +395,15 @@ pub struct StatsSnapshot {
     /// Requests whose execution panicked: each was answered `internal`,
     /// and its worker or connection kept serving.
     pub panics: u64,
-    /// Worker threads, summed over the shards.
+    /// Worker threads in the pool.
     pub workers: usize,
-    /// Admission-queue capacity, summed over the shards.
+    /// Admission-queue capacity.
     pub backlog: usize,
-    /// Heavy ops waiting for a worker, summed over the shards.
+    /// Heavy ops waiting for a worker.
     pub queue_depth: usize,
-    /// Heavy ops executing, summed over the shards.
+    /// Heavy ops executing.
     pub inflight: u64,
-    /// Interned pages, summed over the shards.
+    /// Interned pages: the sum of the `shards` entries' `pages`.
     pub pages: usize,
     /// Milliseconds since the server was built.
     pub uptime_ms: u64,
@@ -443,14 +422,6 @@ pub struct StatsSnapshot {
 pub struct ShardStats {
     /// The shard index.
     pub shard: usize,
-    /// Worker threads dedicated to the shard.
-    pub workers: usize,
-    /// The shard's admission-queue capacity.
-    pub backlog: usize,
-    /// Heavy ops in the shard's queue.
-    pub queue_depth: usize,
-    /// Heavy ops the shard is executing.
-    pub inflight: u64,
     /// Pages interned in the shard's store.
     pub pages: usize,
     /// The shard engine's cache counters.
@@ -468,15 +439,11 @@ pub struct Server {
 impl Server {
     /// A server owning fresh engine shards built from `opts`.
     pub fn new(opts: ServeOptions) -> Server {
-        let shards = ShardSet::new(
-            &opts.engine,
-            opts.effective_shards(),
-            opts.effective_workers(),
-            opts.backlog,
-        );
         Server {
             shared: Arc::new(Shared {
-                shards,
+                shards: ShardSet::new(&opts.engine, or_auto(opts.shards)),
+                queue: Admission::new(opts.backlog),
+                workers: or_auto(opts.workers),
                 max_frame_bytes: opts.max_frame_bytes,
                 started: Instant::now(),
                 requests: AtomicU64::new(0),
@@ -593,11 +560,11 @@ impl Server {
 
     /// The one request path of both transports: a classified frame
     /// becomes either a response to write now (`ok` or error, or the
-    /// `overloaded` shed when its shard's backlog is full — refused in
-    /// constant time on the connection thread, never queued behind the
-    /// backlog it refuses) or a job admitted to its home shard's queue,
-    /// whose worker answers through `reply` (`None`). A response
-    /// returned here drops `reply` unused.
+    /// `overloaded` shed when the backlog is full — refused in constant
+    /// time on the connection thread, never queued behind the backlog it
+    /// refuses) or a job admitted to the queue, whose worker answers
+    /// through `reply` (`None`). A response returned here drops `reply`
+    /// unused.
     pub(crate) fn submit(
         &self,
         id: Value,
@@ -609,7 +576,7 @@ impl Server {
             Ok(Action::Immediate(body)) => return Some(self.render_outcome(id, Ok(body))),
             Err(e) => return Some(self.render_outcome(id, Err(e))),
         };
-        let queue = &self.shared.shards.get(op.shard).queue;
+        let queue = &self.shared.queue;
         let job = Job {
             id: id.clone(),
             op,
@@ -698,33 +665,23 @@ impl Server {
     /// Executes a parsed heavy op under its deadline token. Runs on a
     /// worker thread in the daemon, inline in [`Server::handle_line`].
     /// A panic is contained to its request: it is answered `internal`
-    /// and counted, and the shard's `inflight` count and the job
-    /// registry are restored, so the worker keeps serving.
+    /// and counted, and the job registry is restored, so the worker
+    /// keeps serving.
     pub(crate) fn execute_heavy(&self, op: HeavyOp) -> Result<Value, ProtoError> {
         let token = match op.deadline {
             Some(at) => CancelToken::with_deadline(at),
             None => CancelToken::never(),
         };
         let job = self.shared.track_job(&token);
-        let shard = self.shared.shards.get(op.shard);
-        shard.inflight.fetch_add(1, Ordering::Relaxed);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.run_heavy(op.shard, op.kind, &token)
-        }))
-        .unwrap_or_else(|_| Err(self.panicked()));
-        shard.inflight.fetch_sub(1, Ordering::Relaxed);
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.run_heavy(op.kind, &token)))
+            .unwrap_or_else(|_| Err(self.panicked()));
         self.shared.untrack_job(job);
         outcome
     }
 
-    fn run_heavy(
-        &self,
-        home: usize,
-        kind: HeavyKind,
-        token: &CancelToken,
-    ) -> Result<Value, ProtoError> {
+    fn run_heavy(&self, kind: HeavyKind, token: &CancelToken) -> Result<Value, ProtoError> {
         match kind {
-            HeavyKind::Run(task) => self.run_task(home, &task, token),
+            HeavyKind::Run(home, task) => self.run_task(home, &task, token),
             HeavyKind::Batch(tasks) => {
                 // In input order, each task exactly as a separate `run`;
                 // the first error ends the batch.
@@ -754,7 +711,7 @@ impl Server {
     /// run shares that shard's read lock: concurrent workers proceed in
     /// parallel, and only *this shard's* interns serialize against them.
     fn run_task(&self, home: usize, task: &Task, token: &CancelToken) -> Result<Value, ProtoError> {
-        let engine = relock(self.shared.shards.get(home).engine.read());
+        let engine = relock(self.shared.shards.get(home).read());
         let result = engine
             .run_with_cancel(task, token)
             .map_err(|e| self.engine_err(e))?;
@@ -792,9 +749,8 @@ impl Server {
                 let deadline = self.deadline_of(request)?;
                 let (task, home) = self.parse_run_task(request)?;
                 Ok(Action::Heavy(HeavyOp {
-                    kind: HeavyKind::Run(task),
+                    kind: HeavyKind::Run(home, task),
                     deadline,
-                    shard: home,
                 }))
             }
             Some("run_batch") => {
@@ -806,13 +762,9 @@ impl Server {
                         .collect::<Result<Vec<_>, _>>()?,
                     _ => return bad_request("field \"tasks\" must be an array"),
                 };
-                // The batch is admitted on (and its worker slot charged
-                // to) the first task's home shard.
-                let shard = tasks.first().map_or(0, |&(h, _)| h);
                 Ok(Action::Heavy(HeavyOp {
                     kind: HeavyKind::Batch(tasks),
                     deadline,
-                    shard,
                 }))
             }
             Some("check") => self.op_check(request).map(Action::Immediate),
@@ -821,20 +773,18 @@ impl Server {
             Some("panic") => Ok(Action::Heavy(HeavyOp {
                 kind: HeavyKind::Panic,
                 deadline: None,
-                shard: 0,
             })),
             #[cfg(test)]
             Some("panic_inline") => {
                 // Panics on the connection thread, holding shard 0's
                 // engine lock as an intern would.
-                let _engine = relock(self.shared.shards.get(0).engine.write());
+                let _engine = relock(self.shared.shards.get(0).write());
                 panic!("planted inline panic")
             }
             #[cfg(test)]
             Some("block") => Ok(Action::Heavy(HeavyOp {
                 kind: HeavyKind::Block,
                 deadline: None,
-                shard: 0,
             })),
             Some(other) => Err(ProtoError::new(
                 ErrKind::UnknownOp,
@@ -883,7 +833,7 @@ impl Server {
         let tree = Arc::new(tree);
         let owner = self.shared.shards.owner_of(content_digest(&tree));
         let id = {
-            let mut engine = relock(self.shared.shards.get(owner).engine.write());
+            let mut engine = relock(self.shared.shards.get(owner).write());
             engine.store_mut().insert_shared(Arc::clone(&tree))
         };
         Ok((
@@ -923,7 +873,7 @@ impl Server {
         match r {
             PageRef::Handle(h) => {
                 let (owner, local) = self.shared.shards.decode_handle(h);
-                let engine = relock(self.shared.shards.get(owner).engine.read());
+                let engine = relock(self.shared.shards.get(owner).read());
                 let id = engine.store().id_at(local as usize).ok_or_else(|| {
                     ProtoError::new(
                         ErrKind::UnknownPage,
@@ -970,7 +920,7 @@ impl Server {
             return page.id_in_owner;
         }
         let engine =
-            home_engine.get_or_insert_with(|| relock(self.shared.shards.get(home).engine.write()));
+            home_engine.get_or_insert_with(|| relock(self.shared.shards.get(home).write()));
         engine.store_mut().insert_shared(Arc::clone(&page.tree))
     }
 
@@ -1060,22 +1010,18 @@ impl Server {
     }
 
     /// `stats`: one pass over the shards fills a [`ShardStats`] each,
-    /// and every fleet total is derived from those entries, so the
-    /// breakdown sums to the totals in every response.
+    /// and the page and cache totals are derived from those entries, so
+    /// the breakdown sums to them in every response.
     fn op_stats(&self) -> Result<Value, ProtoError> {
         let shared = &self.shared;
         let shards: Vec<ShardStats> = shared
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let engine = relock(s.engine.read());
+            .map(|(i, engine)| {
+                let engine = relock(engine.read());
                 ShardStats {
                     shard: i,
-                    workers: s.workers,
-                    backlog: s.queue.capacity(),
-                    queue_depth: s.queue.depth(),
-                    inflight: s.inflight.load(Ordering::Relaxed),
                     pages: engine.store().len(),
                     cache: engine.cache_stats(),
                 }
@@ -1087,10 +1033,10 @@ impl Server {
             shed: shared.shed.load(Ordering::Relaxed),
             deadline_exceeded: shared.deadline_hits.load(Ordering::Relaxed),
             panics: shared.panics.load(Ordering::Relaxed),
-            workers: shards.iter().map(|s| s.workers).sum(),
-            backlog: shards.iter().map(|s| s.backlog).sum(),
-            queue_depth: shards.iter().map(|s| s.queue_depth).sum(),
-            inflight: shards.iter().map(|s| s.inflight).sum(),
+            workers: shared.workers,
+            backlog: shared.queue.capacity(),
+            queue_depth: shared.queue.depth(),
+            inflight: relock(shared.inflight.lock()).len() as u64,
             pages: shards.iter().map(|s| s.pages).sum(),
             uptime_ms: shared.started.elapsed().as_millis() as u64,
             cache: shards
@@ -1473,8 +1419,9 @@ mod tests {
     #[test]
     fn an_http_request_shed_by_a_full_backlog_is_counted() {
         let listening = Server::new(ServeOptions {
-            workers: 1,
-            backlog: 1,
+            workers: 2,
+            backlog: 2,
+            shards: 2,
             ..options()
         })
         .listen_all(Some("127.0.0.1:0"), None, Some("127.0.0.1:0"))
@@ -1487,34 +1434,99 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         };
-        // Occupy the one worker, then the one backlog slot. (In-process
-        // `stats` calls write nothing, so they leave the count alone.)
+        // Both blocked ops run on shard 0, and both workers take one:
+        // the pool is the daemon's, not a shard's. Then fill both backlog
+        // slots. (In-process `stats` calls write nothing, so they leave
+        // the count alone.)
         let mut line = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
-        line.send_line(r#"{"id":1,"op":"block"}"#).expect("send");
-        settle(&|s| s.inflight == 1);
-        line.send_line(r#"{"id":2,"op":"block"}"#).expect("send");
-        settle(&|s| s.queue_depth == 1);
+        for id in 1..=2 {
+            line.send_line(&format!(r#"{{"id":{id},"op":"block"}}"#))
+                .expect("send");
+        }
+        settle(&|s| s.inflight == 2 && s.queue_depth == 0);
+        for id in 3..=4 {
+            line.send_line(&format!(r#"{{"id":{id},"op":"block"}}"#))
+                .expect("send");
+        }
+        settle(&|s| s.queue_depth == 2);
 
         let addr = listening.http_addr().expect("http endpoint");
         let mut http = HttpClient::connect(addr).expect("connect");
         let (status, body) = http
-            .post("/v1/run", r#"{"id":3,"question":"Q"}"#)
+            .post("/v1/run", r#"{"id":5,"question":"Q"}"#)
             .expect("a shed");
         assert_eq!(status, 503, "{body}");
-        assert!(
-            body.starts_with(r#"{"id":3,"err":{"kind":"overloaded","#),
-            "{body}"
+        assert_eq!(
+            body,
+            r#"{"id":5,"err":{"kind":"overloaded","message":"admission queue full (backlog 2); request shed"}}"#
         );
         assert_eq!(sent_after(&listening, 1), 1);
         assert_eq!(stats(&listening.server()).shed, 1);
 
-        // Open the gate: both blocked ops answer on the line connection.
+        // Open the gate: every blocked op answers on the line connection.
         drop(gate);
-        for _ in 0..2 {
+        for _ in 0..4 {
             let resp = line.read_response_line().expect("released");
             assert!(resp.ends_with(r#""ok":true}"#), "{resp}");
         }
-        assert_eq!(sent_after(&listening, 3), 3);
+        assert_eq!(sent_after(&listening, 5), 5);
+    }
+
+    #[test]
+    fn one_worker_serves_four_shards_and_an_empty_backlog_admits_one_job() {
+        let listening = Server::new(ServeOptions {
+            workers: 1,
+            backlog: 0,
+            shards: 4,
+            ..options()
+        })
+        .listen(Some("127.0.0.1:0"), None)
+        .expect("bind loopback");
+        let st = stats(&listening.server());
+        assert_eq!((st.workers, st.backlog, st.shards.len()), (1, 1, 4));
+
+        // A labeled page and two targets, each on its own shard.
+        let on = |shard: u64, page: &dyn Fn(usize) -> String| {
+            (0..)
+                .map(page)
+                .find(|html| content_digest(&PageTree::parse(html)) % 4 == shard)
+                .expect("some heading lands on each shard")
+        };
+        let labeled = on(1, &|i| {
+            format!("<h1>Lab {i}</h1><h2>Students</h2><ul><li>Jane Doe</li></ul>")
+        });
+        let targets = [
+            on(2, &|i| {
+                format!("<h1>T{i}</h1><h2>Advisees</h2><ul><li>Wei Chen</li></ul>")
+            }),
+            on(3, &|i| {
+                format!("<h1>U{i}</h1><h2>Advisees</h2><ul><li>Elena Petrov</li></ul>")
+            }),
+        ];
+        let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
+        let mut intern = |html: &str| {
+            let frame = format!(r#"{{"op":"intern","html":"{html}"}}"#);
+            ok_body(&client.request_line(&frame).expect("intern"))["page"]
+                .as_u64()
+                .expect("a handle")
+        };
+        let (lab, t0, t1) = (intern(&labeled), intern(&targets[0]), intern(&targets[1]));
+        assert_eq!((lab % 4, t0 % 4, t1 % 4), (1, 2, 3));
+
+        let question = r#""question":"Who are the PhD students?","keywords":["Students"]"#;
+        let by_handle = format!(
+            r#"{{"id":1,"op":"run",{question},"labeled":[{{"page":{lab},"gold":["Jane Doe"]}}],"targets":[{t0},{t1}]}}"#
+        );
+        let inline = format!(
+            r#"{{"id":1,"op":"run",{question},"labeled":[{{"html":"{labeled}","gold":["Jane Doe"]}}],"targets":[{{"html":"{}"}},{{"html":"{}"}}]}}"#,
+            targets[0], targets[1]
+        );
+        let resp = client.request_line(&by_handle).expect("run");
+        assert_eq!(resp, server().handle_line(&inline));
+        assert!(
+            resp.contains(r#""answers":[["Wei Chen"],["Elena Petrov"]]"#),
+            "{resp}"
+        );
     }
 
     #[test]
@@ -1607,7 +1619,7 @@ mod tests {
         let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
         assert_eq!(
             format!(r#"{head}"uptime_ms":0{tail}"#),
-            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"shards":[{"shard":0,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"workers":1,"backlog":2,"queue_depth":0,"inflight":0,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
+            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"shards":[{"shard":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
         );
     }
 }

@@ -211,11 +211,11 @@ impl Drop for Listening {
         for (_, token) in crate::relock(self.shared.inflight.lock()).iter() {
             token.cancel();
         }
-        // Close the admission queues: queued-but-unstarted jobs are
+        // Close the admission queue: queued-but-unstarted jobs are
         // dropped (an HTTP thread waiting on one sees its reply channel
         // disconnect), later pushes are refused, and parked workers wake
         // and exit.
-        self.shared.shards.close();
+        self.shared.queue.close();
         // Poke each endpoint so a blocked `accept` returns and observes
         // the flag.
         if let Some(addr) = self.tcp_addr {
@@ -289,10 +289,24 @@ impl AcceptedStream for UnixStream {
     }
 }
 
+/// A connection's entry in the shutdown registry, removed when dropped:
+/// the registry holds a clone of the stream, so a connection thread
+/// that unwinds must still drop it, or its peer never sees EOF.
+struct Registered {
+    shared: Arc<Shared>,
+    conn_id: u64,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        crate::relock(self.shared.conns.lock()).remove(&self.conn_id);
+    }
+}
+
 /// The accept loop shared by every transport (line-protocol TCP/Unix
 /// and the HTTP facade): accept, register the connection in the
 /// shutdown registry, run `serve` on its own thread, deregister on
-/// exit.
+/// exit, a panicking exit included.
 pub(crate) fn accept_loop<L, S>(
     shared: Arc<Shared>,
     listener: L,
@@ -313,11 +327,11 @@ where
                 if let Some(close) = stream.closer() {
                     crate::relock(shared.conns.lock()).insert(conn_id, close);
                 }
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    serve(&shared, stream);
-                    crate::relock(shared.conns.lock()).remove(&conn_id);
-                });
+                let registered = Registered {
+                    shared: Arc::clone(&shared),
+                    conn_id,
+                };
+                std::thread::spawn(move || serve(&registered.shared, stream));
             }
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -502,5 +516,30 @@ mod tests {
     fn non_utf8_line_is_flagged() {
         let mut r = BufReader::new(&b"\xff\xfe\n"[..]);
         assert_eq!(read_frame(&mut r, 100), Frame::BadUtf8);
+    }
+
+    #[test]
+    fn a_panicking_connection_thread_closes_its_stream_and_deregisters() {
+        let shared = Arc::clone(&crate::Server::new(crate::ServeOptions::default()).shared);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let accept = accept_loop(
+            Arc::clone(&shared),
+            listener,
+            |l: &TcpListener| l.accept().map(|(s, _)| s),
+            |_: &Arc<Shared>, _: TcpStream| panic!("planted connection-thread panic"),
+        );
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        // EOF, not a read that hangs until the timeout: the unwinding
+        // thread dropped its stream and the registry's clone of it.
+        assert_eq!(client.read(&mut [0u8; 16]).expect("EOF"), 0);
+        assert!(crate::relock(shared.conns.lock()).is_empty());
+
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        accept.join().expect("the accept thread exits");
     }
 }

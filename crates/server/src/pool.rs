@@ -25,7 +25,7 @@
 //! channel to the connection thread, which waits for its one request's
 //! response and writes it.
 //!
-//! Shutdown closes the queues: [`Admission::close`] drops every queued
+//! Shutdown closes the queue: [`Admission::close`] drops every queued
 //! job — and with it the job's reply sender, so a waiting HTTP thread's
 //! `recv` ends at once — refuses every later push, and wakes the
 //! workers, whose [`Admission::pop`] then returns `None`.
@@ -168,28 +168,26 @@ impl Admission {
     }
 }
 
-/// Spawns the fixed worker pool: each shard gets its own worker slice,
-/// every worker looping pop → execute → respond on *its shard's* queue
-/// until the queue closes — a backed-up shard never steals another shard's
-/// workers, so one hot page set cannot starve the rest of the fleet.
+/// Spawns the fixed worker pool: `workers` threads, each looping
+/// pop → execute → respond on the daemon's one admission queue until it
+/// closes. Any idle worker takes the oldest job, whichever shard its
+/// task runs on.
 pub(crate) fn spawn_workers(shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
-    let mut handles = Vec::new();
-    for shard in 0..shared.shards.count() {
-        for _ in 0..shared.shards.get(shard).workers {
+    (0..shared.workers)
+        .map(|_| {
             let shared = Arc::clone(shared);
-            handles.push(std::thread::spawn(move || {
+            std::thread::spawn(move || {
                 let server = Server {
                     shared: Arc::clone(&shared),
                 };
-                while let Some(job) = shared.shards.get(shard).queue.pop() {
+                while let Some(job) = shared.queue.pop() {
                     let outcome = server.execute_heavy(job.op);
                     job.reply
                         .deliver(&shared, server.render_outcome(job.id, outcome));
                 }
-            }));
-        }
-    }
-    handles
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -83,8 +83,8 @@
 //!   evaluation tasks, the seeded page generators, and the three
 //!   baseline systems.
 //! * **Serving** ([`webqa_server`]) keeps engine state — and its
-//!   caches — resident in a daemon of digest-routed shards, each with
-//!   its own engine, bounded admission queue and worker slice, behind a
+//!   caches — resident in a daemon of digest-routed engine shards, fed
+//!   by one bounded admission queue and one worker pool, behind a
 //!   line-delimited JSON protocol and an HTTP/1.1 facade. Its crate
 //!   docs are the one wire spec: operations, error kinds, deadlines,
 //!   shedding, and the [`webqa_server::StatsSnapshot`]
