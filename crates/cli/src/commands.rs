@@ -82,9 +82,9 @@ COMMANDS:
                   --backlog N caps the admission queue (beyond it,
                   requests are shed with an overloaded error);
                   --deadline-ms MS bounds every request's latency (0 =
-                  none); --feature-cache N caps each feature tier (query,
-                  base) at N tables, --result-cache N the result LRU at
-                  N runs (0 disables)
+                  none); --feature-cache N caps the feature LRU at N
+                  tables, --result-cache N the result LRU at N runs (0
+                  disables)
     client    Send one request line to a running server, print the reply
                   (--tcp HOST:PORT | --unix PATH | --http HOST:PORT)
                   [--deadline-ms MS]
@@ -899,18 +899,12 @@ fn render_shard_stats(response: &str) -> String {
         let c = &s.cache;
         // A tier renders as `3h/2m (60%)`, `0h/0m` (no traffic yet: a
         // rate would be 0/0), or `off` (a disabled tier has no rate).
-        let [feature, base, result] = [
+        let [feature, result] = [
             (
                 c.features_enabled,
                 c.feature_hits,
                 c.feature_misses,
                 c.feature_hit_rate(),
-            ),
-            (
-                c.features_enabled,
-                c.base_hits,
-                c.base_misses,
-                c.base_hit_rate(),
             ),
             (
                 c.results_enabled,
@@ -926,7 +920,7 @@ fn render_shard_stats(response: &str) -> String {
         });
         let _ = writeln!(
             out,
-            "shard {}: pages {}, feature {feature}, base {base}, result {result}",
+            "shard {}: pages {}, feature {feature}, result {result}",
             s.shard, s.pages,
         );
     }
@@ -1396,11 +1390,11 @@ mod tests {
 
     #[test]
     fn stats_rendering_is_pinned() {
-        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"shards":[{"shard":0,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":4,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
+        let response = r#"{"id":null,"ok":{"requests":9,"errors":1,"shed":0,"deadline_exceeded":0,"workers":3,"backlog":8,"queue_depth":1,"inflight":2,"pages":5,"uptime_ms":1234,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false},"shards":[{"shard":0,"pages":3,"cache":{"feature_hits":3,"feature_misses":1,"feature_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}},{"shard":1,"pages":2,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":false}}]}}"#;
         assert_eq!(
             render_shard_stats(response),
-            "shard 0: pages 3, feature 3h/1m (75%), base 0h/4m (0%), result off\n\
-             shard 1: pages 2, feature 0h/0m, base 0h/0m, result off\n"
+            "shard 0: pages 3, feature 3h/1m (75%), result off\n\
+             shard 1: pages 2, feature 0h/0m, result off\n"
         );
         // An error envelope renders nothing after the raw line.
         assert_eq!(
@@ -1414,10 +1408,10 @@ mod tests {
         // Only `shards` is read: a body with counters this client does
         // not know (here an older daemon's `persist` block) renders the
         // same per-shard lines and nothing else.
-        let response = r#"{"id":null,"ok":{"requests":1,"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"pages":1,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#;
+        let response = r#"{"id":null,"ok":{"requests":1,"persist":{"pages_loaded":5,"base_loaded":4,"pages_spilled":0,"base_spilled":0,"corrupt_skipped":1,"load_ms":7},"shards":[{"shard":0,"pages":1,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#;
         assert_eq!(
             render_shard_stats(response),
-            "shard 0: pages 1, feature 0h/0m, base 0h/0m, result 0h/0m\n"
+            "shard 0: pages 1, feature 0h/0m, result 0h/0m\n"
         );
     }
 

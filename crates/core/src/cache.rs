@@ -1,4 +1,4 @@
-//! Cross-request memoization: the three LRU tiers an
+//! Cross-request memoization: the two LRU tiers an
 //! [`Engine`](crate::Engine) owns, each one [`Lru`].
 //!
 //! Without them every `Engine::prepare → synthesize` would rebuild its
@@ -6,22 +6,14 @@
 //! same interned pages, and a repeat of an identical query would re-run
 //! the whole search. Each cached value is a pure function of its key
 //! under the engine's config, and that config never changes after
-//! construction (the caches are created per engine and shared only by
-//! its clones), so no key needs to carry it:
+//! construction (each engine creates its own caches), so no key needs
+//! to carry it:
 //!
-//! * the **query tier** holds full [`webqa_synth::PageFeatures`] tables,
-//!   keyed by `(page, question, keywords)` ([`QueryKey`]). The page's
-//!   [`PageId`] embeds its content digest;
-//! * the **base tier** holds [`webqa_synth::PageBaseFeatures`] tables
-//!   (NER entity bits, leaf/elem masks — the expensive, query-independent
-//!   half), keyed by the page alone, so different questions over one page
-//!   share it;
+//! * the **feature tier** holds full [`webqa_synth::PageFeatures`]
+//!   tables, keyed by `(page, question, keywords)` ([`QueryKey`]). The
+//!   page's [`PageId`] embeds its content digest;
 //! * the **result tier** holds completed [`RunResult`]s, keyed by the
-//!   task's canonical form ([`normalize_task`]). It folds together only
-//!   input reorderings the pipeline is provably invariant to —
-//!   sorted/deduped keywords, sorted gold per example — so semantically
-//!   equivalent requests share one entry, while example and target order
-//!   (which the pipeline *does* observe) stay significant.
+//!   exact [`Task`].
 //!
 //! Every key is the exact input, never a digest of it, so a hash
 //! collision cannot serve another key's value. Because values are pure,
@@ -33,7 +25,7 @@
 //! `tests/synth_parity.rs` applies one level down.
 //!
 //! Each tier is one map behind one lock. A run takes at most
-//! 2 + 4 × (labeled pages) lock acquisitions next to tens of milliseconds
+//! 2 + 2 × (labeled pages) lock acquisitions next to tens of milliseconds
 //! of search, and the daemon already splits traffic across whole engines
 //! by page digest (`webqa_server`'s shards). Capacities are set by
 //! [`CacheConfig`] (0 disables a tier). Counters are atomics, snapshotted
@@ -48,15 +40,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::engine::Task;
 use crate::pipeline::RunResult;
 use crate::store::PageId;
-use webqa_synth::{PageBaseFeatures, PageFeatures};
+use webqa_synth::PageFeatures;
 
 /// Capacities of the engine's cross-request caches (entries, not bytes).
 /// `0` disables the respective cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Max feature tables resident in *each* feature tier: at most this
-    /// many full tables (one per distinct `(page, question, keywords)`)
-    /// and at most this many base tables (one per page).
+    /// Max feature tables resident in the feature LRU, one per distinct
+    /// `(page, question, keywords)`.
     pub feature_capacity: usize,
     /// Max completed [`RunResult`]s resident in the result LRU.
     pub result_capacity: usize,
@@ -92,27 +83,19 @@ impl CacheConfig {
 /// report" (tier disabled or no lookups yet), never a division by zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
-    /// Full feature tables served from the query tier.
+    /// Feature tables served from the feature LRU.
     pub feature_hits: u64,
-    /// Full feature tables computed (query tier cold or evicted).
+    /// Feature tables computed (not resident).
     pub feature_misses: u64,
-    /// Full feature tables evicted (LRU, over capacity).
+    /// Feature tables evicted (LRU, over capacity).
     pub feature_evictions: u64,
-    /// Query-independent base tables served from the base tier —
-    /// including to *different* questions than the one that filled them.
-    pub base_hits: u64,
-    /// Base tables computed (base tier cold or evicted).
-    pub base_misses: u64,
-    /// Base tables evicted (LRU, over capacity).
-    pub base_evictions: u64,
     /// Completed runs served from the result LRU.
     pub result_hits: u64,
     /// Completed runs computed.
     pub result_misses: u64,
     /// Completed runs evicted (LRU, over capacity).
     pub result_evictions: u64,
-    /// Whether the feature tiers (query and base) are enabled
-    /// (capacity > 0).
+    /// Whether the feature LRU is enabled (capacity > 0).
     pub features_enabled: bool,
     /// Whether the result LRU is enabled (capacity > 0).
     pub results_enabled: bool,
@@ -128,9 +111,6 @@ impl CacheStats {
             feature_hits: self.feature_hits + other.feature_hits,
             feature_misses: self.feature_misses + other.feature_misses,
             feature_evictions: self.feature_evictions + other.feature_evictions,
-            base_hits: self.base_hits + other.base_hits,
-            base_misses: self.base_misses + other.base_misses,
-            base_evictions: self.base_evictions + other.base_evictions,
             result_hits: self.result_hits + other.result_hits,
             result_misses: self.result_misses + other.result_misses,
             result_evictions: self.result_evictions + other.result_evictions,
@@ -147,20 +127,14 @@ impl CacheStats {
         Some(hits as f64 / total as f64)
     }
 
-    /// Query-tier hit rate; `None` when the feature tiers are disabled or
-    /// the query tier has seen no lookups.
+    /// Feature-LRU hit rate; `None` when the LRU is disabled or has seen
+    /// no lookups.
     pub fn feature_hit_rate(&self) -> Option<f64> {
         Self::rate(
             self.features_enabled,
             self.feature_hits,
             self.feature_misses,
         )
-    }
-
-    /// Base-tier hit rate; `None` when the feature tiers are disabled or
-    /// the base tier has seen no lookups.
-    pub fn base_hit_rate(&self) -> Option<f64> {
-        Self::rate(self.features_enabled, self.base_hits, self.base_misses)
     }
 
     /// Result-LRU hit rate; `None` when the LRU is disabled or has seen
@@ -170,7 +144,7 @@ impl CacheStats {
     }
 }
 
-/// One least-recently-used map: the structure behind all three tiers.
+/// One least-recently-used map: the structure behind both tiers.
 ///
 /// Recency is a clock stamp per entry; eviction scans the resident
 /// entries for the oldest stamp — O(capacity) per insert into a full
@@ -287,71 +261,39 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
     }
 }
 
-/// Key of one query-tier table: the page plus the question and keywords
+/// Key of one feature table: the page plus the question and keywords
 /// of the query context it was built under.
 pub(crate) type QueryKey = (PageId, String, Vec<String>);
-
-/// The canonical form of a task for result-tier keying, folding
-/// together exactly the input reorderings the pipeline is invariant to:
-///
-/// * **keywords** are sorted and deduplicated — keyword evidence is
-///   accumulated by order-insensitive folds (max-similarity per node),
-///   so permuting or repeating keywords never changes a result;
-/// * **gold strings within one labeled example** are sorted — gold sets
-///   are compared as bags by the F₁ kernels, never positionally.
-///
-/// The *order of labeled examples* and the *order of targets* are kept
-/// exactly as given: example order steers enumeration tie-breaks (a
-/// reordering can legitimately select a different optimal program), and
-/// answers align positionally with targets. Normalizing either would
-/// break the byte-identical-to-a-cold-engine contract; the invariances
-/// above are pinned (against a never-cached reference engine) by
-/// `crates/core/tests/cache_semantics.rs`.
-pub(crate) fn normalize_task(task: &Task) -> Task {
-    let mut t = task.clone();
-    t.keywords.sort();
-    t.keywords.dedup();
-    for (_, gold) in &mut t.labeled {
-        gold.sort();
-    }
-    t
-}
 
 /// The caches an [`Engine`](crate::Engine) owns. The engine holds them
 /// by value: a daemon shard owns one engine behind a lock, so every
 /// request that shard serves reads and fills the same caches.
 #[derive(Debug)]
 pub(crate) struct EngineCaches {
-    pub query: Lru<QueryKey, Arc<PageFeatures>>,
-    pub base: Lru<PageId, Arc<PageBaseFeatures>>,
+    pub features: Lru<QueryKey, Arc<PageFeatures>>,
     pub results: Lru<Task, RunResult>,
 }
 
 impl EngineCaches {
     pub(crate) fn new(config: CacheConfig) -> Self {
         EngineCaches {
-            query: Lru::new(config.feature_capacity),
-            base: Lru::new(config.feature_capacity),
+            features: Lru::new(config.feature_capacity),
             results: Lru::new(config.result_capacity),
         }
     }
 
     /// A point-in-time snapshot of all counters.
     pub(crate) fn stats(&self) -> CacheStats {
-        let [feature_hits, feature_misses, feature_evictions] = self.query.counts();
-        let [base_hits, base_misses, base_evictions] = self.base.counts();
+        let [feature_hits, feature_misses, feature_evictions] = self.features.counts();
         let [result_hits, result_misses, result_evictions] = self.results.counts();
         CacheStats {
             feature_hits,
             feature_misses,
             feature_evictions,
-            base_hits,
-            base_misses,
-            base_evictions,
             result_hits,
             result_misses,
             result_evictions,
-            features_enabled: self.query.enabled(),
+            features_enabled: self.features.enabled(),
             results_enabled: self.results.enabled(),
         }
     }

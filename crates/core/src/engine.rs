@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use crate::cache::{normalize_task, CacheStats, EngineCaches};
+use crate::cache::{CacheStats, EngineCaches};
 use crate::error::Error;
 use crate::pipeline::{Config, RunResult, Selection};
 use crate::store::{PageId, PageStore};
@@ -176,10 +176,9 @@ impl Engine {
         &self.config
     }
 
-    /// A snapshot of the cross-request cache counters (query-tier,
-    /// base-tier and result-LRU hits / misses / evictions). Counters
-    /// accumulate across every `prepare`/`run` of this engine and its
-    /// clones.
+    /// A snapshot of the cross-request cache counters (feature-LRU and
+    /// result-LRU hits / misses / evictions). Counters accumulate across
+    /// every `prepare`/`run` of this engine.
     pub fn cache_stats(&self) -> CacheStats {
         self.caches.stats()
     }
@@ -223,7 +222,7 @@ impl Engine {
             features: Vec::new(),
         };
         // Feature/mask tables for the labeled pages, through the engine's
-        // query and base tiers (pure per-(page, query, config), so a hit
+        // feature LRU (pure per-(page, query, config), so a hit
         // is byte-identical to a rebuild). Reference-kernel mode computes
         // everything definitionally inside the search instead.
         if !self.config.synth.reference_kernels {
@@ -269,8 +268,7 @@ impl Engine {
         if cancel.is_cancelled() {
             return Err(Error::Cancelled);
         }
-        let key = normalize_task(task);
-        if let Some(cached) = self.caches.results.get(&key) {
+        if let Some(cached) = self.caches.results.get(task) {
             return Ok(cached);
         }
         let result = self
@@ -278,7 +276,7 @@ impl Engine {
             .synthesize_cancellable(cancel)?
             .select()
             .finish();
-        Ok(self.caches.results.insert(key, result))
+        Ok(self.caches.results.insert(task.clone(), result))
     }
 }
 
@@ -304,18 +302,13 @@ pub struct Prepared<'e> {
 }
 
 impl<'e> Prepared<'e> {
-    /// One page's feature table, through the engine's query and base
-    /// tiers: a query-tier miss rebuilds the full table *over* the base
-    /// tier, so the expensive query-independent half (NER spans,
-    /// structural masks) is shared by every question that touches the
-    /// page and only the thin keyword/QA layer is recomputed per query.
+    /// One page's feature table, through the engine's feature LRU; a
+    /// miss computes the whole table.
     fn fetch_features(&self, id: PageId, page: &Arc<PageTree>) -> Arc<PageFeatures> {
-        let (cfg, ctx, caches) = (&self.engine.config.synth, &self.ctx, &self.engine.caches);
+        let (cfg, ctx) = (&self.engine.config.synth, &self.ctx);
         let key = (id, ctx.question().to_owned(), ctx.keywords().to_vec());
-        caches.query.get_or_insert_with(key, || {
-            let base = caches
-                .base
-                .get_or_insert_with(id, || Arc::new(PageBaseFeatures::compute(ctx, page)));
+        self.engine.caches.features.get_or_insert_with(key, || {
+            let base = PageBaseFeatures::compute(ctx, page);
             Arc::new(PageFeatures::compute_with_base(cfg, ctx, page, &base))
         })
     }
@@ -676,18 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn base_tier_is_shared_across_questions_while_the_query_tier_misses() {
-        let (engine, a, b, c) = engine_with_pages();
-        let mut other = task(a, b, c);
-        other.question = "Who advises the lab?".into();
-        engine.prepare(&task(a, b, c)).unwrap();
-        engine.prepare(&other).unwrap();
-        let stats = engine.cache_stats();
-        assert_eq!((stats.feature_hits, stats.feature_misses), (0, 4));
-        assert_eq!((stats.base_hits, stats.base_misses), (2, 2));
-    }
-
-    #[test]
     fn an_engine_over_a_shared_store_starts_with_cold_caches() {
         // The store is shared by clone; the caches are the engine's own
         // and nothing else carries them over.
@@ -698,8 +679,7 @@ mod tests {
         let again = fresh.run(&t).unwrap();
         let stats = fresh.cache_stats();
         assert_eq!((stats.result_hits, stats.result_misses), (0, 1));
-        assert_eq!((stats.base_hits, stats.base_misses), (0, 2));
-        assert_eq!(stats.feature_hits, 0);
+        assert_eq!((stats.feature_hits, stats.feature_misses), (0, 2));
         assert_eq!(again.program, first.program);
         assert_eq!(again.answers, first.answers);
     }
@@ -721,7 +701,6 @@ mod tests {
         }
         let stats = engine.cache_stats();
         assert_eq!((stats.feature_hits, stats.feature_misses), (0, 4));
-        assert_eq!((stats.base_hits, stats.base_misses), (3, 1));
         engine.prepare(&contexts[0]).unwrap();
         assert_eq!(engine.cache_stats().feature_hits, 1);
     }
@@ -739,11 +718,19 @@ mod tests {
             },
             engine.store().clone(),
         );
-        // Two labeled pages through one-table tiers: the second table of
-        // each tier evicts the first.
-        one.prepare(&task(a, b, c)).unwrap();
+        // Two labeled pages through a one-table LRU: the second table
+        // evicts the first, and only the second stays resident.
+        let t = task(a, b, c);
+        one.prepare(&t).unwrap();
         let stats = one.cache_stats();
-        assert_eq!((stats.feature_evictions, stats.base_evictions), (1, 1));
+        assert_eq!((stats.feature_misses, stats.feature_evictions), (2, 1));
+        let only =
+            |page| Task::new(t.question.clone(), t.keywords.clone()).with_label(page, vec![]);
+        one.prepare(&only(b)).unwrap();
+        assert_eq!(one.cache_stats().feature_hits, 1);
+        one.prepare(&only(a)).unwrap();
+        let stats = one.cache_stats();
+        assert_eq!((stats.feature_misses, stats.feature_evictions), (3, 2));
     }
 
     #[test]

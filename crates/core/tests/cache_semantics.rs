@@ -19,7 +19,7 @@ use webqa::{CacheConfig, Config, Engine, PageStore, RunResult, SynthConfig, Task
 
 /// The task pool: overlapping page/question combinations so feature keys
 /// are shared across tasks (hits), and 10 *distinct* (page, query) keys,
-/// so a capacity-1 query tier must evict.
+/// so a capacity-1 feature tier must evict.
 fn task_pool(store: &mut PageStore) -> Vec<Task> {
     let a = store
         .insert_html("<h1>A</h1><h2>Students</h2><ul><li>Jane Doe</li><li>Bob Smith</li></ul>")
@@ -126,10 +126,10 @@ fn assert_sequence_equal(cached: &Engine, reference: &Engine, tasks: &[Task], se
 
 /// A semantically equivalent spelling of `task`: keywords rotated by
 /// `salt` (and, for odd salts, the lead keyword repeated), gold strings
-/// of every labeled example rotated by `salt`. These are exactly the
-/// reorderings the result LRU's canonical task key folds together;
-/// example and target order are deliberately left untouched (the
-/// pipeline observes both).
+/// of every labeled example rotated by `salt`. The pipeline is invariant
+/// to exactly these reorderings; example and target order are
+/// deliberately left untouched (the pipeline observes both). The caches
+/// key on the exact spelling, so a respelling is its own cache entry.
 fn respelled(task: &Task, salt: usize) -> Task {
     let mut t = task.clone();
     if !t.keywords.is_empty() {
@@ -171,11 +171,10 @@ proptest! {
         prop_assert_eq!(reference.cache_stats().result_hits, 0);
     }
 
-    /// Key normalization is observationally invisible: a cached engine
-    /// fed arbitrarily *respelled* requests (rotated/duplicated
-    /// keywords, rotated gold) — where a respelled repeat may be served
-    /// from an entry its differently-spelled predecessor filled — still
-    /// equals the never-cached reference run of each exact request.
+    /// Respelled requests (rotated/duplicated keywords, rotated gold)
+    /// through a warm cached engine each equal the never-cached
+    /// reference run of that exact request, whether the spelling repeats
+    /// (a result hit) or is new (a miss over already-seen pages).
     #[test]
     fn normalized_keys_equal_never_cached_reference(
         seq in proptest::collection::vec((0usize..7, 0usize..5), 1..12),
@@ -232,7 +231,7 @@ fn fixed_sequence_exercises_hits_evictions_and_reinsertions() {
     );
 
     // Thrashing engine: 10 distinct (page, query) feature keys through
-    // a one-entry query tier must evict; the second pass re-inserts.
+    // a one-entry feature tier must evict; the second pass re-inserts.
     let thrash = engine_with(
         CacheConfig {
             feature_capacity: 1,
@@ -250,12 +249,11 @@ fn fixed_sequence_exercises_hits_evictions_and_reinsertions() {
     assert!(stats.result_evictions > 0, "no result evictions: {stats:?}");
 }
 
-/// The soundness basis for key normalization, pinned at the engine level
-/// with caches disabled: the pipeline itself is invariant to keyword
-/// order, keyword duplication, and gold order within an example — while
-/// labeled-example order is *observed* (a reordering may legitimately
-/// change the selected program), which is why the canonical key leaves
-/// it alone.
+/// Pipeline invariance, pinned at the engine level with caches
+/// disabled: the pipeline is invariant to keyword order, keyword
+/// duplication, and gold order within an example, while labeled-example
+/// order is *observed* (a reordering may legitimately change the
+/// selected program).
 #[test]
 fn pipeline_is_invariant_to_keyword_and_gold_order_only() {
     let mut store = PageStore::new();
@@ -275,55 +273,4 @@ fn pipeline_is_invariant_to_keyword_and_gold_order_only() {
             );
         }
     }
-}
-
-/// Reordered-input requests are *actual* cache hits (not just equal
-/// bytes): the respelled repeat is served from the entry its
-/// differently-spelled predecessor filled, and a reordering the
-/// pipeline observes (labeled-example order) correctly misses.
-#[test]
-fn reordered_requests_hit_the_result_cache() {
-    let mut store = PageStore::new();
-    let tasks = task_pool(&mut store);
-    let reference = engine_with(CacheConfig::disabled(), store.clone());
-    let cached = engine_with(
-        CacheConfig {
-            feature_capacity: 64,
-            result_capacity: 8,
-        },
-        store,
-    );
-
-    // Cold fill, then three equivalent respellings: every one a hit,
-    // every one byte-equal to the reference run of its exact spelling.
-    cached.run(&tasks[0]).expect("store-issued ids resolve");
-    assert_eq!(cached.cache_stats().result_hits, 0);
-    for salt in 1..4 {
-        let variant = respelled(&tasks[0], salt);
-        let got = cached.run(&variant).expect("store-issued ids resolve");
-        let want = reference.run(&variant).expect("store-issued ids resolve");
-        assert_eq!(got.program, want.program, "salt {salt}");
-        assert_eq!(got.answers, want.answers, "salt {salt}");
-        assert_eq!(got.synthesis.stats, want.synthesis.stats, "salt {salt}");
-    }
-    let stats = cached.cache_stats();
-    assert_eq!(
-        stats.result_hits, 3,
-        "every respelled repeat must hit: {stats:?}"
-    );
-    assert_eq!(stats.result_misses, 1, "one cold fill only: {stats:?}");
-
-    // Flipping labeled-example order is NOT equivalent; it must miss
-    // (and still match the reference for that exact ordering).
-    let mut flipped = tasks[0].clone();
-    flipped.labeled.reverse();
-    let got = cached.run(&flipped).expect("store-issued ids resolve");
-    let want = reference.run(&flipped).expect("store-issued ids resolve");
-    assert_eq!(got.program, want.program);
-    assert_eq!(got.answers, want.answers);
-    let stats = cached.cache_stats();
-    assert_eq!(
-        stats.result_misses, 2,
-        "example order is significant; the flip must miss: {stats:?}"
-    );
 }

@@ -3,14 +3,13 @@
 //! The optimal-synthesis engine returns *every* program achieving the
 //! optimal training F₁ (Theorem 5.1), and many of those differ only by
 //! boolean-algebra noise (`φ ∧ ⊤`, `¬¬φ`, duplicated filters) or dead
-//! branches. Normalizing canonicalizes such programs, which
-//!
-//! * shrinks the transductive ensemble without changing its output
-//!   distribution (syntactically distinct but semantically equal programs
-//!   collapse), and
-//! * makes the selected program easier to read — the paper argues
-//!   interpretability is a selling point of synthesizing a single program
-//!   (Section 6).
+//! branches. Normalizing canonicalizes such programs, which makes a
+//! program easier to read — the paper argues interpretability is a
+//! selling point of synthesizing a single program (Section 6). Neither
+//! synthesis, selection nor the engine calls [`normalize`]: its only
+//! callers are `webqa check --normalize` and
+//! [`crate::Analyzer::canonicalize`], whose canonical key the `check`
+//! report carries.
 //!
 //! # Soundness
 //!

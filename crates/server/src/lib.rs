@@ -2,7 +2,7 @@
 //!
 //! The resident serving layer: a daemon owning long-lived
 //! [`webqa::Engine`] state — and therefore its cross-request caches
-//! (the query, base and result tiers `webqa::CacheStats` counts)
+//! (the feature and result tiers `webqa::CacheStats` counts)
 //! — split into digest-routed **shards** and speaking two wire
 //! surfaces: a line-delimited JSON protocol over TCP and/or Unix
 //! domain sockets, and a minimal HTTP/1.1 facade mapping the same
@@ -407,11 +407,10 @@ pub struct StatsSnapshot {
     pub pages: usize,
     /// Milliseconds since the server was built.
     pub uptime_ms: u64,
-    /// The engines' three cache tiers, merged over the shards
-    /// ([`CacheStats::merged`]): query-keyed feature tables (`feature_*`),
-    /// query-independent base tables (`base_*`), and the completed-run
-    /// LRU (`result_*`). A disabled tier counts nothing and has its
-    /// `*_enabled` flag off.
+    /// The engines' two cache tiers, merged over the shards
+    /// ([`CacheStats::merged`]): query-keyed feature tables (`feature_*`)
+    /// and the completed-run LRU (`result_*`). A disabled tier counts
+    /// nothing and has its `*_enabled` flag off.
     pub cache: CacheStats,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardStats>,
@@ -1619,7 +1618,7 @@ mod tests {
         let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
         assert_eq!(
             format!(r#"{head}"uptime_ms":0{tail}"#),
-            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"shards":[{"shard":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"base_hits":0,"base_misses":1,"base_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"base_hits":0,"base_misses":0,"base_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
+            r#"{"id":null,"ok":{"requests":4,"errors":1,"shed":0,"deadline_exceeded":0,"panics":0,"workers":2,"backlog":4,"queue_depth":0,"inflight":0,"pages":2,"uptime_ms":0,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true},"shards":[{"shard":0,"pages":2,"cache":{"feature_hits":0,"feature_misses":1,"feature_evictions":0,"result_hits":1,"result_misses":1,"result_evictions":0,"features_enabled":true,"results_enabled":true}},{"shard":1,"pages":0,"cache":{"feature_hits":0,"feature_misses":0,"feature_evictions":0,"result_hits":0,"result_misses":0,"result_evictions":0,"features_enabled":true,"results_enabled":true}}]}}"#
         );
     }
 }

@@ -172,10 +172,10 @@ fn filter_holds(
 ///
 /// A table is a pure function of `(config, query context, page)`:
 /// computing it once and reusing it across `synthesize` calls (what
-/// `webqa::Engine`'s cross-request query tier does) is observationally
+/// `webqa::Engine`'s cross-request feature tier does) is observationally
 /// invisible — the search reads identical bytes either way. Callers that
 /// store tables key them by page content and query under one fixed
-/// config, as the engine's query tier does.
+/// config, as the engine's feature tier does.
 #[derive(Debug)]
 pub struct PageFeatures {
     /// Per-node own-text features (guard classification reads these).
@@ -196,13 +196,11 @@ impl PageFeatures {
         Self::compute_with_base(cfg, ctx, page, &PageBaseFeatures::compute(ctx, page))
     }
 
-    /// The page's table under one `(config, context)` pool, reusing a
-    /// precomputed query-independent [`PageBaseFeatures`] table — only the
-    /// keyword/answerability layer is recomputed; the NER entity bits and
-    /// leaf/elem masks come from `base`. Byte-identical to a fresh
-    /// computation whenever `base` was computed for the same page under
-    /// the same neural modules ([`PageBaseFeatures::compute`] documents
-    /// that contract).
+    /// The page's table under one `(config, context)` pool, over its
+    /// query-independent [`PageBaseFeatures`] table: only the
+    /// keyword/answerability layer is computed here; the NER entity bits
+    /// and leaf/elem masks come from `base`, which must have been
+    /// computed for the same page under the same context.
     ///
     /// # Panics
     ///
@@ -259,18 +257,10 @@ impl PageFeatures {
 
 /// The query-independent half of a page's feature table: NER entity
 /// bits for every node's own and subtree text, plus the structural
-/// leaf/elem masks. Everything here is a pure function of *page
-/// content* under the pretrained neural modules — no question, keyword,
-/// or synthesis-config input — which is what lets `webqa::Engine`'s
-/// base tier share one base table across *different* questions over
-/// the same page.
-///
-/// Contract: [`PageBaseFeatures::compute`] reads only
-/// [`QueryContext::entities`] (the NER module) and the page's structure.
-/// A context built with custom models
-/// (`QueryContext::with_models`) may recognize different entities;
-/// callers caching base tables across contexts are responsible for only
-/// doing so under the pretrained defaults (as `webqa::Engine` does).
+/// leaf/elem masks. [`PageBaseFeatures::compute`] reads only
+/// [`QueryContext::entities`] (the NER module) and the page's structure;
+/// [`PageFeatures::compute_with_base`] adds the question and keyword
+/// layer on top, so the two halves can be timed apart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageBaseFeatures {
     /// Per-node entity-kind bitmask of the node's own text.
@@ -285,8 +275,7 @@ pub struct PageBaseFeatures {
 
 impl PageBaseFeatures {
     /// Computes the query-independent table for one page. Only the NER
-    /// module of `ctx` is consulted (see the type docs for the
-    /// pretrained-models contract).
+    /// module of `ctx` is consulted.
     pub fn compute(ctx: &QueryContext, page: &webqa_dsl::PageTree) -> PageBaseFeatures {
         let entity_bits = |text: &str| {
             let mut bits = 0u8;
@@ -401,7 +390,7 @@ pub(crate) struct TaskCtx<'a> {
     /// by the branch synthesizer.
     pub cancel: CancelToken,
     /// Optimized mode: one feature/mask table per example, either
-    /// borrowed from the caller (the engine's query and base tiers) or
+    /// borrowed from the caller (the engine's feature LRU) or
     /// all computed here. Empty in reference mode.
     tables: Vec<Arc<PageFeatures>>,
 }

@@ -70,15 +70,13 @@
 //!   interactive-labeling loop and the ablations can drive any stage
 //!   alone, errors are a typed `webqa::Error`, and a run executes on
 //!   the calling thread (the engine spawns no threads).
-//!   The engine additionally owns the cross-request caches, three tiers
-//!   of one exact-keyed LRU: a query-*independent* base tier (NER spans,
-//!   leaf/element masks, keyed by page alone, so different questions
-//!   over the same pages share the expensive half) under a thin query
-//!   tier of keyword scores keyed by (page, question, keywords), and a
-//!   tier of completed runs; all pure values, so hits and evictions change
-//!   latency, never results (`webqa::CacheStats` counts every tier,
-//!   and a disabled tier counts nothing). The caches live in memory
-//!   only and end with the process.
+//!   The engine additionally owns the cross-request caches, two tiers
+//!   of one exact-keyed LRU: per-page feature tables keyed by (page,
+//!   question, keywords), and completed runs keyed by the exact task;
+//!   all pure values, so hits and evictions change latency, never
+//!   results (`webqa::CacheStats` counts both tiers, and a disabled tier
+//!   counts nothing). The caches live in memory only and end with the
+//!   process.
 //!   **Workloads** (`webqa_corpus`, `webqa_baselines`) provide the 25
 //!   evaluation tasks, the seeded page generators, and the three
 //!   baseline systems.

@@ -230,7 +230,7 @@ fn concurrent_duplicated_streams_are_byte_identical_to_a_cold_engine() {
 
     // The caches must have engaged: with 4 clients × 3 repeats of 5
     // tasks, repeats hit the result LRU, and the same-pages/different-
-    // targets specs hit the query tier even on result misses.
+    // targets specs hit the feature tier even on result misses.
     let mut client = Client::connect_tcp(addr).expect("connect");
     let cache = stats(&mut client).cache;
     assert!(
@@ -239,7 +239,7 @@ fn concurrent_duplicated_streams_are_byte_identical_to_a_cold_engine() {
     );
     assert!(
         cache.feature_hits > 0,
-        "shared labeled pages must hit the query tier: {cache:?}"
+        "shared labeled pages must hit the feature tier: {cache:?}"
     );
     listening.shutdown();
 }
@@ -263,7 +263,7 @@ fn warm_repeat_is_a_cache_hit_with_an_identical_payload() {
     let second = client.request_line(&specs[0].request(1)).expect("warm run");
     assert_eq!(second, first, "cache hit changed the payload");
 
-    // A same-pages/different-targets query exercises the query tier
+    // A same-pages/different-targets query exercises the feature tier
     // without being an exact repeat.
     let _ = client.request_line(&specs[1].request(2)).expect("variant");
     let cache = stats(&mut client).cache;
@@ -564,16 +564,17 @@ fn shard_stats_breakdown_sums_to_totals() {
     listening.shutdown();
 }
 
-/// The base tier at the serving layer: a different question over pages
-/// the daemon has already seen misses the query tier and the result LRU
-/// but reuses each labeled page's base table (NER spans, structural
-/// masks) — and the answer is still byte-identical to the cold
-/// never-cached reference.
+/// A new question over pages the daemon has already seen misses the
+/// feature cache once per labeled page and the result cache once, and
+/// still answers byte-identically to the cold never-cached reference.
+/// Every `cache` object of `stats` (the totals and each shard's) carries
+/// exactly the two tiers' counters and flags.
 #[test]
-fn new_question_over_known_pages_hits_the_base_tier() {
+fn new_question_over_known_pages_misses_each_tier_once_per_page() {
     let specs = workload();
     let listening = spawn_server(ServeOptions {
         engine: engine_config(),
+        shards: 2,
         ..ServeOptions::default()
     });
     let mut client = Client::connect_tcp(listening.tcp_addr().expect("tcp")).expect("connect");
@@ -593,15 +594,40 @@ fn new_question_over_known_pages_hits_the_base_tier() {
     let resp = client.request_line(&fresh.request(7)).expect("run");
     assert_eq!(resp, format!("{{\"id\":7,\"ok\":{}}}", fresh.cold_body()));
 
-    let after = stats(&mut client).cache;
+    let reply = client
+        .request(&serde_json::from_str(r#"{"op":"stats"}"#).unwrap())
+        .expect("stats");
+    let after = serde_json::from_value::<StatsSnapshot>(reply["ok"].clone())
+        .expect("a stats body")
+        .cache;
     let labeled = fresh.labeled.len() as u64;
-    assert_eq!(
-        after.base_hits - before.base_hits,
-        labeled,
-        "every labeled page's base table is reused: {after:?}"
-    );
     assert_eq!(after.feature_misses - before.feature_misses, labeled);
+    assert_eq!(after.feature_hits, before.feature_hits, "{after:?}");
     assert_eq!(after.result_misses - before.result_misses, 1);
+
+    let mut want = [
+        "feature_hits",
+        "feature_misses",
+        "feature_evictions",
+        "result_hits",
+        "result_misses",
+        "result_evictions",
+        "features_enabled",
+        "results_enabled",
+    ];
+    want.sort_unstable();
+    let shards = reply["ok"]["shards"].as_array().expect("shards");
+    assert_eq!(shards.len(), 2, "{reply:?}");
+    for cache in std::iter::once(&reply["ok"]["cache"]).chain(shards.iter().map(|s| &s["cache"])) {
+        let mut keys: Vec<&str> = cache
+            .as_object()
+            .expect("a cache object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        keys.sort_unstable();
+        assert_eq!(keys, want, "{cache:?}");
+    }
     listening.shutdown();
 }
 
