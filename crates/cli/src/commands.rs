@@ -451,8 +451,8 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "{:<11} {:>8} {:>8} {:>7} {:>7} {:>7}",
-        "TASK", "TRAIN_F1", "OPTIMAL", "P", "R", "F1"
+        "{:<11} {:>8} {:>8} {:>8} {:>7} {:>7} {:>7}",
+        "TASK", "TRAIN_F1", "OPTIMAL", "CAP_HITS", "P", "R", "F1"
     );
     let mut f1_sum = 0.0;
     for (t, result) in tasks.iter().zip(&results) {
@@ -464,10 +464,11 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
         f1_sum += score.f1;
         let _ = writeln!(
             out,
-            "{:<11} {:>8.3} {:>8} {:>7.3} {:>7.3} {:>7.3}",
+            "{:<11} {:>8.3} {:>8} {:>8} {:>7.3} {:>7.3} {:>7.3}",
             t.id,
             result.synthesis.f1,
             result.synthesis.total_optimal,
+            result.synthesis.stats.guard_cap_hits,
             score.precision,
             score.recall,
             score.f1
@@ -1068,6 +1069,7 @@ mod tests {
         assert!(out.contains("fac_t1"), "{out}");
         assert!(out.contains("clinic_t1"), "{out}");
         assert!(out.contains("mean F1"), "{out}");
+        assert!(out.contains(" CAP_HITS "), "{out}");
         // 5 faculty + 5 clinic pages interned once across both tasks.
         assert!(
             out.starts_with(
@@ -1178,6 +1180,7 @@ mod tests {
         assert!(v["test"]["f1"].as_f64().is_some());
         assert!(v["selected"].is_string() || v["selected"].is_null());
         assert!(v["stats"]["extractors_enumerated"].as_u64().unwrap() > 0);
+        assert!(v["stats"]["guard_cap_hits"].as_u64().is_some());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `SynthesizeBranch` (Figure 8 of the paper) and its `NoDecomp` and
 //! `NoLazy` ablations.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -9,7 +8,7 @@ use webqa_dsl::{Guard, PageNodeId};
 use webqa_metrics::Counts;
 
 use crate::extractors::{synthesize_extractors, ExtractorSynthesis, F1_EPS};
-use crate::guards::{propagate_examples, GuardEnumerator};
+use crate::guards::{GuardEnumerator, GuardSpec, LocatorTable};
 use crate::scorer::{Scorer, StringTable, TaskCtx};
 use crate::stats::SynthStats;
 
@@ -62,7 +61,7 @@ impl BranchSynthesis {
 
 /// Figure 8: synthesizes all optimal branch programs. `pos` / `neg` are
 /// indices into the task's example list; `table` is the task's string
-/// table and `memo` its extractor memo.
+/// table, `locators` its locator table and `memo` its extractor memo.
 ///
 /// One loop serves every mode. `cfg.decompose` turns on the two memos
 /// and the UB gate (off, it is the `NoDecomp` ablation of Section 8.2:
@@ -70,12 +69,15 @@ impl BranchSynthesis {
 /// `cfg.decompose && cfg.lazy_guards` turns on laziness, where the
 /// rising optimum feeds the guard enumerator's locator pruning; without
 /// it the enumerator is drained up front with a bound of 0. The result
-/// set is identical in every mode; only the work differs.
+/// set is identical in every mode; only the work differs. The reference
+/// kernels leave `locators` alone and enumerate over a fresh table, so
+/// every branch problem does its own definitional locator work.
 ///
 /// Returns `None` when no guard in the bounded space separates E⁺ from E⁻.
 pub(crate) fn synthesize_branch(
     task: &TaskCtx,
     table: &mut StringTable,
+    locators: &mut LocatorTable,
     memo: &mut ExtractorMemo,
     pos: &[usize],
     neg: &[usize],
@@ -83,9 +85,16 @@ pub(crate) fn synthesize_branch(
 ) -> Option<BranchSynthesis> {
     stats.branch_calls += 1;
     let decompose = task.cfg.decompose;
-    let mut enumerator = GuardEnumerator::new(task, pos, neg);
+    let mut fresh;
+    let locators = if task.cfg.reference_kernels {
+        fresh = LocatorTable::new(task);
+        &mut fresh
+    } else {
+        locators
+    };
+    let mut enumerator = GuardEnumerator::new(task, locators, pos, neg);
     let mut scorer = Scorer::new(task, table, pos);
-    let mut eager: Option<VecDeque<(Guard, usize)>> = if decompose && task.cfg.lazy_guards {
+    let mut eager: Option<VecDeque<(GuardSpec, u32)>> = if decompose && task.cfg.lazy_guards {
         None
     } else {
         let mut q = VecDeque::new();
@@ -102,19 +111,19 @@ pub(crate) fn synthesize_branch(
     let mut opt = 0.0f64;
     let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
     // Footnote 6 (with `cfg.decompose`): guards whose locators agree
-    // share one extractor synthesis, through two memos. `by_entry` is indexed by the
-    // enumerator's entry id (each entry *is* one locator), so a repeated
-    // locator costs one index and is never cloned or hashed. `Some(None)`
-    // records a locator whose UB was below `opt` (Figure 8 line 6) —
-    // sound to skip forever since `opt` only rises. A new locator that
-    // passes the UB gate goes to `by_nodes`, the task memo's table for
-    // this E⁺: any locator, of this or another branch problem over the
-    // same E⁺, that selected the same nodes has already been solved.
-    // Only a miss in both runs the search.
+    // share one extractor synthesis, through two memos. `by_entry` is
+    // indexed by the locator table's id (each id *is* one locator), so a
+    // repeated locator costs one index and is never built or hashed.
+    // `Some(None)` records a locator whose UB was below `opt` (Figure 8
+    // line 6) — sound to skip forever since `opt` only rises. A new
+    // locator that passes the UB gate goes to `by_nodes`, the task memo's
+    // table for this E⁺: any locator, of this or another branch problem
+    // over the same E⁺, that selected the same nodes has already been
+    // solved. Only a miss in both runs the search.
     let mut by_entry: Vec<Option<Option<GuardOptions>>> = Vec::new();
     let mut by_nodes = decompose.then(|| memo.entry(pos.to_vec()).or_default());
 
-    while let Some((guard, eid)) = match eager.as_mut() {
+    while let Some((spec, eid)) = match eager.as_mut() {
         Some(q) => q.pop_front(),
         None => enumerator.next(opt, stats),
     } {
@@ -124,59 +133,42 @@ pub(crate) fn synthesize_branch(
         if task.cancel.checkpoint() {
             return None;
         }
-        if by_entry.len() <= eid {
-            by_entry.resize_with(eid + 1, || None);
+        let e = eid as usize;
+        if by_entry.len() <= e {
+            by_entry.resize_with(e + 1, || None);
         }
-        let synth: Option<GuardOptions> = match &by_entry[eid] {
+        let synth: Option<GuardOptions> = match &by_entry[e] {
             Some(s) => {
                 stats.locator_memo_hits += 1;
                 s.clone()
             }
             None => {
-                // Reference path: re-propagate the locator from the root
-                // and recompute the ceiling definitionally, as the
-                // pre-overhaul code did. Optimized path: the enumerator
-                // already propagated the nodes and computed the ceiling
-                // when it created the entry (Figure 8 line 6 is a
-                // comparison, not a recomputation).
-                let nodes = if task.cfg.reference_kernels {
-                    let pos_examples = pos.iter().map(|&i| &task.examples[i]);
-                    Cow::Owned(propagate_examples(
-                        task.ctx,
-                        enumerator.entry_locator(eid),
-                        pos_examples,
-                    ))
-                } else {
-                    Cow::Borrowed(enumerator.entry_nodes(eid))
-                };
-                let ub = || -> Counts {
-                    if task.cfg.reference_kernels {
-                        pos.iter()
-                            .zip(nodes.iter())
-                            .map(|(&i, ns)| task.examples[i].ceiling_counts_reference(ns))
-                            .sum()
-                    } else {
-                        enumerator.entry_ub(eid)
-                    }
-                };
+                // The positive node sets and their ceiling come from the
+                // locator table, computed once per task (Figure 8 line 6
+                // is a comparison, not a recomputation).
                 let s = match by_nodes.as_deref_mut() {
-                    None => Some(Arc::new(synthesize_extractors(
-                        task,
-                        &mut scorer,
-                        &nodes,
-                        stats,
-                    ))),
-                    Some(_) if task.cfg.prune && ub().upper_bound() + F1_EPS < opt => None,
+                    Some(_)
+                        if task.cfg.prune
+                            && enumerator.entry_ub(eid).upper_bound() + F1_EPS < opt =>
+                    {
+                        None
+                    }
                     Some(by_nodes) => Some(memoized_extractors(
                         task,
                         &mut scorer,
                         by_nodes,
-                        &nodes,
+                        enumerator.entry_nodes(eid),
                         stats,
                     )),
+                    None => Some(Arc::new(synthesize_extractors(
+                        task,
+                        &mut scorer,
+                        &enumerator.entry_nodes(eid),
+                        stats,
+                    ))),
                 };
                 if decompose {
-                    by_entry[eid] = Some(s.clone());
+                    by_entry[e] = Some(s.clone());
                 }
                 s
             }
@@ -187,9 +179,9 @@ pub(crate) fn synthesize_branch(
         }
         if synth.f1 > opt + F1_EPS {
             opt = synth.f1;
-            options = vec![(guard, synth)];
+            options = vec![(enumerator.guard(spec, eid), synth)];
         } else if (synth.f1 - opt).abs() <= F1_EPS {
-            options.push((guard, synth));
+            options.push((enumerator.guard(spec, eid), synth));
         }
     }
     if options.is_empty() {
@@ -209,15 +201,15 @@ fn memoized_extractors(
     task: &TaskCtx,
     scorer: &mut Scorer,
     by_nodes: &mut HashMap<Vec<Vec<PageNodeId>>, GuardOptions>,
-    nodes: &[Vec<PageNodeId>],
+    nodes: Vec<Vec<PageNodeId>>,
     stats: &mut SynthStats,
 ) -> GuardOptions {
-    if let Some(s) = by_nodes.get(nodes) {
+    if let Some(s) = by_nodes.get(&nodes) {
         stats.extractor_memo_hits += 1;
         return s.clone();
     }
-    let s = Arc::new(synthesize_extractors(task, scorer, nodes, stats));
-    by_nodes.insert(nodes.to_vec(), s.clone());
+    let s = Arc::new(synthesize_extractors(task, scorer, &nodes, stats));
+    by_nodes.insert(nodes, s.clone());
     s
 }
 
@@ -237,8 +229,17 @@ pub(crate) fn synthesize_branch_over(
     let pos_idx: Vec<usize> = (0..pos.len()).collect();
     let neg_idx: Vec<usize> = (pos.len()..all.len()).collect();
     let mut table = StringTable::new(&task);
+    let mut locators = LocatorTable::new(&task);
     let mut memo = ExtractorMemo::new();
-    synthesize_branch(&task, &mut table, &mut memo, &pos_idx, &neg_idx, stats)
+    synthesize_branch(
+        &task,
+        &mut table,
+        &mut locators,
+        &mut memo,
+        &pos_idx,
+        &neg_idx,
+        stats,
+    )
 }
 
 #[cfg(test)]
@@ -329,10 +330,19 @@ mod tests {
         ] {
             let task = TaskCtx::new(&cfg, &c, &examples);
             let mut table = StringTable::new(&task);
+            let mut locators = LocatorTable::new(&task);
             let mut memo = ExtractorMemo::new();
             let mut stats = SynthStats::default();
-            synthesize_branch(&task, &mut table, &mut memo, &[0, 1], &[], &mut stats)
-                .expect("branch");
+            synthesize_branch(
+                &task,
+                &mut table,
+                &mut locators,
+                &mut memo,
+                &[0, 1],
+                &[],
+                &mut stats,
+            )
+            .expect("branch");
             assert_eq!(!memo.is_empty(), fills, "decompose = {}", cfg.decompose);
         }
     }

@@ -104,8 +104,8 @@ impl SynthConfig {
     /// The slow-path reference configuration: [`SynthConfig::fast`]'s
     /// search parameters with every hot-path kernel replaced by the
     /// original definitional evaluation (string tokenization per score,
-    /// direct `NodeFilter::eval` masks, locator re-propagation at every
-    /// memo miss). Same optimum, same programs, same counts — the parity
+    /// `Locator::eval` of every locator in every branch problem, no
+    /// locator table shared across branch problems). Same optimum, same programs, same counts — the parity
     /// suite (`tests/synth_parity.rs`) holds the two paths equal on the
     /// whole corpus.
     pub fn reference() -> Self {
@@ -166,6 +166,23 @@ mod tests {
         assert!((c.thresholds[18] - 0.95).abs() < 1e-12);
         assert_eq!(c.guard_depth, 7);
         assert_eq!(c.extractor_depth, 5);
+    }
+
+    /// `paper()`'s grid contains `fast()`'s as DSL thresholds: the pools
+    /// build `Threshold`s, which store hundredths, so `19.0 * 0.05` (one
+    /// ulp above 0.95 as an `f64`) is `fast()`'s 0.95.
+    #[test]
+    fn paper_thresholds_contain_every_fast_threshold() {
+        use webqa_dsl::Threshold;
+        let paper: Vec<Threshold> = SynthConfig::paper()
+            .thresholds
+            .iter()
+            .map(|&t| Threshold::new(t))
+            .collect();
+        for t in SynthConfig::fast().thresholds {
+            assert!(paper.contains(&Threshold::new(t)), "fast() threshold {t}");
+        }
+        assert_eq!(Threshold::new(19.0 * 0.05), Threshold::new(0.95));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! ## Hot-path architecture
 //!
-//! Five semantics-free layers keep the enumerative search affordable;
+//! Six semantics-free layers keep the enumerative search affordable;
 //! [`SynthConfig::reference`] swaps in the definitional kernels, and
 //! `tests/synth_parity.rs` proves both paths observationally identical,
 //! statistics included, on the full corpus. One line each, with the
@@ -33,7 +33,11 @@
 //!   `UB = 2R/(1+R)` ceiling (Eq. 3) are overlaps of small integer bags.
 //! * **Feature and mask tables** (`scorer`): one `[filter][node]` table
 //!   per example, borrowed from the caller or built once per task.
-//! * **Two-level extractor memo** (`branch`, `guards`): per locator entry,
+//! * **Locator table** (`guards`): a trie of the locators the guard
+//!   enumerations reach, with each (locator, example) pair's node set,
+//!   recall ceiling and guard-predicate verdicts computed once per task
+//!   and read by every branch problem.
+//! * **Two-level extractor memo** (`branch`): per locator-table id,
 //!   then per (E⁺, propagated node sets) across the task.
 //! * **One-pass extractor enumeration** (`extractors`): one walk over a
 //!   candidate's strings builds its children under every production

@@ -13,8 +13,8 @@
 //!
 //! * [`TaskCtx`] — one per [`crate::synthesize`] call: the filter /
 //!   predicate / production pools, plus (optimized mode only) per-node
-//!   [`TextFeatures`] and the `[example][filter][node]` mask table every
-//!   guard enumeration reads instead of re-evaluating `NodeFilter`s.
+//!   [`TextFeatures`] and the `[example][filter][node]` mask table the
+//!   locator table's steps read instead of re-evaluating `NodeFilter`s.
 //! * [`StringTable`] — one per task, shared by its branch problems:
 //!   every string the extractor search sees gets a dense `u32` id, equal
 //!   content meaning an equal id. For the optimized kernels the table

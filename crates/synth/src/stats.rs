@@ -40,6 +40,10 @@ pub struct SynthStats {
     /// empty (a production step the analysis proves maps everything to
     /// `∅`, or concrete all-empty outputs on a branch with gold tokens).
     pub analysis_pruned_extractors: usize,
+    /// Branch problems whose guard enumeration stopped because it had
+    /// yielded `SynthConfig::max_guards_per_branch` guards: their optimal
+    /// set may be missing programs over later guards.
+    pub guard_cap_hits: usize,
 }
 
 impl SynthStats {
@@ -64,6 +68,7 @@ impl std::ops::AddAssign for SynthStats {
         self.analysis_pruned_guards += rhs.analysis_pruned_guards;
         self.analysis_pruned_locators += rhs.analysis_pruned_locators;
         self.analysis_pruned_extractors += rhs.analysis_pruned_extractors;
+        self.guard_cap_hits += rhs.guard_cap_hits;
     }
 }
 
@@ -118,6 +123,7 @@ mod tests {
             analysis_pruned_guards: 10,
             analysis_pruned_locators: 11,
             analysis_pruned_extractors: 12,
+            guard_cap_hits: 13,
         };
         let b = SynthStats {
             guards_yielded: 100,
@@ -132,6 +138,7 @@ mod tests {
             analysis_pruned_guards: 1000,
             analysis_pruned_locators: 1100,
             analysis_pruned_extractors: 1200,
+            guard_cap_hits: 1300,
         };
         a += b;
         let SynthStats {
@@ -147,6 +154,7 @@ mod tests {
             analysis_pruned_guards,
             analysis_pruned_locators,
             analysis_pruned_extractors,
+            guard_cap_hits,
         } = a;
         assert_eq!(
             [
@@ -162,8 +170,9 @@ mod tests {
                 analysis_pruned_guards,
                 analysis_pruned_locators,
                 analysis_pruned_extractors,
+                guard_cap_hits,
             ],
-            [101, 202, 303, 404, 505, 606, 707, 808, 909, 1010, 1111, 1212]
+            [101, 202, 303, 404, 505, 606, 707, 808, 909, 1010, 1111, 1212, 1313]
         );
     }
 }

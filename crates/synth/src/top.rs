@@ -4,8 +4,9 @@
 //!
 //! Partition blocks are independent (E⁺, E⁻) problems, memoized across
 //! the partition scan and solved lazily: a block after a failing one is
-//! never searched. Blocks that share E⁺ also share extractor searches,
-//! through the task's extractor memo (see [`ExtractorMemo`]).
+//! never searched. Every block reads one locator table (see
+//! [`LocatorTable`]), and blocks that share E⁺ also share extractor
+//! searches, through the task's extractor memo (see [`ExtractorMemo`]).
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -20,6 +21,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::SynthConfig;
 use crate::example::Example;
 use crate::extractors::F1_EPS;
+use crate::guards::LocatorTable;
 use crate::scorer::{PageFeatures, StringTable, TaskCtx};
 use crate::stats::SynthStats;
 
@@ -94,12 +96,13 @@ pub fn synthesize_cancellable(
     let partitions = ordered_partitions(n, cfg.max_blocks);
 
     // Branch problems are memoized by (positive set, negative set) —
-    // different partitions share blocks heavily. One string table and one
-    // extractor memo serve every branch problem of the task; both are
-    // dropped with it, so a cancelled search leaves nothing behind. A
-    // block memo entry of `None` means the block was solved and has no
-    // separating guard.
+    // different partitions share blocks heavily. One string table, one
+    // locator table and one extractor memo serve every branch problem of
+    // the task; all three are dropped with it, so a cancelled search
+    // leaves nothing behind. A block memo entry of `None` means the block
+    // was solved and has no separating guard.
     let mut table = StringTable::new(&task);
+    let mut locators = LocatorTable::new(&task);
     let mut extractors = ExtractorMemo::new();
     let mut solved: HashMap<BlockKey, Option<Arc<BranchSynthesis>>> = HashMap::new();
 
@@ -122,8 +125,15 @@ pub fn synthesize_cancellable(
                 }
                 Entry::Vacant(slot) => {
                     let (pos, neg) = slot.key();
-                    let r =
-                        synthesize_branch(&task, &mut table, &mut extractors, pos, neg, &mut stats);
+                    let r = synthesize_branch(
+                        &task,
+                        &mut table,
+                        &mut locators,
+                        &mut extractors,
+                        pos,
+                        neg,
+                        &mut stats,
+                    );
                     slot.insert(r.map(Arc::new)).clone()
                 }
             };
@@ -607,6 +617,7 @@ mod tests {
 
         let task = TaskCtx::new(&cfg, &c, &examples);
         let mut table = StringTable::new(&task);
+        let mut locators = LocatorTable::new(&task);
         let mut extractors = ExtractorMemo::new();
         let mut replay = SynthStats::default();
         let mut solvable: HashMap<BlockKey, bool> = HashMap::new();
@@ -623,6 +634,7 @@ mod tests {
                         let ok = synthesize_branch(
                             &task,
                             &mut table,
+                            &mut locators,
                             &mut extractors,
                             pos,
                             neg,
@@ -650,54 +662,82 @@ mod tests {
         assert_eq!(out.stats, replay);
     }
 
-    /// The extractor memo is invisible: for 3-label corpus tasks, every
-    /// branch problem the partition scan can reach, solved in scan order
-    /// with one memo shared across the task, has exactly the guards,
-    /// count groups and extractor order it has when solved alone with a
-    /// fresh memo.
+    /// Four corpus tasks (fac_t1, fac_t8, conf_t6, class_t6), each with
+    /// its query context and its examples over 3 pages of seed 7.
+    fn corpus_tasks() -> Vec<(&'static str, QueryContext, Vec<Example>)> {
+        use webqa_corpus::{generate_pages, TASKS};
+        [&TASKS[0], &TASKS[7], &TASKS[13], &TASKS[19]]
+            .into_iter()
+            .map(|task| {
+                let examples = generate_pages(task.domain, 3, 7)
+                    .iter()
+                    .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
+                    .collect();
+                let c = QueryContext::new(task.question, task.keywords.to_vec());
+                (task.id, c, examples)
+            })
+            .collect()
+    }
+
+    /// Every branch problem the partition scan of `examples` can reach,
+    /// each once, in scan order.
+    fn branch_problems(examples: usize, max_blocks: usize) -> Vec<BlockKey> {
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for partition in ordered_partitions(examples, max_blocks) {
+            for i in 0..partition.len() {
+                let key = block_key(&partition, i);
+                if seen.insert(key.clone()) {
+                    out.push(key);
+                }
+            }
+        }
+        out
+    }
+
+    /// The task-level tables are invisible: for 3-label corpus tasks,
+    /// every branch problem the partition scan can reach, solved in scan
+    /// order with one extractor memo and one locator table shared across
+    /// the task, has exactly the guards, count groups and extractor order
+    /// it has when solved alone with a fresh memo and a fresh table.
     #[test]
     fn extractor_memo_is_invisible_to_every_branch_problem() {
-        use webqa_corpus::{generate_pages, TASKS};
-        for task in [&TASKS[0], &TASKS[7], &TASKS[13], &TASKS[19]] {
-            let pages = generate_pages(task.domain, 3, 7);
-            let c = QueryContext::new(task.question, task.keywords.to_vec());
-            let examples: Vec<Example> = pages
-                .iter()
-                .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
-                .collect();
+        for (id, c, examples) in corpus_tasks() {
             for max_blocks in [2, 3] {
                 let mut cfg = SynthConfig::fast();
                 cfg.max_blocks = max_blocks;
                 let tc = TaskCtx::new(&cfg, &c, &examples);
                 let mut table = StringTable::new(&tc);
+                let mut locators = LocatorTable::new(&tc);
                 let mut shared = ExtractorMemo::new();
                 let mut stats = SynthStats::default();
-                let mut seen = HashSet::new();
-                for partition in ordered_partitions(examples.len(), max_blocks) {
-                    for i in 0..partition.len() {
-                        let key = block_key(&partition, i);
-                        if !seen.insert(key.clone()) {
-                            continue;
-                        }
-                        let (pos, neg) = &key;
-                        let with_shared =
-                            synthesize_branch(&tc, &mut table, &mut shared, pos, neg, &mut stats);
-                        let alone = synthesize_branch(
-                            &tc,
-                            &mut table,
-                            &mut ExtractorMemo::new(),
-                            pos,
-                            neg,
-                            &mut SynthStats::default(),
-                        );
-                        let what = format!("{} max_blocks={max_blocks} {key:?}", task.id);
-                        assert_same_branch(&what, with_shared.as_ref(), alone.as_ref());
-                    }
+                for key in branch_problems(examples.len(), max_blocks) {
+                    let (pos, neg) = &key;
+                    let with_shared = synthesize_branch(
+                        &tc,
+                        &mut table,
+                        &mut locators,
+                        &mut shared,
+                        pos,
+                        neg,
+                        &mut stats,
+                    );
+                    let mut alone_stats = SynthStats::default();
+                    let alone = synthesize_branch(
+                        &tc,
+                        &mut table,
+                        &mut LocatorTable::new(&tc),
+                        &mut ExtractorMemo::new(),
+                        pos,
+                        neg,
+                        &mut alone_stats,
+                    );
+                    let what = format!("{id} max_blocks={max_blocks} {key:?}");
+                    assert_same_branch(&what, with_shared.as_ref(), alone.as_ref());
                 }
                 assert!(
                     stats.extractor_memo_hits > 0,
-                    "{} max_blocks={max_blocks}: the memo was never hit",
-                    task.id
+                    "{id} max_blocks={max_blocks}: the memo was never hit"
                 );
             }
         }
@@ -709,38 +749,104 @@ mod tests {
     /// twice, however many candidates and branches meet the string.
     #[test]
     fn kernel_parity_each_step_string_pair_is_applied_once_per_task() {
-        use webqa_corpus::{generate_pages, TASKS};
-        for task in [&TASKS[0], &TASKS[7], &TASKS[13], &TASKS[19]] {
-            let c = QueryContext::new(task.question, task.keywords.to_vec());
-            let examples: Vec<Example> = generate_pages(task.domain, 3, 7)
-                .iter()
-                .map(|p| Example::new(p.tree(), p.gold(task.id).to_vec()))
-                .collect();
+        for (id, c, examples) in corpus_tasks() {
             let cfg = SynthConfig::fast();
             let tc = TaskCtx::new(&cfg, &c, &examples);
             let mut table = StringTable::new(&tc);
+            let mut locators = LocatorTable::new(&tc);
             let mut memo = ExtractorMemo::new();
             let mut stats = SynthStats::default();
-            let mut seen = HashSet::new();
-            for partition in ordered_partitions(examples.len(), cfg.max_blocks) {
-                for i in 0..partition.len() {
-                    let key = block_key(&partition, i);
-                    if seen.insert(key.clone()) {
-                        let (pos, neg) = &key;
-                        synthesize_branch(&tc, &mut table, &mut memo, pos, neg, &mut stats);
-                    }
-                }
+            for (pos, neg) in branch_problems(examples.len(), cfg.max_blocks) {
+                synthesize_branch(
+                    &tc,
+                    &mut table,
+                    &mut locators,
+                    &mut memo,
+                    &pos,
+                    &neg,
+                    &mut stats,
+                );
             }
             let mut pairs = table.applied().to_vec();
-            assert!(pairs.len() > 100, "{}: {} pairs", task.id, pairs.len());
+            assert!(pairs.len() > 100, "{id}: {} pairs", pairs.len());
             pairs.sort_unstable();
             let applied = pairs.len();
             pairs.dedup();
-            assert_eq!(
-                pairs.len(),
-                applied,
-                "{}: a pair was applied twice",
-                task.id
+            assert_eq!(pairs.len(), applied, "{id}: a pair was applied twice");
+        }
+    }
+
+    /// The locator table is definitional and shared: solving every branch
+    /// problem of corpus tasks through one table, as `synthesize` does,
+    /// leaves every computed slot equal to the reference evaluation of
+    /// its rebuilt locator — node set by `Locator::eval`, ceiling by
+    /// `ceiling_counts_reference`, verdicts by `NlpPred::eval` over the
+    /// node texts — and propagates no (locator, example) pair twice.
+    #[test]
+    fn kernel_parity_locator_table_slots_are_definitional_and_propagated_once() {
+        for (id, c, examples) in corpus_tasks() {
+            let cfg = SynthConfig::fast();
+            let tc = TaskCtx::new(&cfg, &c, &examples);
+            let mut table = StringTable::new(&tc);
+            let mut locators = LocatorTable::new(&tc);
+            let mut memo = ExtractorMemo::new();
+            let mut stats = SynthStats::default();
+            let problems = branch_problems(examples.len(), cfg.max_blocks);
+            assert!(
+                problems.len() > 1,
+                "{id}: one branch problem shares nothing"
+            );
+            for (pos, neg) in &problems {
+                synthesize_branch(
+                    &tc,
+                    &mut table,
+                    &mut locators,
+                    &mut memo,
+                    pos,
+                    neg,
+                    &mut stats,
+                );
+            }
+            // `locators_expanded` counts one propagation per positive of
+            // every expansion in every branch problem; the table did far
+            // fewer, and none twice.
+            let mut pairs = locators.propagated().to_vec();
+            assert!(pairs.len() > 1000, "{id}: {} pairs", pairs.len());
+            assert!(
+                pairs.len() < stats.locators_expanded,
+                "{id}: nothing shared"
+            );
+            pairs.sort_unstable();
+            let propagated = pairs.len();
+            pairs.dedup();
+            assert_eq!(pairs.len(), propagated, "{id}: a pair was propagated twice");
+
+            let (mut ceilings, mut rows) = (0, 0);
+            for (eid, ex) in pairs {
+                let ex = ex as usize;
+                let slot = locators.computed(&tc, eid, ex);
+                let page = &examples[ex].page;
+                let direct = locators.locator(&tc, eid).eval(&c, page);
+                let what = format!("{id}: {} on example {ex}", locators.locator(&tc, eid));
+                assert_eq!(slot.nodes, direct, "{what}: nodes");
+                if let Some(ceiling) = slot.ceiling {
+                    ceilings += 1;
+                    let reference = examples[ex].ceiling_counts_reference(&direct);
+                    assert_eq!(ceiling, reference, "{what}: ceiling");
+                }
+                if let Some(verdicts) = slot.verdicts {
+                    rows += 1;
+                    let reference: Vec<bool> = tc
+                        .guard_preds
+                        .iter()
+                        .map(|p| direct.iter().any(|&n| p.eval(&c, page.text(n))))
+                        .collect();
+                    assert_eq!(verdicts, reference, "{what}: verdicts");
+                }
+            }
+            assert!(
+                ceilings > 100 && rows > 100,
+                "{id}: {ceilings} ceilings, {rows} rows"
             );
         }
     }

@@ -89,6 +89,7 @@ fn students_fixture_stats_snapshot() {
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 4466,
             analysis_pruned_extractors: 744,
+            guard_cap_hits: 0,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -115,6 +116,7 @@ fn service_fixture_stats_snapshot() {
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 2686,
             analysis_pruned_extractors: 2025,
+            guard_cap_hits: 2,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -143,6 +145,7 @@ fn students_fixture_nodecomp_stats_snapshot() {
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 4466,
             analysis_pruned_extractors: 53112,
+            guard_cap_hits: 0,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -171,6 +174,7 @@ fn students_fixture_nolazy_stats_snapshot() {
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 4466,
             analysis_pruned_extractors: 744,
+            guard_cap_hits: 0,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -199,6 +203,7 @@ fn service_fixture_nodecomp_stats_snapshot() {
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 2686,
             analysis_pruned_extractors: 138177,
+            guard_cap_hits: 2,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
@@ -227,6 +232,38 @@ fn service_fixture_nolazy_stats_snapshot() {
             analysis_pruned_guards: 4,
             analysis_pruned_locators: 2686,
             analysis_pruned_extractors: 2025,
+            guard_cap_hits: 2,
+        },
+        "search-shape regression: pruning/memoization/dedup changed \
+         (re-pin deliberately, checking each delta's direction)"
+    );
+}
+
+/// Fixture 1 with a guard cap of 3: three of its four branch problems
+/// stop at the cap (the fourth has no separating guard), each counted
+/// once.
+#[test]
+fn students_fixture_guard_cap_stats_snapshot() {
+    let (ctx, examples) = students_fixture();
+    let mut capped = cfg();
+    capped.max_guards_per_branch = 3;
+    let out = synthesize(&capped, &ctx, &examples);
+    assert_eq!(
+        out.stats,
+        SynthStats {
+            guards_yielded: 9,
+            locators_expanded: 1198,
+            locators_pruned: 0,
+            extractors_enumerated: 120,
+            extractors_pruned: 18,
+            branch_calls: 4,
+            memo_hits: 0,
+            locator_memo_hits: 2,
+            extractor_memo_hits: 0,
+            analysis_pruned_guards: 4,
+            analysis_pruned_locators: 1372,
+            analysis_pruned_extractors: 324,
+            guard_cap_hits: 3,
         },
         "search-shape regression: pruning/memoization/dedup changed \
          (re-pin deliberately, checking each delta's direction)"
