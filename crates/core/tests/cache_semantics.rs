@@ -13,9 +13,13 @@
 //! reference engine field by field (programs, `Counts`, F₁, answers,
 //! and the full `SynthStats`).
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use webqa::{CacheConfig, Config, Engine, PageStore, RunResult, SynthConfig, Task};
+use webqa_dsl::{Extractor, Guard, Program};
 
 /// The task pool: overlapping page/question combinations so feature keys
 /// are shared across tasks (hits), and 10 *distinct* (page, query) keys,
@@ -273,4 +277,67 @@ fn pipeline_is_invariant_to_keyword_and_gold_order_only() {
             );
         }
     }
+}
+
+/// Asserts every guard value and every extractor value among `result`'s
+/// programs, the selected one included, is one allocation.
+fn assert_one_allocation_per_tree(result: &RunResult, what: &str) {
+    let mut guards: HashMap<&Guard, &Arc<Guard>> = HashMap::new();
+    let mut extractors: HashMap<&Extractor, &Arc<Extractor>> = HashMap::new();
+    let programs = result.synthesis.programs.iter().chain(&result.program);
+    for b in programs.flat_map(|p| &p.branches) {
+        let g = *guards.entry(&*b.guard).or_insert(&b.guard);
+        assert!(
+            Arc::ptr_eq(g, &b.guard),
+            "{what}: guard {} held twice",
+            b.guard
+        );
+        let x = *extractors.entry(&*b.extractor).or_insert(&b.extractor);
+        assert!(
+            Arc::ptr_eq(x, &b.extractor),
+            "{what}: extractor {} held twice",
+            b.extractor
+        );
+    }
+}
+
+/// Whether every branch of `a` points at the same trees as `b`'s.
+fn same_trees(a: &[Program], b: &[Program]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(p, q)| {
+            p.branches.len() == q.branches.len()
+                && p.branches.iter().zip(&q.branches).all(|(x, y)| {
+                    Arc::ptr_eq(&x.guard, &y.guard) && Arc::ptr_eq(&x.extractor, &y.extractor)
+                })
+        })
+}
+
+/// A result-tier hit copies pointers, not trees: the programs it returns
+/// point at the resident entry's trees (the ones the inserting run
+/// returned), the entry holds each distinct tree once, and its programs
+/// equal a cold engine's by value.
+#[test]
+fn result_hits_share_the_resident_entry_trees() {
+    let mut store = PageStore::new();
+    let tasks = task_pool(&mut store);
+    let warm = engine_with(CacheConfig::default(), store.clone());
+    let cold = engine_with(CacheConfig::disabled(), store);
+    for (i, task) in tasks.iter().enumerate() {
+        let what = format!("task {i}");
+        let inserted = warm.run(task).expect("store-issued ids resolve");
+        let hit = warm.run(task).expect("store-issued ids resolve");
+        assert!(!hit.synthesis.programs.is_empty(), "{what}: no program");
+        assert!(
+            same_trees(&hit.synthesis.programs, &inserted.synthesis.programs),
+            "{what}: the hit copied trees"
+        );
+        let picked = |r: &RunResult| r.program.iter().cloned().collect::<Vec<_>>();
+        assert!(
+            same_trees(&picked(&hit), &picked(&inserted)),
+            "{what}: program"
+        );
+        assert_one_allocation_per_tree(&hit, &what);
+        assert_results_equal(&hit, &cold.run(task).expect("resolves"), &what);
+    }
+    assert_eq!(warm.cache_stats().result_hits, tasks.len() as u64);
 }

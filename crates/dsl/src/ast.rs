@@ -16,6 +16,8 @@
 //! deduplicate; thresholds are therefore stored in fixed-point hundredths
 //! ([`Threshold`]).
 
+use std::sync::Arc;
+
 use webqa_nlp::EntityKind;
 
 /// A keyword-similarity threshold `t ∈ [0, 1]`, stored in hundredths so DSL
@@ -327,18 +329,27 @@ impl Extractor {
 }
 
 /// One guarded branch `ψ → λx.e`.
+///
+/// Both fields are shared trees: the synthesizer builds each distinct
+/// guard and extractor once per task, and every optimal program that uses
+/// one holds a pointer to it, so cloning a branch copies two pointers.
+/// Equality, hashing, `Display` and serde are by value: branches over
+/// different allocations of equal trees are equal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Branch {
     /// The guard.
-    pub guard: Guard,
+    pub guard: Arc<Guard>,
     /// The extractor applied when the guard fires.
-    pub extractor: Extractor,
+    pub extractor: Arc<Extractor>,
 }
 
 impl Branch {
-    /// Creates a branch.
-    pub fn new(guard: Guard, extractor: Extractor) -> Self {
-        Branch { guard, extractor }
+    /// Creates a branch from owned or shared trees.
+    pub fn new(guard: impl Into<Arc<Guard>>, extractor: impl Into<Arc<Extractor>>) -> Self {
+        Branch {
+            guard: guard.into(),
+            extractor: extractor.into(),
+        }
     }
 
     /// AST size.
@@ -348,6 +359,10 @@ impl Branch {
 }
 
 /// A complete WebQA program: an ordered sequence of guarded branches.
+///
+/// Its branches share their guard and extractor trees (see [`Branch`]),
+/// so cloning a program copies pointers, not trees; equality and hashing
+/// are by value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Branches tried in order; the first true guard's extractor runs.
@@ -361,7 +376,7 @@ impl Program {
     }
 
     /// A single-branch program.
-    pub fn single(guard: Guard, extractor: Extractor) -> Self {
+    pub fn single(guard: impl Into<Arc<Guard>>, extractor: impl Into<Arc<Extractor>>) -> Self {
         Program {
             branches: vec![Branch::new(guard, extractor)],
         }
@@ -464,7 +479,7 @@ mod tests {
     #[test]
     fn extractor_inner_chain() {
         let p = sample_program();
-        let mut e = &p.branches[0].extractor;
+        let mut e: &Extractor = &p.branches[0].extractor;
         let mut hops = 0;
         while let Some(inner) = e.inner() {
             e = inner;

@@ -55,7 +55,7 @@ pub fn normalize(program: &Program) -> Program {
         let guard = normalize_guard(&b.guard);
         // A guard identical to an earlier one can never fire: the earlier
         // branch takes precedence whenever it would be true.
-        if branches.iter().any(|prev| prev.guard == guard) {
+        if branches.iter().any(|prev| *prev.guard == guard) {
             continue;
         }
         branches.push(Branch::new(guard, normalize_extractor(&b.extractor)));
@@ -330,7 +330,7 @@ mod tests {
         ]);
         let n = normalize(&p);
         assert_eq!(n.branches.len(), 1);
-        assert_eq!(n.branches[0].extractor, Extractor::Content);
+        assert_eq!(*n.branches[0].extractor, Extractor::Content);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,6 +45,11 @@ impl Ensemble {
     /// with identical outputs.
     ///
     /// The members are evaluated together, page by page, and share work.
+    /// Distinct guards and extractors are keyed by the address of their
+    /// shared `Arc` and hashed by value once per address, so a
+    /// synthesized outcome, whose programs point into one set of trees,
+    /// is planned without hashing a tree per member branch; value-equal
+    /// trees in different allocations still get one id.
     /// Each distinct guard and each distinct extractor (per located node
     /// set) runs once per page, and every guard evaluates through one
     /// [`PageMemo`] per page: a sub-locator that many guards share (a
@@ -141,16 +147,16 @@ impl Ensemble {
 /// The sampled members, each as one `(guard id, extractor id)` pair per
 /// branch, with ids over the distinct guards and extractors.
 struct Members<'p> {
-    guards: Interner<&'p Guard>,
-    extractors: Interner<&'p Extractor>,
+    guards: TreeIds<'p, Guard>,
+    extractors: TreeIds<'p, Extractor>,
     branches: Vec<Vec<(usize, usize)>>,
 }
 
 impl<'p> Members<'p> {
     /// The members `programs[i]` for `i` in `members`, in that order.
     fn new(programs: &'p [Program], members: &[usize]) -> Self {
-        let mut guards = Interner::default();
-        let mut extractors = Interner::default();
+        let mut guards = TreeIds::default();
+        let mut extractors = TreeIds::default();
         let branches = members
             .iter()
             .map(|&i| {
@@ -178,20 +184,20 @@ impl<'p> Members<'p> {
         let mut node_sets = Interner::default();
         // Per guard: `None` until evaluated, then the id of the node set
         // it fires with, or `None` when it does not fire.
-        let mut fired: Vec<Option<Option<usize>>> = vec![None; self.guards.len()];
+        let mut fired: Vec<Option<Option<usize>>> = vec![None; self.guards.values.len()];
         let mut extracted: HashMap<(usize, usize), usize> = HashMap::new();
         let mut ids = Vec::with_capacity(self.branches.len());
         for branches in &self.branches {
             let mut out = empty;
             for &(g, x) in branches {
                 let fires = *fired[g].get_or_insert_with(|| {
-                    let (ok, nodes) = memo.eval_guard(self.guards.get(g));
+                    let (ok, nodes) = memo.eval_guard(self.guards.values.get(g));
                     ok.then(|| node_sets.id(nodes))
                 });
                 if let Some(nodes) = fires {
                     out = *extracted.entry((x, nodes)).or_insert_with(|| {
-                        let strings =
-                            memo.eval_extractor(self.extractors.get(x), node_sets.get(nodes));
+                        let strings = memo
+                            .eval_extractor(self.extractors.values.get(x), node_sets.get(nodes));
                         let mut t = tokenize_all(&strings);
                         t.sort();
                         t.dedup();
@@ -203,6 +209,34 @@ impl<'p> Members<'p> {
             ids.push(out);
         }
         (token_sets.values, ids)
+    }
+}
+
+/// Dense ids for the distinct trees behind a program list's shared
+/// branch fields, in first-seen order. A tree is looked up by its `Arc`'s
+/// address first, so each allocation is hashed by value only once, and
+/// equal trees in different allocations still share one id.
+struct TreeIds<'p, T> {
+    by_address: HashMap<*const T, usize>,
+    values: Interner<&'p T>,
+}
+
+impl<T> Default for TreeIds<'_, T> {
+    fn default() -> Self {
+        TreeIds {
+            by_address: HashMap::new(),
+            values: Interner::default(),
+        }
+    }
+}
+
+impl<'p, T: Hash + Eq> TreeIds<'p, T> {
+    fn id(&mut self, tree: &'p Arc<T>) -> usize {
+        let values = &mut self.values;
+        *self
+            .by_address
+            .entry(Arc::as_ptr(tree))
+            .or_insert_with(|| values.id(&**tree))
     }
 }
 
@@ -402,6 +436,30 @@ mod tests {
             assert_eq!(memo.memoized_locators(), 4, "every lookup hits");
         }
         assert_matches_naive(&ctx, &programs, &pages);
+    }
+
+    /// Members find a tree by its `Arc` first and merge equal values: a
+    /// guard shared by pointer, an equal guard in its own allocation and
+    /// a different guard are three addresses but two ids.
+    #[test]
+    fn members_key_shared_trees_by_address_and_equal_trees_by_value() {
+        let shared = prog("sat(root, true) -> content");
+        let programs = vec![
+            shared.clone(),
+            shared,
+            prog("sat(root, true) -> content"),
+            prog("singleton(root) -> content"),
+        ];
+        let plan = Members::new(&programs, &[0, 1, 2, 3]);
+        assert_eq!(plan.guards.by_address.len(), 3);
+        assert_eq!(plan.guards.values.len(), 2);
+        assert_eq!(plan.extractors.by_address.len(), 3);
+        assert_eq!(plan.extractors.values.len(), 1);
+        assert_eq!(
+            plan.branches,
+            [vec![(0, 0)], vec![(0, 0)], vec![(0, 0)], vec![(1, 0)]]
+        );
+        assert_matches_naive(&ctx(), &programs, &three_pages());
     }
 
     mod memo_parity {

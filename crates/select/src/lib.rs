@@ -16,7 +16,12 @@
 //!
 //! Step 2 is the cost of selection: up to `N` programs run on every
 //! unlabeled page. The members are evaluated together, page by page.
-//! Each distinct guard and extractor runs once per page, and all guards
+//! Their distinct guards and extractors are found by `Arc` identity
+//! first: a synthesized outcome's programs share their branch trees (see
+//! [`webqa_dsl::Branch`]), so planning the ensemble hashes each shared
+//! tree once, not once per member branch. Equal trees in different
+//! allocations still count as one. Each distinct guard and extractor runs
+//! once per page, and all guards
 //! on a page share one [`webqa_dsl::PageMemo`], so a sub-locator common
 //! to many guards walks the tree once, each locator-step filter is
 //! decided once per node, and each subtree text is built once. The memo

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use webqa_dsl::{Guard, PageNodeId};
 use webqa_metrics::Counts;
 
-use crate::extractors::{synthesize_extractors, ExtractorSynthesis, F1_EPS};
+use crate::extractors::{synthesize_extractors, ExtractorAsts, ExtractorSynthesis, F1_EPS};
 use crate::guards::{GuardEnumerator, GuardSpec, LocatorTable};
 use crate::scorer::{Scorer, StringTable, TaskCtx};
 use crate::stats::SynthStats;
@@ -24,8 +24,25 @@ pub(crate) type GuardOptions = Arc<ExtractorSynthesis>;
 /// pair is the whole input of [`synthesize_extractors`], so a hit is
 /// exactly the result a fresh search would return. E⁺ must be part of
 /// the key: node ids are per page, so the same node sets over different
-/// examples are different problems.
-pub(crate) type ExtractorMemo = HashMap<Vec<usize>, HashMap<Vec<Vec<PageNodeId>>, GuardOptions>>;
+/// examples are different problems. The memo also owns the extractor
+/// trees every search of the task has built ([`ExtractorAsts`]).
+#[derive(Default)]
+pub(crate) struct ExtractorMemo {
+    searches: HashMap<Vec<usize>, HashMap<Vec<Vec<PageNodeId>>, GuardOptions>>,
+    asts: ExtractorAsts,
+}
+
+impl ExtractorMemo {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether no search result is recorded.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.searches.is_empty()
+    }
+}
 
 /// All optimal branch programs for one (E⁺, E⁻) problem, represented as
 /// the paper's mapping from guards to extractor sets.
@@ -39,8 +56,9 @@ pub(crate) type ExtractorMemo = HashMap<Vec<usize>, HashMap<Vec<Vec<PageNodeId>>
 #[derive(Debug, Clone)]
 pub(crate) struct BranchSynthesis {
     /// `(ψ, E)` pairs: each guard with its optimal extractors, grouped by
-    /// token counts.
-    pub options: Vec<(Guard, GuardOptions)>,
+    /// token counts. A guard is the task's one allocation of it (see
+    /// [`LocatorTable::guard`]).
+    pub options: Vec<(Arc<Guard>, GuardOptions)>,
 }
 
 impl BranchSynthesis {
@@ -65,7 +83,8 @@ impl BranchSynthesis {
 ///
 /// One loop serves every mode. `cfg.decompose` turns on the two memos
 /// and the UB gate (off, it is the `NoDecomp` ablation of Section 8.2:
-/// every guard gets its own extractor search, and `memo` is left alone).
+/// every guard gets its own extractor search, and `memo` records no
+/// search; its extractor trees are shared in every mode).
 /// `cfg.decompose && cfg.lazy_guards` turns on laziness, where the
 /// rising optimum feeds the guard enumerator's locator pruning; without
 /// it the enumerator is drained up front with a bound of 0. The result
@@ -109,7 +128,7 @@ pub(crate) fn synthesize_branch(
         Some(q)
     };
     let mut opt = 0.0f64;
-    let mut options: Vec<(Guard, GuardOptions)> = Vec::new();
+    let mut options: Vec<(Arc<Guard>, GuardOptions)> = Vec::new();
     // Footnote 6 (with `cfg.decompose`): guards whose locators agree
     // share one extractor synthesis, through two memos. `by_entry` is
     // indexed by the locator table's id (each id *is* one locator), so a
@@ -121,7 +140,8 @@ pub(crate) fn synthesize_branch(
     // over the same E⁺, that selected the same nodes has already been
     // solved. Only a miss in both runs the search.
     let mut by_entry: Vec<Option<Option<GuardOptions>>> = Vec::new();
-    let mut by_nodes = decompose.then(|| memo.entry(pos.to_vec()).or_default());
+    let ExtractorMemo { searches, asts } = memo;
+    let mut by_nodes = decompose.then(|| searches.entry(pos.to_vec()).or_default());
 
     while let Some((spec, eid)) = match eager.as_mut() {
         Some(q) => q.pop_front(),
@@ -156,6 +176,7 @@ pub(crate) fn synthesize_branch(
                     Some(by_nodes) => Some(memoized_extractors(
                         task,
                         &mut scorer,
+                        asts,
                         by_nodes,
                         enumerator.entry_nodes(eid),
                         stats,
@@ -163,6 +184,7 @@ pub(crate) fn synthesize_branch(
                     None => Some(Arc::new(synthesize_extractors(
                         task,
                         &mut scorer,
+                        asts,
                         &enumerator.entry_nodes(eid),
                         stats,
                     ))),
@@ -200,6 +222,7 @@ pub(crate) fn synthesize_branch(
 fn memoized_extractors(
     task: &TaskCtx,
     scorer: &mut Scorer,
+    asts: &mut ExtractorAsts,
     by_nodes: &mut HashMap<Vec<Vec<PageNodeId>>, GuardOptions>,
     nodes: Vec<Vec<PageNodeId>>,
     stats: &mut SynthStats,
@@ -208,7 +231,7 @@ fn memoized_extractors(
         stats.extractor_memo_hits += 1;
         return s.clone();
     }
-    let s = Arc::new(synthesize_extractors(task, scorer, &nodes, stats));
+    let s = Arc::new(synthesize_extractors(task, scorer, asts, &nodes, stats));
     by_nodes.insert(nodes, s.clone());
     s
 }

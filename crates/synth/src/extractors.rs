@@ -19,6 +19,10 @@
 //! * candidates are scored on interned token ids ([`crate::scorer::Scorer`])
 //!   indexed by string id — each distinct string is tokenized once for
 //!   the whole task;
+//! * each extractor AST is built once per task: the task's
+//!   [`ExtractorAsts`] keeps the tree every (parent, production step)
+//!   pair has made, so a child that an earlier search already pushed is
+//!   an id lookup, and every program that uses it points at one tree;
 //! * a popped candidate's children under *every* production step are
 //!   built in one walk over its strings
 //!   ([`Scorer::apply_steps`](crate::scorer::Scorer::apply_steps)): each
@@ -36,7 +40,8 @@
 //!   keyed by (E⁺, propagated node sets), which serves every branch
 //!   problem over the same E⁺ (see [`crate::branch::ExtractorMemo`]).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use webqa_dsl::{Extractor, PageNodeId};
 use webqa_metrics::Counts;
@@ -54,11 +59,15 @@ use crate::stats::SynthStats;
 /// multi-branch program. Keeping the counts per group lets the top-level
 /// synthesis reject cross-branch combinations that would not achieve the
 /// reported optimum.
+///
+/// Each extractor is built once, when the search pushes it or keeps it as
+/// a tied duplicate, and shared from then on: every program that uses it
+/// holds a pointer to this allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct ExtractorSynthesis {
     /// Optimal extractors grouped by their counts (empty when no
     /// extractor scores above 0). Every group's `counts.f1()` equals `f1`.
-    pub groups: Vec<(Counts, Vec<Extractor>)>,
+    pub groups: Vec<(Counts, Vec<Arc<Extractor>>)>,
     /// The optimal F₁ achieved.
     pub f1: f64,
 }
@@ -74,13 +83,13 @@ impl ExtractorSynthesis {
     pub fn extractors(&self) -> Vec<Extractor> {
         self.groups
             .iter()
-            .flat_map(|(_, es)| es.iter().cloned())
+            .flat_map(|(_, es)| es.iter().map(|e| Extractor::clone(e)))
             .collect()
     }
 }
 
 /// Inserts an extractor into the count-grouped optimal set.
-fn push_group(groups: &mut Vec<(Counts, Vec<Extractor>)>, counts: Counts, e: Extractor) {
+fn push_group(groups: &mut Vec<(Counts, Vec<Arc<Extractor>>)>, counts: Counts, e: Arc<Extractor>) {
     match groups.iter_mut().find(|(c, _)| *c == counts) {
         Some((_, es)) => es.push(e),
         None => groups.push((counts, vec![e])),
@@ -91,10 +100,54 @@ fn push_group(groups: &mut Vec<(Counts, Vec<Extractor>)>, counts: Counts, e: Ext
 /// integers; 1e-9 distinguishes all genuinely different values).
 pub(crate) const F1_EPS: f64 = 1e-9;
 
-/// One worklist candidate: the extractor AST, its per-example outputs
-/// (string ids), and the spine facts child generation needs.
+/// Every extractor AST one task's searches have built, by derivation:
+/// id 0 is `Content`, and each other id is one production step (an index
+/// into the task's step pool) applied to a parent id. A tree encodes its
+/// derivation, so equal extractors have equal ids and share one
+/// allocation.
+pub(crate) struct ExtractorAsts {
+    trees: Vec<Arc<Extractor>>,
+    /// `(parent << 32) | step` → the child's id.
+    children: HashMap<u64, u32, FxBuild>,
+}
+
+/// The id of `Content` in every [`ExtractorAsts`].
+const CONTENT: u32 = 0;
+
+impl Default for ExtractorAsts {
+    fn default() -> Self {
+        ExtractorAsts {
+            trees: vec![Arc::new(Extractor::Content)],
+            children: HashMap::default(),
+        }
+    }
+}
+
+impl ExtractorAsts {
+    /// The id of step `si` of the task's pool applied to `parent`, whose
+    /// tree is built on first use.
+    fn child(&mut self, task: &TaskCtx, parent: u32, si: usize) -> u32 {
+        let key = (u64::from(parent) << 32) | si as u64;
+        if let Some(&id) = self.children.get(&key) {
+            return id;
+        }
+        let id = u32::try_from(self.trees.len()).expect("fewer than 2^32 extractors per task");
+        let tree = make_ast(&self.trees[parent as usize], &task.steps[si]);
+        self.trees.push(tree);
+        self.children.insert(key, id);
+        id
+    }
+
+    fn tree(&self, id: u32) -> Arc<Extractor> {
+        Arc::clone(&self.trees[id as usize])
+    }
+}
+
+/// One worklist candidate: the extractor's id in the task's
+/// [`ExtractorAsts`], its per-example outputs (string ids), and the spine
+/// facts child generation needs.
 struct Cand {
-    ast: Extractor,
+    ast: u32,
     outputs: Vec<Vec<u32>>,
     depth: usize,
     /// `Some(c)` when the top production is `Split(·, c)` (double splits
@@ -105,15 +158,17 @@ struct Cand {
 /// Figure 9: returns all extractors (up to the configured depth) whose F₁
 /// on the propagated examples is maximal and positive. The result is a
 /// function of E⁺ (through the scorer's gold) and `nodes` only, which the
-/// task-level extractor memo relies on.
+/// task-level extractor memo relies on. Its extractors come from `asts`,
+/// the task's tree of every extractor built.
 pub(crate) fn synthesize_extractors(
     task: &TaskCtx,
     scorer: &mut Scorer,
+    asts: &mut ExtractorAsts,
     nodes: &[Vec<PageNodeId>],
     stats: &mut SynthStats,
 ) -> ExtractorSynthesis {
     debug_assert_eq!(scorer.len(), nodes.len());
-    let mut best: Vec<(Counts, Vec<Extractor>)> = Vec::new();
+    let mut best: Vec<(Counts, Vec<Arc<Extractor>>)> = Vec::new();
     let mut best_f1 = 0.0;
 
     // Seed: ExtractContent(x) and its outputs.
@@ -123,7 +178,7 @@ pub(crate) fn synthesize_extractors(
     let mut key = Vec::new();
     behaviour_key(&seed_outputs, &mut key);
     worklist.push_back(Cand {
-        ast: Extractor::Content,
+        ast: CONTENT,
         outputs: seed_outputs,
         depth: Extractor::Content.depth(),
         last_split: None,
@@ -160,10 +215,10 @@ pub(crate) fn synthesize_extractors(
         let counts = scorer.counts_dedup(&cand.outputs);
         let s = counts.f1();
         if s > best_f1 + F1_EPS {
-            best = vec![(counts, vec![cand.ast.clone()])];
+            best = vec![(counts, vec![asts.tree(cand.ast)])];
             best_f1 = s;
         } else if (s - best_f1).abs() <= F1_EPS && s > 0.0 {
-            push_group(&mut best, counts, cand.ast.clone());
+            push_group(&mut best, counts, asts.tree(cand.ast));
         }
         if cand.depth >= task.cfg.extractor_depth {
             continue;
@@ -213,7 +268,8 @@ pub(crate) fn synthesize_extractors(
                 let s = dup_counts.f1();
                 stats.extractors_enumerated += 1;
                 if (s - best_f1).abs() <= F1_EPS && s > 0.0 {
-                    push_group(&mut best, dup_counts, make_ast(&cand.ast, step));
+                    let id = asts.child(task, cand.ast, si);
+                    push_group(&mut best, dup_counts, asts.tree(id));
                 }
                 continue;
             }
@@ -226,7 +282,7 @@ pub(crate) fn synthesize_extractors(
                     StepOp::Split(c) => Some(*c),
                     _ => None,
                 },
-                ast: make_ast(&cand.ast, step),
+                ast: asts.child(task, cand.ast, si),
                 outputs: child.to_vec(),
             });
         }
@@ -238,15 +294,14 @@ pub(crate) fn synthesize_extractors(
     }
 }
 
-/// Builds the child AST for a surviving candidate.
-fn make_ast(parent: &Extractor, step: &StepOp) -> Extractor {
-    match step {
-        StepOp::Filter(pred) => Extractor::Filter(Box::new(parent.clone()), pred.clone()),
-        StepOp::Substring(pred, k) => {
-            Extractor::Substring(Box::new(parent.clone()), pred.clone(), *k)
-        }
-        StepOp::Split(c) => Extractor::Split(Box::new(parent.clone()), *c),
-    }
+/// Builds the child AST of `parent` under `step`.
+fn make_ast(parent: &Extractor, step: &StepOp) -> Arc<Extractor> {
+    let parent = Box::new(parent.clone());
+    Arc::new(match step {
+        StepOp::Filter(pred) => Extractor::Filter(parent, pred.clone()),
+        StepOp::Substring(pred, k) => Extractor::Substring(parent, pred.clone(), *k),
+        StepOp::Split(c) => Extractor::Split(parent, *c),
+    })
 }
 
 #[cfg(test)]
@@ -282,7 +337,13 @@ mod tests {
         let pos: Vec<usize> = (0..examples.len()).collect();
         let mut table = StringTable::new(&task);
         let mut scorer = Scorer::new(&task, &mut table, &pos);
-        synthesize_extractors(&task, &mut scorer, nodes, stats)
+        synthesize_extractors(
+            &task,
+            &mut scorer,
+            &mut ExtractorAsts::default(),
+            nodes,
+            stats,
+        )
     }
 
     /// Order-preserving per-example deduplication — the set semantics a

@@ -24,8 +24,9 @@
 //!   synthesizer memoizes extractor synthesis per locator by dense index
 //!   and reads the slot's node sets and ceiling (Figure 8 line 6)
 //!   instead of re-evaluating the locator. A `Guard` and its `Locator`
-//!   are built, by walking parent links, only for guards that join the
-//!   branch's options.
+//!   are built, by walking parent links, only for guards that join a
+//!   branch's options, and once per task: the table keeps each built
+//!   guard, so every branch problem and every optimal program shares it.
 //! * **Mask tables**: in optimized mode a step reads the `[filter][node]`
 //!   satisfaction mask precomputed in the [`TaskCtx`] (one
 //!   neural-feature pass per node for the whole task).
@@ -36,6 +37,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 
 use webqa_dsl::{Guard, Locator, PageNodeId};
 use webqa_metrics::Counts;
@@ -110,6 +112,8 @@ pub(crate) struct LocatorTable {
     /// Every node set, in one arena of node indices.
     nodes: Vec<u32>,
     verdicts: Vec<u64>,
+    /// Every guard built so far, by `(locator << 32) | spec code`.
+    guards: HashMap<u64, Arc<Guard>, FxBuild>,
     /// Reused buffers: a step's output, and a node set with the ceiling
     /// kernel's gold-multiplicity counts.
     step_buf: Vec<u32>,
@@ -135,6 +139,7 @@ impl LocatorTable {
             slots: vec![EMPTY_SLOT; examples],
             nodes: Vec::new(),
             verdicts: Vec::new(),
+            guards: HashMap::default(),
             step_buf: Vec::new(),
             ceiling_buf: (Vec::new(), Vec::new()),
             #[cfg(test)]
@@ -179,6 +184,26 @@ impl LocatorTable {
                 Locator::Children(Box::new(inner), filter)
             }
         })
+    }
+
+    /// The guard `spec` over locator `eid`, built on first use and
+    /// shared from then on.
+    pub(crate) fn guard(&mut self, task: &TaskCtx, spec: GuardSpec, eid: u32) -> Arc<Guard> {
+        let code = match spec {
+            GuardSpec::Singleton => 0,
+            GuardSpec::Sat(pi) => 1 + id_of(pi),
+        };
+        let key = (u64::from(eid) << 32) | u64::from(code);
+        if let Some(guard) = self.guards.get(&key) {
+            return Arc::clone(guard);
+        }
+        let locator = self.locator(task, eid);
+        let guard = Arc::new(match spec {
+            GuardSpec::Singleton => Guard::IsSingleton(locator),
+            GuardSpec::Sat(pi) => Guard::Sat(locator, task.guard_preds[pi].clone()),
+        });
+        self.guards.insert(key, Arc::clone(&guard));
+        guard
     }
 
     fn slot(&self, eid: u32, ex: usize) -> usize {
@@ -391,13 +416,9 @@ impl<'a> GuardEnumerator<'a> {
         ub
     }
 
-    /// The guard `spec` over locator `eid`.
-    pub(crate) fn guard(&self, spec: GuardSpec, eid: u32) -> Guard {
-        let locator = self.table.locator(self.task, eid);
-        match spec {
-            GuardSpec::Singleton => Guard::IsSingleton(locator),
-            GuardSpec::Sat(pi) => Guard::Sat(locator, self.task.guard_preds[pi].clone()),
-        }
+    /// The guard `spec` over locator `eid`, shared through the table.
+    pub(crate) fn guard(&mut self, spec: GuardSpec, eid: u32) -> Arc<Guard> {
+        self.table.guard(self.task, spec, eid)
     }
 
     /// Yields the next guard that is true on every positive example and
@@ -620,7 +641,7 @@ mod tests {
         opt: f64,
         stats: &mut SynthStats,
         cap: usize,
-    ) -> Vec<Guard> {
+    ) -> Vec<Arc<Guard>> {
         let mut en = GuardEnumerator::new(task, table, pos, neg);
         let mut out = Vec::new();
         while let Some((spec, eid)) = en.next(opt, stats) {
@@ -640,7 +661,7 @@ mod tests {
         opt: f64,
         stats: &mut SynthStats,
         cap: usize,
-    ) -> Vec<Guard> {
+    ) -> Vec<Arc<Guard>> {
         drain_over(
             task,
             &mut LocatorTable::new(task),

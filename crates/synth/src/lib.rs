@@ -20,7 +20,7 @@
 //!
 //! ## Hot-path architecture
 //!
-//! Six semantics-free layers keep the enumerative search affordable;
+//! Seven semantics-free layers keep the enumerative search affordable;
 //! [`SynthConfig::reference`] swaps in the definitional kernels, and
 //! `tests/synth_parity.rs` proves both paths observationally identical,
 //! statistics included, on the full corpus. One line each, with the
@@ -43,6 +43,12 @@
 //!   candidate's strings builds its children under every production
 //!   step into reused buffers; all-empty children cost nothing, and the
 //!   UB prune fires before a child is copied or its AST built.
+//! * **Shared ASTs** (`guards`, `extractors`, `top`): each guard is built
+//!   once per task, beside the locator table, and each extractor once,
+//!   when the search pushes it. The optimal programs are assembled from
+//!   `Arc` clones of those trees and deduplicated by tuples of value ids,
+//!   so no tree is copied or hashed per program, and every consumer of
+//!   the outcome (selection, the engine's result cache) copies pointers.
 //!
 //! The search can be abandoned cooperatively: [`synthesize_cancellable`]
 //! threads a [`CancelToken`] (explicit cancel, wall-clock deadline, or

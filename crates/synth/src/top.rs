@@ -11,6 +11,7 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use webqa_dsl::{Branch, Extractor, Guard, Program, QueryContext};
@@ -22,7 +23,7 @@ use crate::config::SynthConfig;
 use crate::example::Example;
 use crate::extractors::F1_EPS;
 use crate::guards::LocatorTable;
-use crate::scorer::{PageFeatures, StringTable, TaskCtx};
+use crate::scorer::{FxBuild, PageFeatures, StringTable, TaskCtx};
 use crate::stats::SynthStats;
 
 /// The result of [`synthesize`]: all optimal programs (capped), their
@@ -282,20 +283,29 @@ pub(crate) fn ordered_partitions(n: usize, max_blocks: usize) -> Vec<Vec<Vec<usi
 /// hash-scattered order — so the capped set reflects the variety of the
 /// optimal space rather than the first guard's extractor variants (the
 /// transductive ensemble is sampled from this set, Section 6).
+///
+/// No tree is copied or hashed per program. A combination's summed counts
+/// are checked from its option indices before anything is built, and a
+/// qualifying program is assembled from `Arc` clones of the guards and
+/// extractors the search built. Repeats (the scattered draw can revisit a
+/// product index) are dropped by the program's tuple of branch ids, where
+/// every distinct `Arc` is given the id of its value once ([`TreeIds`]):
+/// value-equal trees in different allocations, such as the guards that
+/// reference-kernel runs build afresh per branch problem, share an id, so
+/// the dedup is exact.
 fn materialize(
     partitions: &[Vec<Arc<BranchSynthesis>>],
     cap: usize,
     best_f1: f64,
 ) -> (Vec<Program>, usize) {
-    let mut programs: Vec<Program> = Vec::new();
-    let mut seen: HashSet<Program> = HashSet::new();
+    let mut out = Emitted::new(best_f1);
     let mut total: usize = 0;
     let per_partition_cap = cap.div_ceil(partitions.len().max(1));
     for blocks in partitions {
         // Flatten each block's (guard, extractors) map into (guard,
         // extractor, counts) triples, round-robin across guards so a
         // prefix of the list spans many guards.
-        let pairs_per_block: Vec<Vec<(&Guard, &Extractor, Counts)>> = blocks
+        let pairs_per_block: Vec<Vec<Pair>> = blocks
             .iter()
             .map(|b| {
                 let mut pairs = Vec::new();
@@ -306,10 +316,14 @@ fn materialize(
                     .max()
                     .unwrap_or(0);
                 for i in 0..max_len {
-                    for (g, gs) in &b.options {
-                        for (c, es) in &gs.groups {
-                            if let Some(e) = es.get(i) {
-                                pairs.push((g, e, *c));
+                    for (guard, gs) in &b.options {
+                        for (counts, es) in &gs.groups {
+                            if let Some(extractor) = es.get(i) {
+                                pairs.push(Pair {
+                                    guard,
+                                    extractor,
+                                    counts: *counts,
+                                });
                             }
                         }
                     }
@@ -317,8 +331,7 @@ fn materialize(
                 pairs
             })
             .collect();
-        let block_sizes: Vec<usize> = pairs_per_block.iter().map(Vec::len).collect();
-        let product: u128 = block_sizes.iter().map(|&s| s as u128).product();
+        let product: u128 = pairs_per_block.iter().map(|p| p.len() as u128).product();
 
         // Exact count of optimal combinations: convolve per-block
         // multiplicity maps (counts → #pairs) across blocks, then sum the
@@ -327,8 +340,8 @@ fn materialize(
         conv.insert(Counts::default(), 1);
         for pairs in &pairs_per_block {
             let mut block_counts: HashMap<Counts, u128> = HashMap::new();
-            for (_, _, c) in pairs {
-                *block_counts.entry(*c).or_insert(0) += 1;
+            for pair in pairs {
+                *block_counts.entry(pair.counts).or_insert(0) += 1;
             }
             let mut next: HashMap<Counts, u128> = HashMap::new();
             for (s, m) in &conv {
@@ -345,41 +358,14 @@ fn materialize(
             .sum();
         total = total.saturating_add(qualifying.min(usize::MAX as u128) as usize);
 
-        let want = per_partition_cap.min(cap.saturating_sub(programs.len()));
-        // Emits the combination at `code` iff its summed counts achieve
-        // the global optimum; returns true when a new program was added.
-        let emit = |code: u128, programs: &mut Vec<Program>, seen: &mut HashSet<Program>| -> bool {
-            let mut c = code;
-            let mut sum = Counts::default();
-            let branches: Vec<Branch> = block_sizes
-                .iter()
-                .zip(&pairs_per_block)
-                .map(|(&size, pairs)| {
-                    let i = (c % size as u128) as usize;
-                    c /= size as u128;
-                    let (g, e, counts) = &pairs[i];
-                    sum += *counts;
-                    Branch::new((*g).clone(), (*e).clone())
-                })
-                .collect();
-            if (sum.f1() - best_f1).abs() > F1_EPS {
-                return false;
-            }
-            let p = Program::new(branches);
-            if seen.insert(p.clone()) {
-                programs.push(p);
-                true
-            } else {
-                false
-            }
-        };
+        let want = per_partition_cap.min(cap.saturating_sub(out.programs.len()));
         if product <= (want as u128).saturating_mul(64).max(65_536) {
             // Small enough to scan exhaustively, filtering as we go.
             for code in 0..product {
-                if programs.len() >= cap {
+                if out.programs.len() >= cap {
                     break;
                 }
-                emit(code, &mut programs, &mut seen);
+                out.emit(&pairs_per_block, code);
             }
         } else {
             // Deterministic scattered sampling without replacement (best
@@ -394,7 +380,7 @@ fn materialize(
                     .wrapping_mul(0xD120_0000_0000_0001u64 | 1)
                     .wrapping_add(0x2545_F491_4F6C_DD1D);
                 let code = (state as u128).wrapping_mul(0x9E37_79B9u128) % product;
-                if emit(code, &mut programs, &mut seen) {
+                if out.emit(&pairs_per_block, code) {
                     produced += 1;
                 }
                 attempts += 1;
@@ -405,22 +391,122 @@ fn materialize(
                 // is always returned.
                 let scan = product.min(1 << 20);
                 for code in 0..scan {
-                    if emit(code, &mut programs, &mut seen) {
+                    if out.emit(&pairs_per_block, code) {
                         break;
                     }
                 }
             }
         }
-        if programs.len() >= cap {
+        if out.programs.len() >= cap {
             break;
         }
     }
-    (programs, total)
+    (out.programs, total)
+}
+
+/// One entry of a block's flattened option list.
+struct Pair<'a> {
+    guard: &'a Arc<Guard>,
+    extractor: &'a Arc<Extractor>,
+    counts: Counts,
+}
+
+/// The programs [`materialize`] has emitted, with what it needs to add
+/// one more without copying or hashing a tree.
+struct Emitted<'a> {
+    best_f1: f64,
+    programs: Vec<Program>,
+    /// The branch-id tuple of every emitted program.
+    seen: HashSet<Box<[u32]>, FxBuild>,
+    guards: TreeIds<'a, Guard>,
+    extractors: TreeIds<'a, Extractor>,
+    /// Reused buffers: the option index per block, and the tuple.
+    picks: Vec<usize>,
+    key: Vec<u32>,
+}
+
+impl<'a> Emitted<'a> {
+    fn new(best_f1: f64) -> Self {
+        Emitted {
+            best_f1,
+            programs: Vec::new(),
+            seen: HashSet::default(),
+            guards: TreeIds::default(),
+            extractors: TreeIds::default(),
+            picks: Vec::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// Emits the combination at product index `code` of `blocks` (the
+    /// first block's option varies fastest) iff its summed counts achieve
+    /// the optimum and no equal program was emitted before; returns
+    /// whether a program was added.
+    fn emit(&mut self, blocks: &[Vec<Pair<'a>>], code: u128) -> bool {
+        let mut c = code;
+        let mut sum = Counts::default();
+        self.picks.clear();
+        for pairs in blocks {
+            let size = pairs.len() as u128;
+            let i = (c % size) as usize;
+            c /= size;
+            sum += pairs[i].counts;
+            self.picks.push(i);
+        }
+        if (sum.f1() - self.best_f1).abs() > F1_EPS {
+            return false;
+        }
+        self.key.clear();
+        for (pairs, &i) in blocks.iter().zip(&self.picks) {
+            self.key.push(self.guards.id(pairs[i].guard));
+            self.key.push(self.extractors.id(pairs[i].extractor));
+        }
+        if self.seen.contains(self.key.as_slice()) {
+            return false;
+        }
+        self.seen.insert(self.key.as_slice().into());
+        let branches = blocks
+            .iter()
+            .zip(&self.picks)
+            .map(|(pairs, &i)| {
+                Branch::new(Arc::clone(pairs[i].guard), Arc::clone(pairs[i].extractor))
+            })
+            .collect();
+        self.programs.push(Program::new(branches));
+        true
+    }
+}
+
+/// Ids of shared trees by value: each distinct `Arc` is hashed by value
+/// once, on first sight, and found by its address after that.
+struct TreeIds<'a, T> {
+    by_address: HashMap<*const T, u32, FxBuild>,
+    by_value: HashMap<&'a T, u32, FxBuild>,
+}
+
+impl<T> Default for TreeIds<'_, T> {
+    fn default() -> Self {
+        TreeIds {
+            by_address: HashMap::default(),
+            by_value: HashMap::default(),
+        }
+    }
+}
+
+impl<'a, T: Hash + Eq> TreeIds<'a, T> {
+    fn id(&mut self, tree: &'a Arc<T>) -> u32 {
+        let by_value = &mut self.by_value;
+        *self.by_address.entry(Arc::as_ptr(tree)).or_insert_with(|| {
+            let next = u32::try_from(by_value.len()).expect("fewer than 2^32 distinct trees");
+            *by_value.entry(&**tree).or_insert(next)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extractors::ExtractorSynthesis;
     use webqa_dsl::PageTree;
 
     fn example(html: &str, gold: &[&str]) -> Example {
@@ -891,6 +977,170 @@ mod tests {
         let gold: usize = examples.iter().map(|ex| ex.gold_tokens().len()).sum();
         assert_eq!(out.counts.gold, gold);
         assert!(out.f1 > 0.99, "got {}", out.f1);
+    }
+
+    /// Extractors grouped by the counts they achieve.
+    type CountGroups = Vec<(Counts, Vec<Extractor>)>;
+
+    /// A hand-built block: each guard with its count groups of
+    /// extractors, every tree a fresh allocation.
+    fn block(options: Vec<(Guard, CountGroups)>) -> Arc<BranchSynthesis> {
+        let options = options
+            .into_iter()
+            .map(|(guard, groups)| {
+                let f1 = groups[0].0.f1();
+                let groups = groups
+                    .into_iter()
+                    .map(|(c, es)| (c, es.into_iter().map(Arc::new).collect()))
+                    .collect();
+                (Arc::new(guard), Arc::new(ExtractorSynthesis { groups, f1 }))
+            })
+            .collect();
+        Arc::new(BranchSynthesis { options })
+    }
+
+    /// What `materialize` is defined to return when nothing is capped:
+    /// per partition, each block's options flattened round-robin across
+    /// guards (the `i`-th extractor of every guard's every group, for
+    /// `i = 0, 1, …`), every combination in product order with the first
+    /// block varying fastest, the ones whose summed counts reach
+    /// `best_f1`, each program kept the first time its value appears. The
+    /// total counts every qualifying combination.
+    fn definitional_expansion(
+        partitions: &[Vec<Arc<BranchSynthesis>>],
+        best_f1: f64,
+    ) -> (Vec<Program>, usize) {
+        let mut programs: Vec<Program> = Vec::new();
+        let mut total = 0;
+        for blocks in partitions {
+            let flat: Vec<Vec<(Guard, Extractor, Counts)>> = blocks
+                .iter()
+                .map(|b| {
+                    let mut pairs = Vec::new();
+                    for i in 0.. {
+                        let before = pairs.len();
+                        for (g, gs) in &b.options {
+                            for (c, es) in &gs.groups {
+                                if let Some(e) = es.get(i) {
+                                    pairs.push((Guard::clone(g), Extractor::clone(e), *c));
+                                }
+                            }
+                        }
+                        if pairs.len() == before {
+                            break;
+                        }
+                    }
+                    pairs
+                })
+                .collect();
+            let product: usize = flat.iter().map(Vec::len).product();
+            for code in 0..product {
+                let (mut c, mut sum, mut branches) = (code, Counts::default(), Vec::new());
+                for pairs in &flat {
+                    let (g, e, counts) = &pairs[c % pairs.len()];
+                    c /= pairs.len();
+                    sum += *counts;
+                    branches.push(Branch::new(g.clone(), e.clone()));
+                }
+                if (sum.f1() - best_f1).abs() <= F1_EPS {
+                    total += 1;
+                    let p = Program::new(branches);
+                    if !programs.contains(&p) {
+                        programs.push(p);
+                    }
+                }
+            }
+        }
+        (programs, total)
+    }
+
+    /// The dedup is by value, not by allocation: a second partition
+    /// whose blocks were solved separately yields a program equal to one
+    /// of the first partition's from different `Arc`s, and it is emitted
+    /// once, in the definitional order, with the definitional total.
+    #[test]
+    fn materialize_dedups_value_equal_programs_across_allocations() {
+        use webqa_dsl::{Locator, NlpPred};
+        let g1 = || Guard::Sat(Locator::Root, NlpPred::True);
+        let g2 = || Guard::IsSingleton(Locator::Root);
+        let g3 = || Guard::Sat(Locator::leaves(Locator::Root), NlpPred::True);
+        let e1 = || Extractor::Content;
+        let e2 = || Extractor::Split(Box::new(Extractor::Content), ',');
+        let e3 = || Extractor::Filter(Box::new(Extractor::Content), NlpPred::True);
+        // Block X's groups tie at F₁ 2/3 with different counts; block Y
+        // scores 1. Only X's {1,1,2} group sums with Y to the optimum 0.8
+        // ({2,2,3}); its {2,4,2} group gives 0.75.
+        let (a, b, y) = (counts(1, 1, 2), counts(2, 4, 2), counts(1, 1, 1));
+        let best_f1 = (a + y).f1();
+        assert!(((b + y).f1() - best_f1).abs() > F1_EPS);
+        let first = vec![
+            block(vec![
+                (g1(), vec![(a, vec![e1(), e2()]), (b, vec![e3()])]),
+                (g2(), vec![(a, vec![e1(), e2()]), (b, vec![e3()])]),
+            ]),
+            block(vec![(g3(), vec![(y, vec![e1()])])]),
+        ];
+        let second = vec![
+            block(vec![(g1(), vec![(a, vec![e1()])])]),
+            block(vec![(g3(), vec![(y, vec![e1()])])]),
+        ];
+        assert!(!Arc::ptr_eq(
+            &first[0].options[0].0,
+            &second[0].options[0].0
+        ));
+        let partitions = vec![first, second];
+
+        let (programs, total) = materialize(&partitions, 1_000, best_f1);
+        let (want, want_total) = definitional_expansion(&partitions, best_f1);
+        let text = |ps: &[Program]| ps.iter().map(Program::to_string).collect::<Vec<_>>();
+        assert_eq!(text(&programs), text(&want));
+        assert_eq!(programs, want);
+        assert_eq!(total, want_total);
+        // The second partition's one program repeats the first's first.
+        assert_eq!((programs.len(), total), (4, 5));
+        assert_eq!(
+            programs[0].to_string(),
+            "sat(root, true) -> content; sat(descendants(root, leaf), true) -> content"
+        );
+    }
+
+    /// The outcome's programs point into one set of trees: on default
+    /// configs over corpus tasks, every guard value and every extractor
+    /// value in the optimal set is one allocation, however many programs
+    /// and blocks use it.
+    #[test]
+    fn sharing_equal_trees_across_an_outcome_are_one_allocation() {
+        let mut shared_across_blocks = 0;
+        for (id, c, examples) in corpus_tasks() {
+            for max_blocks in [1, 3] {
+                let cfg = SynthConfig {
+                    max_blocks,
+                    ..SynthConfig::default()
+                };
+                let out = synthesize(&cfg, &c, &examples);
+                assert!(!out.programs.is_empty(), "{id}: no program");
+                let mut guards: HashMap<&Guard, &Arc<Guard>> = HashMap::new();
+                let mut extractors: HashMap<&Extractor, &Arc<Extractor>> = HashMap::new();
+                let mut branches = 0;
+                for b in out.programs.iter().flat_map(|p| &p.branches) {
+                    branches += 1;
+                    let g = *guards.entry(&*b.guard).or_insert(&b.guard);
+                    assert!(Arc::ptr_eq(g, &b.guard), "{id}: guard {} copied", b.guard);
+                    let x = *extractors.entry(&*b.extractor).or_insert(&b.extractor);
+                    assert!(Arc::ptr_eq(x, &b.extractor), "{id}: {} copied", b.extractor);
+                }
+                assert!(guards.len() < branches, "{id}: no guard is shared");
+                let blocks: HashSet<usize> =
+                    out.programs.iter().map(|p| p.branches.len()).collect();
+                if blocks.len() > 1 {
+                    shared_across_blocks += 1;
+                }
+            }
+        }
+        assert!(
+            shared_across_blocks > 0,
+            "some outcome mixes partitions of different sizes"
+        );
     }
 
     fn counts(matched: usize, predicted: usize, gold: usize) -> Counts {
