@@ -20,7 +20,14 @@
 //!   (after `malloc_trim`) of one default-config engine over 128
 //!   distinct `serve_open`-style runs (corpus seed 42, 8 pages per
 //!   domain, 2 labeled and 2 target pages each): 0.58 MB per entry when
-//!   every program owned its trees, 0.22 MB with shared trees.
+//!   every program owned its trees, 0.22 MB with shared trees. Of those
+//!   0.22 MB (heap counted by allocation, ~1,440 programs, ~600 distinct
+//!   guards and 6 distinct extractors per entry), the programs' own
+//!   `Vec<Program>` and `Vec<Branch>` buffers take 0.085 MB and the
+//!   distinct guards 0.132 MB: 0.074 MB of it their owned `Locator`
+//!   trees, 0.058 MB of which repeat a locator another guard of the
+//!   entry also owns (guards over one locator with different
+//!   predicates each copy it). Extractors take 0.001 MB.
 //!
 //! Every key is the exact input, never a digest of it, so a hash
 //! collision cannot serve another key's value. Because values are pure,

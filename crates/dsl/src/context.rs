@@ -7,16 +7,23 @@
 //!
 //! * `matchKeyword` scores come from one [`KeywordSet`], which embeds `K`
 //!   when the context is built, and are cached per string; on a miss the
-//!   set embeds only the words it has not met before, since it memoizes
-//!   every text word's embedding (by stem) for the context's lifetime;
+//!   set scores only the word windows it has not met before, since it
+//!   memoizes each text word's stem id and vector and each distinct word
+//!   window's score for the context's lifetime — a subtree text's windows
+//!   are mostly its children's, and a `Substring` candidate window is
+//!   often a window of a text scored before;
 //! * the QA model runs once per string: one cache of answer spans serves
 //!   both `hasAnswer` (a span exists) and `Substring(…, hasAnswer, k)`;
+//!   on a miss the context's [`QaSession`], bound to `Q`, recognizes and
+//!   normalizes only the sentences it has not met before, since it
+//!   memoizes each sentence's scores by sentence text;
 //! * recognized entities are cached per string, and the predicates read
 //!   them under the lock instead of cloning the list.
 //!
-//! Every cache, the word memo included, lives and dies with its context,
-//! i.e. one run: nothing derived from page text is kept process-wide, so
-//! a long-lived daemon's memory stays bounded by its live runs.
+//! Every cache, the keyword set's and QA session's memos included, lives
+//! and dies with its context, i.e. one run: nothing derived from page text
+//! is kept process-wide, so a long-lived daemon's memory stays bounded by
+//! its live runs.
 //!
 //! This is what makes enumerative search tractable (the real system relies
 //! on the same trick — neural-module calls dominate its synthesis time,
@@ -34,7 +41,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use webqa_nlp::{Entity, EntityKind, EntityRecognizer, KeywordSet, QaModel};
+use webqa_nlp::{Entity, EntityKind, EntityRecognizer, KeywordSet, QaModel, QaSession};
 
 /// The question/keyword inputs plus cached neural modules.
 #[derive(Debug)]
@@ -42,7 +49,7 @@ pub struct QueryContext {
     question: String,
     keywords: Vec<String>,
     keyword_set: KeywordSet,
-    qa: QaModel,
+    qa: QaSession,
     ner: EntityRecognizer,
     kw_cache: Mutex<HashMap<String, f64>>,
     qa_cache: Mutex<HashMap<String, Option<(usize, usize)>>>,
@@ -80,7 +87,7 @@ impl QueryContext {
             question: question.to_string(),
             keyword_set: KeywordSet::new(&keywords),
             keywords,
-            qa,
+            qa: qa.session(question),
             ner,
             kw_cache: Mutex::new(HashMap::new()),
             qa_cache: Mutex::new(HashMap::new()),
@@ -141,10 +148,7 @@ impl QueryContext {
         if let Some(&span) = self.qa_cache.lock().expect("cache lock").get(text) {
             return span;
         }
-        let span = self
-            .qa
-            .answer(text, &self.question)
-            .map(|a| (a.start, a.end));
+        let span = self.qa.answer(text).map(|a| (a.start, a.end));
         self.qa_cache
             .lock()
             .expect("cache lock")

@@ -39,14 +39,22 @@ impl Embedding {
 
     /// Cosine similarity in `[-1, 1]`; 0 when either side is zero.
     pub fn cosine(&self, other: &Embedding) -> f32 {
+        self.cosine_with_norms(self.norm(), other, other.norm())
+    }
+
+    /// [`Embedding::cosine`] given both sides' [`Embedding::norm`]s.
+    fn cosine_with_norms(&self, na: f32, other: &Embedding, nb: f32) -> f32 {
         let dot: f32 = self.v.iter().zip(&other.v).map(|(a, b)| a * b).sum();
-        let na: f32 = self.v.iter().map(|a| a * a).sum::<f32>().sqrt();
-        let nb: f32 = other.v.iter().map(|b| b * b).sum::<f32>().sqrt();
         if na == 0.0 || nb == 0.0 {
             0.0
         } else {
             (dot / (na * nb)).clamp(-1.0, 1.0)
         }
+    }
+
+    /// The Euclidean norm, as every cosine computes it.
+    fn norm(&self) -> f32 {
+        self.v.iter().map(|a| a * a).sum::<f32>().sqrt()
     }
 
     fn add(&mut self, other: &Embedding, weight: f32) {
@@ -56,7 +64,7 @@ impl Embedding {
     }
 
     fn normalize(mut self) -> Self {
-        let n: f32 = self.v.iter().map(|a| a * a).sum::<f32>().sqrt();
+        let n = self.norm();
         if n > 0.0 {
             for a in self.v.iter_mut() {
                 *a /= n;
@@ -240,105 +248,188 @@ pub fn best_keyword_similarity<S: AsRef<str>>(text: &str, keywords: &[S]) -> f32
 /// A keyword list `K` embedded once, to be scored against many texts.
 ///
 /// [`KeywordSet::best_similarity`] is [`keyword_similarity`] maximized over
-/// the keywords, bit for bit: every window (and the whole text) is the sum
-/// of the text's word vectors in text order, the same sum the per-keyword
-/// scorer would build. A word's vector depends on its stem alone, so the
-/// set memoizes it by stem: each distinct word is embedded once over the
-/// set's lifetime, however many texts repeat it. The memo grows with the
-/// vocabulary the set has scored and is dropped with the set; a
-/// `QueryContext` owns one set, so it lasts one run.
+/// the keywords, bit for bit. That score is a maximum over the text's word
+/// windows (each window against the keywords that ask for its width) and
+/// over the whole text, and the maximum of finite floats does not depend
+/// on the order it is taken in, so the set memoizes it by its parts:
+///
+/// * each distinct surface word's stem id, so a known word costs one hash
+///   lookup and no lowercasing or stemming;
+/// * each stem's word vector, embedded once;
+/// * each distinct window's score: its best clamped cosine over the
+///   keywords that ask for its width, or 1.0 when it equals a keyword's
+///   stems. A window is keyed by its stem ids, whose count is its width,
+///   and its vector is the same in-order `normalized_sum` of word
+///   vectors the per-keyword scorer builds.
+///
+/// So each distinct word window is scored once over the set's lifetime,
+/// however many texts contain it; only the whole-text cosines are per
+/// text. The memos grow with the words and windows the set has scored and
+/// are dropped with the set; a `QueryContext` owns one set, so they last
+/// one run.
 #[derive(Debug)]
 pub struct KeywordSet {
     /// The keywords with at least one word; an empty keyword scores 0.
     keywords: Vec<PreparedKeyword>,
-    /// Stem → word embedding of every text word scored so far. Behind a
-    /// lock so a shared set stays `Sync`; one call holds it throughout.
-    word_memo: Mutex<HashMap<String, Embedding>>,
+    /// Every window width some keyword asks for, ascending.
+    widths: Vec<usize>,
+    /// Behind a lock so a shared set stays `Sync`; one call holds it
+    /// throughout.
+    memo: Mutex<KeywordMemo>,
 }
 
 #[derive(Debug)]
 struct PreparedKeyword {
-    stems: Vec<String>,
+    /// Stem id of each word.
+    stems: Vec<u32>,
     embedding: Embedding,
+    /// `embedding`'s norm, as [`Embedding::cosine`] computes it.
+    norm: f32,
+    /// Whether the keyword is compared by cosine at all; a zero
+    /// embedding only matches exactly.
+    scorable: bool,
+}
+
+impl PreparedKeyword {
+    /// The window widths the keyword is compared against: its own width
+    /// ±1, which includes the width of an exact match.
+    fn widths(&self) -> std::ops::RangeInclusive<usize> {
+        let n = self.stems.len();
+        n.saturating_sub(1).max(1)..=n + 1
+    }
+
+    /// Whether the keyword compares its embedding against windows of
+    /// `width` words.
+    fn asks(&self, width: usize) -> bool {
+        self.scorable && self.widths().contains(&width)
+    }
+}
+
+#[derive(Debug, Default)]
+struct KeywordMemo {
+    /// Surface word (as tokenized, original case) → stem id.
+    surface: HashMap<String, u32>,
+    /// Stem → stem id.
+    stems: HashMap<String, u32>,
+    /// Word vector by stem id.
+    vectors: Vec<Embedding>,
+    /// Stem ids of a window → the window's score.
+    windows: HashMap<Box<[u32]>, f32>,
+}
+
+impl KeywordMemo {
+    /// The id of `stem`, embedding it on first sight.
+    fn stem_id(&mut self, stem: String) -> u32 {
+        if let Some(&id) = self.stems.get(&stem) {
+            return id;
+        }
+        let id = self.vectors.len() as u32;
+        self.vectors.push(embed_stem(&stem));
+        self.stems.insert(stem, id);
+        id
+    }
+
+    /// The stem id of the tokenized word `surface`.
+    fn surface_id(&mut self, surface: &str) -> u32 {
+        if let Some(&id) = self.surface.get(surface) {
+            return id;
+        }
+        let id = self.stem_id(stem(&surface.to_lowercase()));
+        self.surface.insert(surface.to_string(), id);
+        id
+    }
+
+    fn sum(&self, ids: &[u32]) -> Embedding {
+        normalized_sum(ids.iter().map(|&id| &self.vectors[id as usize]))
+    }
 }
 
 impl KeywordSet {
     /// Embeds each keyword of `keywords`.
     pub fn new<S: AsRef<str>>(keywords: &[S]) -> Self {
-        let keywords = keywords
+        let mut memo = KeywordMemo::default();
+        let keywords: Vec<PreparedKeyword> = keywords
             .iter()
-            .map(|k| k.as_ref())
             .filter_map(|k| {
-                let words = crate::text::lower_words(k);
-                (!words.is_empty()).then(|| PreparedKeyword {
-                    stems: words.iter().map(|w| stem(w)).collect(),
-                    embedding: embed(k),
+                let words = crate::text::lower_words(k.as_ref());
+                (!words.is_empty()).then(|| {
+                    let stems: Vec<u32> = words.iter().map(|w| memo.stem_id(stem(w))).collect();
+                    let embedding = memo.sum(&stems);
+                    PreparedKeyword {
+                        norm: embedding.norm(),
+                        scorable: !embedding.is_zero(),
+                        stems,
+                        embedding,
+                    }
                 })
             })
             .collect();
+        let mut widths: Vec<usize> = keywords.iter().flat_map(|k| k.widths()).collect();
+        widths.sort_unstable();
+        widths.dedup();
         KeywordSet {
             keywords,
-            word_memo: Mutex::default(),
+            widths,
+            memo: Mutex::new(memo),
         }
     }
 
     /// Similarity of `text` against its best-matching keyword, in
     /// `[0, 1]`; 0 for an empty text or keyword list.
     pub fn best_similarity(&self, text: &str) -> f32 {
-        let text_words = crate::text::lower_words(text);
-        if self.keywords.is_empty() || text_words.is_empty() {
+        if self.keywords.is_empty() {
             return 0.0;
         }
-        // Exact stemmed phrase containment → 1.0, the maximum score.
-        let text_stems: Vec<String> = text_words.iter().map(|w| stem(w)).collect();
-        if self.keywords.iter().any(|k| {
-            text_stems
-                .windows(k.stems.len())
-                .any(|w| w == k.stems.as_slice())
-        }) {
-            return 1.0;
+        let mut memo = self.memo.lock().expect("keyword memo lock poisoned");
+        let ids: Vec<u32> = crate::text::words(text)
+            .iter()
+            .map(|w| memo.surface_id(w.text))
+            .collect();
+        if ids.is_empty() {
+            return 0.0;
         }
-        let mut memo = self.word_memo.lock().expect("word memo lock poisoned");
-        for s in &text_stems {
-            if !memo.contains_key(s) {
-                memo.insert(s.clone(), embed_stem(s));
-            }
-        }
-        let word_vectors: Vec<&Embedding> = text_stems.iter().map(|s| &memo[s]).collect();
-        let whole = normalized_sum(word_vectors.iter().copied());
-        // Window vectors by width, built the first time a keyword asks.
-        let mut windows: Vec<(usize, Vec<Embedding>)> = Vec::new();
-        let mut best_overall: f32 = 0.0;
-        for k in &self.keywords {
-            if k.embedding.is_zero() {
-                continue;
-            }
-            let n = k.stems.len();
-            let mut best: f32 = 0.0;
-            for w in [n.saturating_sub(1).max(1), n, n + 1] {
-                if w > word_vectors.len() {
-                    continue;
-                }
-                let at = match windows.iter().position(|(width, _)| *width == w) {
-                    Some(at) => at,
+        let mut best: f32 = 0.0;
+        for &width in self.widths.iter().take_while(|&&w| w <= ids.len()) {
+            for window in ids.windows(width) {
+                let score = match memo.windows.get(window) {
+                    Some(&score) => score,
                     None => {
-                        let sums = word_vectors
-                            .windows(w)
-                            .map(|v| normalized_sum(v.iter().copied()));
-                        windows.push((w, sums.collect()));
-                        windows.len() - 1
+                        let score = self.window_score(&memo, window);
+                        memo.windows.insert(window.into(), score);
+                        score
                     }
                 };
-                for e in &windows[at].1 {
-                    best = best.max(k.embedding.cosine(e));
-                }
+                best = best.max(score);
             }
-            // Whole-text comparison helps when the text is shorter than
-            // the keyword.
-            best = best.max(k.embedding.cosine(&whole));
-            best_overall = best_overall.max(best.max(0.0));
         }
-        best_overall
+        if best == 1.0 {
+            // An exact match: no cosine exceeds it.
+            return best;
+        }
+        // Whole-text comparison helps when the text is shorter than the
+        // keyword.
+        let whole = memo.sum(&ids);
+        let whole_norm = whole.norm();
+        for k in self.keywords.iter().filter(|k| k.scorable) {
+            best = best.max(k.embedding.cosine_with_norms(k.norm, &whole, whole_norm));
+        }
+        best
+    }
+
+    /// The score of the word window `window` (stem ids): 1.0 when it
+    /// equals a keyword's stems, else its best cosine over the keywords
+    /// that ask for its width, clamped below at 0.
+    fn window_score(&self, memo: &KeywordMemo, window: &[u32]) -> f32 {
+        if self.keywords.iter().any(|k| k.stems == window) {
+            return 1.0;
+        }
+        let e = memo.sum(window);
+        let norm = e.norm();
+        let mut best: f32 = 0.0;
+        for k in self.keywords.iter().filter(|k| k.asks(window.len())) {
+            best = best.max(k.embedding.cosine_with_norms(k.norm, &e, norm));
+        }
+        best
     }
 }
 

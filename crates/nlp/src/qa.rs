@@ -11,6 +11,17 @@
 //!   when → date, where → location);
 //! * is *imperfect*: a deterministic hash-noise term perturbs span scores,
 //!   emulating neural idiosyncrasy without sacrificing reproducibility.
+//!
+//! A span's score is a per-sentence part (question overlap, type bonus,
+//! parrot penalty — functions of the sentence text alone) plus a
+//! per-passage part (the position prior and the noise). A [`QaSession`]
+//! is bound to one question and memoizes the per-sentence part by
+//! sentence text, so a sentence that recurs inside many passages (a
+//! node's text inside each ancestor's subtree text) is recognized and
+//! normalized once; [`QaModel::answer`] is a one-passage session.
+
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 use crate::embedding::canonicalize;
 use crate::ner::{EntityKind, EntityRecognizer};
@@ -94,11 +105,17 @@ impl QaModel {
     /// Answers `question` against `passage`, returning the single best
     /// span, or `None` when no span clears the answerability threshold.
     pub fn answer(&self, passage: &str, question: &str) -> Option<QaAnswer> {
-        let best = self.best_span(passage, question)?;
-        if best.score >= self.threshold {
-            Some(best)
-        } else {
-            None
+        self.session(question).answer(passage)
+    }
+
+    /// A session answering `question` against many passages.
+    pub fn session(&self, question: &str) -> QaSession {
+        QaSession {
+            model: self.clone(),
+            question: question.to_string(),
+            q_words: content_words(question),
+            want: Self::answer_type(question),
+            memo: Mutex::default(),
         }
     }
 
@@ -106,55 +123,6 @@ impl QaModel {
     #[cfg(test)]
     pub(crate) fn has_answer(&self, passage: &str, question: &str) -> bool {
         self.answer(passage, question).is_some()
-    }
-
-    fn best_span(&self, passage: &str, question: &str) -> Option<QaAnswer> {
-        if passage.trim().is_empty() || question.trim().is_empty() {
-            return None;
-        }
-        let q_words = content_words(question);
-        if q_words.is_empty() {
-            return None;
-        }
-        let want = Self::answer_type(question);
-        let sents = sentences(passage);
-        let n_sents = sents.len().max(1) as f32;
-
-        let mut best: Option<QaAnswer> = None;
-        for (si, sent) in sents.iter().enumerate() {
-            let sent_words = SentenceWords::new(sent.text);
-            let overlap = overlap_score(&q_words, &sent_words.norm);
-            // Position prior: earlier sentences get a small boost, like the
-            // lead bias real QA models learn.
-            let position = 0.06 * (1.0 - si as f32 / n_sents);
-            let candidates = self.candidate_spans(sent.text, want);
-            for (rel_start, rel_end, typed) in candidates {
-                let span_text = &sent.text[rel_start..rel_end];
-                if span_text.trim().is_empty() {
-                    continue;
-                }
-                let type_bonus = if typed { 0.30 } else { 0.0 };
-                // Penalize spans that merely parrot the question.
-                let parrot = match sent_words.span(rel_start, rel_end) {
-                    Some(span_words) => overlap_score(&q_words, span_words),
-                    None => overlap_score(&q_words, &SentenceWords::new(span_text).norm),
-                };
-                let noise = hash_noise(passage, question, span_text);
-                let score = (0.55 * overlap + type_bonus + position - 0.15 * parrot + noise)
-                    .clamp(0.0, 1.0);
-                let abs_start = sent.start + rel_start;
-                let abs_end = sent.start + rel_end;
-                if best.as_ref().is_none_or(|b| score > b.score) {
-                    best = Some(QaAnswer {
-                        text: span_text.trim().to_string(),
-                        start: abs_start,
-                        end: abs_end,
-                        score,
-                    });
-                }
-            }
-        }
-        best
     }
 
     /// Candidate answer spans inside one sentence: typed entity spans when
@@ -191,6 +159,145 @@ impl QaModel {
 impl Default for QaModel {
     fn default() -> Self {
         Self::pretrained()
+    }
+}
+
+/// [`QaModel`] bound to one question, for answering it against many
+/// passages.
+///
+/// The question's content words and answer type are computed once, and
+/// every sentence's per-sentence scores (question overlap, and each
+/// non-blank candidate span with its type bonus and parrot penalty) are
+/// memoized by sentence text, so each distinct sentence is recognized and
+/// normalized once over the session's lifetime. Per passage only the
+/// position prior and the noise are added, the noise continuing one hash
+/// state over the passage and question. [`QaSession::answer`] equals
+/// [`QaModel::answer`] bit for bit. The memo grows with the sentences the
+/// session has seen and is dropped with it; a `QueryContext` owns one
+/// session, so it lasts one run.
+#[derive(Debug)]
+pub struct QaSession {
+    model: QaModel,
+    question: String,
+    /// [`content_words`] of the question.
+    q_words: Vec<String>,
+    want: AnswerType,
+    /// Behind a lock so a shared session stays `Sync`; one call holds it
+    /// throughout.
+    memo: Mutex<SentenceMemo>,
+}
+
+/// Per-sentence scores by sentence text.
+#[derive(Debug, Default)]
+struct SentenceMemo {
+    index: HashMap<String, usize>,
+    scores: Vec<SentenceScores>,
+}
+
+/// What a sentence contributes to its spans' scores, wherever it occurs.
+#[derive(Debug)]
+struct SentenceScores {
+    /// Fraction of the question's content words in the sentence.
+    overlap: f32,
+    /// The non-blank candidate spans, in candidate order.
+    candidates: Vec<Candidate>,
+}
+
+#[derive(Debug)]
+struct Candidate {
+    /// Byte span in the sentence.
+    start: usize,
+    end: usize,
+    /// Bonus for a span of the expected answer type.
+    type_bonus: f32,
+    /// Question overlap of the span itself, which is penalized.
+    parrot: f32,
+}
+
+impl QaSession {
+    /// Answers the session's question against `passage`: the single best
+    /// span, or `None` when no span clears the answerability threshold.
+    pub fn answer(&self, passage: &str) -> Option<QaAnswer> {
+        self.best_span(passage)
+            .filter(|best| best.score >= self.model.threshold)
+    }
+
+    fn best_span(&self, passage: &str) -> Option<QaAnswer> {
+        if passage.trim().is_empty() || self.q_words.is_empty() {
+            return None;
+        }
+        let sents = sentences(passage);
+        let n_sents = sents.len().max(1) as f32;
+        // Every span's noise hashes `passage \u{1} question \u{1} span`.
+        let prefix = [passage, "\u{1}", &self.question, "\u{1}"]
+            .iter()
+            .fold(FNV_OFFSET, |h, s| fnv(h, s));
+
+        let mut memo = self.memo.lock().expect("sentence memo lock poisoned");
+        let mut best: Option<QaAnswer> = None;
+        for (si, sent) in sents.iter().enumerate() {
+            let at = match memo.index.get(sent.text) {
+                Some(&at) => at,
+                None => {
+                    let at = memo.scores.len();
+                    let scores = self.sentence_scores(sent.text);
+                    memo.scores.push(scores);
+                    memo.index.insert(sent.text.to_string(), at);
+                    at
+                }
+            };
+            let scores = &memo.scores[at];
+            // Position prior: earlier sentences get a small boost, like the
+            // lead bias real QA models learn.
+            let position = 0.06 * (1.0 - si as f32 / n_sents);
+            for c in &scores.candidates {
+                let span_text = &sent.text[c.start..c.end];
+                let noise = noise(fnv(prefix, span_text));
+                let score = (0.55 * scores.overlap + c.type_bonus + position - 0.15 * c.parrot
+                    + noise)
+                    .clamp(0.0, 1.0);
+                if best.as_ref().is_none_or(|b| score > b.score) {
+                    best = Some(QaAnswer {
+                        text: span_text.trim().to_string(),
+                        start: sent.start + c.start,
+                        end: sent.start + c.end,
+                        score,
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// The per-sentence scores of `sentence`.
+    fn sentence_scores(&self, sentence: &str) -> SentenceScores {
+        let sent_words = SentenceWords::new(sentence);
+        let candidates = self
+            .model
+            .candidate_spans(sentence, self.want)
+            .into_iter()
+            .filter(|&(start, end, _)| !sentence[start..end].trim().is_empty())
+            .map(|(start, end, typed)| {
+                // Penalize spans that merely parrot the question.
+                let parrot = match sent_words.span(start, end) {
+                    Some(span_words) => overlap_score(&self.q_words, span_words),
+                    None => overlap_score(
+                        &self.q_words,
+                        &SentenceWords::new(&sentence[start..end]).norm,
+                    ),
+                };
+                Candidate {
+                    start,
+                    end,
+                    type_bonus: if typed { 0.30 } else { 0.0 },
+                    parrot,
+                }
+            })
+            .collect();
+        SentenceScores {
+            overlap: overlap_score(&self.q_words, &sent_words.norm),
+            candidates,
+        }
     }
 }
 
@@ -274,17 +381,21 @@ fn cap_span(sentence: &str, max_words: usize) -> usize {
     }
 }
 
-/// Deterministic noise in `[-0.04, 0.04]` from the (passage, question,
-/// span) triple — the reproducible stand-in for neural idiosyncrasy.
-fn hash_noise(passage: &str, question: &str, span: &str) -> f32 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for s in [passage, "\u{1}", question, "\u{1}", span] {
-        for b in s.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a state `h` continued over the bytes of `s`.
+fn fnv(mut h: u64, s: &str) -> u64 {
+    for b in s.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x100000001b3);
     }
-    // map to [-0.04, 0.04]
+    h
+}
+
+/// Deterministic noise in `[-0.04, 0.04]` from the hash of the (passage,
+/// question, span) triple — the reproducible stand-in for neural
+/// idiosyncrasy.
+fn noise(h: u64) -> f32 {
     ((h % 8001) as f32 / 8000.0 - 0.5) * 0.08
 }
 

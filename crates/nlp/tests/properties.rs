@@ -88,8 +88,65 @@ const VOCAB_TEXT: &str = "((PC|pc|program|Programs|committee|Committees|students
 studio|studies|advisee|Advisees|service|Services|serve|server|Ph\\.D|naïve|Études|中文|a|the)\
 [ ,.:]{1,2}){0,8}";
 
+/// Sentences in the shape of corpus page text: names, dates and times,
+/// colon lists, abbreviations, a colon inside "10:30" (whose colon tail
+/// cuts through the word), non-ASCII words.
+const SENTENCES: [&str; 12] = [
+    "Instructor: Jane Doe",
+    "Lectures are on Monday at 10:30 in room 5",
+    "PhD Students: Robert Smith, Mary Anderson, and Wei Chen",
+    "The paper submission deadline is January 15, 2026 for all tracks",
+    "Our clinic is located at 123 Main Street in Austin",
+    "Dr. Zoë Saldaña accepts Blue Cross and Aetna plans",
+    "Program Committee: Ana Lima (MIT), Raj Patel (Stanford)",
+    "Topics of interest: program synthesis, type systems, static analysis",
+    "Midterm exam: March 3, 2026",
+    "Teaching assistants: Li Wei and Sam Green",
+    "Best Paper Award, PLDI '21",
+    "Office hours by appointment",
+];
+
+/// Questions of the benchmark tasks, one per expected answer type.
+const QUESTIONS: [&str; 6] = [
+    "Who are the current PhD students?",
+    "When is the paper submission deadline?",
+    "Where are the clinics located?",
+    "What are the topics of interest?",
+    "When are the lectures or sections?",
+    "How much does a visit cost?",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn warm_qa_session_is_bit_identical_to_the_model(
+        question in 0usize..QUESTIONS.len(),
+        passages in proptest::collection::vec(
+            proptest::collection::vec((0usize..SENTENCES.len(), 0usize..3), 1..7),
+            1..8,
+        ),
+    ) {
+        // Passages shuffle the sentences with repeats, so one sentence
+        // recurs at other positions and in other passages, and one
+        // session answers them all from its sentence memo.
+        let question = QUESTIONS[question];
+        let qa = QaModel::pretrained();
+        let session = qa.session(question);
+        for parts in &passages {
+            let passage: String = parts
+                .iter()
+                .map(|&(at, sep)| format!("{}{}", SENTENCES[at], [". ", "\n", "; "][sep]))
+                .collect();
+            let got = session.answer(&passage);
+            let want = qa.answer(&passage, question);
+            prop_assert_eq!(
+                got.as_ref().map(|a| (a.start, a.end, a.text.as_str(), a.score.to_bits())),
+                want.as_ref().map(|a| (a.start, a.end, a.text.as_str(), a.score.to_bits())),
+                "passage {:?} question {:?}", passage, question
+            );
+        }
+    }
 
     #[test]
     fn warm_keyword_set_is_bit_identical_to_fresh_sets(

@@ -2,16 +2,21 @@
 //!
 //! Every own text and every subtree text of every node of
 //! `Corpus::generate(8, 42)` is run through the entity recognizers (both
-//! variants), the QA model (each task's question over its domain) and one
-//! warm `KeywordSet` per task, and the outputs are folded into digests.
-//! The digests were recorded before the modules learned to do per-word
-//! work once (the keyword set's word-embedding memo and the entity
-//! recognizer's pre-split lexicons); a change that moves one entity
-//! boundary, one answer span or one score bit fails here and names the
-//! module.
+//! variants), the QA model (each task's question over its domain, cold
+//! and through one warm `QaSession` per task) and one warm `KeywordSet`
+//! per task, and every 1–3-word window of every own text, cut as
+//! `StringExtractor` cuts `matchKeyword` candidates, through one warm
+//! `KeywordSet` per task; the outputs are folded into digests. The
+//! entity, answer and whole-text keyword digests were recorded before the
+//! modules learned to do per-word work once (the keyword set's word memo
+//! and the entity recognizer's pre-split lexicons), the window digest
+//! before the keyword set memoized window scores; the warm session must
+//! reproduce the cold answer digest, recorded before sessions memoized
+//! sentence scores. A change that moves one entity boundary, one answer
+//! span or one score bit fails here and names the module.
 
 use webqa_corpus::{Corpus, Domain, TASKS};
-use webqa_nlp::{EntityRecognizer, KeywordSet, QaModel};
+use webqa_nlp::{EntityRecognizer, KeywordSet, QaAnswer, QaModel};
 
 /// FNV-1a over a stream of integers.
 struct Digest(u64);
@@ -75,15 +80,19 @@ fn entity_spans_match_the_recorded_digest() {
     assert_eq!((entities, digest.0), (4565, 7_680_743_149_321_121_207));
 }
 
-#[test]
-fn answer_spans_match_the_recorded_digest() {
+/// Folds `answer`'s reply to each task's question over each text of the
+/// task's domain into a digest: `(answered, digest)`. `session` is called
+/// once per task and returns that task's answerer.
+fn answer_digest<A: Fn(&str) -> Option<QaAnswer>>(
+    session: impl Fn(&'static str) -> A,
+) -> (u64, u64) {
     let corpus = Corpus::generate(8, 42);
-    let qa = QaModel::pretrained();
     let mut digest = Digest::new();
     let mut answered = 0u64;
     for task in &TASKS {
+        let answer = session(task.question);
         for text in texts(&corpus, task.domain) {
-            match qa.answer(&text, task.question) {
+            match answer(&text) {
                 Some(a) => {
                     digest.push(a.start as u64);
                     digest.push(a.end as u64);
@@ -94,7 +103,30 @@ fn answer_spans_match_the_recorded_digest() {
             }
         }
     }
-    assert_eq!((answered, digest.0), (590, 13_947_192_238_929_146_069));
+    (answered, digest.0)
+}
+
+#[test]
+fn answer_spans_match_the_recorded_digest() {
+    let qa = QaModel::pretrained();
+    let cold = answer_digest(|question| {
+        let qa = &qa;
+        move |text: &str| qa.answer(text, question)
+    });
+    assert_eq!(cold, (590, 13_947_192_238_929_146_069));
+}
+
+#[test]
+fn warm_session_answer_spans_match_the_recorded_digest() {
+    // One session per task answers over the whole domain, as one query
+    // context does over a run, so later texts read sentence scores
+    // memoized by earlier ones.
+    let qa = QaModel::pretrained();
+    let warm = answer_digest(|question| {
+        let session = qa.session(question);
+        move |text: &str| session.answer(text)
+    });
+    assert_eq!(warm, (590, 13_947_192_238_929_146_069));
 }
 
 #[test]
@@ -110,4 +142,36 @@ fn warm_keyword_scores_match_the_recorded_digest() {
         }
     }
     assert_eq!(digest.0, 9_043_281_728_028_333_853);
+}
+
+/// Longest own text, in words, whose windows `StringExtractor` scores
+/// (`MAX_WINDOW_WORDS` in `webqa_dsl::eval`).
+const MAX_WINDOW_WORDS: usize = 40;
+
+#[test]
+fn warm_window_scores_match_the_recorded_digest() {
+    let corpus = Corpus::generate(8, 42);
+    let mut digest = Digest::new();
+    let mut windows = 0u64;
+    for task in &TASKS {
+        let set = KeywordSet::new(task.keywords);
+        for page in corpus.pages(task.domain) {
+            let tree = page.tree();
+            for id in tree.iter() {
+                // Every 1–3-word window, cut as `StringExtractor` cuts a
+                // `matchKeyword` substring's candidates.
+                let z = tree.text(id);
+                let words = webqa_nlp::text::words(z);
+                let n = words.len().min(MAX_WINDOW_WORDS);
+                for width in 1..=n.min(3) {
+                    for start in 0..=(n - width) {
+                        let (s, e) = (words[start].start, words[start + width - 1].end);
+                        digest.push(u64::from(set.best_similarity(&z[s..e]).to_bits()));
+                        windows += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((windows, digest.0), (54_043, 4_323_334_485_126_897_787));
 }
