@@ -67,7 +67,8 @@ fn main() {
             SynthConfig::fast().without_decomposition(),
         ),
         // This repo's extra ablation of the lazy guard enumeration the
-        // paper credits for pruning power (DESIGN.md §5).
+        // paper credits for pruning power (see the doc of
+        // `SynthConfig::without_lazy_guards`).
         ("WebQA-NoLazy", SynthConfig::fast().without_lazy_guards()),
     ];
 

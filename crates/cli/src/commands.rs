@@ -261,20 +261,23 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
         test_html.push(p.html);
     }
     let (n_labeled, n_test) = (etask.labeled.len(), etask.unlabeled.len());
-    let result = engine.run(&etask)?;
+    // Staged, because the listing below reads the optimal-program set,
+    // which a one-shot run's result does not keep.
+    let selected = engine.prepare(&etask)?.synthesize().select();
+    let outcome = selected.outcome();
+    let score = score_answers(&selected.answers(), &gold)?;
 
     if a.switch("json") {
-        let score = score_answers(&result.answers, &gold)?;
         let report = SynthReport {
             task: task.id,
             question: task.question,
             train_pages: n_labeled,
             test_pages: n_test,
-            train_f1: result.synthesis.f1,
-            total_optimal: result.synthesis.total_optimal,
-            selected: result.program.clone(),
+            train_f1: outcome.f1,
+            total_optimal: outcome.total_optimal,
+            selected: selected.program().cloned(),
             test: score,
-            stats: result.synthesis.stats,
+            stats: outcome.stats,
         };
         return serde_json::to_string_pretty(&report)
             .map(|mut s| {
@@ -290,11 +293,11 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
         out,
         "training: {} pages, optimal F1 {:.3}, {} optimal programs ({} materialized)",
         n_labeled,
-        result.synthesis.f1,
-        result.synthesis.total_optimal,
-        result.synthesis.programs.len()
+        outcome.f1,
+        outcome.total_optimal,
+        outcome.programs.len()
     );
-    match &result.program {
+    match selected.program() {
         Some(p) => {
             let _ = writeln!(out, "selected: {p}");
         }
@@ -302,11 +305,9 @@ pub(crate) fn synth(a: &ParsedArgs) -> Result<String, CliError> {
             let _ = writeln!(out, "selected: (no program synthesized)");
         }
     }
-    for (i, p) in result.synthesis.programs.iter().take(show).enumerate() {
+    for (i, p) in outcome.programs.iter().take(show).enumerate() {
         let _ = writeln!(out, "  optimal[{i}]: {p}");
     }
-
-    let score = score_answers(&result.answers, &gold)?;
     let _ = writeln!(
         out,
         "test ({} pages): P {:.3}  R {:.3}  F1 {:.3}",
@@ -466,9 +467,9 @@ pub(crate) fn eval(a: &ParsedArgs) -> Result<String, CliError> {
             out,
             "{:<11} {:>8.3} {:>8} {:>8} {:>7.3} {:>7.3} {:>7.3}",
             t.id,
-            result.synthesis.f1,
-            result.synthesis.total_optimal,
-            result.synthesis.stats.guard_cap_hits,
+            result.train_f1,
+            result.total_optimal,
+            result.stats.guard_cap_hits,
             score.precision,
             score.recall,
             score.f1
@@ -1042,6 +1043,26 @@ mod tests {
         assert!(out.contains("optimal F1"), "{out}");
         assert!(out.contains("test (4 pages)"), "{out}");
         assert!(out.contains("selected:"), "{out}");
+    }
+
+    /// The full text of a small `synth` run with an `optimal[i]` listing,
+    /// byte for byte.
+    #[test]
+    fn synth_show_prints_the_pinned_text() {
+        let out = dispatch(&[
+            "synth", "--task", "fac_t1", "--pages", "6", "--train", "2", "--seed", "3", "--show",
+            "2",
+        ])
+        .unwrap();
+        assert_eq!(
+            out,
+            "task fac_t1: Who are the current PhD students?\n\
+             training: 2 pages, optimal F1 0.889, 1626 optimal programs (1500 materialized)\n\
+             selected: sat(descendants(children(root, text(kw(0.50))), true), true) -> filter(content, entity(PERSON))\n  \
+             optimal[0]: sat(descendants(children(root, text(kw(0.50))), true), true) -> filter(content, entity(PERSON))\n  \
+             optimal[1]: sat(descendants(children(root, text(kw(0.50))), true), entity(PERSON)) -> filter(content, entity(PERSON))\n\
+             test (4 pages): P 0.722  R 1.000  F1 0.839\n"
+        );
     }
 
     #[test]

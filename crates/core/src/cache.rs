@@ -13,21 +13,19 @@
 //!   tables, keyed by `(page, question, keywords)` ([`QueryKey`]). The
 //!   page's [`PageId`] embeds its content digest;
 //! * the **result tier** holds completed [`RunResult`]s, keyed by the
-//!   exact [`Task`]. A result's optimal programs share their branch
-//!   trees ([`webqa_dsl::Branch`]), so an entry holds one copy of each
-//!   distinct guard and extractor, and a hit or an insert copies
-//!   pointers. Measured on a 2-core Xeon, as the resident-set growth
-//!   (after `malloc_trim`) of one default-config engine over 128
-//!   distinct `serve_open`-style runs (corpus seed 42, 8 pages per
-//!   domain, 2 labeled and 2 target pages each): 0.58 MB per entry when
-//!   every program owned its trees, 0.22 MB with shared trees. Of those
-//!   0.22 MB (heap counted by allocation, ~1,440 programs, ~600 distinct
-//!   guards and 6 distinct extractors per entry), the programs' own
-//!   `Vec<Program>` and `Vec<Branch>` buffers take 0.085 MB and the
-//!   distinct guards 0.132 MB: 0.074 MB of it their owned `Locator`
-//!   trees, 0.058 MB of which repeat a locator another guard of the
-//!   entry also owns (guards over one locator with different
-//!   predicates each copy it). Extractors take 0.001 MB.
+//!   exact [`Task`]. A result is the reply, not the search: the
+//!   selected program, the answers and the synthesis figures, without
+//!   the optimal-program list. A hit clones the program's branches,
+//!   which copies pointers to the entry's trees, not the trees.
+//!   Measured on a 2-core Xeon, as the resident-set growth (after
+//!   `malloc_trim`) of one default-config engine over 128 distinct
+//!   `serve_open`-style runs (corpus seed 42, 8 pages per domain, 2
+//!   labeled and 2 target pages each), less the same runs with the tier
+//!   off: 0.21 MB per entry while results kept every optimal program
+//!   (~1,440 programs, ~600 guards), 0.004 MB (1.6 KB of live heap, the
+//!   key included) without them. An entry is now the size of its task
+//!   and its reply, so the entry count bounds the tier's bytes too: the
+//!   default 128 entries take about 0.5 MB at this scale.
 //!
 //! Every key is the exact input, never a digest of it, so a hash
 //! collision cannot serve another key's value. Because values are pure,

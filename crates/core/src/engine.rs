@@ -501,12 +501,16 @@ impl Selected<'_> {
         }
     }
 
-    /// Collapses the staged run into the one-shot [`RunResult`].
+    /// Collapses the staged run into the one-shot [`RunResult`], dropping
+    /// the optimal-program list.
     pub(crate) fn finish(self) -> RunResult {
         let answers = self.answers();
         RunResult {
             program: self.program,
-            synthesis: self.outcome,
+            train_f1: self.outcome.f1,
+            counts: self.outcome.counts,
+            total_optimal: self.outcome.total_optimal,
+            stats: self.outcome.stats,
             answers,
         }
     }
@@ -655,7 +659,7 @@ mod tests {
         assert_eq!(stats.result_hits, 1);
         assert_eq!(second.program, first.program);
         assert_eq!(second.answers, first.answers);
-        assert_eq!(second.synthesis.stats, first.synthesis.stats);
+        assert_eq!(second.stats, first.stats);
 
         // A *different* task over the same labeled pages misses the
         // result cache but reuses both feature tables.
@@ -752,9 +756,9 @@ mod tests {
         let reference = cold.run(&t).unwrap();
         assert_eq!(warm.program, reference.program);
         assert_eq!(warm.answers, reference.answers);
-        assert_eq!(warm.synthesis.f1, reference.synthesis.f1);
-        assert_eq!(warm.synthesis.counts, reference.synthesis.counts);
-        assert_eq!(warm.synthesis.stats, reference.synthesis.stats);
+        assert_eq!(warm.train_f1, reference.train_f1);
+        assert_eq!(warm.counts, reference.counts);
+        assert_eq!(warm.stats, reference.stats);
         assert_eq!(cold.cache_stats().result_hits, 0);
         assert_eq!(cold.cache_stats().feature_hits, 0);
     }
@@ -788,7 +792,7 @@ mod tests {
         let reference = cold.run(&t).unwrap();
         assert_eq!(full.program, reference.program);
         assert_eq!(full.answers, reference.answers);
-        assert_eq!(full.synthesis.stats, reference.synthesis.stats);
+        assert_eq!(full.stats, reference.stats);
 
         // A generous deadline never trips: identical to the plain run.
         let relaxed = engine

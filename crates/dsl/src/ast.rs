@@ -16,6 +16,8 @@
 //! deduplicate; thresholds are therefore stored in fixed-point hundredths
 //! ([`Threshold`]).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use webqa_nlp::EntityKind;
@@ -357,6 +359,87 @@ impl Branch {
         self.guard.size() + self.extractor.size()
     }
 }
+
+/// Dense ids for the distinct trees behind shared branch fields, in
+/// first-seen order. A tree is looked up by its `Arc`'s address first,
+/// so each allocation is hashed by value only once, and equal trees in
+/// different allocations still share one id.
+#[derive(Debug)]
+pub struct TreeIds<'a, T> {
+    /// The id of every allocation seen.
+    pub by_address: HashMap<*const T, u32, FxBuild>,
+    /// The distinct trees, indexed by id.
+    pub values: Vec<&'a T>,
+    by_value: HashMap<&'a T, u32, FxBuild>,
+}
+
+impl<T> Default for TreeIds<'_, T> {
+    fn default() -> Self {
+        TreeIds {
+            by_address: HashMap::default(),
+            values: Vec::new(),
+            by_value: HashMap::default(),
+        }
+    }
+}
+
+impl<'a, T: Hash + Eq> TreeIds<'a, T> {
+    /// The id of `tree`'s value, given on first sight of that value.
+    pub fn id(&mut self, tree: &'a Arc<T>) -> u32 {
+        let (values, by_value) = (&mut self.values, &mut self.by_value);
+        *self.by_address.entry(Arc::as_ptr(tree)).or_insert_with(|| {
+            *by_value.entry(&**tree).or_insert_with(|| {
+                values.push(&**tree);
+                u32::try_from(values.len() - 1).expect("fewer than 2^32 distinct trees")
+            })
+        })
+    }
+
+    /// The tree with id `id`.
+    pub fn get(&self, id: u32) -> &'a T {
+        self.values[id as usize]
+    }
+}
+
+/// FxHash (the rustc hash): fast, deterministic, non-cryptographic. For
+/// maps keyed by ids and addresses a program builds, not by page text.
+#[derive(Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+// `#[inline]` throughout: the hasher's users are in other crates, and
+// the search hashes a behaviour key per candidate.
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(w);
+            self.add(u64::from_le_bytes(buf));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `BuildHasher` for [`FxHasher`]-keyed maps.
+pub type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// A complete WebQA program: an ordered sequence of guarded branches.
 ///

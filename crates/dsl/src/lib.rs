@@ -66,7 +66,10 @@ mod parse;
 mod print;
 
 pub use analysis::{AnalysisReport, Analyzer, BranchAnalysis, Truth};
-pub use ast::{Branch, Extractor, Guard, Locator, NlpPred, NodeFilter, Program, Threshold};
+pub use ast::{
+    Branch, Extractor, FxBuild, FxHasher, Guard, Locator, NlpPred, NodeFilter, Program, Threshold,
+    TreeIds,
+};
 pub use context::QueryContext;
 pub use eval::{PageMemo, StringExtractor};
 pub use lint::{lint, LintIssue, LintReport};

@@ -9,11 +9,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webqa_dsl::{Extractor, Guard, PageMemo, PageTree, Program, QueryContext};
+use webqa_dsl::{Extractor, Guard, PageMemo, PageTree, Program, QueryContext, TreeIds};
 use webqa_metrics::{tokenize_all, Token};
 
 /// An ensemble of optimal programs with their precomputed outputs on the
@@ -149,7 +148,7 @@ impl Ensemble {
 struct Members<'p> {
     guards: TreeIds<'p, Guard>,
     extractors: TreeIds<'p, Extractor>,
-    branches: Vec<Vec<(usize, usize)>>,
+    branches: Vec<Vec<(u32, u32)>>,
 }
 
 impl<'p> Members<'p> {
@@ -185,19 +184,19 @@ impl<'p> Members<'p> {
         // Per guard: `None` until evaluated, then the id of the node set
         // it fires with, or `None` when it does not fire.
         let mut fired: Vec<Option<Option<usize>>> = vec![None; self.guards.values.len()];
-        let mut extracted: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut extracted: HashMap<(u32, usize), usize> = HashMap::new();
         let mut ids = Vec::with_capacity(self.branches.len());
         for branches in &self.branches {
             let mut out = empty;
             for &(g, x) in branches {
-                let fires = *fired[g].get_or_insert_with(|| {
-                    let (ok, nodes) = memo.eval_guard(self.guards.values.get(g));
+                let fires = *fired[g as usize].get_or_insert_with(|| {
+                    let (ok, nodes) = memo.eval_guard(self.guards.get(g));
                     ok.then(|| node_sets.id(nodes))
                 });
                 if let Some(nodes) = fires {
                     out = *extracted.entry((x, nodes)).or_insert_with(|| {
-                        let strings = memo
-                            .eval_extractor(self.extractors.values.get(x), node_sets.get(nodes));
+                        let strings =
+                            memo.eval_extractor(self.extractors.get(x), node_sets.get(nodes));
                         let mut t = tokenize_all(&strings);
                         t.sort();
                         t.dedup();
@@ -209,34 +208,6 @@ impl<'p> Members<'p> {
             ids.push(out);
         }
         (token_sets.values, ids)
-    }
-}
-
-/// Dense ids for the distinct trees behind a program list's shared
-/// branch fields, in first-seen order. A tree is looked up by its `Arc`'s
-/// address first, so each allocation is hashed by value only once, and
-/// equal trees in different allocations still share one id.
-struct TreeIds<'p, T> {
-    by_address: HashMap<*const T, usize>,
-    values: Interner<&'p T>,
-}
-
-impl<T> Default for TreeIds<'_, T> {
-    fn default() -> Self {
-        TreeIds {
-            by_address: HashMap::new(),
-            values: Interner::default(),
-        }
-    }
-}
-
-impl<'p, T: Hash + Eq> TreeIds<'p, T> {
-    fn id(&mut self, tree: &'p Arc<T>) -> usize {
-        let values = &mut self.values;
-        *self
-            .by_address
-            .entry(Arc::as_ptr(tree))
-            .or_insert_with(|| values.id(&**tree))
     }
 }
 
@@ -268,10 +239,6 @@ impl<T: Hash + Eq + Clone> Interner<T> {
 
     fn get(&self, id: usize) -> &T {
         &self.values[id]
-    }
-
-    fn len(&self) -> usize {
-        self.values.len()
     }
 }
 

@@ -360,27 +360,21 @@ pub fn render_run_result(result: &RunResult) -> Value {
             None => Value::Null,
         },
     );
-    map.insert(
-        "train_f1".to_string(),
-        serde_json::json!(result.synthesis.f1),
-    );
+    map.insert("train_f1".to_string(), serde_json::json!(result.train_f1));
     let mut counts = Map::new();
     counts.insert(
         "matched".to_string(),
-        serde_json::json!(result.synthesis.counts.matched),
+        serde_json::json!(result.counts.matched),
     );
     counts.insert(
         "predicted".to_string(),
-        serde_json::json!(result.synthesis.counts.predicted),
+        serde_json::json!(result.counts.predicted),
     );
-    counts.insert(
-        "gold".to_string(),
-        serde_json::json!(result.synthesis.counts.gold),
-    );
+    counts.insert("gold".to_string(), serde_json::json!(result.counts.gold));
     map.insert("counts".to_string(), Value::Object(counts));
     map.insert(
         "total_optimal".to_string(),
-        serde_json::json!(result.synthesis.total_optimal),
+        serde_json::json!(result.total_optimal),
     );
     map.insert("answers".to_string(), serde_json::json!(result.answers));
     Value::Object(map)

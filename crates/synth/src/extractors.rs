@@ -43,10 +43,10 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use webqa_dsl::{Extractor, PageNodeId};
+use webqa_dsl::{Extractor, FxBuild, PageNodeId};
 use webqa_metrics::Counts;
 
-use crate::scorer::{behaviour_key, Children, FxBuild, Scorer, StepOp, TaskCtx};
+use crate::scorer::{behaviour_key, Children, Scorer, StepOp, TaskCtx};
 use crate::stats::SynthStats;
 
 /// Result of extractor synthesis: all extractors achieving the optimal

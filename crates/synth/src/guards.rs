@@ -39,12 +39,12 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
-use webqa_dsl::{Guard, Locator, PageNodeId};
+use webqa_dsl::{FxBuild, Guard, Locator, PageNodeId};
 use webqa_metrics::Counts;
 
 use crate::example::Example;
 use crate::extractors::F1_EPS;
-use crate::scorer::{pred_holds, FxBuild, TaskCtx};
+use crate::scorer::{pred_holds, TaskCtx};
 use crate::stats::SynthStats;
 
 /// The table id of `GetRoot`.

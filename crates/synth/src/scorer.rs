@@ -9,7 +9,7 @@
 //! original definitional evaluation — `tests/synth_parity.rs` proves the
 //! two paths observationally identical on the whole corpus.
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! * [`TaskCtx`] — one per [`crate::synthesize`] call: the filter /
 //!   predicate / production pools, plus (optimized mode only) per-node
@@ -27,13 +27,12 @@
 //!   is a multiset-overlap run over integer ids indexed by string id. It
 //!   also builds a candidate's children under every production step in
 //!   one walk over the table's rows, into reused [`Children`] buffers.
-//! * [`FxHasher`] — a fast non-cryptographic hasher for the search's
-//!   behaviour keys. Those are id sequences the program builds; the
-//!   table's content map keys on page text, so it keeps the standard
-//!   library's seeded hasher.
+//!
+//! The search's behaviour keys are id sequences the program builds, so
+//! they hash with [`webqa_dsl::FxHasher`]; the table's content map keys
+//! on page text, so it keeps the standard library's seeded hasher.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -47,40 +46,6 @@ use crate::cancel::CancelToken;
 use crate::config::SynthConfig;
 use crate::example::{counts_of_outputs_ref, Example};
 use crate::pool::{nlp_preds, node_filters};
-
-/// FxHash (the rustc hash): fast, deterministic, non-cryptographic.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(w);
-            self.add(u64::from_le_bytes(buf));
-        }
-        for &b in words.remainder() {
-            self.add(u64::from(b));
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`]-keyed maps.
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Per-string neural-module outcomes, precomputed once per node text so
 /// every predicate in the pool evaluates against them without touching
@@ -1266,7 +1231,8 @@ mod tests {
 
     #[test]
     fn fx_hasher_is_deterministic() {
-        use std::hash::Hash;
+        use std::hash::{Hash, Hasher};
+        use webqa_dsl::FxHasher;
         let hash = |s: &str| {
             let mut h = FxHasher::default();
             s.hash(&mut h);

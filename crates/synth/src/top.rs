@@ -11,10 +11,9 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 use std::sync::Arc;
 
-use webqa_dsl::{Branch, Extractor, Guard, Program, QueryContext};
+use webqa_dsl::{Branch, Extractor, FxBuild, Guard, Program, QueryContext, TreeIds};
 use webqa_metrics::Counts;
 
 use crate::branch::{synthesize_branch, BranchSynthesis, ExtractorMemo};
@@ -23,7 +22,7 @@ use crate::config::SynthConfig;
 use crate::example::Example;
 use crate::extractors::F1_EPS;
 use crate::guards::LocatorTable;
-use crate::scorer::{FxBuild, PageFeatures, StringTable, TaskCtx};
+use crate::scorer::{PageFeatures, StringTable, TaskCtx};
 use crate::stats::SynthStats;
 
 /// The result of [`synthesize`]: all optimal programs (capped), their
@@ -474,32 +473,6 @@ impl<'a> Emitted<'a> {
             .collect();
         self.programs.push(Program::new(branches));
         true
-    }
-}
-
-/// Ids of shared trees by value: each distinct `Arc` is hashed by value
-/// once, on first sight, and found by its address after that.
-struct TreeIds<'a, T> {
-    by_address: HashMap<*const T, u32, FxBuild>,
-    by_value: HashMap<&'a T, u32, FxBuild>,
-}
-
-impl<T> Default for TreeIds<'_, T> {
-    fn default() -> Self {
-        TreeIds {
-            by_address: HashMap::default(),
-            by_value: HashMap::default(),
-        }
-    }
-}
-
-impl<'a, T: Hash + Eq> TreeIds<'a, T> {
-    fn id(&mut self, tree: &'a Arc<T>) -> u32 {
-        let by_value = &mut self.by_value;
-        *self.by_address.entry(Arc::as_ptr(tree)).or_insert_with(|| {
-            let next = u32::try_from(by_value.len()).expect("fewer than 2^32 distinct trees");
-            *by_value.entry(&**tree).or_insert(next)
-        })
     }
 }
 

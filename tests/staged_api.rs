@@ -211,7 +211,7 @@ fn f1_tied_counts_are_identical_across_fresh_engines() {
                 pages[2..4].iter().map(|p| p.tree()),
             );
             let r = engine.run(&spec).expect("ids from this store");
-            (r.synthesis.counts, r.program, r.answers)
+            (r.counts, r.program, r.answers)
         })
         .collect();
     assert!(
@@ -252,6 +252,6 @@ fn run_scores_every_one_of_forty_labeled_pages() {
         [target],
     );
     let r = engine.run(&task).expect("ids from this store");
-    assert_eq!(r.synthesis.counts.gold, gold_tokens);
+    assert_eq!(r.counts.gold, gold_tokens);
     assert_eq!(r.answers, vec![vec!["Zoe Park".to_string()]]);
 }
